@@ -185,7 +185,7 @@ def build_parser():
                         help="machine JSON on stdout")
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
         sp.add_argument("--threads", type=int,
-                        help="worker cap; default GWFRACT_THREADS or cores")
+                        help="thread cap; default GWFRACT_THREADS or cores")
         sp.add_argument("--percolation", metavar="b=3,d=2,p=0.6",
                         help="grid IFS plus binomial offspring shorthand")
         sp.add_argument("--ifs", metavar="PATH", help="IFS JSON file")
@@ -771,6 +771,7 @@ def _emit_error(as_json, kind, exc, extra=None):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     as_json = bool(getattr(args, "json", False))
+    saved_threads = os.environ.get("GWFRACT_THREADS")
     try:
         cfg = merge_config(args)
         jsonschema.validate(cfg, CONFIG_SCHEMA)
@@ -795,6 +796,12 @@ def main(argv=None):
     except (ResourceLimitError, CapabilityError) as e:
         _emit_error(as_json, "resource-limit", e)
         return 4
+    finally:
+        # the setting belongs to this call; in-process callers keep their own
+        if saved_threads is None:
+            os.environ.pop("GWFRACT_THREADS", None)
+        else:
+            os.environ["GWFRACT_THREADS"] = saved_threads
     if as_json:
         sys.stdout.write(json.dumps(_jsonify(payload), indent=2,
                                     sort_keys=True, allow_nan=False) + "\n")

@@ -36,7 +36,6 @@ from .geometry import (
     percolation_ifs,
     render,
     render_words,
-    width,
     word_map,
 )
 
@@ -984,7 +983,7 @@ def general_pipeline(ifs, offspring, rho, alpha, c, depth=None, seed=0,
         )
 
     F = F_cloud if F_cloud is not None else _attractor_cloud(ifs)
-    wres = width(F)
+    wres = F.width
     if wres.w <= 1e-8 * max(1.0, F.diameter()):
         raise InvalidInputError(
             "attractor render is planar (width %.3g); no diffuse subset exists"

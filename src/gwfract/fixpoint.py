@@ -371,9 +371,10 @@ def smallest_fixed_point(gf, tol=1e-10, max_iter=100_000):
 
     q = 0.0
     iterates = []
+    steps = 0
     converged = False
     sigma = 0.0
-    for _ in range(max_iter):
+    for steps in range(1, max_iter + 1):
         v, ci = gf.eval(q)
         if ci is not None:
             z = _norm.ppf(0.5 + gf.ci_level / 2.0)
@@ -388,7 +389,7 @@ def smallest_fixed_point(gf, tol=1e-10, max_iter=100_000):
     out = {
         "s0": q,
         "tau": 1.0 - q,
-        "iterations": len(iterates),
+        "iterations": steps,
         "iterates": iterates,
         "converged": converged,
         "method": getattr(gf, "strategy", "function"),

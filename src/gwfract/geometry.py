@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import ConvexHull
 from scipy.spatial import cKDTree as _cKDTree
 
 from .symbolic import (
@@ -209,17 +211,21 @@ class PointCloud:
     def d(self):
         return self.points.shape[1]
 
+    @cached_property
+    def hull(self):
+        """Convex-hull vertices of the cloud, computed on first use."""
+        return _hull_vertices(self.points)
+
+    @cached_property
+    def width(self):
+        """`width(self)` at its default directions, computed on first use."""
+        return width(self)
+
     def diameter(self):
         """Exact diameter via hull vertices (pairwise scan on the hull)."""
-        pts = self.points
-        if len(pts) < 2:
+        if len(self.points) < 2:
             return 0.0
-        try:
-            from scipy.spatial import ConvexHull
-
-            hv = pts[ConvexHull(pts).vertices] if len(pts) > self.d + 1 else pts
-        except Exception:
-            hv = pts
+        hv = self.hull
         best = 0.0
         for i in range(len(hv)):
             dist = np.linalg.norm(hv[i + 1:] - hv[i], axis=1)
@@ -435,6 +441,20 @@ class WidthResult:
         yield self.witness
 
 
+def _hull_vertices(pts):
+    """Points on the convex hull; every linear functional attains its extremes there.
+
+    d=1 keeps the two endpoints.  Where Qhull fails (too few, collinear or
+    coplanar points) the whole cloud is returned, which is never wrong.
+    """
+    if pts.shape[1] == 1 and len(pts):
+        return pts[[int(np.argmin(pts[:, 0])), int(np.argmax(pts[:, 0]))]]
+    try:
+        return pts[ConvexHull(pts).vertices]
+    except Exception:
+        return pts
+
+
 def _flat_direction(pts):
     """Normal of the best-fit hyperplane through the points (least spread)."""
     c = pts.mean(axis=0)
@@ -496,13 +516,7 @@ def width(cloud, directions=2000):
         return WidthResult(w0, Hyperplane(u0, b0), 0.0)
 
     if d == 2:
-        try:
-            from scipy.spatial import ConvexHull
-
-            hull = ConvexHull(pts)
-            hv = pts[hull.vertices]
-        except Exception:
-            hv = pts
+        hv = _hull_vertices(pts)
         best = (w0, u0, b0)
         m = len(hv)
         for i in range(m):
@@ -578,7 +592,9 @@ def diffuseness_constant(maps, F_cloud, tol=1e-9, directions=2000):
     For each direction the optimal offset has closed form (the images project
     to intervals; the objective is the half-gap between the largest lower and
     smallest upper endpoint after eps-inflation).  The certificate subtracts a
-    Lipschitz correction covering directions between grid points.
+    Lipschitz correction covering directions between grid points.  A linear
+    functional attains its extremes on hull vertices, so only the images of
+    the base cloud's hull vertices are projected, one map at a time.
     """
     pts = F_cloud.points
     if len(pts) == 0:
@@ -590,16 +606,17 @@ def diffuseness_constant(maps, F_cloud, tol=1e-9, directions=2000):
         p0 = maps[0].apply(pts[:1])[0]
         return DiffuseResult(0.0, Hyperplane(u, float(p0[0])), 0.0, 0.0,
                              note="single map: every hyperplane through its image defeats it")
-    base_w = width(F_cloud if isinstance(F_cloud, PointCloud) else PointCloud(pts, 0.0))
+    base_w = F_cloud.width
     if base_w.w <= max(F_cloud.eps, 1e-12):
         return DiffuseResult(0.0, base_w.witness, 0.0, 0.0,
                              note="degenerate base cloud: width %.3g is below resolution" % base_w.w)
 
-    imgs = [m.apply(pts) for m in maps]
+    imgs = [m.apply(F_cloud.hull) for m in maps]
     infl = [F_cloud.eps * m.ratio for m in maps]
-    allpts = np.vstack(imgs)
-    center = allpts.mean(axis=0)
-    lip = float(np.linalg.norm(allpts - center, axis=1).max())
+    # mean of all image points = mean over maps of the image of the cloud mean
+    mean = pts.mean(axis=0)
+    center = np.mean([m.apply(mean) for m in maps], axis=0)
+    lip = max(float(np.linalg.norm(img - center, axis=1).max()) for img in imgs)
 
     if d == 2:
         angles = np.linspace(0.0, math.pi, int(directions), endpoint=False)
@@ -611,11 +628,12 @@ def diffuseness_constant(maps, F_cloud, tol=1e-9, directions=2000):
         raw = rng.normal(size=(int(directions), d))
         grid = raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
-    los = np.stack([img @ grid.T for img in imgs])  # (maps, pts, dirs) projections
-    lo_int = los.min(axis=1) - np.array(infl)[:, None]
-    hi_int = los.max(axis=1) + np.array(infl)[:, None]
-    L = lo_int.max(axis=0)
-    H = hi_int.min(axis=0)
+    L = np.full(len(grid), -np.inf)
+    H = np.full(len(grid), np.inf)
+    for img, e in zip(imgs, infl):
+        proj = img @ grid.T
+        np.maximum(L, proj.min(axis=0) - e, out=L)
+        np.minimum(H, proj.max(axis=0) + e, out=H)
     cvals = np.maximum(0.0, 0.5 * (L - H))
     k = int(np.argmin(cvals))
     raw_min = float(cvals[k])

@@ -206,15 +206,33 @@ def test_experiment_convergence_json(tmp_path):
     assert (tmp_path / "convergence_g_k.json").exists()
 
 
-def test_threads_env_propagation():
-    old = os.environ.pop("GWFRACT_THREADS", None)
-    try:
-        code, _, _ = run_json(["moran", "--percolation", "b=3,d=2,p=0.6",
-                               "--threads", "2"])
-        assert code == 0
-        assert os.environ.get("GWFRACT_THREADS") == "2"
-    finally:
-        if old is None:
-            os.environ.pop("GWFRACT_THREADS", None)
+def test_threads_env_propagation(monkeypatch):
+    # --threads reaches the handler through the environment for that call only
+    import gwfract.cli as cli
+
+    seen = []
+    moran = cli.HANDLERS["moran"]
+
+    def spy(cfg):
+        seen.append(os.environ.get("GWFRACT_THREADS"))
+        return moran(cfg)
+
+    monkeypatch.setitem(cli.HANDLERS, "moran", spy)
+    for before in (None, "5"):
+        if before is None:
+            monkeypatch.delenv("GWFRACT_THREADS", raising=False)
         else:
-            os.environ["GWFRACT_THREADS"] = old
+            monkeypatch.setenv("GWFRACT_THREADS", before)
+        code, _, _ = run_json(["moran", "--percolation", "b=3,d=2,p=0.6",
+                               "--threads", "3"])
+        assert code == 0
+        assert seen[-1] == "3"
+        assert os.environ.get("GWFRACT_THREADS") == before
+
+
+def test_threads_env_restored_after_error(monkeypatch):
+    monkeypatch.delenv("GWFRACT_THREADS", raising=False)
+    code, _, _ = run(["moran", "--percolation", "b=3,d=2,p=0.01",
+                      "--threads", "3"])
+    assert code == 2
+    assert "GWFRACT_THREADS" not in os.environ

@@ -62,6 +62,16 @@ def test_pair_collection_closed_form_iterates():
     assert sol["tau"] == pytest.approx(25.0 / 27.0, abs=1e-8)
 
 
+def test_iterations_count_every_step_past_the_iterate_cap():
+    # near the first-order transition at p = 8/9 the iteration crawls through
+    # a saddle-node bottleneck; the step count must not stop at the kept 1000
+    gf = GFunction(Binomial(3, 8.0 / 9.0 - 1e-11), ary_collection(2))
+    sol = smallest_fixed_point(gf, max_iter=1500)
+    assert sol["iterations"] == 1500
+    assert not sol["converged"]
+    assert len(sol["iterates"]) == 1000
+
+
 def test_bisect_agrees_with_iteration():
     gf = GFunction(Binomial(3, 0.9), ary_collection(2))
     s_iter = smallest_fixed_point(gf)["s0"]

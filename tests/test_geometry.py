@@ -1,11 +1,13 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gwfract.symbolic import FiniteTree, InvalidInputError, Word, WeightedAlphabet
 from gwfract.branching import Binomial, sample_gw
+from gwfract import extraction, geometry
 from gwfract.geometry import (
     Hyperplane,
     MeasuredCloud,
@@ -236,3 +238,126 @@ def test_similarity_map_validation():
 def test_ifs_requires_contractions_and_dim():
     with pytest.raises(InvalidInputError):
         SimilarityIFS(2, [])
+
+
+def brute_certificate(maps, cloud, directions):
+    """Reference certificate that projects every image of every cloud point."""
+    pts = cloud.points
+    d = pts.shape[1]
+    imgs = [m.apply(pts) for m in maps]
+    infl = np.array([cloud.eps * m.ratio for m in maps])
+    allpts = np.vstack(imgs)
+    lip = float(np.linalg.norm(allpts - allpts.mean(axis=0), axis=1).max())
+    if d == 2:
+        angles = np.linspace(0.0, math.pi, directions, endpoint=False)
+        grid = np.column_stack([np.cos(angles), np.sin(angles)])
+    elif d == 3:
+        grid = geometry._fibonacci_sphere(directions)
+    else:
+        raw = np.random.Generator(np.random.Philox(key=directions)).normal(size=(directions, d))
+        grid = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+    def c_of(u):
+        L = max(float((img @ u).min()) - e for img, e in zip(imgs, infl))
+        H = min(float((img @ u).max()) + e for img, e in zip(imgs, infl))
+        return max(0.0, 0.5 * (L - H))
+
+    cvals = [c_of(u) for u in grid]
+    k = int(np.argmin(cvals))
+    raw_min = cvals[k]
+    if d == 2:
+        th0 = math.atan2(grid[k][1], grid[k][0])
+        span = math.pi / directions
+        _, v, _ = geometry._golden_min(
+            lambda th: c_of(np.array([math.cos(th), math.sin(th)])),
+            th0 - span, th0 + span, iters=50)
+        raw_min = min(raw_min, v)
+    tol = lip * geometry._coverage_halfangle(d, directions)
+    return max(0.0, raw_min - tol), raw_min, tol
+
+
+def random_family(rng, d, n):
+    maps = []
+    for _ in range(n):
+        q, r = np.linalg.qr(rng.normal(size=(d, d)))
+        maps.append(SimilarityMap(rng.uniform(0.1, 0.45), q * np.sign(np.diag(r)),
+                                  rng.uniform(0.0, 1.0, d)))
+    return maps
+
+
+def assert_matches_brute(maps, cloud, directions):
+    res = diffuseness_constant(maps, cloud, directions=directions)
+    c_low, raw_min, tol = brute_certificate(maps, cloud, directions)
+    assert res.raw_min == pytest.approx(raw_min, rel=1e-12, abs=1e-300)
+    assert res.c_low == pytest.approx(c_low, rel=1e-12, abs=1e-15)
+    assert res.tol == pytest.approx(tol, rel=1e-12)
+    return res
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_certificate_matches_all_points(d):
+    rng = np.random.default_rng(d)
+    positive = 0
+    for _ in range(8):
+        cloud = PointCloud(rng.uniform(0.0, 1.0, size=(300, d)), 1e-3)
+        res = assert_matches_brute(random_family(rng, d, int(rng.integers(4, 9))),
+                                   cloud, directions=150)
+        positive += res.raw_min > 0
+    assert positive >= 4  # the comparison is not all zeros
+
+
+def test_hull_certificate_duplicate_and_collinear_points():
+    # square grid: edge midpoints are collinear with corners, corners repeat
+    g = np.linspace(0.0, 1.0, 5)
+    pts = np.array([[x, y] for x in g for y in g] + [[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 2)
+    cloud = PointCloud(pts, 0.0)
+    assert len(cloud.hull) == 4
+    assert_matches_brute(percolation_ifs(3, 2).maps, cloud, directions=400)
+    rng = np.random.default_rng(7)
+    assert_matches_brute(random_family(rng, 2, 4), cloud, directions=400)
+
+
+def test_hull_certificate_degenerate_clouds_fall_back():
+    line = PointCloud(np.array([[t, 2.0 * t] for t in np.linspace(0.0, 1.0, 9)]), 0.0)
+    assert len(line.hull) == len(line)  # Qhull refuses; the whole cloud stands in
+    res = diffuseness_constant(percolation_ifs(3, 2).maps, line, directions=100)
+    assert res.c_low == 0.0 and "degenerate" in res.note
+
+
+def test_hull_certificate_one_dimensional_cloud():
+    pts = np.array([[0.4], [0.0], [1.0], [0.7], [1.0]])
+    cloud = PointCloud(pts, 0.01)
+    assert sorted(cloud.hull[:, 0]) == [0.0, 1.0]
+    maps = [SimilarityMap(1 / 3.0, np.eye(1), [t]) for t in (0.0, 2 / 3.0)]
+    res = assert_matches_brute(maps, cloud, directions=100)
+    assert res.c_low > 0
+
+
+def test_hull_certificate_single_map():
+    res = diffuseness_constant(percolation_ifs(3, 2).maps[:1], square_cloud(), directions=100)
+    assert res.c_low == 0.0 and res.raw_min == 0.0
+    assert "single map" in res.note
+
+
+def test_certificates_share_the_cloud_width(monkeypatch):
+    calls = []
+    real = geometry.width
+    monkeypatch.setattr(geometry, "width", lambda *a, **k: calls.append(1) or real(*a, **k))
+    cloud = render(percolation_ifs(3, 2), depth=3)
+    maps = percolation_ifs(3, 2).maps
+    first = diffuseness_constant(maps[:5], cloud, directions=100)
+    again = diffuseness_constant(maps[:5], cloud, directions=100)
+    assert len(calls) == 1
+    assert (first.c_low, first.raw_min) == (again.c_low, again.raw_min)
+
+
+def test_block_certificate_memory_is_bounded(monkeypatch):
+    monkeypatch.setattr(extraction, "_BLOCK_CONSTANT", {})
+    tracemalloc.start()
+    try:
+        c = extraction._block_family_constant(3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c > 0
+    assert peak < 64 * 2 ** 20
