@@ -13,12 +13,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .symbolic import (
     DEFAULT_NODE_BUDGET,
-    DegenerateSampleError,
     FiniteTree,
     InvalidInputError,
     ResourceLimitError,
@@ -55,10 +55,6 @@ def _unit(u):
     return (u >> np.uint64(11)) * (2.0 ** -53)
 
 
-def _unit_scalar(u):
-    return (u >> 11) * (2.0 ** -53)
-
-
 def root_key(seed):
     return mix64(int(seed) & MASK64)
 
@@ -70,19 +66,6 @@ def child_key(parent_key, letter):
 def _child_keys_vec(parent_keys, letters):
     mults = (((letters.astype(np.uint64) + np.uint64(1)) * np.uint64(_CHILD_SALT)))
     return mix64_vec(parent_keys ^ mults)
-
-
-def word_key(seed, word):
-    k = root_key(seed)
-    for a in word:
-        k = child_key(k, a)
-    return k
-
-
-def stream_uniforms(key, count):
-    """Deterministic uniforms u_0..u_{count-1} for one stream key."""
-    offs = (np.arange(1, count + 1, dtype=np.uint64)) * np.uint64(_GAMMA)
-    return _unit(mix64_vec(np.uint64(key) + offs))
 
 
 def labeled_seed(seed, label):
@@ -106,7 +89,21 @@ def parallel_map(fn, items, threads=None):
 # offspring laws
 
 
-class Binomial:
+class _IndependentLetters:
+    """Laws that keep letter i independently with probability letter_probs()[i]."""
+
+    @cached_property
+    def _draw(self):
+        # per-letter stream offsets and keep probabilities, fixed for the law
+        probs = self.letter_probs()
+        return np.arange(1, len(probs) + 1, dtype=np.uint64) * np.uint64(_GAMMA), probs
+
+    def sample_matrix(self, keys):
+        offs, probs = self._draw
+        return _unit(mix64_vec(keys[:, None] + offs)) < probs
+
+
+class Binomial(_IndependentLetters):
     """Each letter of the alphabet kept independently with probability p."""
 
     kind = "binomial"
@@ -142,16 +139,11 @@ class Binomial:
     def thinned(self, s):
         return Binomial(self.n, self.p * (1.0 - s))
 
-    def sample_matrix(self, keys):
-        offs = np.arange(1, self.n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        u = _unit(mix64_vec(keys[:, None] + offs[None, :]))
-        return u < self.p
-
     def to_json(self):
         return {"kind": "binomial", "n": self.n, "p": self.p}
 
 
-class PerLetterBernoulli:
+class PerLetterBernoulli(_IndependentLetters):
     """Letter i kept independently with its own probability p_i."""
 
     kind = "bernoulli"
@@ -189,12 +181,6 @@ class PerLetterBernoulli:
 
     def thinned(self, s):
         return PerLetterBernoulli(tuple(p * (1.0 - s) for p in self.probs))
-
-    def sample_matrix(self, keys):
-        n = len(self.probs)
-        offs = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        u = _unit(mix64_vec(keys[:, None] + offs[None, :]))
-        return u < np.asarray(self.probs)[None, :]
 
     def to_json(self):
         return {"kind": "bernoulli", "p": list(self.probs)}
@@ -327,45 +313,49 @@ class LazyGW:
             self._keys[word] = k
         return k
 
-    def children(self, word):
-        word = Word(word)
-        cs = self._children.get(word)
-        if cs is None:
-            keep = self.offspring.sample_matrix(np.array([self.key(word)], dtype=np.uint64))[0]
-            cs = frozenset(int(j) for j in np.nonzero(keep)[0])
-            self._children[word] = cs
-            self.nodes_sampled += 1
-            if self.nodes_sampled > self.node_budget:
-                raise ResourceLimitError("lazy sampling exceeded node budget", partial=self.nodes_sampled)
-        return cs
+    def _walk(self, word, rel_depth):
+        """Vectorized breadth-first walk below `word`, one level per step.
 
-    def expand(self, word, rel_depth):
-        """Materialize the subtree below `word` to a relative depth (vectorized)."""
-        word = Word(word)
-        words = [Word()]
+        Yields (counts, letters): the child count of each live node in order,
+        and the letters of all their children, grouped by parent.
+        """
         keys = np.array([self.key(word)], dtype=np.uint64)
-        children = {}
         for lvl in range(rel_depth):
-            if not words:
-                break
+            if len(keys) == 0:
+                return
             keep = self.offspring.sample_matrix(keys)
             counts = keep.sum(axis=1)
-            rows, cols = np.nonzero(keep)
-            self.nodes_sampled += len(words)
+            _, letters = np.nonzero(keep)
+            self.nodes_sampled += len(keys)
             if self.nodes_sampled > self.node_budget:
                 raise ResourceLimitError(
                     "lazy sampling exceeded node budget at relative depth %d" % lvl,
                     partial=lvl,
                 )
+            yield counts, letters
+            keys = _child_keys_vec(np.repeat(keys, counts), letters)
+
+    def children(self, word):
+        word = Word(word)
+        cs = self._children.get(word)
+        if cs is None:
+            _, letters = next(self._walk(word, 1))
+            cs = frozenset(letters.tolist())
+            self._children[word] = cs
+        return cs
+
+    def expand(self, word, rel_depth):
+        """Materialize the subtree below `word` to a relative depth (vectorized)."""
+        words = [Word()]
+        children = {}
+        for counts, letters in self._walk(word, rel_depth):
             next_words = []
             pos = 0
-            for i, w in enumerate(words):
-                c = int(counts[i])
-                letters = cols[pos:pos + c]
-                children[w] = frozenset(int(j) for j in letters)
-                next_words.extend(w.child(int(j)) for j in letters)
+            for w, c in zip(words, counts.tolist()):
+                kids = letters[pos:pos + c].tolist()
+                children[w] = frozenset(kids)
+                next_words.extend(w.child(j) for j in kids)
                 pos += c
-            keys = _child_keys_vec(np.repeat(keys, counts), cols)
             words = next_words
         for w in words:
             children[w] = frozenset()
@@ -378,48 +368,12 @@ class LazyGW:
         """Packed codes of the relative words alive at depth `rel_depth`.
 
         Codes are big-endian base-alphabet integers (first letter most
-        significant), matching `block_encode`; the walk stays vectorized and
-        never materializes intermediate words.
+        significant), matching `block_encode`.
         """
-        word = Word(word)
-        keys = np.array([self.key(word)], dtype=np.uint64)
         codes = np.zeros(1, dtype=np.int64)
-        for lvl in range(rel_depth):
-            if len(codes) == 0:
-                break
-            keep = self.offspring.sample_matrix(keys)
-            counts = keep.sum(axis=1)
-            _, cols = np.nonzero(keep)
-            self.nodes_sampled += len(codes)
-            if self.nodes_sampled > self.node_budget:
-                raise ResourceLimitError("lazy sampling exceeded node budget", partial=lvl)
-            codes = np.repeat(codes, counts) * self.offspring.alphabet_size + cols
-            keys = _child_keys_vec(np.repeat(keys, counts), cols)
+        for counts, letters in self._walk(word, rel_depth):
+            codes = np.repeat(codes, counts) * self.offspring.alphabet_size + letters
         return codes
-
-    def level_words(self, word, rel_depth):
-        """Words (relative to `word`) alive at the given relative depth."""
-        word = Word(word)
-        words = [Word()]
-        keys = np.array([self.key(word)], dtype=np.uint64)
-        for lvl in range(rel_depth):
-            if not words:
-                return []
-            keep = self.offspring.sample_matrix(keys)
-            counts = keep.sum(axis=1)
-            rows, cols = np.nonzero(keep)
-            self.nodes_sampled += len(words)
-            if self.nodes_sampled > self.node_budget:
-                raise ResourceLimitError("lazy sampling exceeded node budget", partial=lvl)
-            next_words = []
-            pos = 0
-            for i, w in enumerate(words):
-                c = int(counts[i])
-                next_words.extend(w.child(int(j)) for j in cols[pos:pos + c])
-                pos += c
-            keys = _child_keys_vec(np.repeat(keys, counts), cols)
-            words = next_words
-        return words
 
 
 def sample_gw(offspring, depth, seed, node_budget=DEFAULT_NODE_BUDGET):
@@ -482,47 +436,6 @@ def extinction_prob(offspring, tol=1e-12, max_iter=10_000_000):
             return q_next
         q = q_next
     return q
-
-
-def kesten_stigum_series(sample, m):
-    """Ratios Z_k / m^k for a sampled tree; diagnostic only."""
-    if m <= 1.0:
-        raise InvalidInputError("requires a supercritical mean m > 1")
-    return [z / m ** k for k, z in enumerate(sample.level_sizes())]
-
-
-def descendant_property_frequency(
-    offspring, prop, level, trials, seed, retry_cap=100_000
-):
-    """Fraction of level-`level` nodes whose descendant tree satisfies prop,
-    pooled over nonextinct samples (rejection sampling)."""
-    need_depth = level + prop.depth
-    hits = 0
-    total = 0
-    used = 0
-    attempts = 0
-    t = 0
-    while used < trials and attempts < retry_cap:
-        attempts += 1
-        s = sample_gw(offspring, need_depth, labeled_seed(seed, "dpf%d" % t))
-        t += 1
-        if s.extinct_at is not None:
-            continue
-        used += 1
-        for v in s.tree.level(level):
-            total += 1
-            if prop(s.tree.subtree_at(v, prop.depth)):
-                hits += 1
-    if total == 0:
-        raise DegenerateSampleError(
-            "no surviving samples with occupied level %d after %d attempts" % (level, attempts)
-        )
-    return {
-        "frequency": hits / total,
-        "nodes_scanned": total,
-        "trials_used": used,
-        "attempts": attempts,
-    }
 
 
 def _population_step(offspring, z, rng):

@@ -117,10 +117,6 @@ class Ary(SubtreePredicate):
         return "%s(%d)" % (self.kind, self.a)
 
 
-class CardinalityAtLeast(Ary):
-    kind = "cardinality"
-
-
 class DiffuseBlock(SubtreePredicate):
     """Child sets containing a full two-level block below a common prefix.
 
@@ -451,7 +447,7 @@ def _star_witness(star, pred, goods_by_m, root, n, root_height=0):
             build(v.cat(s), m - 1, rel.cat(s))
 
     build(root, n, Word())
-    return StarTree(levels, validate=False)
+    return StarTree(levels)
 
 
 def _find_star(star, pred, n):
@@ -459,7 +455,7 @@ def _find_star(star, pred, n):
         raise InvalidInputError("star height %d is below the requested length %d"
                                 % (star.max_height(), n))
     if n == 0:
-        return StarTree([[Word()]], validate=False)
+        return StarTree([[Word()]])
     goods_by_m = _star_goods(star, pred, n)
     root = Word()
     if root not in goods_by_m[n]:
@@ -559,10 +555,6 @@ class ExtractedSubset:
         half = self.ifs.diameter_bound() / 2.0
         radii = np.array([self.ifs.weights.weight(w) * half for w in words])
         return MeasuredCloud(cloud.points, masses, radii)
-
-    def certificates(self):
-        return {"arity": self.arity, "alpha": self.alpha, "beta": self.beta,
-                "c": self.c, "rho": self.rho}
 
     def to_json(self):
         return {
@@ -839,7 +831,7 @@ def percolation_pipeline(b, d, p, c, k, depth=None, seed=0, scan_budget=256,
 
     offspring = Binomial(N, p)
     ifs = percolation_ifs(b, d=d)
-    pred = Intersection([DiffuseBlock(b, k, d=d), CardinalityAtLeast(A)])
+    pred = Intersection([DiffuseBlock(b, k, d=d), Ary(A)])
     if per_node_cap is None:
         per_node_cap = max(4 * A, 256)
     lazy = LazyGW(offspring, seed, node_budget=node_budget)
@@ -1061,7 +1053,7 @@ def _general_uniform(ifs, offspring, rho, alpha, c, A, k, depth, seed,
         raise InvalidInputError("arity %d exceeds the section size" % A)
 
     sd = SectionDiffuse(rho, c, ifs, F_cloud=F, k=k, directions=directions)
-    pred = Intersection([sd, CardinalityAtLeast(A)])
+    pred = Intersection([sd, Ary(A)])
     if per_node_cap is None:
         per_node_cap = max(4 * A, 256)
     lazy = LazyGW(offspring, seed, node_budget=node_budget)
@@ -1117,7 +1109,7 @@ def _general_star(ifs, offspring, rho, alpha, c, A, depth, seed, n_levels,
     sample = sample_gw(offspring, depth, seed, node_budget=node_budget)
     star = compress_along_pi_rho(sample.tree, weights, rho, n_levels=n_total)
     sd = SectionDiffuse(rho, c, ifs, F_cloud=F, k=None, directions=directions)
-    pred = Intersection([sd, CardinalityAtLeast(A)])
+    pred = Intersection([sd, Ary(A)])
     goods_by_m = _star_goods(star, pred, n_total)
 
     hit = None

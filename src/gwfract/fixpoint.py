@@ -32,18 +32,16 @@ class MonotoneCollection:
     """Upward-closed family of label sets, given by generators or an oracle.
 
     `generators` generate the closure by taking supersets; alternatively
-    `member` is an oracle for the closure itself (declared monotone by the
-    caller, spot-checkable with `monotonicity_violations`).
+    `member` is an oracle for the closure itself (the caller guarantees it is
+    monotone; `monotonicity_violations` spot-checks that).
     """
 
-    def __init__(self, generators=None, member=None, kind="custom", card_a=None,
-                 declared_monotone=True):
+    def __init__(self, generators=None, member=None, kind="custom", card_a=None):
         if generators is None and member is None and card_a is None:
             raise InvalidInputError("need generators, an oracle, or a cardinality bound")
         self.kind = kind
         self.card_a = card_a
         self.member = member
-        self.declared_monotone = bool(declared_monotone)
         if generators is not None:
             gens = []
             seen = set()
@@ -115,10 +113,6 @@ def collection_from_json(doc):
     raise InvalidInputError("unknown collection kind %r" % (kind,))
 
 
-def closure_member(collection, S):
-    return collection.closure_member(S)
-
-
 def _nonmember_rows(collection, S):
     """Row-wise indicator of NOT belonging to the closure; S is a bool matrix."""
     R, N = S.shape
@@ -173,8 +167,6 @@ class GFunction:
                 return "closed_form"
             if self.N <= self.ENUM_MAX:
                 return "enum"
-            if self.collection.card_a is not None or self.collection.generators is not None:
-                return "mc"
             return "mc"
         if strategy == "closed_form":
             if not can_closed:
@@ -312,29 +304,6 @@ class GFunction:
         z = _norm.ppf(0.5 + self.ci_level / 2.0)
         half = z * math.sqrt(max(v * (1.0 - v), 1e-300) / R)
         return v, (max(0.0, v - half), min(1.0, v + half))
-
-    def sigma(self, s):
-        if self.strategy != "mc":
-            return 0.0
-        v, ci = self.eval(s)
-        z = _norm.ppf(0.5 + self.ci_level / 2.0)
-        return (ci[1] - ci[0]) / (2.0 * z)
-
-
-class FunctionG:
-    """Adapter presenting a plain exact callable as a g-evaluator."""
-
-    strategy = "function"
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def eval(self, s):
-        return float(self.fn(float(s))), None
-
-
-def g_eval(gf, s):
-    return gf.eval(s)
 
 
 def _validate_monotone_grid(gf):

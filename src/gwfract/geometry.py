@@ -1,5 +1,5 @@
 """Similarity IFSs, rendering of tree boundaries, and the geometric checks:
-width, diffuseness certificates, box dimension, Ahlfors ratios, minisets.
+width, diffuseness certificates, box dimension, Ahlfors ratios.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from scipy.spatial import cKDTree as _cKDTree
 
 from .symbolic import (
     CapabilityError,
-    FiniteTree,
     InvalidInputError,
     StarTree,
     WeightedAlphabet,
-    Word,
 )
 
 _ORTHO_TOL = 1e-10
@@ -248,10 +246,6 @@ class Hyperplane:
         self.normal = normal
         self.offset = float(offset)
 
-    def distance(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.abs(pts @ self.normal - self.offset)
-
     def __repr__(self):
         return "Hyperplane(u=%s, b=%.6g)" % (np.round(self.normal, 6).tolist(), self.offset)
 
@@ -270,63 +264,53 @@ def word_map(ifs, word):
     return m
 
 
-def word_transforms(ifs, words):
-    """Batched (ratio, linear, offset) for many words, sharing prefix work.
+def _compose(ifs, letters, lengths):
+    """(r, S, t) of the map along each row of an (n, L) letter array.
 
-    Returns (r, S, t) arrays aligned with the input order; S is the full
-    linear part (ratio folded in).
+    Row i composes its first lengths[i] letters, left letter applied first;
+    S is the linear part with the ratio folded in.
     """
-    words = [Word(w) for w in words]
-    index = {Word(): 0}
-    parents = [0]
-    letters = [0]
-    for w in words:
-        for i in range(1, len(w) + 1):
-            pre = Word(w[:i])
-            if pre not in index:
-                index[pre] = len(parents)
-                parents.append(index[Word(w[:i - 1])])
-                letters.append(w[i - 1])
-    n = len(parents)
+    n, L = letters.shape
     d = ifs.d
-    S = np.empty((n, d, d))
-    t = np.empty((n, d))
-    S[0] = np.eye(d)
-    t[0] = 0.0
-    order = sorted(index.items(), key=lambda kv: (len(kv[0]), kv[1]))
-    by_level = {}
-    for w, i in order:
-        by_level.setdefault(len(w), []).append(i)
-    mats = [m.matrix for m in ifs.maps]
-    trs = [m.trans for m in ifs.maps]
-    for lvl in sorted(by_level):
-        if lvl == 0:
-            continue
-        ids = np.array(by_level[lvl])
-        lets = np.array([letters[i] for i in ids])
-        pars = np.array([parents[i] for i in ids])
-        for a in np.unique(lets):
-            sel = lets == a
-            pi = pars[sel]
-            S[ids[sel]] = S[pi] @ mats[a]
-            t[ids[sel]] = np.einsum("nij,j->ni", S[pi], trs[a]) + t[pi]
-    out_ids = np.array([index[w] for w in words], dtype=int)
-    r = np.array([np.prod([ifs.maps[a].ratio for a in w]) if len(w) else 1.0 for w in words])
-    return r, S[out_ids], t[out_ids]
+    ratios = np.array([m.ratio for m in ifs.maps])
+    mats = np.array([m.matrix for m in ifs.maps])
+    trans = np.array([m.trans for m in ifs.maps])
+    r = np.ones(n)
+    S = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    t = np.zeros((n, d))
+    for j in range(L):
+        # rows of at least j+1 letters; a slice (no copies) while all are live
+        rows = slice(None) if lengths.min() > j else np.flatnonzero(lengths > j)
+        a = letters[rows, j]
+        St = S[rows]
+        t[rows] = np.einsum("nij,nj->ni", St, trans[a]) + t[rows]
+        S[rows] = St @ mats[a]
+        r[rows] = r[rows] * ratios[a]
+    return r, S, t
+
+
+def _render_letters(ifs, letters, lengths, base_point, meta):
+    if base_point is None:
+        base_point = ifs.centroid()
+    base_point = np.asarray(base_point, dtype=float)
+    r, S, t = _compose(ifs, letters, lengths)
+    pts = np.einsum("nij,j->ni", S, base_point) + t
+    eps = ifs.diameter_bound() * float(np.max(r))
+    return PointCloud(pts, eps, meta=dict(meta or {}))
 
 
 def render_words(ifs, words, base_point=None, meta=None):
     """One representative point per word: the image of a fixed base point."""
-    if base_point is None:
-        base_point = ifs.centroid()
-    base_point = np.asarray(base_point, dtype=float)
     words = list(words)
     if not words:
         return PointCloud(np.zeros((0, ifs.d)), 0.0, meta=dict(meta or {}, empty=True))
-    r, S, t = word_transforms(ifs, words)
-    pts = np.einsum("nij,j->ni", S, base_point) + t
-    eps = ifs.diameter_bound() * float(np.max(r))
-    return PointCloud(pts, eps, meta=dict(meta or {}))
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    flat = np.fromiter((a for w in words for a in w), dtype=np.int64, count=int(lengths.sum()))
+    if ((flat < 0) | (flat >= ifs.alphabet_size)).any():
+        raise InvalidInputError("letter out of range for %d maps" % ifs.alphabet_size)
+    letters = np.zeros((len(words), int(lengths.max())), dtype=np.int64)
+    letters[np.arange(letters.shape[1]) < lengths[:, None]] = flat
+    return _render_letters(ifs, letters, lengths, base_point, meta)
 
 
 def render(ifs, tree=None, depth=None, base_point=None):
@@ -335,9 +319,15 @@ def render(ifs, tree=None, depth=None, base_point=None):
         if depth is None:
             raise InvalidInputError("need a tree or an explicit depth")
         depth = int(depth)
-        if ifs.alphabet_size ** depth > 10_000_000:
+        if depth < 0:
+            raise InvalidInputError("depth must be >= 0")
+        n = ifs.alphabet_size
+        if n ** depth > 10_000_000:
             raise InvalidInputError("full render too large at this depth")
-        tree = FiniteTree.full(ifs.alphabet_size, depth)
+        # row i spells i in base n, leading letter first: the sorted full level
+        letters = np.arange(n ** depth)[:, None] // n ** np.arange(depth - 1, -1, -1) % n
+        return _render_letters(ifs, letters, np.full(len(letters), depth), base_point,
+                               {"depth": depth})
     if isinstance(tree, StarTree):
         h = tree.max_height()
         words = tree.level(h)
@@ -515,8 +505,10 @@ def width(cloud, directions=2000):
     if w0 <= 1e-14 * max(1.0, np.abs(pts).max()):
         return WidthResult(w0, Hyperplane(u0, b0), 0.0)
 
+    # every slab width is attained on the hull; the start direction and the
+    # final measurement stay on the full cloud
+    hv = cloud.hull if isinstance(cloud, PointCloud) else _hull_vertices(pts)
     if d == 2:
-        hv = _hull_vertices(pts)
         best = (w0, u0, b0)
         m = len(hv)
         for i in range(m):
@@ -540,7 +532,7 @@ def width(cloud, directions=2000):
         raw = rng.normal(size=(max(int(directions), 100), d))
         grid = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     grid = np.vstack([grid, u0.reshape(1, -1)])
-    proj = pts @ grid.T
+    proj = hv @ grid.T
     widths = 0.5 * (proj.max(axis=0) - proj.min(axis=0))
     order = np.argsort(widths)
     best_w, best_u = np.inf, None
@@ -553,7 +545,7 @@ def width(cloud, directions=2000):
             for tvec in basis:
                 def f(theta, u=u, tvec=tvec):
                     v = math.cos(theta) * u + math.sin(theta) * tvec
-                    return _slab(pts, v / np.linalg.norm(v))[0]
+                    return _slab(hv, v / np.linalg.norm(v))[0]
 
                 th, _, bracket = _golden_min(f, -0.05, 0.05, iters=40)
                 u = math.cos(th) * u + math.sin(th) * tvec
@@ -586,7 +578,7 @@ def _coverage_halfangle(d, directions):
     return 2.8 / math.sqrt(directions)
 
 
-def diffuseness_constant(maps, F_cloud, tol=1e-9, directions=2000):
+def diffuseness_constant(maps, F_cloud, directions=2000):
     """Certified lower bound on min over hyperplanes of the farthest-image distance.
 
     For each direction the optimal offset has closed form (the images project
@@ -730,48 +722,6 @@ def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0
             "cleared": cleared, "scales": xis, "eps": cloud.eps}
 
 
-def osc_overlap_count(ifs, rho, sample_count=100, seed=0, centers=None,
-                      base_depth=None):
-    """Max number of section-word images an rho-ball can meet, over sampled centers."""
-    from .symbolic import section_pi_rho
-
-    if ifs.osc is None:
-        raise CapabilityError("needs an open-set witness on the IFS")
-    rho = float(rho)
-    section = section_pi_rho(ifs.weights, rho, extended=True)
-    words = section.sorted_words()
-    r, S, t = word_transforms(ifs, words)
-    c0, R0 = ifs.bounding_ball()
-    centers_img = np.einsum("nij,j->ni", S, c0) + t
-
-    # coarse base cloud reused inside every candidate image
-    if base_depth is None:
-        base_depth = 1
-        while ifs.alphabet_size ** (base_depth + 1) <= 2000:
-            base_depth += 1
-    base = render(ifs, depth=base_depth)
-    if centers is None:
-        probe_cloud = render(ifs, depth=base_depth)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        idx = rng.integers(0, len(probe_cloud), size=int(sample_count))
-        centers = probe_cloud.points[idx]
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-
-    counts = []
-    for x in centers:
-        rough = np.linalg.norm(centers_img - x, axis=1) <= rho + r * R0 + 1e-12
-        cand = np.nonzero(rough)[0]
-        cnt = 0
-        for i in cand:
-            img = base.points @ S[i].T + t[i]
-            dil = r[i] * base.eps
-            if (np.linalg.norm(img - x, axis=1) <= rho + dil + 1e-12).any():
-                cnt += 1
-        counts.append(cnt)
-    return {"max_count": int(max(counts)), "counts": counts, "rho": rho,
-            "section_size": len(words), "centers": centers}
-
-
 # ---------------------------------------------------------------------------
 # measures on extracted subtrees
 
@@ -844,25 +794,6 @@ def ahlfors_ratio_check(measured, alpha, sample_count=1000, seed=0, r_count=6,
             samples.append({"r": float(rad), "inner": inner, "outer": outer})
     spread = c2 / c1 if c1 > 0 else math.inf
     return AhlforsResult(float(c1), float(c2), float(spread), samples)
-
-
-def miniset(cloud, center, radius):
-    """Rescale the part of the cloud inside a ball to the unit ball."""
-    center = np.asarray(center, dtype=float)
-    radius = float(radius)
-    if radius <= 0:
-        raise InvalidInputError("radius must be positive")
-    pts = cloud.points
-    if len(pts) == 0:
-        raise InvalidInputError("empty cloud")
-    near = np.linalg.norm(pts - center, axis=1).min()
-    if near > cloud.eps + 1e-12:
-        raise InvalidInputError("center is %.3g away from the cloud (eps %.3g)" % (near, cloud.eps))
-    sel = np.linalg.norm(pts - center, axis=1) <= radius
-    if not sel.any():
-        raise InvalidInputError("ball contains no cloud points")
-    return PointCloud((pts[sel] - center) / radius, cloud.eps / radius,
-                      meta={"center": center.tolist(), "radius": radius})
 
 
 # ---------------------------------------------------------------------------

@@ -378,13 +378,6 @@ def compress_k(tree, k):
     if k == 1:
         return tree
     base = tree.alphabet_size
-
-    def encode(block):
-        idx = 0
-        for a in block:
-            idx = idx * base + a
-        return idx
-
     new_depth = tree.depth // k
     children = {}
     nodes_by_level = {0: [Word()]}
@@ -392,7 +385,7 @@ def compress_k(tree, k):
         next_nodes = []
         for big in nodes_by_level.get(n, []):
             # original word for this node
-            orig = Word(a for blk in big for a in _decode_block(blk, base, k))
+            orig = Word(a for blk in big for a in block_decode(blk, base, k))
             if n == new_depth:
                 children[big] = frozenset()
                 continue
@@ -406,19 +399,11 @@ def compress_k(tree, k):
                     for a in tree.children.get(orig.cat(s), ())
                 ]
             for s in frontier:
-                cs.add(encode(s))
+                cs.add(block_encode(s, base))
             children[big] = frozenset(cs)
             next_nodes.extend(big.child(c) for c in sorted(cs))
         nodes_by_level[n + 1] = next_nodes
     return FiniteTree(base ** k, new_depth, children, validate=False)
-
-
-def _decode_block(idx, base, k):
-    out = []
-    for _ in range(k):
-        out.append(idx % base)
-        idx //= base
-    return tuple(reversed(out))
 
 
 def block_encode(block, base):
@@ -430,17 +415,23 @@ def block_encode(block, base):
 
 
 def block_decode(idx, base, k):
-    return _decode_block(idx, base, k)
+    """The k letters of a big-endian block index."""
+    out = []
+    for _ in range(k):
+        out.append(idx % base)
+        idx //= base
+    return tuple(reversed(out))
 
 
 class StarTree:
     """Tree of variable-length words graded by a height function.
 
-    Each non-root node has exactly one ancestor at the previous height;
-    children are stored as word suffixes relative to their parent.
+    Callers guarantee that each non-root node has exactly one ancestor at the
+    previous height (its longest prefix there); children are stored as word
+    suffixes relative to their parent.
     """
 
-    def __init__(self, nodes_by_height, validate=True):
+    def __init__(self, nodes_by_height):
         self.height = {}
         self.levels = []
         for h, words in enumerate(nodes_by_height):
@@ -449,33 +440,6 @@ class StarTree:
             for w in level:
                 self.height[w] = h
         self.nodes = frozenset(self.height)
-        self.children = {}
-        if validate:
-            self._validate_and_link()
-        else:
-            self._link_fast()
-
-    def _parent_of(self, w, h):
-        # unique proper prefix at height h-1
-        hits = [Word(w[:i]) for i in range(len(w)) if self.height.get(Word(w[:i])) == h - 1]
-        return hits
-
-    def _validate_and_link(self):
-        if not self.levels or self.levels[0] != [Word()]:
-            raise InvalidInputError("root must be the unique height-0 node")
-        link = {w: set() for w in self.nodes}
-        for h in range(1, len(self.levels)):
-            for w in self.levels[h]:
-                hits = self._parent_of(w, h)
-                if len(hits) != 1:
-                    raise InvalidInputError(
-                        "node %r must have exactly one ancestor at height %d, found %d"
-                        % (w, h - 1, len(hits))
-                    )
-                link[hits[0]].add(w.suffix_after(hits[0]))
-        self.children = {w: frozenset(vs) for w, vs in link.items()}
-
-    def _link_fast(self):
         link = {w: set() for w in self.nodes}
         for h in range(1, len(self.levels)):
             prev = set(self.levels[h - 1])
@@ -494,10 +458,6 @@ class StarTree:
 
     def max_height(self):
         return len(self.levels) - 1
-
-    def child_words(self, w):
-        w = Word(w)
-        return sorted(w.cat(v) for v in self.children.get(w, ()))
 
     def __contains__(self, word):
         return Word(word) in self.nodes
@@ -539,4 +499,4 @@ def compress_along_pi_rho(tree, weights, rho, n_levels=None):
     levels = [[Word()]]
     for sec in sections[:n_levels]:
         levels.append([w for w in sec.sorted_words() if w in tree])
-    return StarTree(levels, validate=False)
+    return StarTree(levels)

@@ -84,7 +84,7 @@ def test_lazy_matches_eager():
 def test_lazy_level_words_and_codes_agree():
     off = Binomial(3, 0.7)
     lazy = LazyGW(off, seed=42)
-    words = lazy.level_words(Word(), 4)
+    words = lazy.expand(Word(), 4).level(4)
     codes = lazy.level_codes(Word(), 4)
     enc = [sum(a * 3 ** (3 - i) for i, a in enumerate(w)) for w in words]
     assert sorted(enc) == sorted(int(x) for x in codes)
@@ -96,9 +96,9 @@ def test_lazy_order_independent():
     off = Binomial(4, 0.6)
     a = LazyGW(off, seed=5)
     b = LazyGW(off, seed=5)
-    wa = a.level_words(Word(), 3)
+    wa = a.expand(Word(), 3).level(3)
     _ = b.children(Word())
-    wb = b.level_words(Word(), 3)
+    wb = b.expand(Word(), 3).level(3)
     assert wa == wb
 
 

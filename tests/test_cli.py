@@ -148,6 +148,14 @@ def test_render_from_tree_file(tmp_path):
     assert out.read_bytes().startswith(b"P5")
 
 
+def test_render_tree_with_unknown_letter_exits_2(tmp_path):
+    tree = tmp_path / "t.txt"
+    tree.write_text("\n0\n0-12\n")  # letter 12 has no map among the 9
+    code, _, _ = run(["render", "--percolation", "b=3,d=2,p=0.6",
+                      "--tree", str(tree), "--out", str(tmp_path / "r.pgm")])
+    assert code == 2
+
+
 def test_boxdim_on_cloud_csv(tmp_path):
     cloud = render(percolation_ifs(3, 2), depth=3)
     path = tmp_path / "c.csv"

@@ -9,7 +9,6 @@ from gwfract.branching import Binomial, sample_gw
 from gwfract.geometry import percolation_ifs, render_words, sierpinski_ifs, word_map
 from gwfract.extraction import (
     Ary,
-    CardinalityAtLeast,
     DiffuseBlock,
     Intersection,
     NotFoundError,
@@ -32,7 +31,7 @@ def test_ary_member_and_witness():
     assert w == frozenset({2, 4, 7})  # smallest labels win
     assert pred.witness_subset(frozenset({1})) is None
     assert pred.min_arity() == 3
-    assert CardinalityAtLeast(2).member({3, 4})
+    assert Ary(2).member({3, 4})
 
 
 def test_ary_rejects_bad_arity():

@@ -9,7 +9,6 @@ from gwfract.fixpoint import (
     MonotoneCollection,
     appendix_b_gap,
     ary_collection,
-    closure_member,
     collection_from_json,
     g_k_a_curve,
     generator_collection,
@@ -32,7 +31,7 @@ def test_generator_collection_upward_closure():
     assert coll.closure_member({0, 1, 5})
     assert coll.closure_member({2})
     assert not coll.closure_member({0})
-    assert closure_member(coll, {1, 2})
+    assert coll.closure_member({1, 2})
 
 
 def test_monotonicity_sampler_clean_for_upsets():

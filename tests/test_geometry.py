@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gwfract.symbolic import FiniteTree, InvalidInputError, Word, WeightedAlphabet
+from gwfract.symbolic import (FiniteTree, InvalidInputError, Word, WeightedAlphabet,
+                              compress_along_pi_rho)
 from gwfract.branching import Binomial, sample_gw
 from gwfract import extraction, geometry
 from gwfract.geometry import (
@@ -31,6 +32,7 @@ from gwfract.geometry import (
     render_words,
     sierpinski_ifs,
     width,
+    word_map,
 )
 
 
@@ -112,6 +114,54 @@ def test_render_full_grid():
     assert len(cloud.points) == 81
     assert cloud.eps > 0
     assert cloud.d == 2
+
+
+def rotation_ifs_3d():
+    def rot(th):
+        return np.array([[math.cos(th), -math.sin(th), 0.0],
+                         [math.sin(th), math.cos(th), 0.0], [0.0, 0.0, 1.0]])
+    return SimilarityIFS(3, [SimilarityMap(0.4, rot(0.7), [0.0, 0.0, 0.0]),
+                             SimilarityMap(0.3, rot(-0.7), [0.5, 0.1, 0.2]),
+                             SimilarityMap(0.35, np.eye(3), [0.1, 0.6, 0.3])])
+
+
+@pytest.mark.parametrize("ifs, depth", [(percolation_ifs(3, 2), 4), (sierpinski_ifs(), 7),
+                                        (percolation_ifs(2, 3), 3), (rotation_ifs_3d(), 6)])
+def test_render_depth_equals_render_of_full_tree(ifs, depth):
+    direct = render(ifs, depth=depth)
+    via_tree = render(ifs, tree=FiniteTree.full(ifs.alphabet_size, depth))
+    assert np.array_equal(direct.points, via_tree.points)
+    assert direct.eps == via_tree.eps
+    assert direct.meta == via_tree.meta == {"depth": depth}
+
+
+def test_render_depth_zero_and_negative():
+    cloud = render(sierpinski_ifs(), depth=0)
+    assert np.array_equal(cloud.points, sierpinski_ifs().centroid()[None, :])
+    assert np.array_equal(render_words(sierpinski_ifs(), [Word()]).points, cloud.points)
+    root = FiniteTree(3, 0, {Word(): ()})
+    assert np.array_equal(render(sierpinski_ifs(), tree=root).points, cloud.points)
+    with pytest.raises(InvalidInputError):
+        render(sierpinski_ifs(), depth=-1)
+
+
+def test_render_words_mixed_lengths_match_word_maps():
+    # unequal ratios: the leaf level of a section-compressed star has words
+    # of several lengths
+    ifs = SimilarityIFS(2, [SimilarityMap(0.5, np.eye(2), [0.0, 0.0]),
+                            SimilarityMap(1 / 3.0, [[0.0, -1.0], [1.0, 0.0]], [0.9, 0.0]),
+                            SimilarityMap(0.25, np.eye(2), [0.0, 0.7])])
+    tree = sample_gw(Binomial(3, 0.9), 10, seed=1).tree
+    star = compress_along_pi_rho(tree, ifs.weights, 0.2)
+    words = star.level(star.max_height())
+    assert len({len(w) for w in words}) >= 3
+    base = np.array([0.3, 0.2])
+    cloud = render_words(ifs, words, base_point=base)
+    ref = np.array([word_map(ifs, w).apply(base) for w in words])
+    assert np.allclose(cloud.points, ref, rtol=0.0, atol=1e-12)
+    r_max = max(ifs.weights.weight(w) for w in words)
+    assert cloud.eps == pytest.approx(ifs.diameter_bound() * r_max, rel=1e-12)
+    assert np.array_equal(render(ifs, tree=star, base_point=base).points, cloud.points)
 
 
 def test_render_sampled_tree_and_extinct():
@@ -349,6 +399,61 @@ def test_certificates_share_the_cloud_width(monkeypatch):
     again = diffuseness_constant(maps[:5], cloud, directions=100)
     assert len(calls) == 1
     assert (first.c_low, first.raw_min) == (again.c_low, again.raw_min)
+
+
+def brute_width(pts, directions=2000):
+    """Reference width for d >= 3 that projects every point, not the hull."""
+    n, d = pts.shape
+    u0, _ = geometry._flat_direction(pts)
+    grid = geometry._fibonacci_sphere(directions) if d == 3 else None
+    if grid is None:
+        raw = np.random.Generator(np.random.Philox(key=directions)).normal(
+            size=(max(directions, 100), d))
+        grid = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    grid = np.vstack([grid, u0.reshape(1, -1)])
+    proj = pts @ grid.T
+    widths = 0.5 * (proj.max(axis=0) - proj.min(axis=0))
+    best = None
+    for k in np.argsort(widths)[:5]:
+        u = grid[k].copy()
+        for _ in range(3):
+            for tvec in np.linalg.svd(u.reshape(1, -1), full_matrices=True)[2][1:]:
+                def f(theta, u=u, tvec=tvec):
+                    v = math.cos(theta) * u + math.sin(theta) * tvec
+                    return geometry._slab(pts, v / np.linalg.norm(v))[0]
+
+                th, _, _ = geometry._golden_min(f, -0.05, 0.05, iters=40)
+                u = math.cos(th) * u + math.sin(th) * tvec
+                u /= np.linalg.norm(u)
+        w, b = geometry._slab(pts, u)
+        if best is None or w < best[0]:
+            best = (w, u, b)
+    return best
+
+
+def test_width_3d_hull_matches_all_points():
+    rng = np.random.default_rng(11)
+    clouds = [render(percolation_ifs(2, 3), depth=4).points]
+    clouds += [rng.normal(size=(300, 3)) * [1.0, 2.0, 0.3] for _ in range(6)]
+    clouds += [rng.uniform(size=(200, 4))]
+    for pts in clouds:
+        res = width(pts)
+        w, u, b = brute_width(pts)
+        assert res.w == pytest.approx(w, rel=1e-12, abs=1e-15)
+        assert np.allclose(res.witness.normal, u, rtol=0.0, atol=1e-12)
+        assert res.witness.offset == pytest.approx(b, rel=1e-12, abs=1e-15)
+
+
+def test_width_3d_memory_is_bounded(monkeypatch):
+    monkeypatch.setattr(extraction, "_BLOCK_CONSTANT", {})
+    tracemalloc.start()
+    try:
+        c = extraction._block_family_constant(2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c > 0
+    assert peak < 8 * 2 ** 20  # projecting all 4096 points on 2001 directions took 66 MB
 
 
 def test_block_certificate_memory_is_bounded(monkeypatch):

@@ -1,0 +1,55 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps gwfract functions by name.
+
+Installing it fails as soon as one of those names is gone, so this test keeps
+the package and the benchmark in step.
+"""
+
+import pathlib
+
+import numpy as np
+
+import gwfract
+import gwfract.cli  # noqa: F401  (the tracer wraps names in every gwfract module)
+from gwfract import branching, fixpoint, geometry
+from gwfract.symbolic import Word
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_installs_records_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    originals = {
+        "expand": branching.LazyGW.__dict__["expand"],
+        "level_codes": branching.LazyGW.__dict__["level_codes"],
+        "render_words": geometry.render_words,
+        "bisect": fixpoint.smallest_fixed_point_bisect,
+    }
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert gwfract.render_words is not originals["render_words"]
+        lazy = gwfract.LazyGW(gwfract.Binomial(3, 0.8), seed=2)
+        tree = lazy.expand(Word(), 3)
+        codes = lazy.level_codes(Word(), 3)
+        gwfract.render(gwfract.sierpinski_ifs(), tree=tree)
+        gf = gwfract.GFunction(gwfract.Binomial(3, 0.9), gwfract.ary_collection(2))
+        gwfract.smallest_fixed_point_bisect(gf)
+    finally:
+        t.uninstall()
+    names = {s.name for s in t.spans}
+    assert {"branching.LazyGW.expand", "branching.LazyGW.level_codes",
+            "geometry.render", "geometry.render_words",
+            "fixpoint.smallest_fixed_point_bisect", "fixpoint.GFunction.eval"} <= names
+    walks = [s for s in t.spans if s.name == "branching.LazyGW.level_codes"]
+    assert walks[0].counters["nodes"] > 0
+    assert len(codes) == len(tree.level(3))
+    renders = [s for s in t.spans if s.name == "geometry.render"]
+    assert renders[0].counters["points"] == len(codes)
+    assert branching.LazyGW.__dict__["expand"] is originals["expand"]
+    assert branching.LazyGW.__dict__["level_codes"] is originals["level_codes"]
+    assert geometry.render_words is originals["render_words"]
+    assert gwfract.render_words is originals["render_words"]
+    assert fixpoint.smallest_fixed_point_bisect is originals["bisect"]
+    assert np.array_equal(np.sort(codes), np.sort(lazy.level_codes(Word(), 3)))
