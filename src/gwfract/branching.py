@@ -421,7 +421,7 @@ def pgf(offspring, s):
 
 
 def extinction_prob(offspring, tol=1e-12, max_iter=10_000_000):
-    """Smallest fixed point of the offspring pgf, by monotone iteration from 0."""
+    """Smallest fixed point of the offspring pgf, enclosed as `smallest_fixed_point` does."""
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     pmf = offspring.size_pmf()
@@ -429,13 +429,8 @@ def extinction_prob(offspring, tol=1e-12, max_iter=10_000_000):
         return 0.0  # one child always: the line never dies
     if offspring.mean() <= 1.0:
         return 1.0
-    q = 0.0
-    for _ in range(max_iter):
-        q_next = offspring.pgf(q)
-        if abs(q_next - q) < tol:
-            return q_next
-        q = q_next
-    return q
+    from .fixpoint import _GRID, _enclose  # fixpoint imports this module
+    return _enclose(offspring.pgf, [offspring.pgf(s) for s in _GRID], tol, max_iter, 1024)[1]
 
 
 def _population_step(offspring, z, rng):

@@ -1,9 +1,9 @@
 """Command-line entry point: config loading, dispatch and artifact output.
 
 Machine output goes to stdout as JSON under --json and is a pure function of
-(config, seed); timings and progress notes go to stderr.  Exit codes: 0 ok,
-2 invalid config, 3 nothing found / inconclusive, 4 resource or capability
-limit.
+(config, seed); stderr carries error messages, the paths of written files and,
+for `experiment`, the runtime.  Exit codes: 0 ok, 2 invalid config, 3 nothing
+found / inconclusive, 4 resource or capability limit.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from .branching import (Binomial, extinction_prob, labeled_seed,
                         mc_extinction_frequency, offspring_from_json,
                         sample_gw)
 from .fixpoint import (GFunction, collection_from_json, g_k_a_curve,
-                       smallest_fixed_point, smallest_fixed_point_bisect)
+                       smallest_fixed_point)
 from .geometry import (MeasuredCloud, ahlfors_ratio_check, box_dimension,
                        cloud_from_csv, cloud_to_csv, cloud_to_pgm,
                        diffuseness_constant, empirical_diffuse_check,
@@ -213,7 +213,6 @@ def build_parser():
                     help="ary:a, diffuse-block:b:k[:d], or a JSON file")
     sp.add_argument("--strategy",
                     choices=["auto", "trivial", "closed_form", "enum", "mc"])
-    sp.add_argument("--solver", choices=["iterate", "bisect"])
     sp.add_argument("--trials", type=int)
     sp.add_argument("--tol", type=float)
 
@@ -452,26 +451,16 @@ def cmd_fixpoint(cfg):
                    strategy=_p(cfg, "strategy", "auto"),
                    sample_size=int(_p(cfg, "trials", 100_000)),
                    seed=int(cfg.get("seed", 0)))
-    solver = _p(cfg, "solver", "iterate")
     tol = _p(cfg, "tol")
-    if solver == "bisect":
-        s0 = smallest_fixed_point_bisect(gf, **({"tol": tol} if tol else {}))
-        res = {"s0": s0, "tau": 1.0 - s0, "method": "bisect",
-               "iterations": None, "converged": True, "ci": None}
-    else:
-        res = smallest_fixed_point(gf, **({"tol": tol} if tol else {}))
+    res = smallest_fixed_point(gf, **({"tol": tol} if tol else {}))
     payload = {"command": "fixpoint", "strategy": gf.strategy}
     payload.update({k: v for k, v in res.items() if k != "iterates"})
-    payload["iterations"] = res.get("iterations")
-    trace = res.get("iterates") or []
-    payload["iterates_head"] = trace[:8]
-    human = ("tau = %.10g\ns0 = %.10g\nstrategy %s, solver %s, %s iterations\n"
-             % (res["tau"], res["s0"], gf.strategy, res.get("method", solver),
-                res.get("iterations", "?")))
-    if trace:
-        human += "first iterates: %s\n" % ", ".join(
-            "%.6g" % v for v in trace[:6])
-    if res.get("ci"):
+    payload["iterates_head"] = res["iterates"][:8]
+    human = ("tau = %.10g\ns0 = %.10g in [%.10g, %.10g]\nstrategy %s, converged %s, "
+             "%d evaluations\n" % (res["tau"], res["s0"], *res["interval"], gf.strategy,
+                                   res["converged"], res["iterations"]))
+    human += "first iterates: %s\n" % ", ".join("%.6g" % v for v in res["iterates"][:6])
+    if res["ci"]:
         human += "sampling interval: [%.6g, %.6g]\n" % tuple(res["ci"])
     return payload, human, 0
 

@@ -294,15 +294,17 @@ def exp_dimension_ladder(b, d, p, c_sequence=(2, 3, 4), depth=None,
     for c_n, (es, used, sd, pnotes) in zip(cs, points):
         notes.extend(pnotes)
         target = math.log(c_n) / math.log(b)
-        if es is None:
+        if es is None or es.levels() < 2:  # under 3 box-count scales
             any_missing = True
-            notes.append("c=%d: no witness at any seed, point inconclusive"
-                         % c_n)
-            ladder_rows.append([c_n, target, None, None, None, "none", None,
+            notes.append("c=%d: %s, point inconclusive" % (c_n, "no witness at any seed"
+                         if es is None else "one-level witness at seed %d" % sd))
+            ladder_rows.append([c_n, target, None, None, None, used or "none", sd,
                                 0])
             continue
         cloud = es.cloud()
-        scales = [es.rho ** j for j in range(es.levels() + 1)]
+        # the witness lives in the cell of its root word, at that cell's scales
+        top = es.ifs.weights.weight(es.root_word)
+        scales = [top * es.rho ** j for j in range(es.levels() + 1)]
         dim, table = box_dimension(cloud, scales=scales, anchor="origin")
         dim, ci = _slope_ci(table)
         dims.append(dim)

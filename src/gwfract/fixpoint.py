@@ -1,6 +1,6 @@
 """Monotone collections of child sets, the no-good-subtree generating function
-g(s) = P(thinned child set outside the closed collection), and smallest-fixed-point
-solvers built on it.
+g(s) = P(thinned child set outside the closed collection), and the
+smallest-fixed-point solver built on it.
 """
 
 from __future__ import annotations
@@ -246,11 +246,7 @@ class GFunction:
             raise InvalidInputError("s must lie in [0,1]")
         if self.strategy == "trivial":
             return 0.0, None
-        if self.strategy == "closed_form":
-            a = self.collection.card_a
-            q = self.offspring.p * (1.0 - s)
-            return float(_binom.cdf(a - 1, self.offspring.n, q)), None
-        if self.strategy == "enum":
+        if self.strategy in ("closed_form", "enum"):
             return self._eval_enum(s), None
         return self._eval_mc(s)
 
@@ -306,112 +302,143 @@ class GFunction:
         return v, (max(0.0, v - half), min(1.0, v + half))
 
 
-def _validate_monotone_grid(gf):
-    vals = []
-    for s in np.linspace(0.0, 1.0, 21):
-        v, _ = gf.eval(float(s))
-        vals.append(v)
-    for lo, hi in zip(vals, vals[1:]):
-        if hi < lo - 1e-12:
+_GRID = np.linspace(0.0, 1.0, 21)  # monotonicity check, and the first checked hi
+_STALL = 0.9  # Kleene steps shrinking by a factor in [_STALL, 1] crawl: g nears the diagonal
+_PHI = 0.5 * (1.0 + math.sqrt(5.0))
+_FLAT = 1e-8  # a bracket of a minimum of g - id this narrow is flat to rounding
+
+
+class _Spent(Exception):
+    """The evaluation budget of one enclosure is used up."""
+
+
+def _downhill(f, l, fl, m, fm, b, fb):
+    """First zero of f = g - id ahead of m (l < m, f(l) > f(m) > 0): golden-ratio
+    steps until f falls to <= 0 or turns up, then golden-section search (Brent
+    1973, ch. 5) until a probe falls to <= 0 or the lines through the bracket
+    allow no drop to 0.  Returns a cell (a, fa, x, fx) with f(a) > 0 >= f(x), or
+    x = a past the minimum, and then m if the bracket closed to _FLAT undecided
+    (else None).  Sound where f is convex on the stretch, as near a bottleneck.
+    """
+    start, step = m, _PHI * (m - l)
+    while True:
+        u = min(m + step, b)
+        fu = fb if u == b else f(u)
+        if fu <= 0.0:
+            return m, fm, u, fu, None
+        if fu >= fm:
+            break
+        l, fl, m, fm, step = m, fm, u, fu, step * _PHI
+    end, fend = u, fu
+    while u - l >= _FLAT:
+        if fm > max((fl - fm) * (u - m) / (m - l), (fu - fm) * (m - l) / (u - m)):
+            return end, fend, end, fend, None
+        t = m + (u - m) / _PHI ** 2 if u - m > m - l else m - (m - l) / _PHI ** 2
+        ft = f(t)
+        if ft <= 0.0:
+            return (m, fm, t, ft, None) if t > m else (l, fl, t, ft, None)
+        pts = sorted([(l, fl), (m, fm), (t, ft), (u, fu)])
+        i = 1 if pts[1][1] <= pts[2][1] else 2
+        (l, fl), (m, fm), (u, fu) = pts[i - 1:i + 2]
+    return end, fend, end, fend, start
+
+
+def _enclose(g, grid, tol, max_evals, scan_steps):
+    """(lo, hi, iterates, evals), lo <= s0 <= hi, for the smallest fixed point
+    s0 of a nondecreasing g: [0, 1] -> [0, 1] with values `grid` on _GRID;
+    g(hi) <= hi and g(lo) > lo (or lo = hi) have been evaluated.
+    Kleene steps walk up from 0 (no fixed point lies in [x, g(x))) until a step
+    is _STALL to 1 times the one before, or their tail is under a scan cell
+    (1 - x) / scan_steps; `_downhill` then finds the cell holding s0, which
+    Illinois false position narrows, or a point past a minimum to walk on from.
+    """
+    evals = 0
+
+    def f(s):
+        nonlocal evals
+        if evals == max_evals:
+            raise _Spent
+        evals += 1
+        return g(s) - s
+
+    k = next((i for i, v in enumerate(grid) if v <= _GRID[i]), len(_GRID) - 1)
+    a, fa, b, fb = 0.0, grid[0], float(_GRID[k]), min(grid[k] - _GRID[k], 0.0)
+    iterates = [grid[0]]
+    lo = None  # the walk point below a minimum too flat to resolve
+    try:
+        while True:
+            x = min(a + fa, b)
+            fx = fb if x == b else f(x)
+            if fx <= 0.0:  # a Kleene step that g fixes ends at s0
+                a, b, fb = (x if x == a + fa else a), x, fx
+                break
+            iterates.append(x + fx)
+            if fx <= fa and (fx >= _STALL * fa or fx * fx <= (fa - fx) * (1 - x) / scan_steps):
+                a, fa, x, fx, flat = _downhill(f, a, fa, x, fx, b, fb)
+                lo = flat if lo is None else lo
+                if fx <= 0.0:
+                    b, fb = x, fx
+                    break
+            a, fa = x, fx
+        side = 0
+        while b - a > tol:
+            x = min(max((a * fb - b * fa) / (fb - fa), a + 0.25 * tol), b - 0.25 * tol)
+            if not a < x < b:  # tol is below the float spacing here
+                break
+            fx = f(x)
+            if fx > 0.0:
+                fb *= 0.5 if side > 0 else 1.0
+                a, fa, side = x, fx, 1
+            else:
+                fa *= 0.5 if side < 0 else 1.0
+                b, fb, side = x, fx, -1
+    except _Spent:
+        pass
+    return float(a if lo is None else lo), float(b), iterates, evals
+
+
+def _solve(gf, tol, max_evals, scan_steps):
+    """The solve behind both public names.  s0 is monotone in g, so for a
+    Monte-Carlo g the enclosures under its two confidence bands give `ci`."""
+    if tol <= 0 or scan_steps < 1:
+        raise InvalidInputError("tol must be positive and scan_steps at least 1")
+    strategy = getattr(gf, "strategy", "function")
+    if strategy == "mc":
+        gf.ensure_samples(100_000)  # noise floor control for the search
+    grid = [gf.eval(float(s)) for s in _GRID]
+    vals = [v for v, _ in grid]
+    for u, v in zip(vals, vals[1:]):
+        if v < u - 1e-12:
             raise InvalidInputError(
-                "g is not nondecreasing on the validation grid (%.6g -> %.6g)" % (lo, hi)
-            )
-    return vals
+                "g is not nondecreasing on the validation grid (%.6g -> %.6g)" % (u, v))
+    if vals[-1] < 1.0 - 1e-9 and strategy not in ("mc", "trivial"):
+        raise InvalidInputError("g(1) = %.12g, expected 1" % vals[-1])
+
+    lo, hi, iterates, evals = _enclose(lambda s: gf.eval(s)[0], vals, tol, max_evals, scan_steps)
+    ci = None
+    if strategy == "mc":
+        bands = [_enclose(lambda s, i=i: gf.eval(s)[1][i], [c[i] for _, c in grid],
+                          tol, max_evals, scan_steps) for i in (0, 1)]
+        ci = (bands[0][0], bands[1][1])
+        evals += bands[0][3] + bands[1][3]
+    return {"s0": hi, "tau": 1.0 - hi, "iterations": evals, "iterates": iterates,
+            "converged": hi - lo <= tol, "method": strategy, "ci": ci, "interval": (lo, hi)}
 
 
 def smallest_fixed_point(gf, tol=1e-10, max_iter=100_000):
-    """Iterate q <- g(q) from 0; returns s0, tau = 1 - s0, and diagnostics.
-
-    Monte-Carlo evaluators share one sample block across iterates, so the
-    empirical g is a genuine nondecreasing step function and the loop
-    terminates; the reported interval then reflects sampling error.
+    """Smallest fixed point s0 of g, tau = 1 - s0, an `interval` [lo, hi] with
+    g(lo) > lo (or lo = hi) and g(hi) <= hi checked, `converged` (hi - lo <=
+    tol; False where g touches the diagonal to rounding), `iterates` g(0),
+    g(g(0)), ... (each <= s0) and `iterations`, the evaluations of g past the
+    21-point grid, at most `max_iter` per enclosure.  A Monte-Carlo g shares
+    one sample block, and `ci` bounds s0 under its sampling band.
     """
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    if getattr(gf, "strategy", None) == "trivial":
-        return {"s0": 0.0, "tau": 1.0, "iterations": 0, "iterates": [],
-                "converged": True, "method": "trivial", "ci": None}
-    is_mc = getattr(gf, "strategy", None) == "mc"
-    if is_mc:
-        gf.ensure_samples(100_000)  # noise floor control for the iteration
-    grid = _validate_monotone_grid(gf)
-    if grid[-1] < 1.0 - 1e-9 and not is_mc:
-        raise InvalidInputError("g(1) = %.12g, expected 1" % grid[-1])
-
-    q = 0.0
-    iterates = []
-    steps = 0
-    converged = False
-    sigma = 0.0
-    for steps in range(1, max_iter + 1):
-        v, ci = gf.eval(q)
-        if ci is not None:
-            z = _norm.ppf(0.5 + gf.ci_level / 2.0)
-            sigma = (ci[1] - ci[0]) / (2.0 * z)
-        if len(iterates) < 1000:
-            iterates.append(v)
-        delta = abs(v - q)
-        q = v
-        if delta < max(tol, 3.0 * sigma):
-            converged = True
-            break
-    out = {
-        "s0": q,
-        "tau": 1.0 - q,
-        "iterations": steps,
-        "iterates": iterates,
-        "converged": converged,
-        "method": getattr(gf, "strategy", "function"),
-        "ci": None,
-    }
-    if is_mc:
-        # delta method: noise in g is amplified by 1/(1-slope) at the fixed point
-        h = max(0.01, 5.0 * sigma)
-        lo_v = gf.eval(max(0.0, q - h))[0]
-        hi_v = gf.eval(min(1.0, q + h))[0]
-        slope = (hi_v - lo_v) / (min(1.0, q + h) - max(0.0, q - h))
-        amp = 1.0 / (1.0 - min(slope, 0.95))
-        out["slope"] = slope
-        out["ci"] = (max(0.0, q - 3.0 * sigma * amp), min(1.0, q + 3.0 * sigma * amp))
-    if not converged:
-        # bracket: the iterate is a lower bound; scan up for a point with g <= s
-        cell = _first_crossing_cell(gf, q, 1.0, 1024)
-        out["interval"] = (q, cell[1] if cell else 1.0)
-    return out
-
-
-def _first_crossing_cell(gf, lo, hi, steps):
-    """First subinterval of [lo,hi] where g(s) - s changes sign to <= 0.
-
-    Below the smallest fixed point g(s) > s strictly, so the first such cell
-    contains it; later crossings (g can recross the diagonal) are ignored.
-    """
-    grid = np.linspace(lo, hi, steps + 1)
-    prev = grid[0]
-    for x in grid[1:]:
-        if gf.eval(float(x))[0] <= x:
-            return float(prev), float(x)
-        prev = x
-    return None
+    return _solve(gf, tol, max_iter, 1024)
 
 
 def smallest_fixed_point_bisect(gf, tol=1e-12, scan_steps=1024):
-    """Cross-check: locate the first diagonal crossing of g by scan + bisection."""
-    if gf.eval(0.0)[0] <= 0.0:
-        return 0.0
-    cell = _first_crossing_cell(gf, 0.0, 1.0, scan_steps)
-    if cell is None:
-        return 1.0
-    lo, hi = cell
-    for _ in range(10_000):
-        mid = 0.5 * (lo + hi)
-        if gf.eval(mid)[0] <= mid:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol:
-            break
-    return hi
+    """s0 alone, from the same solve with scan cells of (1 - x) / scan_steps."""
+    return _solve(gf, tol, 100_000, scan_steps)["s0"]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_extinction_nine_ary():
     assert q == pytest.approx(2.630764838635632e-4, abs=1e-12)
 
 
+def test_extinction_near_criticality():
+    # the pgf meets the diagonal at q = ((1 - p) / p)^2 with slope 1 - 4e-6:
+    # a stop on |q_next - q| < tol would end about 5e-7 short of it
+    p = 0.5 + 1e-6
+    assert extinction_prob(Binomial(2, p)) == pytest.approx(((1 - p) / p) ** 2, abs=1e-9)
+
+
 def test_extinction_trivial_regimes():
     assert extinction_prob(Binomial(3, 0.2)) == 1.0  # subcritical
     assert extinction_prob(Binomial(5, 1.0)) == 0.0  # deterministic full

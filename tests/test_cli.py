@@ -48,14 +48,23 @@ def test_extinction_json():
 
 
 def test_fixpoint_solvers_agree():
+    # one solver: the JSON always carries the checked interval, and the
+    # removed --solver switch is rejected as bad input
     base = ["fixpoint", "--offspring", "bin:3:0.9", "--collection", "ary:2"]
     code, doc, _ = run_json(base)
     assert code == 0
     assert doc["tau"] == pytest.approx(25.0 / 27.0, abs=1e-8)
-    code2, doc2, _ = run_json(base + ["--solver", "bisect"])
+    assert doc["converged"] is True
+    lo, hi = doc["interval"]
+    assert lo <= 2.0 / 27.0 <= hi and hi - lo <= 1e-10
+    assert doc["s0"] == hi
+    code2, doc2, _ = run_json(base + ["--tol", "1e-13"])
     assert code2 == 0
-    assert doc2["s0"] == pytest.approx(doc["s0"], abs=1e-7)
-    assert doc2["method"] == "bisect"
+    assert doc2["interval"][1] - doc2["interval"][0] <= 1e-13
+    assert doc2["s0"] == pytest.approx(doc["s0"], abs=1e-10)
+    with pytest.raises(SystemExit) as exc:
+        run(base + ["--solver", "bisect"])
+    assert exc.value.code == 2
 
 
 def test_gk_curve_single_point():

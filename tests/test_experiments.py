@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from gwfract.symbolic import InvalidInputError
+import gwfract.experiments
+from gwfract.cli import main
+from gwfract.extraction import ExtractedSubset
+from gwfract.symbolic import FiniteTree, InvalidInputError, Word
 from gwfract.geometry import PointCloud, render, percolation_ifs
 from gwfract.experiments import (
     EXPERIMENTS,
@@ -92,6 +97,46 @@ def test_ladder_validates_c_sequence():
         exp_dimension_ladder(3, 2, 0.7, c_sequence=(7,))  # above the mean 6.3
     with pytest.raises(InvalidInputError):
         exp_dimension_ladder(3, 2, 0.7, c_sequence=(2.5,))
+
+
+def _stub_witness(monkeypatch, root, levels):
+    """Make the section pipeline return the full 3x3-grid witness with blocks
+    of two letters (rho = 1/9), rooted at `root`, with `levels` levels."""
+    es = ExtractedSubset(root_word=Word(root), subtree=FiniteTree.full(81, levels),
+                         arity=81, alpha=2.0, beta=0.1, rho=1.0 / 9.0,
+                         pipeline="general", seed=0, ifs=percolation_ifs(3, 2), k=2)
+    monkeypatch.setattr(gwfract.experiments, "general_pipeline",
+                        lambda *args, **kw: es)
+
+
+def test_ladder_box_counts_at_the_witness_root_scales(monkeypatch):
+    # a full two-level witness in cell 4 (side 1/3) counts 1, 81, 6561 boxes
+    # at 1/3, 1/27, 1/243: dimension 2; at 1, 1/9, 1/81 it would read 1.5
+    _stub_witness(monkeypatch, [4], 2)
+    rep = exp_dimension_ladder(3, 2, 0.7, c_sequence=(2,), seeds=(0,),
+                               pipeline="general", depth=3)
+    rows = rep.curves["box_counts"]["rows"]
+    assert [r[1] for r in rows] == pytest.approx([1 / 3, 1 / 27, 1 / 243], rel=1e-12)
+    assert [r[2] for r in rows] == [1, 81, 6561]
+    est = next(e for e in rep.estimates if e["name"] == "boxdim_c2")
+    assert est["value"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_ladder_short_witness_is_inconclusive(monkeypatch):
+    # a one-level witness gives two box-count scales: the point is
+    # inconclusive (CLI exit 3), not an invalid config (exit 2)
+    _stub_witness(monkeypatch, [0, 0], 1)
+    rep = exp_dimension_ladder(3, 2, 0.7, c_sequence=(2,), seeds=(0,),
+                               pipeline="general", depth=3)
+    assert rep.verdict == "inconclusive"
+    assert not any(e["name"] == "boxdim_c2" for e in rep.estimates)
+    assert "c=2: one-level witness at seed 0, point inconclusive" in rep.notes
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["experiment", "dimension-ladder", "--percolation", "b=3,d=2,p=0.7",
+                     "--c-seq", "2", "--seeds", "0", "--pipeline", "general",
+                     "--depth", "3", "--json"])
+    assert code == 3
 
 
 def test_flat_ball_search_finds_planted_outlier():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gwfract.symbolic import CapabilityError, InvalidInputError, Word, WeightedAlphabet
@@ -61,14 +62,117 @@ def test_pair_collection_closed_form_iterates():
     assert sol["tau"] == pytest.approx(25.0 / 27.0, abs=1e-8)
 
 
-def test_iterations_count_every_step_past_the_iterate_cap():
-    # near the first-order transition at p = 8/9 the iteration crawls through
-    # a saddle-node bottleneck; the step count must not stop at the kept 1000
+def _counting(gf):
+    """Record every point at which gf is evaluated."""
+    calls = []
+    real = gf.eval
+    gf.eval = lambda s: calls.append(s) or real(s)
+    return calls
+
+
+def _assert_checked(gf, sol, tol):
+    lo, hi = sol["interval"]
+    assert sol["converged"] and hi - lo <= tol
+    assert sol["s0"] == hi
+    assert gf.eval(hi)[0] <= hi
+    assert lo == hi or gf.eval(lo)[0] > lo
+
+
+def _pair_tau(p):
+    """tau for Binomial(3, p) and ary(2): larger root of 2p^3 t^2 - 3p^2 t + 1, or 0."""
+    disc = 9.0 * p ** 4 - 8.0 * p ** 3
+    return 0.0 if disc < 0.0 else (3.0 * p * p + math.sqrt(disc)) / (4.0 * p ** 3)
+
+
+def test_near_critical_solve_certifies_tau_zero():
+    # just below the first-order transition at p = 8/9 the Kleene iteration
+    # crawls through a saddle-node bottleneck; the solve must pass the
+    # minimum of g - id, find no crossing below 1, and report tau = 0
     gf = GFunction(Binomial(3, 8.0 / 9.0 - 1e-11), ary_collection(2))
-    sol = smallest_fixed_point(gf, max_iter=1500)
-    assert sol["iterations"] == 1500
+    calls = _counting(gf)
+    sol = smallest_fixed_point(gf)
+    assert sol["tau"] == 0.0
+    assert sol["converged"]
+    assert sol["interval"][0] <= 1.0 <= sol["interval"][1]
+    # `iterations` counts every evaluation past the 21-point monotonicity grid
+    assert sol["iterations"] == len(calls) - 21
+    assert len(calls) < 300
+    _assert_checked(gf, sol, 1e-10)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-9, 1e-11])
+def test_just_above_critical_finds_the_narrow_dip(delta):
+    # above p = 8/9, g dips under the diagonal on a window about 1.8 sqrt(delta)
+    # wide near s = 0.156, far narrower than a scan cell
+    p = 8.0 / 9.0 + delta
+    gf = GFunction(Binomial(3, p), ary_collection(2))
+    sol = smallest_fixed_point(gf)
+    assert sol["tau"] == pytest.approx(_pair_tau(p), abs=1e-8)
+    assert sol["iterations"] < 100
+    _assert_checked(gf, sol, 1e-10)
+    assert 1.0 - smallest_fixed_point_bisect(gf) == pytest.approx(_pair_tau(p), abs=1e-8)
+
+
+def test_critical_point_keeps_both_candidates():
+    # at p = 8/9 g touches the diagonal at s = 5/32 to within rounding: the
+    # solve cannot tell tau = 27/32 from tau = 0 and must not claim either
+    sol = smallest_fixed_point(GFunction(Binomial(3, 8.0 / 9.0), ary_collection(2)))
+    lo, hi = sol["interval"]
     assert not sol["converged"]
-    assert len(sol["iterates"]) == 1000
+    assert lo <= 5.0 / 32.0 and hi == 1.0
+
+
+def test_converged_results_carry_checked_interval():
+    rng = np.random.default_rng(5)
+    cases = [GFunction(Binomial(3, p), ary_collection(2)) for p in (0.85, 0.9, 0.95)]
+    for _ in range(6):
+        n = int(rng.integers(3, 9))
+        gens = [tuple(rng.choice(n, size=int(rng.integers(1, 3)), replace=False))
+                for _ in range(int(rng.integers(1, 5)))]
+        cases.append(GFunction(PerLetterBernoulli(rng.uniform(0.3, 1.0, n)),
+                               generator_collection(gens), strategy="enum"))
+    for gf in cases:
+        for tol in (1e-10, 1e-13):
+            sol = smallest_fixed_point(gf, tol=tol)
+            _assert_checked(gf, sol, tol)
+            its = sol["iterates"]
+            assert all(b >= a for a, b in zip(its, its[1:]))
+            assert its[-1] <= sol["s0"]
+            # no point of a fine grid below lo lies on or under the diagonal
+            xs = np.linspace(0.0, sol["interval"][0], 400, endpoint=False)
+            assert all(gf.eval(float(x))[0] > x for x in xs)
+
+
+def test_eval_budget_leaves_an_open_interval():
+    gf = GFunction(Binomial(3, 0.9), ary_collection(2))
+    sol = smallest_fixed_point(gf, max_iter=3)
+    assert sol["iterations"] == 3
+    assert not sol["converged"]
+    lo, hi = sol["interval"]
+    assert lo < 2.0 / 27.0 < hi
+
+
+def test_solver_rejects_bad_tolerance_and_scan():
+    gf = GFunction(Binomial(3, 0.9), ary_collection(2))
+    with pytest.raises(InvalidInputError):
+        smallest_fixed_point(gf, tol=0.0)
+    with pytest.raises(InvalidInputError):
+        smallest_fixed_point_bisect(gf, scan_steps=0)
+
+
+def test_mc_ci_covers_enumeration_over_seeds():
+    law = Binomial(9, 0.6)
+    coll = generator_collection([(i, (i + 1) % 9) for i in range(9)])
+    exact = smallest_fixed_point(GFunction(law, coll, strategy="enum"))["s0"]
+    assert exact == pytest.approx(0.113292, abs=1e-6)
+    # the earlier 3-sigma stopping rule centred `ci` on a low iterate and
+    # missed s0 at seeds 31, 32 and 49
+    for seed in (*range(10), 31, 32, 49):
+        sol = smallest_fixed_point(GFunction(law, coll, strategy="mc",
+                                             sample_size=400_000, seed=seed))
+        lo, hi = sol["ci"]
+        assert lo <= exact <= hi, (seed, sol["ci"])
+        assert lo <= sol["s0"] <= hi
 
 
 def test_bisect_agrees_with_iteration():
