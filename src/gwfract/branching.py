@@ -368,7 +368,7 @@ class LazyGW:
         """Packed codes of the relative words alive at depth `rel_depth`.
 
         Codes are big-endian base-alphabet integers (first letter most
-        significant), matching `block_encode`.
+        significant), so `symbolic.block_decode` recovers the letters.
         """
         codes = np.zeros(1, dtype=np.int64)
         for counts, letters in self._walk(word, rel_depth):

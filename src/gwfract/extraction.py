@@ -1,17 +1,21 @@
 """Certified-subtree search and the pipelines that build diffuse, regular subsets.
 
-A predicate declares which child sets are acceptable; `find_subtree` runs the
-bottom-up presence DP and extracts a greedily trimmed witness.  The two
+A predicate declares which child sets are acceptable.  One bottom-up presence
+DP (`_presence`) serves both tree kinds: on a `FiniteTree` a child label is a
+letter, on a `StarTree` it is a word suffix.  `find_subtree` runs it and
+extracts a greedily trimmed witness; one builder (`_witness`) walks the chosen
+child sets for it, for the star pipeline and for the lazy scan.  The two
 pipelines wrap this with sampling, a breadth-first vertex scan, measure
 construction and geometric certificates.  Deep instances never materialize the
 whole sample: the scan expands one compressed block at a time and stops testing
 children of a node as soon as the predicate is satisfied, which agrees with the
-eager DP because membership is monotone and children are visited in lex order.
-"""
+eager DP because membership is monotone and children are visited in lex order
+(`tests/test_extraction.py::test_layered_scan_matches_eager_dp` checks this)."""
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from .symbolic import (
     FiniteTree,
     StarTree,
     section_pi_rho,
+    _section_depth,
     compress_along_pi_rho,
     block_decode,
     InvalidInputError,
@@ -367,100 +372,79 @@ def _attractor_cloud(ifs, target=2000, node_cap=50_000):
 
 
 def find_subtree(tree, pred, n):
-    """Bottom-up presence DP; returns the trimmed witness subtree or None."""
+    """Bottom-up presence DP; returns the trimmed witness subtree or None.
+
+    Works on a `FiniteTree` (child labels are letters) and on a `StarTree`
+    (child labels are word suffixes); the witness has the same kind.
+    """
     n = int(n)
     if n < 0:
         raise InvalidInputError("length must be >= 0")
-    if isinstance(tree, StarTree):
-        return _find_star(tree, pred, n)
-    if tree.depth < n:
-        raise InvalidInputError("tree depth %d is below the requested length %d"
-                                % (tree.depth, n))
-    if n == 0:
-        return FiniteTree(tree.alphabet_size, 0, {Word(): frozenset()}, validate=False)
-
-    goods_by_m = {0: {w: None for w in tree.level(n)}}
-    for m in range(1, n + 1):
-        prev = goods_by_m[m - 1]
-        cur = {}
-        for v in tree.level(n - m):
-            S = frozenset(j for j in tree.children[v] if v.child(j) in prev)
-            if pred.member(S, PredicateContext(node=v, height=n - m)):
-                cur[v] = S
-        goods_by_m[m] = cur
-    root = Word()
-    if root not in goods_by_m[n]:
+    star = isinstance(tree, StarTree)
+    height = tree.max_height() if star else tree.depth
+    if height < n:
+        raise InvalidInputError("tree height %d is below the requested length %d"
+                                % (height, n))
+    extend = Word.cat if star else Word.child
+    goods, chosen = _presence(tree, pred, n, extend)
+    if Word() not in goods[n]:
         return None
-
-    children = {}
-
-    def build(v, m):
-        if m == 0:
-            children[v] = frozenset()
-            return
-        S = goods_by_m[m][v]
-        chosen = pred.witness_subset(S, PredicateContext(node=v, height=n - m))
-        if chosen is None:
-            raise RuntimeError("witness extraction failed on a member set")
-        children[v] = frozenset(int(j) for j in chosen)
-        for j in sorted(chosen):
-            build(v.child(int(j)), m - 1)
-
-    build(root, n)
+    children, levels = _witness(Word(), n, chosen, extend)
+    if star:
+        return StarTree(levels)
     return FiniteTree(tree.alphabet_size, n, children, validate=False)
 
 
-def _star_goods(star, pred, n):
-    """DP tables good_m over the star; labels are child suffix words."""
-    goods_by_m = {0: {w: None for w in star.level(n)}}
+def _presence(tree, pred, n, extend):
+    """Goods tables of the presence DP and the witness lookup over them.
+
+    goods[m] maps each height-(n-m) node with an m-level witness below it to
+    its good child labels; `extend(v, label)` is the word of v's child.
+    `chosen(v, m)` trims goods[m][v] to the predicate's witness subset.
+    """
+    goods = [set(tree.level(n))]
     for m in range(1, n + 1):
-        prev = goods_by_m[m - 1]
+        prev = goods[-1]
         cur = {}
-        for v in star.level(n - m):
-            S = frozenset(s for s in star.children.get(v, ()) if v.cat(s) in prev)
+        for v in tree.level(n - m):
+            S = frozenset(s for s in tree.children[v] if extend(v, s) in prev)
             if pred.member(S, PredicateContext(node=v, height=n - m)):
                 cur[v] = S
-        goods_by_m[m] = cur
-    return goods_by_m
+        goods.append(cur)
+
+    def chosen(v, m):
+        return pred.witness_subset(goods[m][v],
+                                   PredicateContext(node=v, height=n - m))
+
+    return goods, chosen
 
 
-def _star_witness(star, pred, goods_by_m, root, n, root_height=0):
-    """Witness star below `root`, with words relative to it.
+def _witness(root, n, chosen, step):
+    """Walk the chosen child sets down n levels from the absolute word `root`.
 
-    `root_height` is the absolute star height of `root`; predicates that
-    depend on the grading see absolute heights.
+    `chosen(v, m)` is the label set kept at absolute node v with m levels to
+    go and `step(v, label)` the absolute word of that child.  Returns the
+    child map and the per-level word lists of the witness, over words relative
+    to `root` that extend by a letter label or by a word-suffix label.
     """
-    levels = [[Word()]]
+    children = {}
+    levels = [[] for _ in range(n + 1)]
 
-    def build(v, m, rel):
+    def build(rel, v, m):
+        levels[n - m].append(rel)
         if m == 0:
+            children[rel] = frozenset()
             return
-        ctx = PredicateContext(node=v, height=root_height + n - m)
-        chosen = pred.witness_subset(goods_by_m[m][v], ctx)
-        if chosen is None:
+        labels = chosen(v, m)
+        if labels is None:
             raise RuntimeError("witness extraction failed on a member set")
-        while len(levels) <= n - m + 1:
-            levels.append([])
-        for s in sorted(chosen):
-            s = Word(s)
-            levels[n - m + 1].append(rel.cat(s))
-            build(v.cat(s), m - 1, rel.cat(s))
+        children[rel] = frozenset(labels)
+        for lab in sorted(labels):
+            kid = rel.cat(lab) if isinstance(lab, tuple) else rel.child(lab)
+            build(kid, step(v, lab), m - 1)
 
-    build(root, n, Word())
-    return StarTree(levels)
-
-
-def _find_star(star, pred, n):
-    if star.max_height() < n:
-        raise InvalidInputError("star height %d is below the requested length %d"
-                                % (star.max_height(), n))
-    if n == 0:
-        return StarTree([[Word()]])
-    goods_by_m = _star_goods(star, pred, n)
-    root = Word()
-    if root not in goods_by_m[n]:
-        return None
-    return _star_witness(star, pred, goods_by_m, root, n)
+    build(Word(), root, n)
+    return children, levels
 
 
 # ---------------------------------------------------------------------------
@@ -717,18 +701,8 @@ class _LayeredScan:
         return ok
 
     def witness_tree(self, v, n):
-        children = {}
-
-        def build(rel, absw, m):
-            if m == 0:
-                children[rel] = frozenset()
-                return
-            labs = self.witness[(absw, m)]
-            children[rel] = frozenset(int(x) for x in labs)
-            for lab in sorted(labs):
-                build(rel.child(int(lab)), absw.cat(self._block_word(lab)), m - 1)
-
-        build(Word(), v, n)
+        children, _ = _witness(v, n, lambda w, m: self.witness[(w, m)],
+                               lambda w, lab: w.cat(self._block_word(lab)))
         return FiniteTree(self.base_n ** self.k, n, children, validate=False)
 
     def scan_stats(self):
@@ -1103,27 +1077,23 @@ def _general_star(ifs, offspring, rho, alpha, c, A, depth, seed, n_levels,
     weights = ifs.weights
     n_total = 2 if n_levels is None else int(n_levels)
     if depth is None:
-        depth = section_pi_rho(weights, rho ** n_total).max_depth()
+        depth = _section_depth(weights, rho ** n_total)
     depth = int(depth)
 
     sample = sample_gw(offspring, depth, seed, node_budget=node_budget)
     star = compress_along_pi_rho(sample.tree, weights, rho, n_levels=n_total)
     sd = SectionDiffuse(rho, c, ifs, F_cloud=F, k=None, directions=directions)
     pred = Intersection([sd, Ary(A)])
-    goods_by_m = _star_goods(star, pred, n_total)
+    goods, chosen = _presence(star, pred, n_total, Word.cat)
 
+    candidates = ((v, n_total - lvl) for lvl in range(n_total)
+                  for v in star.level(lvl))
     hit = None
     tested = 0
-    for lvl in range(n_total):
-        m = n_total - lvl
-        for v in star.level(lvl):
-            tested += 1
-            if tested > scan_budget:
-                break
-            if v in goods_by_m[m]:
-                hit = (v, m)
-                break
-        if hit is not None or tested > scan_budget:
+    for v, m in islice(candidates, scan_budget):
+        tested += 1
+        if v in goods[m]:
+            hit = (v, m)
             break
 
     stats = {"candidates_tested": tested, "certs": int(sd.cert_count),
@@ -1136,8 +1106,8 @@ def _general_star(ifs, offspring, rho, alpha, c, A, depth, seed, n_levels,
         )
 
     v, m = hit
-    witness = _star_witness(star, pred, goods_by_m, v, m,
-                            root_height=n_total - m)
+    _, levels = _witness(v, m, chosen, Word.cat)
+    witness = StarTree(levels)
     beta = rho * c * weights.r_min / ifs.diameter_bound()
     return ExtractedSubset(
         root_word=v,

@@ -1,4 +1,4 @@
-"""Words, finite trees, sections, and the two tree-compression constructions.
+"""Words, finite trees, sections, and compression along the graded sections.
 
 Everything here is purely combinatorial; all types are immutable after
 construction and safe to share across workers.
@@ -209,6 +209,19 @@ def section_pi_rho(weights, rho, extended=False, node_budget=DEFAULT_NODE_BUDGET
     return Section(weights.alphabet_size, out, validate=False)
 
 
+def _section_depth(weights, t):
+    """Length of the longest word in the section at threshold t.
+
+    That word is the all-r_max one: the least L >= 1 with r_max^L <= t, the
+    power taken by the same left-to-right product as `section_pi_rho`.
+    """
+    length, w = 1, weights.r_max
+    while not weight_leq(w, t):
+        length += 1
+        w *= weights.r_max
+    return length
+
+
 def rho_index(weights, rho, word):
     """Index n of the graded section containing the word, and the leftover factor.
 
@@ -315,30 +328,6 @@ class FiniteTree:
                 return n
         return None
 
-    def subtree_at(self, word, depth=None):
-        """The descendant tree re-rooted at word, cut to the given relative depth."""
-        word = Word(word)
-        if word not in self.children:
-            raise InvalidInputError("word %r not in tree" % (word,))
-        if depth is None:
-            depth = self.depth - len(word)
-        children = {}
-        stack = [Word()]
-        while stack:
-            rel = stack.pop()
-            absw = word.cat(rel)
-            cs = self.children[absw] if len(rel) < depth else frozenset()
-            children[rel] = cs
-            for a in cs:
-                stack.append(rel.child(a))
-        return FiniteTree(self.alphabet_size, depth, children, validate=False)
-
-    def restrict(self, words, depth=None):
-        """Subtree spanned by the given word subset (prefix-closed hull)."""
-        if depth is None:
-            depth = self.depth
-        return FiniteTree.from_words(self.alphabet_size, depth, words, validate=False)
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteTree)
@@ -362,56 +351,6 @@ class FiniteTree:
         if depth is None:
             depth = max((len(w) for w in words), default=0)
         return cls.from_words(alphabet_size, depth, words)
-
-
-def compress_k(tree, k):
-    """Restrict to levels divisible by k and reindex over the k-block alphabet.
-
-    Blocks are identified big-endian: the first k letters form the first
-    output letter, with the leading letter most significant.
-    """
-    k = int(k)
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
-    if tree.depth % k != 0:
-        raise InvalidInputError("tree depth %d not divisible by k=%d" % (tree.depth, k))
-    if k == 1:
-        return tree
-    base = tree.alphabet_size
-    new_depth = tree.depth // k
-    children = {}
-    nodes_by_level = {0: [Word()]}
-    for n in range(new_depth + 1):
-        next_nodes = []
-        for big in nodes_by_level.get(n, []):
-            # original word for this node
-            orig = Word(a for blk in big for a in block_decode(blk, base, k))
-            if n == new_depth:
-                children[big] = frozenset()
-                continue
-            cs = set()
-            # walk k fine levels below orig
-            frontier = [()]
-            for _ in range(k):
-                frontier = [
-                    s + (a,)
-                    for s in frontier
-                    for a in tree.children.get(orig.cat(s), ())
-                ]
-            for s in frontier:
-                cs.add(block_encode(s, base))
-            children[big] = frozenset(cs)
-            next_nodes.extend(big.child(c) for c in sorted(cs))
-        nodes_by_level[n + 1] = next_nodes
-    return FiniteTree(base ** k, new_depth, children, validate=False)
-
-
-def block_encode(block, base):
-    """Big-endian index of a letter block."""
-    idx = 0
-    for a in block:
-        idx = idx * base + a
-    return idx
 
 
 def block_decode(idx, base, k):
@@ -480,15 +419,9 @@ def compress_along_pi_rho(tree, weights, rho, n_levels=None):
     if not (0.0 < rho < weights.r_min):
         raise InvalidInputError("rho must lie in (0, r_min)")
 
-    sections = []
-    n = 1
-    while True:
-        sec = section_pi_rho(weights, rho ** n)
-        if sec.max_depth() > tree.depth:
-            break
-        sections.append(sec)
-        n += 1
-    max_usable = len(sections)
+    max_usable = 0
+    while _section_depth(weights, rho ** (max_usable + 1)) <= tree.depth:
+        max_usable += 1
     if n_levels is None:
         n_levels = max_usable
     if n_levels < 1 or n_levels > max_usable:
@@ -497,6 +430,7 @@ def compress_along_pi_rho(tree, weights, rho, n_levels=None):
             % (n_levels, max_usable, tree.depth)
         )
     levels = [[Word()]]
-    for sec in sections[:n_levels]:
+    for n in range(1, n_levels + 1):
+        sec = section_pi_rho(weights, rho ** n)
         levels.append([w for w in sec.sorted_words() if w in tree])
     return StarTree(levels)

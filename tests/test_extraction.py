@@ -1,13 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from gwfract.symbolic import (CapabilityError, FiniteTree, InvalidInputError,
-                              Word, compress_k)
-from gwfract.branching import Binomial, sample_gw
-from gwfract.geometry import percolation_ifs, render_words, sierpinski_ifs, word_map
+                              StarTree, WeightedAlphabet, Word,
+                              compress_along_pi_rho)
+from gwfract.branching import Binomial, LazyGW, sample_gw
+from gwfract.geometry import (SimilarityIFS, SimilarityMap, percolation_ifs,
+                              render_words, sierpinski_ifs, word_map)
 from gwfract.extraction import (
+    _LayeredScan,
     Ary,
     DiffuseBlock,
     Intersection,
@@ -96,9 +100,45 @@ def test_find_subtree_depth_guard_and_trivial():
 
 
 def test_find_subtree_star_dp():
-    star = compress_k(FiniteTree.full(2, 4), 2)
+    star = compress_along_pi_rho(FiniteTree.full(2, 4),
+                                 WeightedAlphabet((0.5, 0.5)), 0.25)
     sub = find_subtree(star, Ary(3), 2)
+    assert isinstance(sub, StarTree)
     assert [len(sub.level(m)) for m in range(3)] == [1, 3, 9]
+
+
+def _block_tree(lazy, v, m, k):
+    """The k-block-compressed tree of depth m below v, from packed codes."""
+    block = lazy.offspring.alphabet_size ** k
+    children = {(): set()}
+    for code in lazy.level_codes(v, m * k).tolist():
+        labs = tuple(code // block ** (m - 1 - j) % block for j in range(m))
+        for j in range(m):
+            children.setdefault(labs[:j], set()).add(labs[j])
+        children[labs] = set()
+    return FiniteTree(block, m, children, validate=False)
+
+
+def test_layered_scan_matches_eager_dp():
+    tested = witnesses = 0
+    for b, d, p, c, k in ((2, 2, 0.95, 3, 3), (2, 2, 0.9, 3, 3),
+                          (2, 2, 0.97, 2, 4)):
+        A = c ** k
+        pred = Intersection([DiffuseBlock(b, k, d=d), Ary(A)])
+        for seed in range(6):
+            lazy = LazyGW(Binomial(b ** d, p), seed)
+            scan = _LayeredScan(lazy, k, pred, A, per_node_cap=10 ** 9)
+            # the root with two levels to go, and its first 20 block children
+            vertices = [(Word(), 2)] + [(scan._block_word(lab), 1)
+                                        for lab in scan._letters(Word())[:20]]
+            for v, m in vertices:
+                eager = find_subtree(_block_tree(lazy, v, m, k), pred, m)
+                assert scan.test(v, m) == (eager is not None), (b, p, k, seed, v)
+                if eager is not None:
+                    assert scan.witness_tree(v, m) == eager
+                    witnesses += 1
+                tested += 1
+    assert tested == 378 and 0 < witnesses < tested
 
 
 def test_natural_measure_mass_law():
@@ -226,3 +266,31 @@ def test_leaf_words_render_inside_unit_square():
     cloud = es.cloud()
     assert cloud.points.min() >= -1e-9
     assert cloud.points.max() <= 1.0 + 1e-9
+
+
+def _unequal_ratio_ifs():
+    I = np.eye(2)
+    return SimilarityIFS(2, [SimilarityMap(0.45, I, (0, 0)),
+                             SimilarityMap(0.4, I, (0.6, 0)),
+                             SimilarityMap(0.4, I, (0, 0.6)),
+                             SimilarityMap(0.45, I, (0.55, 0.55))])
+
+
+def test_general_pipeline_star_frozen():
+    es = general_pipeline(_unequal_ratio_ifs(), Binomial(4, 0.95), rho=1 / 16,
+                          alpha=1.5, c=0.02, seed=0)
+    assert es.pipeline == "general-star"
+    assert es.root_word.text == "0-3-0-2"
+    assert es.levels() == 1
+    assert len(es.leaf_words()) == 64
+    assert es.params["depth"] == 7
+    assert es.stats == {"candidates_tested": 50, "certs": 7, "star_nodes": 7297}
+    digest = hashlib.sha256(es.tree_text().encode()).hexdigest()
+    assert digest.startswith("8b5079593b75defe")
+
+
+def test_general_pipeline_star_budget_counts_tested_vertices():
+    with pytest.raises(NotFoundError) as ei:
+        general_pipeline(_unequal_ratio_ifs(), Binomial(4, 0.95), rho=1 / 16,
+                         alpha=1.5, c=0.02, seed=0, scan_budget=10)
+    assert ei.value.stats["candidates_tested"] == 10

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
-from gwfract.symbolic import Word, WeightedAlphabet, rho_index, section_pi_rho, validate_section
+from gwfract.symbolic import (Word, WeightedAlphabet, _section_depth, rho_index,
+                              section_pi_rho, validate_section)
 from gwfract.branching import (Binomial, PerLetterBernoulli, labeled_seed,
                                parallel_map, sample_gw, thin)
 from gwfract.fixpoint import ary_collection, generator_collection
@@ -32,6 +33,7 @@ def test_section_exact_cover(ratios, frac):
     rho = weights.r_min * frac
     section = section_pi_rho(weights, rho)
     assert validate_section(len(ratios), section)
+    assert _section_depth(weights, rho) == section.max_depth()
 
 
 @settings(max_examples=40, deadline=None)
@@ -41,6 +43,7 @@ def test_section_exact_cover_deeper_levels(ratios, frac, power):
     rho = weights.r_min * frac
     section = section_pi_rho(weights, rho ** power)
     assert validate_section(len(ratios), section)
+    assert _section_depth(weights, rho ** power) == section.max_depth()
     # every word weight sits in the half-open window (rho^p * r_min, rho^p]
     for w in section.sorted_words():
         r_w = weights.weight(w)

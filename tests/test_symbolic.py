@@ -11,9 +11,7 @@ from gwfract.symbolic import (
     Word,
     WeightedAlphabet,
     block_decode,
-    block_encode,
     compress_along_pi_rho,
-    compress_k,
     rho_index,
     section_pi_rho,
     validate_section,
@@ -115,23 +113,10 @@ def test_full_tree_levels():
 
 
 def test_tree_text_roundtrip():
-    t = FiniteTree.full(2, 3).restrict(
-        [Word((0, 0, 0)), Word((0, 1, 1)), Word((1, 0, 0))])
+    t = FiniteTree.from_words(
+        2, 3, [Word((0, 0, 0)), Word((0, 1, 1)), Word((1, 0, 0))])
     back = FiniteTree.from_text(t.to_text())
     assert back == t
-
-
-def test_tree_restrict_prunes_to_ancestors():
-    t = FiniteTree.full(2, 2).restrict([Word((1, 0))])
-    assert t.level(1) == [Word((1,))]
-    assert t.level(2) == [Word((1, 0))]
-
-
-def test_subtree_at_reroots():
-    t = FiniteTree.full(2, 3)
-    sub = t.subtree_at(Word((1,)))
-    assert sub.depth == 2
-    assert sub.level_sizes() == [1, 2, 4]
 
 
 def test_tree_validation_rejects_orphans():
@@ -144,22 +129,10 @@ def test_block_encode_decode_roundtrip():
         for idx in range(min(base ** k, 64)):
             block = block_decode(idx, base, k)
             assert len(block) == k
-            assert block_encode(block, base) == idx
+            assert sum(a * base ** (k - 1 - i) for i, a in enumerate(block)) == idx
 
 
-def test_compress_k_levels_match():
-    t = FiniteTree.full(2, 4)
-    c = compress_k(t, 2)
-    assert c.alphabet_size == 4
-    assert c.depth == 2
-    # level n of the compressed tree encodes level 2n of the original
-    lv = [tuple(block_decode(int(a), 2, 2)[j] for a in w for j in (0, 1))
-          for w in c.level(1)]
-    assert sorted(tuple(x for x in w) for w in lv) == \
-        sorted(tuple(w) for w in t.level(2))
-
-
-def test_compress_along_pi_rho_equal_weights_matches_compress_k():
+def test_compress_along_pi_rho_equal_weights_takes_every_second_level():
     t = FiniteTree.full(2, 4)
     wa = WeightedAlphabet((0.5, 0.5))
     star = compress_along_pi_rho(t, wa, 0.25)
