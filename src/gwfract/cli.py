@@ -600,10 +600,9 @@ def cmd_check_diffuse(cfg):
                                   seed=int(cfg.get("seed", 0)))
     payload = {"command": "check-diffuse"}
     payload.update(res)
-    human = ("%s: worst ratio %s over %d balls at beta %.3g\n"
-             % ("pass" if res["pass"] else "FAIL",
-                "%.6g" % res["worst_ratio"] if res["worst_ratio"] is not None
-                else "n/a", res["tested"], float(beta)))
+    human = ("%s: worst ratio %.6g over %d balls at beta %.3g\n"
+             % ("pass" if res["pass"] else "FAIL", res["worst_ratio"], res["tested"],
+                float(beta)))
     return payload, human, 0 if res["pass"] else 3
 
 

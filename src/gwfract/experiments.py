@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 from importlib import metadata as _importlib_metadata
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from . import geometry
 from .symbolic import DegenerateSampleError, InvalidInputError
 from .branching import (Binomial, extinction_prob, labeled_seed,
                         mc_extinction_frequency, parallel_map, sample_gw)
 from .fixpoint import g_k_a_curve
-from .geometry import (PointCloud, _packing_width_bound, box_dimension,
-                       cloud_to_pgm, empirical_diffuse_check, percolation_ifs,
-                       render, width)
+from .geometry import (box_dimension, cloud_to_pgm, empirical_diffuse_check,
+                       percolation_ifs, render)
 from .extraction import (NotFoundError, general_pipeline, percolation_pipeline,
                          predicted_presence)
 
@@ -366,96 +365,6 @@ def exp_dimension_ladder(b, d, p, c_sequence=(2, 3, 4), depth=None,
 # experiment: flatness search on the raw sample
 
 
-def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None,
-                      targeted_frac=0.3):
-    """Seeded hunt for one flat ball: random centers plus the most isolated
-    points, over a dyadic scale ladder down to the sample's own resolution.
-
-    A ball holding at most two points has width exactly zero, so isolated or
-    near-isolated local configurations are the natural witnesses; candidates
-    are ranked by their second-neighbour distance so those configurations are
-    reached within the budget.  Every examined ball counts against the budget
-    and the width test itself is always exact.
-    """
-    pts = cloud.points
-    n = len(pts)
-    if n == 0:
-        raise InvalidInputError("empty cloud")
-    tree = cKDTree(pts)
-    kq = min(3, n)
-    dd, _ = tree.query(pts, k=kq)
-    d1 = dd[:, 1] if kq >= 2 else np.full(n, np.inf)
-    d2 = dd[:, 2] if kq >= 3 else d1
-    diam = cloud.diameter()
-    if xi_floor is None:
-        xi_floor = 1.25 * cloud.eps
-    xi_floor = max(float(xi_floor), 1e-12)
-    scales = []
-    xi = diam / 4.0
-    while xi > xi_floor * (1 + 1e-9) and len(scales) < 40:
-        scales.append(xi)
-        xi /= 2.0
-    scales.append(xi_floor)
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    budget = int(budget)
-    best = None
-    found = None
-    examined = 0
-    by_scale = {xi: [0, None] for xi in scales}  # balls, min ratio
-
-    def examine(x, xi):
-        nonlocal best, found, examined
-        examined += 1
-        idx = tree.query_ball_point(x, xi)
-        n_in = len(idx)
-        if n_in <= 2:
-            w = 0.0  # two points always span a line exactly
-        else:
-            spacing = float(d1[idx].min()) if np.isfinite(d1[idx].min()) else 0.0
-            bound = _packing_width_bound(n_in, spacing, xi) if pts.shape[1] == 2 \
-                else 0.0
-            if bound > beta * xi and (best is None
-                                      or bound / xi >= best["ratio"]):
-                w = bound  # packing floor already rules this ball out
-            else:
-                w = width(PointCloud(pts[idx], cloud.eps)).w
-        ratio = w / xi
-        slot = by_scale[xi]
-        slot[0] += 1
-        if slot[1] is None or ratio < slot[1]:
-            slot[1] = ratio
-        rec = {"ratio": float(ratio), "width": float(w), "xi": float(xi),
-               "center": [float(v) for v in x], "points_in_ball": int(n_in)}
-        if best is None or ratio < best["ratio"]:
-            best = rec
-        if found is None and ratio <= beta:
-            found = rec
-
-    n_random = budget - min(n, max(1, int(budget * targeted_frac)))
-    per_scale = max(1, n_random // len(scales))
-    for xi in scales:
-        centers = pts[rng.integers(0, n, size=per_scale)]
-        for x in centers:
-            if examined >= budget:
-                break
-            examine(x, xi)
-
-    # targeted pass: each isolated candidate at the largest ladder scale
-    # below its second-neighbour distance
-    order = np.argsort(-d2, kind="stable")
-    for i in order:
-        if examined >= budget or found is not None:
-            break
-        fitting = [xi for xi in scales if xi < d2[i]]
-        examine(pts[i], fitting[0] if fitting else scales[-1])
-
-    per_scale_rows = [[xi, by_scale[xi][0], by_scale[xi][1]] for xi in scales]
-    return {"found": found, "best": best, "examined": examined,
-            "scales": scales, "per_scale": per_scale_rows,
-            "budget": budget, "xi_floor": xi_floor}
-
-
 def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
                         search_budget=10_000, seed=0, depth=7,
                         extract_rho=None, extract_alpha=None, c_diffuse=0.05,
@@ -488,8 +397,8 @@ def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
         raise DegenerateSampleError("sample died out before target depth")
     cloud = render(ifs, tree=sample.tree)
 
-    search = _flat_ball_search(cloud, beta_star, search_budget,
-                               labeled_seed(seed, "search"))
+    search = geometry._flat_ball_search(cloud, beta_star, search_budget,
+                                        labeled_seed(seed, "search"))
     profile = empirical_diffuse_check(cloud, beta_star,
                                       sample_count=profile_balls,
                                       seed=labeled_seed(seed, "profile"))
@@ -517,8 +426,8 @@ def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
                                              seed=labeled_seed(seed, "subset"))
 
     control = render(ifs, depth=control_depth)
-    ctrl_search = _flat_ball_search(control, beta_star, search_budget,
-                                    labeled_seed(seed, "control"))
+    ctrl_search = geometry._flat_ball_search(control, beta_star, search_budget,
+                                             labeled_seed(seed, "control"))
 
     raw_found = search["found"] is not None
     ctrl_clean = ctrl_search["found"] is None
@@ -535,9 +444,7 @@ def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
                  width=best["width"], xi=best["xi"],
                  points_in_ball=best["points_in_ball"], center=best["center"],
                  witness_found=bool(raw_found)),
-        estimate("raw_profile_worst_ratio",
-                 1.0 if profile["worst_ratio"] is None
-                 else profile["worst_ratio"],
+        estimate("raw_profile_worst_ratio", profile["worst_ratio"],
                  n=profile["tested"], scope="certificate scales"),
         estimate("control_best_ratio",
                  ctrl_search["best"]["ratio"], n=ctrl_search["examined"],
@@ -546,9 +453,7 @@ def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
     ]
     if es is not None:
         estimates.append(estimate(
-            "subset_worst_ratio",
-            subset_chk["worst_ratio"] if subset_chk["worst_ratio"] is not None
-            else 1.0,
+            "subset_worst_ratio", subset_chk["worst_ratio"],
             n=subset_chk["tested"], certified_beta=es.beta,
             passed=bool(subset_chk["pass"]), leaf_count=len(es.leaf_words())))
 

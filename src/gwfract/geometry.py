@@ -434,8 +434,9 @@ class WidthResult:
 def _hull_vertices(pts):
     """Points on the convex hull; every linear functional attains its extremes there.
 
-    d=1 keeps the two endpoints.  Where Qhull fails (too few, collinear or
-    coplanar points) the whole cloud is returned, which is never wrong.
+    d=1 keeps the two endpoints; in d=2 the vertices run counter-clockwise.
+    Where Qhull fails (too few, collinear or coplanar points) the cloud array
+    itself is returned, which is never wrong.
     """
     if pts.shape[1] == 1 and len(pts):
         return pts[[int(np.argmin(pts[:, 0])), int(np.argmax(pts[:, 0]))]]
@@ -485,11 +486,26 @@ def _golden_min(f, a, b, iters=60):
     return x, f(x), b - a
 
 
+def _edge_normal_width(hv, chunk=512):
+    """Unit normal of the thinnest slab around a convex polygon given by its
+    vertices in order: the normal of one of its edges (Houle and Toussaint,
+    "Computing the width of a set", IEEE PAMI 1988).  Edges are projected in
+    chunks, so memory stays linear in the vertex count."""
+    e = np.roll(hv, -1, axis=0) - hv
+    nrm = np.linalg.norm(e, axis=1)
+    e, nrm = e[nrm >= 1e-15], nrm[nrm >= 1e-15]
+    u = np.column_stack([-e[:, 1], e[:, 0]]) / nrm[:, None]
+    spans = np.concatenate([np.ptp(hv @ u[i:i + chunk].T, axis=0)
+                            for i in range(0, len(u), chunk)])
+    return u[int(np.argmin(spans))]
+
+
 def width(cloud, directions=2000):
     """Smallest half-thickness of a slab containing the cloud, with witness.
 
-    d=2 is exact (the optimal normal is perpendicular to a hull edge);
-    d>=3 uses a quasi-uniform direction grid with local refinement.
+    At most d points lie in a hyperplane: width exactly 0.  d=2 is exact (the
+    optimal normal is perpendicular to a hull edge); d>=3 uses a quasi-uniform
+    direction grid with local refinement.
     """
     pts = np.atleast_2d(np.asarray(cloud.points if isinstance(cloud, PointCloud) else cloud,
                                    dtype=float))
@@ -500,31 +516,22 @@ def width(cloud, directions=2000):
         u = np.zeros(d)
         u[0] = 1.0
         return WidthResult(0.0, Hyperplane(u, float(pts[0, 0])), 0.0)
-    u0, c0 = _flat_direction(pts)
+    # every slab width is attained on the hull; the final measurement stays
+    # on the full cloud
+    if d == 2 and n > d:
+        hv = cloud.hull if isinstance(cloud, PointCloud) else _hull_vertices(pts)
+        if hv is not pts:  # Qhull built the hull: its vertices run counter-clockwise
+            u = _edge_normal_width(hv)
+            w, b = _slab(pts, u)
+            return WidthResult(w, Hyperplane(u, b), 1e-12 * max(1.0, w))
+    u0, _ = _flat_direction(pts)
     w0, b0 = _slab(pts, u0)
-    if w0 <= 1e-14 * max(1.0, np.abs(pts).max()):
-        return WidthResult(w0, Hyperplane(u0, b0), 0.0)
+    # the SVD plane is exact for at most d points and for the collinear
+    # planar clouds that Qhull rejects
+    if n <= d or d == 2 or w0 <= 1e-14 * max(1.0, np.abs(pts).max()):
+        return WidthResult(0.0 if n <= d else w0, Hyperplane(u0, b0), 0.0)
 
-    # every slab width is attained on the hull; the start direction and the
-    # final measurement stay on the full cloud
     hv = cloud.hull if isinstance(cloud, PointCloud) else _hull_vertices(pts)
-    if d == 2:
-        best = (w0, u0, b0)
-        m = len(hv)
-        for i in range(m):
-            e = hv[(i + 1) % m] - hv[i]
-            nrm = np.linalg.norm(e)
-            if nrm < 1e-15:
-                continue
-            u = np.array([-e[1], e[0]]) / nrm
-            w, b = _slab(hv, u)
-            if w < best[0]:
-                best = (w, u, b)
-        w, u, b = best
-        # re-measure on the full cloud (hull width equals cloud width)
-        w, b = _slab(pts, u)
-        return WidthResult(w, Hyperplane(u, b), 1e-12 * max(1.0, w))
-
     if d == 3:
         grid = _fibonacci_sphere(int(directions))
     else:
@@ -656,23 +663,70 @@ def diffuseness_constant(maps, F_cloud, directions=2000):
     return DiffuseResult(c_low, Hyperplane(u_best, b), raw_min, lip * half)
 
 
-def _packing_width_bound(n, min_dist, xi):
-    """Lower bound on the width of n points with pairwise spacing >= min_dist
-    inside a radius-xi ball: disjoint half-spacing discs must fit in the slab."""
-    if n < 2 or min_dist <= 0:
+def _packing_width_bound(n, spacing, xi):
+    """Lower bound on the half-thickness of any slab holding n planar points
+    that lie in a ball of radius xi, pairwise at least `spacing` apart; see
+    `_BallWidths` for the derivation."""
+    if n < 2 or spacing <= 0:
         return 0.0
-    area = n * math.pi * min_dist * min_dist / 4.0
-    t = (area / (2.0 * xi + min_dist) - min_dist) / 2.0
-    return max(0.0, 2.0 * t)
+    area = n * math.pi * spacing * spacing / 4.0
+    return max(0.0, (area / (2.0 * xi + spacing) - spacing) / 2.0)
+
+
+class _BallWidths:
+    """Slab widths of one cloud inside balls B(x, xi), one ball per call.
+
+    The cloud gets one KD-tree, its distances to the two nearest other points
+    (`near`, inf where there are fewer) and, for planar clouds, the least of
+    them as the spacing s.  A call returns (points in the ball, ratio,
+    WidthResult) with ratio = (w - slack) / xi.
+
+    Packing floor: discs of radius s/2 about the n points in a planar ball
+    are disjoint.  A slab of half-thickness w holding them meets the ball in
+    a strip of length at most 2*xi, so the discs fit in a (2*xi + s) x
+    (2*w + s) rectangle: n*pi*s^2/4 <= (2*xi + s) * (2*w + s), that is
+    w >= (n*pi*s^2/4 / (2*xi + s) - s) / 2 (`_packing_width_bound`).
+
+    A ball is cleared, returning ratio and WidthResult None, only when its
+    floor ratio (floor - slack) / xi exceeds beta and strictly exceeds the
+    least ratio already measured at the same radius (`least`).  Its true
+    ratio then exceeds both, so no cleared ball is at or under beta, none
+    attains the least ratio at its radius, and the first ball at every radius
+    is always measured.
+    """
+
+    def __init__(self, cloud, beta, slack):
+        self.pts = cloud.points
+        self.beta = float(beta)
+        self.slack = float(slack)
+        self.tree = _cKDTree(self.pts)
+        self.near = self.tree.query(self.pts, k=[2, 3])[0]
+        planar = self.pts.shape[1] == 2 and len(self.pts) >= 2
+        self.spacing = float(self.near[:, 0].min()) if planar else 0.0
+        self.least = {}
+        self.cleared = 0
+
+    def __call__(self, x, xi):
+        idx = self.tree.query_ball_point(x, xi)
+        floor = (_packing_width_bound(len(idx), self.spacing, xi) - self.slack) / xi
+        if floor > self.beta and floor > self.least.get(xi, math.inf):
+            self.cleared += 1
+            return len(idx), None, None
+        res = width(self.pts[idx])
+        ratio = (res.w - self.slack) / xi
+        if ratio < self.least.get(xi, math.inf):
+            self.least[xi] = ratio
+        return len(idx), ratio, res
 
 
 def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0):
     """Sampled local test: inside balls of the scale ladder the cloud must
     escape every slab of half-thickness beta * radius.
 
-    Balls whose point count already forces a width above both beta and the
-    running worst ratio (by disc packing at the cloud's minimum spacing) skip
-    the exact width computation; the reported worst ratio is unaffected.
+    The ratio of a ball is (w - eps) / radius.  `_BallWidths` clears balls
+    whose disc-packing floor already puts them above beta and above the
+    least ratio measured at their radius, so the worst ratio and its witness
+    are those of measuring every ball; `cleared` counts the balls skipped.
     """
     if beta <= 0:
         raise InvalidInputError("beta must be positive")
@@ -681,6 +735,8 @@ def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0
         raise InvalidInputError("empty cloud")
     diam = cloud.diameter()
     scale_count = int(scale_count)
+    if scale_count < 1 or diam <= 0:
+        raise InvalidInputError("need scale_count >= 1 and a cloud of positive diameter")
     xis = [diam / 4.0 * 0.5 ** j for j in range(scale_count)]
     if xis[-1] < 10.0 * cloud.eps:
         raise InvalidInputError(
@@ -688,38 +744,93 @@ def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0
         )
     per_scale = max(1, -(-int(sample_count) // scale_count))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    tree = _cKDTree(pts)
-    min_dist = 0.0
-    if len(pts) >= 2 and pts.shape[1] == 2:  # packing bound is planar-only
-        dd, _ = tree.query(pts, k=2)
-        min_dist = float(dd[:, 1].min())
+    balls = _BallWidths(cloud, beta, cloud.eps)
     worst = None
-    tested = 0
-    skipped = 0
-    cleared = 0
     for xi in xis:
-        centers = pts[rng.integers(0, len(pts), size=per_scale)]
-        hits = tree.query_ball_point(centers, xi)
-        for x, idx in zip(centers, hits):
-            if len(idx) == 0:
-                skipped += 1
-                continue
-            tested += 1
-            floor_ratio = (_packing_width_bound(len(idx), min_dist, xi) - cloud.eps) / xi
-            if floor_ratio > beta and (worst is None or floor_ratio > worst["ratio"]):
-                cleared += 1
-                continue
-            sub = pts[idx]
-            res = width(PointCloud(sub, cloud.eps))
-            ratio = (res.w - cloud.eps) / xi
-            if worst is None or ratio < worst["ratio"]:
+        for x in pts[rng.integers(0, len(pts), size=per_scale)]:
+            n_in, ratio, res = balls(x, xi)
+            if ratio is not None and (worst is None or ratio < worst["ratio"]):
                 worst = {"ratio": ratio, "center": x.tolist(), "xi": xi,
-                         "width": res.w, "hyperplane": res.witness, "points_in_ball": int(len(idx))}
-    passed = tested > 0 and (worst is None or worst["ratio"] > beta)
-    return {"pass": bool(passed), "beta": float(beta),
-            "worst_ratio": None if worst is None else worst["ratio"],
-            "witness": worst, "tested": tested, "skipped": skipped,
-            "cleared": cleared, "scales": xis, "eps": cloud.eps}
+                         "width": res.w, "hyperplane": res.witness, "points_in_ball": n_in}
+    return {"pass": bool(worst["ratio"] > beta), "beta": float(beta),
+            "worst_ratio": worst["ratio"], "witness": worst,
+            "tested": per_scale * scale_count, "cleared": balls.cleared,
+            "scales": xis, "eps": cloud.eps}
+
+
+def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None,
+                      targeted_frac=0.3):
+    """Seeded hunt for one flat ball: random centers plus the most isolated
+    points, over a dyadic scale ladder down to the sample's own resolution.
+
+    A ball holding at most d points has width exactly zero, so isolated or
+    near-isolated local configurations are the natural witnesses; candidates
+    are ranked by their second-neighbour distance so those configurations are
+    reached within the budget.  Every examined ball counts against the budget;
+    `_BallWidths` measures the ratio w / xi exactly wherever it can decide
+    `found`, `best` or a scale's least ratio.
+    """
+    pts = cloud.points
+    n = len(pts)
+    if n == 0:
+        raise InvalidInputError("empty cloud")
+    balls = _BallWidths(cloud, beta, 0.0)
+    # second-neighbour distance, the first where there is no second
+    d2 = np.where(np.isfinite(balls.near[:, 1]), balls.near[:, 1], balls.near[:, 0])
+    diam = cloud.diameter()
+    if xi_floor is None:
+        xi_floor = 1.25 * cloud.eps
+    xi_floor = max(float(xi_floor), 1e-12)
+    scales = []
+    xi = diam / 4.0
+    while xi > xi_floor * (1 + 1e-9) and len(scales) < 40:
+        scales.append(xi)
+        xi /= 2.0
+    scales.append(xi_floor)
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    budget = int(budget)
+    best = None
+    found = None
+    examined = 0
+    counts = dict.fromkeys(scales, 0)
+
+    def examine(x, xi):
+        nonlocal best, found, examined
+        examined += 1
+        counts[xi] += 1
+        n_in, ratio, res = balls(x, xi)
+        if ratio is None:
+            return
+        rec = {"ratio": float(ratio), "width": float(res.w), "xi": float(xi),
+               "center": [float(v) for v in x], "points_in_ball": n_in}
+        if best is None or ratio < best["ratio"]:
+            best = rec
+        if found is None and ratio <= beta:
+            found = rec
+
+    n_random = budget - min(n, max(1, int(budget * targeted_frac)))
+    per_scale = max(1, n_random // len(scales))
+    for xi in scales:
+        centers = pts[rng.integers(0, n, size=per_scale)]
+        for x in centers:
+            if examined >= budget:
+                break
+            examine(x, xi)
+
+    # targeted pass: each isolated candidate at the largest ladder scale
+    # below its second-neighbour distance
+    order = np.argsort(-d2, kind="stable")
+    for i in order:
+        if examined >= budget or found is not None:
+            break
+        fitting = [xi for xi in scales if xi < d2[i]]
+        examine(pts[i], fitting[0] if fitting else scales[-1])
+
+    per_scale_rows = [[xi, counts[xi], balls.least.get(xi)] for xi in scales]
+    return {"found": found, "best": best, "examined": examined,
+            "cleared": balls.cleared, "scales": scales, "per_scale": per_scale_rows,
+            "budget": budget, "xi_floor": xi_floor}
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,15 @@ def test_check_diffuse_pass_and_fail():
     assert doc2["pass"] is False
 
 
+def test_check_diffuse_zero_diameter_cloud_exits_2(tmp_path):
+    path = tmp_path / "one_point.csv"
+    path.write_text("0.5,0.5\n")
+    code, doc, _ = run_json(["check-diffuse", "--cloud", str(path), "--eps", "0",
+                             "--beta", "0.1"])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
 def test_check_ahlfors_roundtrip(tmp_path):
     meas = tmp_path / "m.csv"
     code, doc, _ = run_json(["extract", "--percolation", "b=2,d=2,p=0.95",

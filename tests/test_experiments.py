@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 import gwfract.experiments
+from gwfract import geometry
+from gwfract.branching import Binomial, labeled_seed, sample_gw
 from gwfract.cli import main
 from gwfract.extraction import ExtractedSubset
 from gwfract.symbolic import FiniteTree, InvalidInputError, Word
-from gwfract.geometry import PointCloud, render, percolation_ifs
+from gwfract.geometry import PointCloud, _flat_ball_search, render, percolation_ifs
 from gwfract.experiments import (
     EXPERIMENTS,
     ExperimentReport,
-    _flat_ball_search,
     exp_convergence_g_k,
     exp_dimension_ladder,
     exp_non_diffuseness,
@@ -157,6 +158,37 @@ def test_flat_ball_search_dense_grid_clean():
     assert res["found"] is None
     assert res["best"]["ratio"] > 0.01
     assert res["examined"] >= 800
+
+
+def test_non_diffuseness_pinned_estimates():
+    rep = exp_non_diffuseness(3, 2, 0.6, search_budget=1000, seed=42, depth=6)
+    assert rep.verdict == "pass"
+    got = {e["name"]: (e["value"], e["n"]) for e in rep.estimates}
+    assert got == {"raw_search_best_ratio": (0.0, 701),
+                   "raw_profile_worst_ratio": (0.2038413038957308, 900),
+                   "control_best_ratio": (0.4242640687119286, 1000),
+                   "subset_worst_ratio": (0.20839320503763198, 240)}
+
+
+def test_flat_ball_search_floor_only_saves_work(monkeypatch):
+    # the raw sample and the control of the pinned run above
+    ifs = percolation_ifs(3, 2)
+    tree = sample_gw(Binomial(9, 0.6), 6, seed=labeled_seed(42, "sample")).tree
+    runs = [(render(ifs, tree=tree), labeled_seed(42, "search")),
+            (render(ifs, depth=5), labeled_seed(42, "control"))]
+
+    def searches():
+        return [_flat_ball_search(cloud, 0.01, 1000, sd) for cloud, sd in runs]
+
+    with_floor = searches()
+    monkeypatch.setattr(geometry, "_packing_width_bound", lambda *args: 0.0)
+    without = searches()
+    assert sum(r["cleared"] for r in with_floor) > 0
+    assert all(r["cleared"] == 0 for r in without)
+    for a, b in zip(with_floor, without):
+        a.pop("cleared")
+        b.pop("cleared")
+        assert a == b
 
 
 def test_non_diffuseness_rejects_sure_survival():

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from gwfract.symbolic import (FiniteTree, InvalidInputError, Word, WeightedAlphabet,
                               compress_along_pi_rho)
@@ -194,12 +195,82 @@ def test_box_dimension_needs_scales():
         box_dimension(square_cloud(), scales=[1.0, 0.5])
 
 
-def test_empirical_diffuse_check_grid_passes():
-    cloud = render(percolation_ifs(3, 2), depth=6)
-    res = empirical_diffuse_check(cloud, beta=0.01, sample_count=90, seed=0)
+@pytest.fixture(scope="module")
+def grid6():
+    return render(percolation_ifs(3, 2), depth=6)
+
+
+def test_empirical_diffuse_check_grid_passes(grid6):
+    res = empirical_diffuse_check(grid6, beta=0.01, sample_count=90, seed=0)
     assert res["pass"]
     assert res["tested"] >= 90
-    assert res["worst_ratio"] is None or res["worst_ratio"] > 0.01
+    assert res["worst_ratio"] > 0.01
+
+
+def test_packing_floor_is_below_the_width():
+    cloud = render(percolation_ifs(3, 2), depth=5)
+    pts = cloud.points
+    tree = cKDTree(pts)
+    spacing = float(tree.query(pts, k=2)[0][:, 1].min())
+    rng = np.random.default_rng(3)
+    positive = 0
+    for _ in range(150):
+        xi = 10.0 ** rng.uniform(-2.5, -0.5)
+        ball = pts[tree.query_ball_point(pts[rng.integers(len(pts))], xi)]
+        floor = geometry._packing_width_bound(len(ball), spacing, xi)
+        positive += floor > 0
+        assert floor <= width(ball).w
+    assert positive > 100
+
+
+def _plain(res):
+    """Check result with the witness hyperplane as numbers, `cleared` dropped."""
+    out = {k: v for k, v in res.items() if k != "cleared"}
+    wit = dict(out["witness"])
+    hp = wit.pop("hyperplane")
+    wit["hyperplane"] = (hp.normal.tolist(), hp.offset)
+    out["witness"] = wit
+    return out
+
+
+def test_packing_floor_only_saves_work(grid6, monkeypatch):
+    with_floor = empirical_diffuse_check(grid6, beta=0.01, sample_count=90, seed=0)
+    monkeypatch.setattr(geometry, "_packing_width_bound", lambda *args: 0.0)
+    without = empirical_diffuse_check(grid6, beta=0.01, sample_count=90, seed=0)
+    assert with_floor["cleared"] > 0 and without["cleared"] == 0
+    assert _plain(with_floor) == _plain(without)
+
+
+def test_flat_ball_search_one_dimensional_pairs():
+    # every ball of radius >= 0.11 holds a pair 0.1 apart: width 0.05, not 0
+    pts = np.array([[0.0], [0.1], [1.0], [1.1], [2.0], [2.1]])
+    res = geometry._flat_ball_search(PointCloud(pts, 1e-6), beta=0.01, budget=200,
+                                     seed=0, xi_floor=0.11)
+    assert res["found"] is None
+    assert res["best"]["ratio"] > 0
+    assert res["best"]["width"] == pytest.approx(0.05, rel=1e-12)
+
+
+def test_width_planar_matches_all_edge_normals():
+    # brute force over the normal of every pair of points; the circle's hull
+    # spans several projection chunks
+    rng = np.random.default_rng(7)
+    clouds = [rng.normal(size=(int(rng.integers(3, 40)), 2)) * rng.uniform(0.01, 3.0, size=2)
+              for _ in range(40)]
+    t = np.linspace(0.0, 2.0 * math.pi, 1200, endpoint=False)
+    clouds.append(np.column_stack([np.cos(t), 0.5 * np.sin(t)]))
+    for pts in clouds:
+        if len(pts) > 200:
+            i, j = np.arange(len(pts)), (np.arange(len(pts)) + 1) % len(pts)
+        else:
+            i, j = np.triu_indices(len(pts), 1)
+        e = pts[j] - pts[i]
+        u = np.column_stack([-e[:, 1], e[:, 0]]) / np.linalg.norm(e, axis=1)[:, None]
+        proj = pts @ u.T
+        brute = 0.5 * (proj.max(axis=0) - proj.min(axis=0)).min()
+        res = width(pts)
+        assert res.w == pytest.approx(brute, rel=1e-12, abs=1e-15)
+        assert geometry._slab(pts, res.witness.normal)[0] == res.w
 
 
 def test_empirical_diffuse_check_flat_cloud_fails():
