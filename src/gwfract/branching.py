@@ -41,12 +41,31 @@ def mix64(x):
 
 def mix64_vec(x):
     """SplitMix64 finalizer on a uint64 ndarray (bit-compatible with mix64)."""
-    x = np.asarray(x, dtype=np.uint64).copy()
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    return _mix64_inplace(np.asarray(x, dtype=np.uint64).copy())
+
+
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+# elements mixed per pass: 256 KB, which stays in cache through all five steps
+_MIX_BLOCK = 1 << 15
+
+
+def _mix64_inplace(x):
+    """SplitMix64 finalizer applied to the C-contiguous uint64 array `x` in
+    place, one cache-sized block at a time; returns x."""
+    flat = x.reshape(-1)
+    tmp = np.empty(min(len(flat), _MIX_BLOCK), dtype=np.uint64)
+    for lo in range(0, len(flat), _MIX_BLOCK):
+        b = flat[lo:lo + _MIX_BLOCK]
+        t = tmp[:len(b)]
+        np.right_shift(b, _S30, out=t)
+        b ^= t
+        b *= _M1
+        np.right_shift(b, _S27, out=t)
+        b ^= t
+        b *= _M2
+        np.right_shift(b, _S31, out=t)
+        b ^= t
     return x
 
 
@@ -65,7 +84,7 @@ def child_key(parent_key, letter):
 
 def _child_keys_vec(parent_keys, letters):
     mults = (((letters.astype(np.uint64) + np.uint64(1)) * np.uint64(_CHILD_SALT)))
-    return mix64_vec(parent_keys ^ mults)
+    return _mix64_inplace(parent_keys ^ mults)
 
 
 def labeled_seed(seed, label):
@@ -94,13 +113,18 @@ class _IndependentLetters:
 
     @cached_property
     def _draw(self):
-        # per-letter stream offsets and keep probabilities, fixed for the law
+        # per-letter stream offsets and integer keep thresholds, fixed for the law:
+        # u * 2^-53 < p exactly when u < ceil(p * 2^53), as p * 2^53 is exact
+        # (p = 1 gives 2^53, which fits)
         probs = self.letter_probs()
-        return np.arange(1, len(probs) + 1, dtype=np.uint64) * np.uint64(_GAMMA), probs
+        offs = np.arange(1, len(probs) + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        return offs, np.ceil(probs * 2.0 ** 53).astype(np.uint64)
 
     def sample_matrix(self, keys):
-        offs, probs = self._draw
-        return _unit(mix64_vec(keys[:, None] + offs)) < probs
+        offs, limits = self._draw
+        u = _mix64_inplace(keys[:, None] + offs)
+        u >>= np.uint64(11)
+        return u < limits
 
 
 class Binomial(_IndependentLetters):
@@ -245,7 +269,7 @@ class ExplicitTable:
         return pmf
 
     def sample_matrix(self, keys):
-        u = _unit(mix64_vec(keys + np.uint64(_GAMMA)))
+        u = _unit(_mix64_inplace(keys + np.uint64(_GAMMA)))
         idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.rows) - 1)
         return self._masks[idx]
 
@@ -313,33 +337,63 @@ class LazyGW:
             self._keys[word] = k
         return k
 
-    def _walk(self, word, rel_depth):
-        """Vectorized breadth-first walk below `word`, one level per step.
+    def _walk(self, keys, rel_depth):
+        """Vectorized breadth-first walk below the roots with stream keys `keys`.
 
-        Yields (counts, letters): the child count of each live node in order,
-        and the letters of all their children, grouped by parent.
+        Each step samples one level and yields (counts, letters, keys, bounds):
+        the child count of each node of the level, in order; the letters of
+        all their children, grouped by parent and ascending within one; the
+        children's stream keys; and `bounds`, where the children descending
+        from root i sit at positions bounds[i]:bounds[i+1] of the new level.
+        The walk counts its nodes against `node_budget` on top of
+        `nodes_sampled`; callers add the nodes they use to that counter.
         """
-        keys = np.array([self.key(word)], dtype=np.uint64)
+        keys = np.asarray(keys, dtype=np.uint64)
+        bounds = np.arange(len(keys) + 1)
+        walked = self.nodes_sampled
         for lvl in range(rel_depth):
             if len(keys) == 0:
                 return
             keep = self.offspring.sample_matrix(keys)
             counts = keep.sum(axis=1)
-            _, letters = np.nonzero(keep)
-            self.nodes_sampled += len(keys)
-            if self.nodes_sampled > self.node_budget:
+            letters = np.flatnonzero(keep) % keep.shape[1]
+            walked += len(keys)
+            if walked > self.node_budget:
                 raise ResourceLimitError(
                     "lazy sampling exceeded node budget at relative depth %d" % lvl,
                     partial=lvl,
                 )
-            yield counts, letters
             keys = _child_keys_vec(np.repeat(keys, counts), letters)
+            bounds = np.concatenate(([0], np.cumsum(counts)))[bounds]
+            yield counts, letters, keys, bounds
+
+    def _level(self, keys, rel_depth):
+        """The nodes `rel_depth` levels below each root with stream key in `keys`.
+
+        Returns (codes, keys, bounds, nodes).  Root i's nodes are codes[b:e]
+        and keys[b:e] with b, e = bounds[i], bounds[i+1]: their packed codes
+        relative to the root, ascending (big-endian base-alphabet integers,
+        first letter most significant, so `symbolic.block_decode` recovers
+        the letters), and their stream keys.  nodes[i] counts the nodes
+        sampled below root i to reach them; `nodes_sampled` is left as it is.
+        """
+        n = self.offspring.alphabet_size
+        keys = np.asarray(keys, dtype=np.uint64)
+        codes = np.zeros(len(keys), dtype=np.int64)
+        bounds = np.arange(len(keys) + 1)
+        nodes = np.zeros(len(keys), dtype=np.int64)
+        for counts, letters, keys, step in self._walk(keys, rel_depth):
+            nodes += np.diff(bounds)
+            codes = np.repeat(codes, counts) * n + letters
+            bounds = step
+        return codes, keys, bounds, nodes
 
     def children(self, word):
         word = Word(word)
         cs = self._children.get(word)
         if cs is None:
-            _, letters = next(self._walk(word, 1))
+            _, letters, _, _ = next(self._walk([self.key(word)], 1))
+            self.nodes_sampled += 1
             cs = frozenset(letters.tolist())
             self._children[word] = cs
         return cs
@@ -348,7 +402,8 @@ class LazyGW:
         """Materialize the subtree below `word` to a relative depth (vectorized)."""
         words = [Word()]
         children = {}
-        for counts, letters in self._walk(word, rel_depth):
+        for counts, letters, _, _ in self._walk([self.key(word)], rel_depth):
+            self.nodes_sampled += len(counts)
             next_words = []
             pos = 0
             for w, c in zip(words, counts.tolist()):
@@ -365,14 +420,12 @@ class LazyGW:
         return FiniteTree(self.offspring.alphabet_size, rel_depth, children, validate=False)
 
     def level_codes(self, word, rel_depth):
-        """Packed codes of the relative words alive at depth `rel_depth`.
+        """Packed codes, ascending, of the relative words alive at depth `rel_depth`.
 
-        Codes are big-endian base-alphabet integers (first letter most
-        significant), so `symbolic.block_decode` recovers the letters.
+        The one-root case of `_level`.
         """
-        codes = np.zeros(1, dtype=np.int64)
-        for counts, letters in self._walk(word, rel_depth):
-            codes = np.repeat(codes, counts) * self.offspring.alphabet_size + letters
+        codes, _, _, nodes = self._level([self.key(word)], rel_depth)
+        self.nodes_sampled += int(nodes[0])
         return codes
 
 

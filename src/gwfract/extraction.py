@@ -10,7 +10,14 @@ construction and geometric certificates.  Deep instances never materialize the
 whole sample: the scan expands one compressed block at a time and stops testing
 children of a node as soon as the predicate is satisfied, which agrees with the
 eager DP because membership is monotone and children are visited in lex order
-(`tests/test_extraction.py::test_layered_scan_matches_eager_dp` checks this)."""
+(`tests/test_extraction.py::test_layered_scan_matches_eager_dp` checks this).
+
+Children with one level to go are walked in chunks, one multi-root walk per
+chunk, and judged segment-wise by the predicate (`_segments`); the greedy stop
+is found online from the predicate's running state (`_running`), which updates
+per good child instead of judging the whole prefix again.  Results are still
+taken child by child in lex order, so `child_tests`, `capped_nodes`,
+`nodes_sampled` and `certs` read as the sequential scan's."""
 
 import math
 from collections import deque
@@ -62,8 +69,9 @@ class PredicateContext:
 
 
 def _as_int_array(labels):
+    """Packed labels as an ascending int64 array."""
     if isinstance(labels, np.ndarray):
-        return labels.astype(np.int64, copy=False)
+        return np.sort(labels.astype(np.int64, copy=False))
     return np.array(sorted(int(x) for x in labels), dtype=np.int64)
 
 
@@ -74,14 +82,49 @@ def _word_labels(labels):
     return False
 
 
+def _runs(keys, bounds):
+    """Runs of equal `keys` inside each segment keys[bounds[i]:bounds[i+1]].
+
+    Returns the start and the length of every run, and the segment it lies in.
+    """
+    n = len(keys)
+    cut = np.ones(n, dtype=bool)
+    cut[1:] = keys[1:] != keys[:-1]
+    firsts = bounds[:-1]
+    cut[firsts[firsts < n]] = True
+    starts = np.flatnonzero(cut)
+    lengths = np.diff(np.append(starts, n))
+    return starts, lengths, np.searchsorted(bounds, starts, side="right") - 1
+
+
 # ---------------------------------------------------------------------------
 # predicates
 
 
 class SubtreePredicate:
+    """A monotone collection of acceptable child sets.
+
+    Packed labels are judged segment-wise: `_segments(codes, bounds)` takes
+    many child sets at once, set i being codes[bounds[i]:bounds[i+1]] in
+    ascending order, and returns `ok(i)`; `member` is its one-segment case.
+    `_running()` returns `push(label, check)`, which adds one label to a
+    growing set and, when `check` is true, says whether that set is a member,
+    doing the certification work `member` would do on it.
+    """
+
     kind = "predicate"
+    # building a witness may compute certificates, which are counted
+    _witness_certifies = False
 
     def member(self, labels, ctx=None):
+        if not _word_labels(labels):
+            labels = _as_int_array(labels)
+        return bool(self._segments(labels, np.array([0, len(labels)]))(0))
+
+    def _segments(self, codes, bounds):
+        raise NotImplementedError
+
+    def _running(self):
         raise NotImplementedError
 
     def witness_subset(self, labels, ctx=None):
@@ -106,8 +149,17 @@ class Ary(SubtreePredicate):
         if self.a < 1:
             raise InvalidInputError("a must be >= 1")
 
-    def member(self, labels, ctx=None):
-        return len(labels) >= self.a
+    def _segments(self, codes, bounds):
+        return (np.diff(bounds) >= self.a).__getitem__
+
+    def _running(self):
+        size = 0
+
+        def push(label, check):
+            nonlocal size
+            size += 1
+            return check and size >= self.a
+        return push
 
     def witness_subset(self, labels, ctx=None):
         if len(labels) < self.a:
@@ -127,6 +179,7 @@ class DiffuseBlock(SubtreePredicate):
 
     Labels are packed base-b^d words of length k (leading letter most
     significant); the block below prefix a is all base_n^2 extensions of a.
+    In an ascending set a block is a run of `block` labels with one prefix.
     """
 
     kind = "diffuse_block"
@@ -143,23 +196,31 @@ class DiffuseBlock(SubtreePredicate):
         self.block = self.base_n ** 2
         self.alphabet = self.base_n ** self.k
 
-    def _prefix_counts(self, labels):
-        arr = _as_int_array(labels)
-        return np.unique(arr // self.block, return_counts=True), arr
+    def _segments(self, codes, bounds):
+        _, lengths, seg = _runs(codes // self.block, bounds)
+        full = np.zeros(len(bounds) - 1, dtype=bool)
+        full[seg[lengths == self.block]] = True
+        return full.__getitem__
 
-    def member(self, labels, ctx=None):
-        if len(labels) < self.block:
-            return False
-        (_, counts), _ = self._prefix_counts(labels)
-        return bool((counts == self.block).any())
+    def _running(self):
+        counts = {}
+        full = False
+
+        def push(label, check):
+            nonlocal full
+            prefix = label // self.block
+            counts[prefix] = counts.get(prefix, 0) + 1
+            full = full or counts[prefix] == self.block
+            return check and full
+        return push
 
     def witness_core(self, labels, ctx=None):
-        (prefixes, counts), arr = self._prefix_counts(labels)
-        full = prefixes[counts == self.block]
+        arr = _as_int_array(labels)
+        starts, lengths, _ = _runs(arr // self.block, np.array([0, len(arr)]))
+        full = starts[lengths == self.block]
         if len(full) == 0:
             return None
-        p = int(full[0])
-        return frozenset(int(x) for x in arr[arr // self.block == p])
+        return frozenset(arr[full[0]:full[0] + self.block].tolist())
 
     def witness_subset(self, labels, ctx=None):
         return self.witness_core(labels, ctx)
@@ -175,13 +236,16 @@ class SectionDiffuse(SubtreePredicate):
     """Child sets with a certified-diffuse one-step family below some prefix.
 
     For packed labels (uniform-ratio compression by k base levels) the split
-    prefix is the first k-1 base letters.  For word labels the prefix is the
-    one realized in the section one r_min-step above the child section, as the
-    existence argument prescribes.  Certification is one-sided: a family whose
-    certified constant falls below c counts as a non-member.
+    prefix is the first k-1 base letters, and a family is the letter mask of
+    one prefix.  For word labels the prefix is the one realized in the section
+    one r_min-step above the child section, as the existence argument
+    prescribes.  Certification is one-sided: a family whose certified constant
+    falls below c counts as a non-member.  A set's families are certified in
+    ascending mask order, and only up to the first that passes.
     """
 
     kind = "section_diffuse"
+    _witness_certifies = True
 
     def __init__(self, rho, c, ifs, F_cloud=None, k=None, directions=200,
                  cert_budget=4096):
@@ -229,20 +293,42 @@ class SectionDiffuse(SubtreePredicate):
 
     # -- packed labels ------------------------------------------------------
 
-    def _groups(self, arr):
+    def _families(self, codes, bounds):
+        """Start, letter mask and segment of each (segment, prefix) run."""
         if self.k is None:
             raise InvalidInputError("packed labels need the block length k")
         if self.base_n > 60:
             raise CapabilityError("mask grouping supports at most 60 base letters")
-        if self.k == 1:
-            prefixes = np.zeros(len(arr), dtype=np.int64)
-        else:
-            prefixes = arr // self.base_n
-        letters = arr % self.base_n if self.k > 1 else arr
-        upre, inv = np.unique(prefixes, return_inverse=True)
-        masks = np.zeros(len(upre), dtype=np.int64)
-        np.bitwise_or.at(masks, inv, np.int64(1) << letters.astype(np.int64))
-        return upre, inv, masks
+        prefixes, letters = np.divmod(codes, self.base_n)
+        starts, _, seg = _runs(prefixes, bounds)
+        masks = np.zeros(len(starts), dtype=np.int64)
+        if len(starts):
+            masks = np.bitwise_or.reduceat(np.int64(1) << letters, starts)
+        return starts, masks, seg
+
+    def _segments(self, codes, bounds):
+        _, masks, seg = self._families(codes, bounds)
+        order = np.lexsort((masks, seg))
+        masks, seg = masks[order], seg[order]
+        new = np.ones(len(masks), dtype=bool)
+        new[1:] = (masks[1:] != masks[:-1]) | (seg[1:] != seg[:-1])
+        masks, seg = masks[new], seg[new]
+        first = np.searchsorted(seg, np.arange(len(bounds)))
+
+        def ok(i):
+            return any(self._mask_certified(m)
+                       for m in masks[first[i]:first[i + 1]].tolist())
+        return ok
+
+    def _running(self):
+        masks = {}
+
+        def push(label, check):
+            prefix, letter = divmod(label, self.base_n)
+            masks[prefix] = masks.get(prefix, 0) | 1 << letter
+            return check and any(self._mask_certified(m)
+                                 for m in sorted(set(masks.values())))
+        return push
 
     # -- word labels --------------------------------------------------------
 
@@ -269,20 +355,12 @@ class SectionDiffuse(SubtreePredicate):
     # -- predicate API ------------------------------------------------------
 
     def member(self, labels, ctx=None):
-        if len(labels) == 0:
-            return False
         if _word_labels(labels):
-            for i, pairs in self._word_groups(labels, ctx).items():
-                if self._suffixes_certified([v for v, _ in pairs]):
-                    return True
-            return False
-        arr = _as_int_array(labels)
-        _, _, masks = self._groups(arr)
-        return any(self._mask_certified(int(m)) for m in np.unique(masks))
+            return any(self._suffixes_certified([v for v, _ in pairs])
+                       for pairs in self._word_groups(labels, ctx).values())
+        return super().member(labels, ctx)
 
     def witness_core(self, labels, ctx=None):
-        if len(labels) == 0:
-            return None
         if _word_labels(labels):
             groups = self._word_groups(labels, ctx)
             for i in sorted(groups):
@@ -291,10 +369,11 @@ class SectionDiffuse(SubtreePredicate):
                     return frozenset(w for _, w in pairs)
             return None
         arr = _as_int_array(labels)
-        upre, inv, masks = self._groups(arr)
-        for gi in range(len(upre)):
-            if self._mask_certified(int(masks[gi])):
-                return frozenset(int(x) for x in arr[inv == gi])
+        starts, masks, _ = self._families(arr, np.array([0, len(arr)]))
+        ends = np.append(starts[1:], len(arr))
+        for s, e, m in zip(starts.tolist(), ends.tolist(), masks.tolist()):
+            if self._mask_certified(m):
+                return frozenset(arr[s:e].tolist())
         return None
 
     def witness_subset(self, labels, ctx=None):
@@ -314,16 +393,31 @@ class Intersection(SubtreePredicate):
         self.parts = list(parts)
         if not self.parts:
             raise InvalidInputError("intersection needs at least one part")
+        self._witness_certifies = any(p._witness_certifies for p in self.parts)
 
     def member(self, labels, ctx=None):
         return all(p.member(labels, ctx) for p in self.parts)
+
+    def _segments(self, codes, bounds):
+        tests = [p._segments(codes, bounds) for p in self.parts]
+        return lambda i: all(ok(i) for ok in tests)
+
+    def _running(self):
+        pushes = [p._running() for p in self.parts]
+
+        def push(label, check):
+            # every part takes the label; after a failing part none is checked
+            for part in pushes:
+                check = part(label, check)
+            return check
+        return push
 
     def min_arity(self):
         return max(p.min_arity() for p in self.parts)
 
     def witness_subset(self, labels, ctx=None):
-        if not self.member(labels, ctx):
-            return None
+        # the final check on the result, a subset of `labels`, also rejects a
+        # non-member: membership is monotone
         core = set()
         for p in self.parts:
             take = getattr(p, "witness_core", None)
@@ -332,19 +426,16 @@ class Intersection(SubtreePredicate):
                 if got is None:
                     return None
                 core |= got
-        target = max(self.min_arity(), len(core))
-        chosen = set(core)
-        for x in sorted(labels):
-            if len(chosen) >= target:
-                break
-            x = Word(x) if isinstance(x, tuple) else int(x)
-            chosen.add(x)
-        if len(chosen) < target:
+        need = max(self.min_arity(), len(core)) - len(core)
+        if _word_labels(labels):
+            pad = [Word(x) for x in sorted(labels) if x not in core][:need]
+        else:
+            arr = _as_int_array(labels)
+            pad = arr[~np.isin(arr, list(core))][:need].tolist()
+        if len(pad) < need:
             return None
-        out = frozenset(chosen)
-        if not self.member(out, ctx):
-            return None
-        return out
+        out = frozenset(core.union(pad))
+        return out if self.member(out, ctx) else None
 
     def describe(self):
         return " & ".join(p.describe() for p in self.parts)
@@ -429,11 +520,12 @@ def _witness(root, n, chosen, step):
     """
     children = {}
     levels = [[] for _ in range(n + 1)]
+    leaf = frozenset()  # shared: every empty frozenset() is a new 216-byte object
 
     def build(rel, v, m):
         levels[n - m].append(rel)
         if m == 0:
-            children[rel] = frozenset()
+            children[rel] = leaf
             return
         labels = chosen(v, m)
         if labels is None:
@@ -619,13 +711,30 @@ def predicted_presence(offspring, k, arity, n_levels, mode="block"):
 # layered lazy scan (uniform-ratio pipelines)
 
 
+# expected nodes sampled by one chunk of leaf tests (see `_LayeredScan`)
+_CHUNK_NODES = 4096
+
+
 class _LayeredScan:
     """Greedy DP over k-block-compressed levels of one lazy realization.
 
     Children are tested in lex order and the scan of a node stops at the first
     member-true prefix of its good children, which reproduces the eager DP's
     witness exactly; alive-set prechecks reject nodes whose full child set
-    already fails (membership is monotone).
+    already fails (membership is monotone).  The stop is found online: each
+    good child is pushed into the predicate's running state, which answers
+    for the prefix without judging the whole prefix again.
+
+    Children with one level to go (leaves) are walked a chunk at a time, in
+    one multi-root walk of about `_CHUNK_NODES` expected nodes, and judged
+    segment-wise.  Their results are still taken one by one, in order, so
+    `child_tests`, `capped_nodes` and `nodes_sampled` read as the sequential
+    scan's: a leaf's nodes count when its result is taken, and leaves walked
+    past the stop are dropped.  Only the `node_budget` guard sees the whole
+    chunk, so it can trip at most one chunk earlier.  A good leaf's witness
+    is built by `witness_tree`, for the leaves of the final tree only, unless
+    building it computes certificates: those count in `certs`, so it is built
+    when the leaf passes.
     """
 
     def __init__(self, lazy, k, pred, arity, per_node_cap):
@@ -635,14 +744,13 @@ class _LayeredScan:
         self.arity = int(arity)
         self.per_node_cap = int(per_node_cap)
         self.base_n = lazy.offspring.alphabet_size
+        mean = lazy.offspring.mean()
+        self.chunk = max(1, int(_CHUNK_NODES / sum(mean ** j for j in range(self.k))))
         self.alive = {}
         self.good = {}
         self.witness = {}
         self.child_tests = 0
         self.capped_nodes = 0
-
-    def _letters(self, w):
-        return np.sort(self.lazy.level_codes(w, self.k))
 
     def _block_word(self, lab):
         return Word(block_decode(int(lab), self.base_n, self.k))
@@ -650,58 +758,90 @@ class _LayeredScan:
     def _ctx(self, w):
         return PredicateContext(node=w, height=len(w) // self.k)
 
+    def _alive(self, w):
+        """Level-k codes of w with their stream keys; walked once, counted."""
+        got = self.alive.get(w)
+        if got is None:
+            codes, keys, _, nodes = self.lazy._level([self.lazy.key(w)], self.k)
+            self.lazy.nodes_sampled += int(nodes[0])
+            got = self.alive[w] = (codes, keys)
+        return got
+
+    def _leaves(self, keys):
+        """(labels, good) of each leaf with a stream key in `keys`, in order."""
+        for lo in range(0, len(keys), self.chunk):
+            codes, _, bounds, nodes = self.lazy._level(keys[lo:lo + self.chunk], self.k)
+            ok = self.pred._segments(codes, bounds)
+            for i in range(len(nodes)):
+                self.lazy.nodes_sampled += int(nodes[i])
+                labels = codes[bounds[i]:bounds[i + 1]]
+                yield labels, len(labels) >= self.arity and bool(ok(i))
+
+    def _record_leaf(self, v, labels, ok):
+        """Cache leaf v's result; build its witness now if that certifies."""
+        self.good[(v, 1)] = ok
+        if ok and self.pred._witness_certifies:
+            self.witness[(v, 1)] = self.pred.witness_subset(labels, self._ctx(v))
+        return ok
+
+    def _children(self, w, m, codes, keys):
+        """Test results of w's children in lex order, each computed when taken."""
+        words = (w.cat(self._block_word(lab)) for lab in codes.tolist())
+        if m > 2:
+            return (self.test(v, m - 1) for v in words)
+        # w's children are queued only after w is tested, so none is cached yet
+        return (self._record_leaf(v, labels, ok)
+                for v, (labels, ok) in zip(words, self._leaves(keys)))
+
     def test(self, w, m):
         key = (w, m)
         cached = self.good.get(key)
         if cached is not None:
             return cached
         if m == 0:
-            self.good[key] = True
-            return True
-        ctx = self._ctx(w)
-        if m == 1:
-            letters = self._letters(w)
-            ok = len(letters) >= self.arity and self.pred.member(letters, ctx)
-            if ok:
-                wit = self.pred.witness_subset(letters, ctx)
-                ok = wit is not None
-                if ok:
-                    self.witness[key] = wit
-            self.good[key] = ok
-            return ok
-
-        letters = self.alive.get(w)
-        if letters is None:
-            letters = self._letters(w)
-            self.alive[w] = letters
-        ok = False
-        if len(letters) >= self.arity and self.pred.member(letters, ctx):
-            found = []
-            for idx in range(len(letters)):
-                if len(found) + (len(letters) - idx) < self.arity:
-                    break
-                if idx >= self.per_node_cap:
-                    self.capped_nodes += 1
-                    break
-                lab = int(letters[idx])
-                self.child_tests += 1
-                if self.test(w.cat(self._block_word(lab)), m - 1):
-                    found.append(lab)
-                    if len(found) >= self.arity and self.pred.member(
-                        np.array(found, dtype=np.int64), ctx
-                    ):
-                        ok = True
-                        break
-            if ok:
-                wit = self.pred.witness_subset(np.array(found, dtype=np.int64), ctx)
-                ok = wit is not None
-                if ok:
-                    self.witness[key] = wit
+            ok = True
+        elif m == 1:
+            ok = self._record_leaf(w, *next(self._leaves([self.lazy.key(w)])))
+        else:
+            ok = self._greedy(w, m)
         self.good[key] = ok
         return ok
 
+    def _greedy(self, w, m):
+        """Whether w has a witness m levels deep; stores w's chosen children."""
+        codes, keys = self._alive(w)
+        ctx = self._ctx(w)
+        n = len(codes)
+        if n < self.arity or not self.pred.member(codes, ctx):
+            return False
+        results = self._children(w, m, codes, keys)
+        push = self.pred._running()
+        found = []
+        for idx in range(n):
+            if len(found) + (n - idx) < self.arity:
+                break
+            if idx >= self.per_node_cap:
+                self.capped_nodes += 1
+                break
+            self.child_tests += 1
+            if next(results):
+                lab = int(codes[idx])
+                found.append(lab)
+                if push(lab, len(found) >= self.arity):
+                    self.witness[(w, m)] = self.pred.witness_subset(
+                        np.array(found, dtype=np.int64), ctx)
+                    return True
+        return False
+
     def witness_tree(self, v, n):
-        children, _ = _witness(v, n, lambda w, m: self.witness[(w, m)],
+        def chosen(w, m):
+            wit = self.witness.get((w, m))
+            if wit is None and m == 1:  # deferred: walk the leaf again, uncounted
+                labels = self.lazy._level([self.lazy.key(w)], self.k)[0]
+                wit = self.pred.witness_subset(labels, self._ctx(w))
+            return wit
+
+        children, _ = _witness(v, n, chosen,
                                lambda w, lab: w.cat(self._block_word(lab)))
         return FiniteTree(self.base_n ** self.k, n, children, validate=False)
 
@@ -712,9 +852,13 @@ class _LayeredScan:
 
 
 def _scan_candidates(layered, n_total, scan_budget):
-    """Breadth-first vertex scan; first hit wins; deterministic in the seed."""
+    """Breadth-first vertex scan; first hit wins; deterministic in the seed.
+
+    Only as many vertices are queued as the budget can still pop.
+    """
     q = deque([(Word(), 0)])
     tested = 0
+    dropped = False
     by_level = {}
     while q and tested < scan_budget:
         w, lvl = q.popleft()
@@ -725,12 +869,15 @@ def _scan_candidates(layered, n_total, scan_budget):
             stats = {"candidates_tested": tested,
                      "by_level": {str(a): b for a, b in sorted(by_level.items())}}
             return w, m, stats
-        if lvl + 1 <= n_total - 1:
-            for lab in layered.alive.get(w, ()):
-                q.append((w.cat(layered._block_word(int(lab))), lvl + 1))
+        if lvl + 1 <= n_total - 1 and w in layered.alive:
+            codes = layered.alive[w][0]
+            room = scan_budget - tested - len(q)
+            dropped = dropped or len(codes) > room
+            for lab in codes[:room].tolist():
+                q.append((w.cat(layered._block_word(lab)), lvl + 1))
     stats = {"candidates_tested": tested,
              "by_level": {str(a): b for a, b in sorted(by_level.items())},
-             "scan_budget": int(scan_budget), "exhausted": not q}
+             "scan_budget": int(scan_budget), "exhausted": not q and not dropped}
     stats.update(layered.scan_stats())
     raise NotFoundError(
         "no witness found among %d candidates at this depth/seed" % tested, stats

@@ -735,14 +735,17 @@ def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0
         raise InvalidInputError("empty cloud")
     diam = cloud.diameter()
     scale_count = int(scale_count)
+    sample_count = int(sample_count)
     if scale_count < 1 or diam <= 0:
         raise InvalidInputError("need scale_count >= 1 and a cloud of positive diameter")
+    if sample_count < 1:
+        raise InvalidInputError("need at least one ball (sample_count >= 1)")
     xis = [diam / 4.0 * 0.5 ** j for j in range(scale_count)]
     if xis[-1] < 10.0 * cloud.eps:
         raise InvalidInputError(
             "smallest scale %.3g is under 10*eps=%.3g; render deeper" % (xis[-1], 10 * cloud.eps)
         )
-    per_scale = max(1, -(-int(sample_count) // scale_count))
+    per_scale = -(-sample_count // scale_count)
     rng = np.random.Generator(np.random.Philox(key=seed))
     balls = _BallWidths(cloud, beta, cloud.eps)
     worst = None

@@ -10,6 +10,7 @@ from gwfract.branching import (
     extinction_prob,
     labeled_seed,
     mc_extinction_frequency,
+    mix64_vec,
     offspring_from_json,
     parallel_map,
     pgf,
@@ -97,6 +98,41 @@ def test_lazy_level_words_and_codes_agree():
     assert sorted(enc) == sorted(int(x) for x in codes)
     # and both agree with the eager realization of the same seed
     assert sorted(words) == sorted(sample_gw(off, 4, seed=42).tree.level(4))
+
+
+def test_sampler_matches_float_formula():
+    # the integer threshold ceil(p * 2^53) keeps exactly the letters that the
+    # float test (u >> 11) * 2^-53 < p keeps
+    rng = np.random.default_rng(7)
+    keys = rng.integers(0, 2 ** 63, size=20_000, dtype=np.uint64) * np.uint64(2)
+    keys += rng.integers(0, 2, size=len(keys), dtype=np.uint64)
+    laws = [Binomial(6, p) for p in (1e-9, 0.3, 0.9, 1.0)]
+    laws.append(PerLetterBernoulli((1e-9, 0.3, 0.5, 0.9, 1.0, 2.0 ** -53)))
+    for law in laws:
+        offs = np.arange(1, law.alphabet_size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        u = mix64_vec(keys[:, None] + offs) >> np.uint64(11)
+        expected = u * 2.0 ** -53 < law.letter_probs()
+        assert np.array_equal(law.sample_matrix(keys), expected), law.to_json()
+    assert law.sample_matrix(keys)[:, 4].all()  # p = 1 keeps every letter
+
+
+def test_multi_root_walk_matches_single_roots():
+    off = Binomial(4, 0.8)
+    lazy = LazyGW(off, seed=9)
+    roots = [Word((a,)) for a in sorted(lazy.children(Word()))] + [Word((0, 0, 0, 0))]
+    keys = np.array([lazy.key(w) for w in roots], dtype=np.uint64)
+    before = lazy.nodes_sampled
+    codes, leaf_keys, bounds, nodes = lazy._level(keys, 3)
+    assert lazy.nodes_sampled == before  # _level leaves the counter to its caller
+    for i, w in enumerate(roots):
+        alone = LazyGW(off, seed=9)
+        got = codes[bounds[i]:bounds[i + 1]]
+        assert np.array_equal(got, alone.level_codes(w, 3))
+        assert nodes[i] == alone.nodes_sampled
+        for code, key in zip(got.tolist(), leaf_keys[bounds[i]:bounds[i + 1]].tolist()):
+            tail = [code // 4 ** (2 - j) % 4 for j in range(3)]
+            assert key == alone.key(w.cat(Word(tail)))
+    assert np.all(np.diff(codes[bounds[0]:bounds[1]]) > 0)  # ascending, no sort
 
 
 def test_lazy_order_independent():

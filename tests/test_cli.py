@@ -188,6 +188,13 @@ def test_check_diffuse_pass_and_fail():
     assert doc2["pass"] is False
 
 
+def test_check_diffuse_zero_balls_exits_2():
+    code, doc, _ = run_json(["check-diffuse", "--percolation", "b=3,d=2,p=1",
+                             "--depth", "6", "--balls", "0", "--beta", "0.01"])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
 def test_check_diffuse_zero_diameter_cloud_exits_2(tmp_path):
     path = tmp_path / "one_point.csv"
     path.write_text("0.5,0.5\n")

@@ -16,6 +16,7 @@ from gwfract.extraction import (
     DiffuseBlock,
     Intersection,
     NotFoundError,
+    SectionDiffuse,
     SectionLaw,
     diffuse_block_collection,
     find_subtree,
@@ -130,7 +131,7 @@ def test_layered_scan_matches_eager_dp():
             scan = _LayeredScan(lazy, k, pred, A, per_node_cap=10 ** 9)
             # the root with two levels to go, and its first 20 block children
             vertices = [(Word(), 2)] + [(scan._block_word(lab), 1)
-                                        for lab in scan._letters(Word())[:20]]
+                                        for lab in scan._alive(Word())[0][:20]]
             for v, m in vertices:
                 eager = find_subtree(_block_tree(lazy, v, m, k), pred, m)
                 assert scan.test(v, m) == (eager is not None), (b, p, k, seed, v)
@@ -139,6 +140,106 @@ def test_layered_scan_matches_eager_dp():
                     witnesses += 1
                 tested += 1
     assert tested == 378 and 0 < witnesses < tested
+
+
+def _random_label_sets(rng, alphabet, group, count):
+    """Label sets from sparse to dense, some holding whole prefix groups."""
+    for _ in range(count):
+        keep = rng.random(alphabet) < rng.choice((0.3, 0.6, 0.9))
+        for g in rng.choice(alphabet // group, size=rng.integers(0, 3)):
+            keep[g * group:(g + 1) * group] = True
+        yield np.flatnonzero(keep)
+
+
+@pytest.mark.parametrize("kind", ["block", "section"])
+def test_witness_exists_exactly_for_members(kind):
+    # the lazy scan builds most witnesses only for the final tree, which is
+    # sound because a member always has one
+    rng = np.random.default_rng(3)
+    if kind == "block":
+        pred = Intersection([DiffuseBlock(2, 3, d=2), Ary(27)])
+        alphabet, group = 64, 16
+    else:
+        ifs = percolation_ifs(3, 2)
+        pred = Intersection([SectionDiffuse(3.0 ** -2, 0.05, ifs, k=2), Ary(9)])
+        alphabet, group = 81, 9
+    outcomes = set()
+    for labels in _random_label_sets(rng, alphabet, group, 150):
+        member = pred.member(labels)
+        wit = pred.witness_subset(labels)
+        assert (wit is not None) == member
+        assert pred.witness_subset(frozenset(labels.tolist())) == wit
+        if wit is not None:
+            assert wit <= set(labels.tolist())
+            assert len(wit) >= pred.min_arity()
+            assert pred.member(wit)
+        outcomes.add(member)
+    assert outcomes == {True, False}
+
+
+def _pinned(es):
+    stats = {k: v for k, v in es.stats.items() if k != "predicted"}
+    return (es.root_word.text,
+            hashlib.sha256(es.tree_text().encode()).hexdigest(), stats)
+
+
+def test_block_scan_pinned_outputs():
+    root, sha, stats = _pinned(percolation_pipeline(2, 2, 0.9, 2, 4, depth=12, seed=0))
+    assert root == "0-3-1-0"
+    assert sha == "6fda43cad724476fb62322ac046f5d02e1fb2f2aefffd18c454a52a948cb1011"
+    assert stats["candidates_tested"] == 50
+    assert stats["by_level"] == {"0": 1, "1": 49}
+    assert (stats["child_tests"], stats["capped_nodes"], stats["nodes_sampled"]) \
+        == (12817, 0, 822124)
+
+    root, sha, stats = _pinned(percolation_pipeline(2, 2, 0.9, 2, 4, depth=12, seed=0,
+                                                    per_node_cap=40))
+    assert root == "1-0-0-1"
+    assert sha == "66c033f26116c74ecc2751a0ec70b4ece32feea3039dceb218d4ce76db22d4be"
+    assert stats["candidates_tested"] == 62
+    assert (stats["child_tests"], stats["capped_nodes"], stats["nodes_sampled"]) \
+        == (2070, 51, 133649)
+
+    root, sha, stats = _pinned(percolation_pipeline(3, 2, 0.99, 3, 4, depth=8, seed=1))
+    assert root == ""
+    assert sha == "7ffe168443208b121e6c03a16784797aabe27a77ef94533426dbd16e4c43a751"
+    assert (stats["child_tests"], stats["nodes_sampled"]) == (159, 127251)
+
+
+def test_block_scan_pinned_not_found():
+    with pytest.raises(NotFoundError) as ei:
+        percolation_pipeline(2, 2, 0.9, 2, 4, depth=12, seed=0, scan_budget=4)
+    stats = ei.value.stats
+    assert stats["candidates_tested"] == 4
+    assert (stats["child_tests"], stats["nodes_sampled"]) == (12817, 822124)
+    assert stats["exhausted"] is False
+
+
+def test_scan_exhausted_only_when_nothing_was_dropped():
+    # seed 0 has 12 vertices below the root and no witness anywhere
+    for budget, exhausted in ((10 ** 6, True), (13, True), (12, False)):
+        with pytest.raises(NotFoundError) as ei:
+            percolation_pipeline(2, 2, 0.6, 2, 4, depth=8, seed=0, scan_budget=budget)
+        stats = ei.value.stats
+        assert stats["candidates_tested"] == min(budget, 13)
+        assert stats["exhausted"] is exhausted, budget
+
+
+def test_section_scan_pinned_outputs():
+    es = general_pipeline(percolation_ifs(3, 2), Binomial(9, 0.7), rho=3.0 ** -4,
+                          alpha=1, c=0.05, seed=20, n_levels=2)
+    stats = _pinned(es)[2]
+    assert (stats["certs"], stats["child_tests"], stats["nodes_sampled"]) \
+        == (238, 81, 23550)
+    # 136 children are tested for an 81-ary witness, so some passing children
+    # stay out of the tree; building their witnesses certifies 13 more families
+    root, sha, stats = _pinned(general_pipeline(
+        percolation_ifs(3, 2), Binomial(9, 0.6), rho=3.0 ** -4, alpha=1, c=0.14,
+        seed=2, n_levels=2))
+    assert root == ""
+    assert sha == "ff95ddec5839e922c9ba843c9a2d1d7326781eec10fe37641b95e85b2bdf3df1"
+    assert (stats["certs"], stats["child_tests"], stats["nodes_sampled"]) \
+        == (502, 136, 25398)
 
 
 def test_natural_measure_mass_law():
