@@ -340,16 +340,14 @@ class LazyGW:
     def _walk(self, keys, rel_depth):
         """Vectorized breadth-first walk below the roots with stream keys `keys`.
 
-        Each step samples one level and yields (counts, letters, keys, bounds):
-        the child count of each node of the level, in order; the letters of
-        all their children, grouped by parent and ascending within one; the
-        children's stream keys; and `bounds`, where the children descending
-        from root i sit at positions bounds[i]:bounds[i+1] of the new level.
-        The walk counts its nodes against `node_budget` on top of
-        `nodes_sampled`; callers add the nodes they use to that counter.
+        Each step samples one level and yields (counts, letters, keys): the
+        child count of each node of the level, in order; the letters of all
+        their children, grouped by parent and ascending within one; and the
+        children's stream keys.  The walk counts its nodes against
+        `node_budget` on top of `nodes_sampled`; callers add the nodes they
+        use to that counter.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        bounds = np.arange(len(keys) + 1)
         walked = self.nodes_sampled
         for lvl in range(rel_depth):
             if len(keys) == 0:
@@ -364,8 +362,7 @@ class LazyGW:
                     partial=lvl,
                 )
             keys = _child_keys_vec(np.repeat(keys, counts), letters)
-            bounds = np.concatenate(([0], np.cumsum(counts)))[bounds]
-            yield counts, letters, keys, bounds
+            yield counts, letters, keys
 
     def _level(self, keys, rel_depth):
         """The nodes `rel_depth` levels below each root with stream key in `keys`.
@@ -382,42 +379,37 @@ class LazyGW:
         codes = np.zeros(len(keys), dtype=np.int64)
         bounds = np.arange(len(keys) + 1)
         nodes = np.zeros(len(keys), dtype=np.int64)
-        for counts, letters, keys, step in self._walk(keys, rel_depth):
+        for counts, letters, keys in self._walk(keys, rel_depth):
             nodes += np.diff(bounds)
             codes = np.repeat(codes, counts) * n + letters
-            bounds = step
+            # the children of root i's nodes sit at bounds[i]:bounds[i+1] of the new level
+            bounds = np.concatenate(([0], np.cumsum(counts)))[bounds]
         return codes, keys, bounds, nodes
 
     def children(self, word):
         word = Word(word)
         cs = self._children.get(word)
         if cs is None:
-            _, letters, _, _ = next(self._walk([self.key(word)], 1))
+            _, letters, _ = next(self._walk([self.key(word)], 1))
             self.nodes_sampled += 1
             cs = frozenset(letters.tolist())
             self._children[word] = cs
         return cs
 
     def expand(self, word, rel_depth):
-        """Materialize the subtree below `word` to a relative depth (vectorized)."""
-        words = [Word()]
-        children = {}
-        for counts, letters, _, _ in self._walk([self.key(word)], rel_depth):
+        """Materialize the subtree below `word` to a relative depth (vectorized).
+
+        The walk yields each level in lexicographic order, which is the order
+        `FiniteTree` stores; levels past an extinction stay empty.
+        """
+        empty = np.zeros(0, dtype=np.int64)
+        letters, parents = [None] + [empty] * rel_depth, [None] + [empty] * rel_depth
+        walk = self._walk([self.key(word)], rel_depth)
+        for n, (counts, kids, _) in enumerate(walk, 1):
             self.nodes_sampled += len(counts)
-            next_words = []
-            pos = 0
-            for w, c in zip(words, counts.tolist()):
-                kids = letters[pos:pos + c].tolist()
-                children[w] = frozenset(kids)
-                next_words.extend(w.child(j) for j in kids)
-                pos += c
-            words = next_words
-        for w in words:
-            children[w] = frozenset()
-        # nodes whose parents died never appear; fill the root if it vanished
-        if Word() not in children:
-            children[Word()] = frozenset()
-        return FiniteTree(self.offspring.alphabet_size, rel_depth, children, validate=False)
+            letters[n] = kids
+            parents[n] = np.repeat(np.arange(len(counts)), counts)
+        return FiniteTree._of(self.offspring.alphabet_size, rel_depth, letters, parents)
 
     def level_codes(self, word, rel_depth):
         """Packed codes, ascending, of the relative words alive at depth `rel_depth`.

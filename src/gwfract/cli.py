@@ -23,8 +23,8 @@ from .branching import (Binomial, extinction_prob, labeled_seed,
                         sample_gw)
 from .fixpoint import (GFunction, collection_from_json, g_k_a_curve,
                        smallest_fixed_point)
-from .geometry import (MeasuredCloud, ahlfors_ratio_check, box_dimension,
-                       cloud_from_csv, cloud_to_csv, cloud_to_pgm,
+from .geometry import (MeasuredCloud, _csv_rows, _csv_text, ahlfors_ratio_check,
+                       box_dimension, cloud_from_csv, cloud_to_csv, cloud_to_pgm,
                        diffuseness_constant, empirical_diffuse_check,
                        ifs_from_json, moran_exponent, percolation_ifs, render)
 from .extraction import (NotFoundError, _attractor_cloud, general_pipeline,
@@ -369,27 +369,18 @@ def _write_bytes(path, blob):
 
 
 def measured_to_csv(mc):
-    lines = []
-    for p, m, r in zip(mc.points, mc.masses, mc.cell_radii):
-        lines.append(",".join(repr(float(x)) for x in p)
-                     + ",%r,%r" % (float(m), float(r)))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _csv_text(np.column_stack((mc.points, mc.masses, mc.cell_radii)))
 
 
 def measured_from_csv(text):
-    pts, masses, radii = [], [], []
-    for line in text.strip().splitlines():
-        if not line.strip():
-            continue
-        cells = [float(x) for x in line.split(",")]
-        if len(cells) < 4:
-            raise InvalidInputError("measured CSV rows are x...,mass,radius")
-        pts.append(cells[:-2])
-        masses.append(cells[-2])
-        radii.append(cells[-1])
-    if not pts:
+    cells = _csv_rows(text, "measured")
+    if not len(cells):
         raise InvalidInputError("measured CSV is empty")
-    return MeasuredCloud(np.array(pts), np.array(masses), np.array(radii))
+    if cells.shape[1] < 4:
+        raise InvalidInputError("measured CSV rows are x...,mass,radius")
+    # contiguous columns: numpy sums a strided column buffer by buffer,
+    # which can round differently
+    return MeasuredCloud(cells[:, :-2].copy(), cells[:, -2].copy(), cells[:, -1].copy())
 
 
 # ---------------------------------------------------------------------------

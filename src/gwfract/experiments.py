@@ -393,7 +393,7 @@ def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
     ifs = percolation_ifs(b, d)
 
     sample = sample_gw(offspring, depth, seed=labeled_seed(seed, "sample"))
-    if not sample.tree.level(depth):
+    if sample.extinct_at is not None:
         raise DegenerateSampleError("sample died out before target depth")
     cloud = render(ifs, tree=sample.tree)
 

@@ -17,6 +17,7 @@ from .symbolic import (
     InvalidInputError,
     StarTree,
     WeightedAlphabet,
+    _word_rows,
 )
 
 _ORTHO_TOL = 1e-10
@@ -290,6 +291,8 @@ def _compose(ifs, letters, lengths):
 
 
 def _render_letters(ifs, letters, lengths, base_point, meta):
+    if letters.size and not (0 <= letters.min() and letters.max() < ifs.alphabet_size):
+        raise InvalidInputError("letter out of range for %d maps" % ifs.alphabet_size)
     if base_point is None:
         base_point = ifs.centroid()
     base_point = np.asarray(base_point, dtype=float)
@@ -301,26 +304,21 @@ def _render_letters(ifs, letters, lengths, base_point, meta):
 
 def render_words(ifs, words, base_point=None, meta=None):
     """One representative point per word: the image of a fixed base point."""
-    words = list(words)
-    if not words:
+    letters, lengths = _word_rows(words)
+    if not len(lengths):
         return PointCloud(np.zeros((0, ifs.d)), 0.0, meta=dict(meta or {}, empty=True))
-    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    flat = np.fromiter((a for w in words for a in w), dtype=np.int64, count=int(lengths.sum()))
-    if ((flat < 0) | (flat >= ifs.alphabet_size)).any():
-        raise InvalidInputError("letter out of range for %d maps" % ifs.alphabet_size)
-    letters = np.zeros((len(words), int(lengths.max())), dtype=np.int64)
-    letters[np.arange(letters.shape[1]) < lengths[:, None]] = flat
     return _render_letters(ifs, letters, lengths, base_point, meta)
 
 
 def render(ifs, tree=None, depth=None, base_point=None):
     """Point cloud of the deepest surviving level (or the full tree of a depth)."""
-    if tree is None:
-        if depth is None:
-            raise InvalidInputError("need a tree or an explicit depth")
+    if depth is not None:
         depth = int(depth)
         if depth < 0:
             raise InvalidInputError("depth must be >= 0")
+    if tree is None:
+        if depth is None:
+            raise InvalidInputError("need a tree or an explicit depth")
         n = ifs.alphabet_size
         if n ** depth > 10_000_000:
             raise InvalidInputError("full render too large at this depth")
@@ -334,10 +332,12 @@ def render(ifs, tree=None, depth=None, base_point=None):
         return render_words(ifs, words, base_point, meta={"height": h})
     if depth is None:
         depth = tree.depth
-    words = tree.level(min(depth, tree.depth))
-    if not words:
+    n = min(depth, tree.depth)
+    letters = tree._rows(n)
+    if not len(letters):
         return PointCloud(np.zeros((0, ifs.d)), 0.0, meta={"extinct": True})
-    return render_words(ifs, words, base_point, meta={"depth": depth})
+    return _render_letters(ifs, letters, np.full(len(letters), n), base_point,
+                           {"depth": depth})
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +408,10 @@ def box_dimension(cloud, scale_count=12, scales=None, anchor="min"):
             raise InvalidInputError("scales must be positive")
     counts = []
     for delta in scales:
+        # distinct cells: sort the rows, count the rows that differ from their predecessor
         cells = np.floor((pts - lo) / delta).astype(np.int64)
-        counts.append(len(np.unique(cells, axis=0)))
+        cells = cells[np.lexsort(cells.T)]
+        counts.append(1 + int(np.count_nonzero((cells[1:] != cells[:-1]).any(axis=1))))
     if len(scales) < 3:
         raise InvalidInputError("fewer than 3 usable scales")
     slope = np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0]
@@ -877,6 +879,9 @@ def ahlfors_ratio_check(measured, alpha, sample_count=1000, seed=0, r_count=6,
     Outer mass counts cells meeting the ball, inner mass counts cells inside;
     the max ratio uses outer, the min uses inner, so the spread is honest.
     """
+    sample_count = int(sample_count)
+    if sample_count < 1:
+        raise InvalidInputError("need at least one ball (sample_count >= 1)")
     pts, masses, radii = measured.points, measured.masses, measured.cell_radii
     total = masses.sum()
     if abs(total - 1.0) > 1e-6:
@@ -892,7 +897,7 @@ def ahlfors_ratio_check(measured, alpha, sample_count=1000, seed=0, r_count=6,
         r_lo, r_hi = r_range
     rs = np.geomspace(r_hi, r_lo, int(r_count))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    per = max(1, -(-int(sample_count) // len(rs)))
+    per = -(-sample_count // len(rs))
     c1, c2 = np.inf, 0.0
     samples = []
     for rad in rs:
@@ -997,19 +1002,30 @@ def ifs_to_json(ifs):
     return out
 
 
+def _csv_text(rows):
+    """Headerless CSV of a float matrix, each value written by `repr`."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+
+
+def _csv_rows(text, what):
+    """Float matrix of a headerless CSV; blank lines are skipped."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    widths = {ln.count(",") for ln in lines}
+    if len(widths) > 1:
+        raise InvalidInputError("%s CSV rows must all have the same number of columns" % what)
+    try:
+        flat = np.array(",".join(lines).split(",") if lines else [], dtype=float)
+    except ValueError:
+        raise InvalidInputError("%s CSV holds a value that is not a number" % what)
+    return flat.reshape(len(lines), -1) if lines else flat.reshape(0, 2)
+
+
 def cloud_to_csv(cloud):
-    lines = []
-    for p in cloud.points:
-        lines.append(",".join(repr(float(x)) for x in p))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _csv_text(cloud.points)
 
 
 def cloud_from_csv(text, eps=0.0):
-    pts = []
-    for line in text.strip().splitlines():
-        if line.strip():
-            pts.append([float(x) for x in line.split(",")])
-    return PointCloud(np.array(pts) if pts else np.zeros((0, 2)), eps)
+    return PointCloud(_csv_rows(text, "cloud"), eps)
 
 
 def cloud_to_pgm(cloud, pixels=512, lo=None, hi=None):

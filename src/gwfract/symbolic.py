@@ -7,7 +7,9 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from itertools import product
+from functools import cached_property
+
+import numpy as np
 
 # relative tolerance for weight-vs-threshold comparisons at section boundaries
 REL_TOL = 1e-12
@@ -45,9 +47,6 @@ class Word(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, letters=()):
-        return super().__new__(cls, letters)
-
     def cat(self, other):
         return Word(tuple.__add__(self, tuple(other)))
 
@@ -71,13 +70,6 @@ class Word(tuple):
     @property
     def text(self):
         return "-".join(str(a) for a in self)
-
-    @classmethod
-    def parse(cls, s):
-        s = s.strip()
-        if not s:
-            return cls()
-        return cls(int(part) for part in s.split("-"))
 
     def __repr__(self):
         return "Word(%s)" % (self.text or "empty")
@@ -245,23 +237,84 @@ def rho_index(weights, rho, word):
     raise InvalidInputError("word %r does not lie in any graded section for rho=%g" % (word, rho))
 
 
+def _word_rows(words):
+    """Padded (n, longest) int64 letter matrix of a word list, and the word lengths."""
+    words = list(words)
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    flat = np.fromiter((a for w in words for a in w), dtype=np.int64, count=int(lengths.sum()))
+    return _pad(flat, lengths), lengths
+
+
+def _pad(flat, lengths):
+    # rows of the given lengths filled from `flat` end to end; the tail of a row is 0
+    rows = np.zeros((len(lengths), int(lengths.max(initial=0))), dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = flat
+    return rows
+
+
+def _tree_levels(alphabet_size, depth, rows, lengths):
+    """Per-level letters and parent indices of the prefix closure of letter rows.
+
+    The one tree builder.  Row i spells a word of lengths[i] letters.  Level j
+    keys each row long enough by (rank of its prefix at level j-1) * alphabet +
+    letter; the ranks are below the node count, so no key overflows, and one
+    sort per level puts the level in lexicographic order.
+    """
+    if depth < 0:
+        raise InvalidInputError("depth must be >= 0")
+    if len(lengths) and lengths.max() > depth:
+        raise InvalidInputError("word longer than the declared depth %d" % depth)
+    live = rows[np.arange(rows.shape[1]) < lengths[:, None]]
+    if live.size and not (0 <= live.min() and live.max() < alphabet_size):
+        raise InvalidInputError("letter out of range for alphabet size %d" % alphabet_size)
+    letters, parents = [None], [None]
+    rank = np.zeros(len(rows), dtype=np.int64)
+    for j in range(1, depth + 1):
+        keep = lengths >= j
+        rows, lengths, rank = rows[keep], lengths[keep], rank[keep]
+        keys, rank = np.unique(rank * alphabet_size + (rows[:, j - 1] if len(rows) else 0),
+                               return_inverse=True)
+        letters.append(keys % alphabet_size)
+        parents.append(keys // alphabet_size)
+    return letters, parents
+
+
 class FiniteTree:
-    """Prefix-closed set of words sampled to a depth, stored as child-set maps."""
+    """Prefix-closed set of words sampled to a depth, stored level by level.
+
+    Level n = 1..depth holds the last letter of each of its words and the index
+    of each word's parent in level n-1, in lexicographic order, so the parent
+    indices ascend.  The root is level 0.  `level`, `children` and `nodes` are
+    views built from the arrays on first use.
+    """
 
     def __init__(self, alphabet_size, depth, children, validate=True):
         self.alphabet_size = int(alphabet_size)
         self.depth = int(depth)
-        self.children = {Word(w): frozenset(cs) for w, cs in children.items()}
         if validate:
-            self._validate()
-        self._levels = None
+            self._validate({Word(w): frozenset(cs) for w, cs in children.items()})
+        self._set(*_tree_levels(self.alphabet_size, self.depth, *_word_rows(children)))
 
-    def _validate(self):
+    def _set(self, letters, parents):
+        self._letters = letters
+        self._parents = parents
+        self._words = {}
+
+    @classmethod
+    def _of(cls, alphabet_size, depth, letters, parents):
+        """Tree over ready level arrays (index 0, the root, is unused)."""
+        tree = cls.__new__(cls)
+        tree.alphabet_size = int(alphabet_size)
+        tree.depth = int(depth)
+        tree._set(letters, parents)
+        return tree
+
+    def _validate(self, children):
         if self.depth < 0:
             raise InvalidInputError("depth must be >= 0")
-        if Word() not in self.children:
+        if Word() not in children:
             raise InvalidInputError("root must be present")
-        for w, cs in self.children.items():
+        for w, cs in children.items():
             if len(w) > self.depth:
                 raise InvalidInputError("node %r deeper than declared depth" % (w,))
             for a in tuple(w) + tuple(cs):
@@ -270,87 +323,145 @@ class FiniteTree:
             if len(w) == self.depth and cs:
                 raise InvalidInputError("nodes at the final depth cannot have children")
             for a in cs:
-                if w.child(a) not in self.children:
+                if w.child(a) not in children:
                     raise InvalidInputError("child %r missing from node map" % (w.child(a),))
             if w:
                 par = w.parent
-                if par not in self.children or w[-1] not in self.children[par]:
+                if par not in children or w[-1] not in children[par]:
                     raise InvalidInputError("node %r not linked from its parent" % (w,))
 
     @classmethod
-    def from_words(cls, alphabet_size, depth, words, validate=True):
+    def from_words(cls, alphabet_size, depth, words):
         """Build a tree from any word set by closing under prefixes."""
-        nodes = {Word()}
-        for w in words:
-            w = Word(w)
-            for i in range(len(w) + 1):
-                nodes.add(Word(w[:i]))
-        children = {}
-        for w in nodes:
-            children[w] = frozenset(a for a in range(alphabet_size) if w.child(a) in nodes)
-        return cls(alphabet_size, depth, children, validate=validate)
+        return cls._of(alphabet_size, depth,
+                       *_tree_levels(int(alphabet_size), int(depth), *_word_rows(words)))
 
     @classmethod
     def full(cls, alphabet_size, depth):
-        children = {}
-        all_letters = frozenset(range(alphabet_size))
-        for n in range(depth + 1):
-            cs = all_letters if n < depth else frozenset()
-            for w in product(range(alphabet_size), repeat=n):
-                children[Word(w)] = cs
-        return cls(alphabet_size, depth, children, validate=False)
+        n = int(alphabet_size)
+        letters = [None] + [np.tile(np.arange(n), n ** (h - 1)) for h in range(1, depth + 1)]
+        parents = [None] + [np.repeat(np.arange(n ** (h - 1)), n) for h in range(1, depth + 1)]
+        return cls._of(n, depth, letters, parents)
+
+    def _rows(self, n):
+        """(size, n) letter matrix of level n, row i spelling the i-th word."""
+        size = len(self._letters[n]) if n else 1
+        rows = np.empty((size, n), dtype=np.int64)
+        idx = np.arange(size)
+        for j in range(n, 0, -1):
+            rows[:, j - 1] = self._letters[j][idx]
+            idx = self._parents[j][idx]
+        return rows
+
+    def level(self, n):
+        """Sorted words at length n."""
+        if not 0 <= n <= self.depth:
+            return []
+        words = self._words.get(n)
+        if words is None:
+            words = self._words[n] = list(map(Word, self._rows(n).tolist()))
+        return words
+
+    @cached_property
+    def children(self):
+        """Child letter set of every node; all leaves share one empty frozenset."""
+        leaf = frozenset()
+        out = {}
+        for n in range(self.depth):
+            words = self.level(n)
+            kids = self._letters[n + 1].tolist()
+            # parents ascend, so node i's children end where parent i + 1's begin
+            ends = np.searchsorted(self._parents[n + 1], np.arange(1, len(words) + 1)).tolist()
+            b = 0
+            for w, e in zip(words, ends):
+                out[w] = frozenset(kids[b:e]) if e > b else leaf
+                b = e
+        out.update(dict.fromkeys(self.level(self.depth), leaf))
+        return out
 
     def nodes(self):
         return self.children.keys()
 
+    def _has(self, rows, lengths):
+        """Whether each padded letter row, of the given length, spells a node.
+
+        Walks down the levels as the builder does: a level's keys
+        parent * alphabet + letter ascend, so one search per level finds
+        each row's node there.
+        """
+        a = self.alphabet_size
+        found = (lengths <= self.depth) & ((rows >= 0) & (rows < a)).all(axis=1)
+        idx = np.zeros(len(rows), dtype=np.int64)
+        for j in range(1, min(int(lengths.max(initial=0)), self.depth) + 1):
+            live = np.flatnonzero(found & (lengths >= j))
+            keys = self._parents[j] * a + self._letters[j]
+            want = idx[live] * a + rows[live, j - 1]
+            pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            hit = keys[pos] == want if len(keys) else np.zeros(len(live), dtype=bool)
+            found[live] = hit
+            idx[live] = pos
+        return found
+
     def __contains__(self, word):
-        return Word(word) in self.children
+        return bool(self._has(*_word_rows([word]))[0])
 
     def __len__(self):
-        return len(self.children)
-
-    def level(self, n):
-        """Sorted words at length n."""
-        if self._levels is None:
-            levels = {}
-            for w in self.children:
-                levels.setdefault(len(w), []).append(w)
-            self._levels = {n: sorted(ws) for n, ws in levels.items()}
-        return self._levels.get(n, [])
+        return sum(self.level_sizes())
 
     def level_sizes(self):
-        return [len(self.level(n)) for n in range(self.depth + 1)]
+        return [1] + [len(p) for p in self._parents[1:]]
 
     def extinct_level(self):
         """First empty level, or None if alive at the final depth."""
-        for n in range(self.depth + 1):
-            if not self.level(n):
-                return n
-        return None
+        sizes = self.level_sizes()
+        return sizes.index(0) if 0 in sizes else None
 
     def __eq__(self, other):
         return (
             isinstance(other, FiniteTree)
             and self.alphabet_size == other.alphabet_size
             and self.depth == other.depth
-            and self.children == other.children
+            and all(np.array_equal(a, b) for a, b in zip(self._letters[1:], other._letters[1:]))
+            and all(np.array_equal(a, b) for a, b in zip(self._parents[1:], other._parents[1:]))
         )
 
     def to_text(self):
-        """One word per line as hyphen-separated letters, sorted lexicographically."""
-        return "\n".join(w.text for w in sorted(self.children)) + "\n"
+        """One word per line as hyphen-separated letters, in lexicographic (pre)order.
+
+        Letters are decimal and ordered as numbers, so 10 follows 9.
+        """
+        width = max(self.depth, 1)
+        pads, lines, prev = [np.full((1, width), -1)], [""], [""]
+        suffix = ["%d" % a for a in range(self.alphabet_size)]
+        for n in range(1, self.depth + 1):
+            rows = self._rows(n)
+            pads.append(np.pad(rows, ((0, 0), (0, width - n)), constant_values=-1))
+            sep = "-" if n > 1 else ""
+            prev = [prev[p] + sep + suffix[a] for p, a in
+                    zip(self._parents[n].tolist(), self._letters[n].tolist())]
+            lines.extend(prev)
+        order = np.lexsort(np.concatenate(pads).T[::-1])
+        return "\n".join([lines[i] for i in order.tolist()]) + "\n"
 
     @classmethod
     def from_text(cls, text, alphabet_size=None, depth=None):
+        """Parse `to_text` output (any line order; prefixes may be left out)."""
         lines = text.split("\n")
         if lines and lines[-1] == "":
-            lines = lines[:-1]
-        words = [Word.parse(line) for line in lines]
+            lines.pop()
+        words = [ln for ln in lines if ln.strip()]
+        lengths = np.array([ln.count("-") + 1 if ln.strip() else 0 for ln in lines],
+                           dtype=np.int64)
+        try:
+            flat = np.array("-".join(words).split("-") if words else [], dtype=np.int64)
+        except ValueError:
+            raise InvalidInputError("tree text lines must be decimal letters joined by '-'")
         if alphabet_size is None:
-            alphabet_size = max((max(w) + 1 for w in words if w), default=1)
+            alphabet_size = int(flat.max(initial=-1)) + 1 or 1
         if depth is None:
-            depth = max((len(w) for w in words), default=0)
-        return cls.from_words(alphabet_size, depth, words)
+            depth = int(lengths.max(initial=0))
+        return cls._of(alphabet_size, depth, *_tree_levels(
+            int(alphabet_size), int(depth), _pad(flat, lengths), lengths))
 
 
 def block_decode(idx, base, k):
@@ -431,6 +542,7 @@ def compress_along_pi_rho(tree, weights, rho, n_levels=None):
         )
     levels = [[Word()]]
     for n in range(1, n_levels + 1):
-        sec = section_pi_rho(weights, rho ** n)
-        levels.append([w for w in sec.sorted_words() if w in tree])
+        words = section_pi_rho(weights, rho ** n).sorted_words()
+        kept = tree._has(*_word_rows(words))
+        levels.append([w for w, k in zip(words, kept.tolist()) if k])
     return StarTree(levels)

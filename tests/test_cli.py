@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import jsonschema
 import pytest
 
+from gwfract.branching import Binomial, sample_gw
 from gwfract.cli import config_schema, main
 from gwfract.geometry import cloud_to_csv, percolation_ifs, render
 
@@ -165,6 +167,65 @@ def test_render_tree_with_unknown_letter_exits_2(tmp_path):
     assert code == 2
 
 
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_render_and_boxdim_of_sampled_tree_are_pinned(tmp_path):
+    tree = tmp_path / "t.txt"
+    tree.write_text(sample_gw(Binomial(9, 0.7), 6, 2).tree.to_text())
+    pgm, csv = tmp_path / "r.pgm", tmp_path / "r.csv"
+    code, doc, _ = run_json(["render", "--percolation", "b=3,d=2,p=0.7", "--tree", str(tree),
+                             "--out", str(pgm), "--cloud-out", str(csv)])
+    assert code == 0
+    assert doc["points"] == 47032
+    assert doc["eps"] == 0.0038798725991031403
+    assert _sha(csv) == "ebda1b4b2e94274c63eaf4bc020ec8a731d2d555de50921609c00289d3de4f49"
+    assert _sha(pgm) == "30994772ec2e35599cf3e4a958349ed2182cec1ad9057766606b077b707633fc"
+    code, doc, _ = run_json(["boxdim", "--cloud", str(csv)])
+    assert code == 0
+    assert [c for _, c in doc["table"]] == [9, 121, 1788, 22106] + [47032] * 8
+    assert doc["dim"] == 0.3738943902462389
+
+
+def test_boxdim_full_grid_is_pinned():
+    scales = ",".join(repr(3.0 ** -j) for j in range(1, 5))
+    code, doc, _ = run_json(["boxdim", "--percolation", "b=3,d=2,p=0.7", "--depth", "5",
+                             "--anchor", "origin", "--scales", scales])
+    assert code == 0
+    assert [c for _, c in doc["table"]] == [9, 81, 729, 6561]
+    assert doc["dim"] == 1.9999999999999993
+
+
+@pytest.mark.parametrize("line", ["0-x", "0--1"])
+def test_render_malformed_tree_line_exits_2(tmp_path, line):
+    tree = tmp_path / "t.txt"
+    tree.write_text("\n0\n%s\n" % line)
+    code, doc, _ = run_json(["render", "--percolation", "b=3,d=2,p=0.6",
+                             "--tree", str(tree), "--out", str(tmp_path / "r.pgm")])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
+@pytest.mark.parametrize("rows", ["0.1,0.2\n0.3\n", "0.1,0.2\n0.3,zero\n"])
+def test_boxdim_malformed_cloud_csv_exits_2(tmp_path, rows):
+    path = tmp_path / "c.csv"
+    path.write_text(rows)
+    code, doc, _ = run_json(["boxdim", "--cloud", str(path)])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
+@pytest.mark.parametrize("rows", ["0.1,0.2,0.5,0.1\n0.3,0.5,0.1\n",
+                                  "0.1,0.2,0.5,0.1\n0.3,0.4,half,0.1\n"])
+def test_check_ahlfors_malformed_measured_csv_exits_2(tmp_path, rows):
+    path = tmp_path / "m.csv"
+    path.write_text(rows)
+    code, doc, _ = run_json(["check-ahlfors", "--measured", str(path), "--alpha", "1"])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
 def test_boxdim_on_cloud_csv(tmp_path):
     cloud = render(percolation_ifs(3, 2), depth=3)
     path = tmp_path / "c.csv"
@@ -191,6 +252,15 @@ def test_check_diffuse_pass_and_fail():
 def test_check_diffuse_zero_balls_exits_2():
     code, doc, _ = run_json(["check-diffuse", "--percolation", "b=3,d=2,p=1",
                              "--depth", "6", "--balls", "0", "--beta", "0.01"])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
+def test_check_ahlfors_zero_balls_exits_2(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("0.1,0.2,0.5,0.1\n0.3,0.4,0.5,0.1\n")
+    code, doc, _ = run_json(["check-ahlfors", "--measured", str(path), "--alpha", "1",
+                             "--balls", "0"])
     assert code == 2
     assert doc["error"] == "invalid-config"
 

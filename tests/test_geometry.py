@@ -144,6 +144,8 @@ def test_render_depth_zero_and_negative():
     assert np.array_equal(render(sierpinski_ifs(), tree=root).points, cloud.points)
     with pytest.raises(InvalidInputError):
         render(sierpinski_ifs(), depth=-1)
+    with pytest.raises(InvalidInputError):
+        render(sierpinski_ifs(), tree=root, depth=-1)
 
 
 def test_render_words_mixed_lengths_match_word_maps():
@@ -170,6 +172,10 @@ def test_render_sampled_tree_and_extinct():
     tree = sample_gw(Binomial(9, 0.6), 3, seed=1).tree
     cloud = render(ifs, tree=tree)
     assert len(cloud.points) == len(tree.level(3))
+    # the letter arrays render exactly as the words of the deepest level do
+    via_words = render_words(ifs, tree.level(3))
+    assert np.array_equal(cloud.points, via_words.points)
+    assert cloud.eps == via_words.eps
     dead = FiniteTree(9, 1, {Word(): ()})
     assert len(render(ifs, tree=dead, depth=1).points) == 0
 
@@ -188,6 +194,16 @@ def test_box_dimension_sierpinski_window():
     dim, table = box_dimension(cloud)
     assert len(table) >= 3
     assert abs(dim - math.log(3) / math.log(2)) < 0.12
+
+
+def test_box_counts_match_unique_rows():
+    rng = np.random.default_rng(5)
+    # a 3-d cloud with many points per cell and cells at negative offsets
+    pts = np.round(rng.normal(size=(3000, 3)), 1)
+    _, table = box_dimension(PointCloud(pts, 0.0), scales=[2.0, 0.7, 0.3, 0.1, 0.05])
+    lo = pts.min(axis=0)
+    for delta, count in table:
+        assert count == len(np.unique(np.floor((pts - lo) / delta).astype(np.int64), axis=0))
 
 
 def test_box_dimension_needs_scales():
@@ -319,6 +335,23 @@ def test_cloud_csv_roundtrip():
     back = cloud_from_csv(text, eps=0.25)
     assert np.allclose(back.points, cloud.points)
     assert back.eps == 0.25
+
+
+def test_csv_writers_keep_repr_digits():
+    from gwfract.cli import measured_from_csv, measured_to_csv
+
+    mc = uniform_measured(depth=2)
+    text = cloud_to_csv(PointCloud(mc.points, 0.0))
+    assert text == "".join(",".join(repr(float(x)) for x in p) + "\n" for p in mc.points)
+    assert np.array_equal(cloud_from_csv(text).points, mc.points)
+    text = measured_to_csv(mc)
+    assert text.splitlines()[0] == ",".join(
+        repr(float(x)) for x in (*mc.points[0], mc.masses[0], mc.cell_radii[0]))
+    back = measured_from_csv(text)
+    for got, want in ((back.points, mc.points), (back.masses, mc.masses),
+                      (back.cell_radii, mc.cell_radii)):
+        assert np.array_equal(got, want)
+    assert measured_to_csv(back) == text
 
 
 def test_cloud_pgm_header():

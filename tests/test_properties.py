@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
-from gwfract.symbolic import (Word, WeightedAlphabet, _section_depth, rho_index,
-                              section_pi_rho, validate_section)
+from gwfract.symbolic import (FiniteTree, Word, WeightedAlphabet, _section_depth,
+                              rho_index, section_pi_rho, validate_section)
 from gwfract.branching import (Binomial, PerLetterBernoulli, labeled_seed,
                                parallel_map, sample_gw, thin)
 from gwfract.fixpoint import ary_collection, generator_collection
@@ -172,6 +172,43 @@ def test_width_scaling(pts, lam):
     w0 = width(PointCloud(arr, 0.0)).w
     w1 = width(PointCloud(lam * arr, 0.0)).w
     assert abs(w1 - lam * w0) <= 1e-8 * max(1.0, lam * w0)
+
+
+# ---------------------------------------------------------------------------
+# finite trees agree with a plain set of tuples
+
+
+@st.composite
+def word_sets(draw):
+    # words shorter than the depth are dead branches
+    n = draw(st.integers(1, 12))
+    depth = draw(st.integers(0, 4))
+    word = st.lists(st.integers(0, n - 1), max_size=depth).map(tuple)
+    # probes may run one letter past the alphabet and one level past the depth
+    probe = st.lists(st.integers(-1, n), max_size=depth + 1).map(tuple)
+    return n, depth, draw(st.lists(word, max_size=30)), draw(st.lists(probe, max_size=10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_sets())
+def test_tree_views_match_set_of_tuples(case):
+    n, depth, words, probes = case
+    nodes = {w[:i] for w in words for i in range(len(w) + 1)} | {()}
+    kids = {v: frozenset(w[-1] for w in nodes if w and w[:-1] == v) for v in nodes}
+    tree = FiniteTree.from_words(n, depth, words)
+    assert len(tree) == len(nodes)
+    assert tree.level_sizes() == [sum(len(w) == h for w in nodes) for h in range(depth + 1)]
+    for h in range(depth + 1):
+        assert tree.level(h) == sorted(w for w in nodes if len(w) == h)
+    assert tree.children == kids
+    assert all(w in tree for w in nodes)
+    assert [w in tree for w in probes] == [w in nodes for w in probes]
+    text = "".join("-".join(map(str, w)) + "\n" for w in sorted(nodes))
+    assert tree.to_text() == text
+    back = FiniteTree.from_text(text, n, depth)
+    assert back == tree
+    assert back.to_text() == text
+    assert FiniteTree(n, depth, kids) == tree
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import hashlib
 import math
 
 import pytest
+
+from gwfract.branching import Binomial, sample_gw
 
 from gwfract.symbolic import (
     FiniteTree,
@@ -19,9 +22,9 @@ from gwfract.symbolic import (
 
 
 def test_word_roundtrip_and_order():
-    w = Word.parse("2-0-1")
+    w = Word((2, 0, 1))
     assert w.text == "2-0-1"
-    assert w == Word((2, 0, 1))
+    assert FiniteTree.from_text(w.text + "\n").level(3) == [w]
     assert w.parent == Word((2, 0))
     assert Word((2,)).is_prefix_of(w)
     assert not Word((0,)).is_prefix_of(w)
@@ -117,6 +120,47 @@ def test_tree_text_roundtrip():
         2, 3, [Word((0, 0, 0)), Word((0, 1, 1)), Word((1, 0, 0))])
     back = FiniteTree.from_text(t.to_text())
     assert back == t
+
+
+@pytest.mark.parametrize("n, p, depth, seed, sizes, sha", [
+    (9, 0.7, 6, 2, [1, 5, 30, 187, 1183, 7476, 47032],
+     "9885d4daa46771e55b49ea0a0efb2fab1c3b3a008aaec6b5f8eca1bb274a0e4c"),
+    # letters 10 and 11: the preorder is numeric, so 10 follows 9
+    (12, 0.3, 4, 4, [1, 7, 23, 83, 301],
+     "53d224306c05573ae3d781edaad0162e0a28bbb2a74896830ae9b6f0e6ead992"),
+])
+def test_sampled_tree_text_is_pinned(n, p, depth, seed, sizes, sha):
+    tree = sample_gw(Binomial(n, p), depth, seed).tree
+    assert tree.level_sizes() == sizes
+    assert len(tree) == sum(sizes)
+    text = tree.to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    back = FiniteTree.from_text(text)
+    assert back == tree
+    assert back.to_text() == text
+
+
+def test_extinct_sample_keeps_its_depth():
+    tree = sample_gw(Binomial(9, 0.15), 5, 25).tree
+    assert tree.level_sizes() == [1, 2, 2, 1, 0, 0]
+    assert tree.extinct_level() == 4
+    assert tree.level(5) == [] and len(tree) == 6
+    assert all(not tree.children[w] for w in tree.level(3))
+    assert FiniteTree.from_text(tree.to_text(), 9, 5) == tree
+    assert FiniteTree.from_text(tree.to_text()) != tree  # depth read from the text is 3
+
+
+def test_tree_text_orders_letters_numerically():
+    t = FiniteTree.from_words(12, 2, [(10,), (9, 11), (9, 2), (1, 10)])
+    assert t.to_text() == "\n".join(["", "1", "1-10", "9", "9-2", "9-11", "10"]) + "\n"
+    assert t.level(2) == [Word((1, 10)), Word((9, 2)), Word((9, 11))]
+    assert t.children[Word((9,))] == frozenset({2, 11})
+
+
+@pytest.mark.parametrize("text", ["\n0\n0-x\n", "\n0\n0--1\n", "\n0\n0-1.5\n", "\n-1\n"])
+def test_tree_text_rejects_bad_letters(text):
+    with pytest.raises(InvalidInputError):
+        FiniteTree.from_text(text)
 
 
 def test_tree_validation_rejects_orphans():

@@ -34,6 +34,8 @@ def test_tracer_installs_records_and_uninstalls(monkeypatch):
         tree = lazy.expand(Word(), 3)
         codes = lazy.level_codes(Word(), 3)
         gwfract.render(gwfract.sierpinski_ifs(), tree=tree)
+        # a FiniteTree renders from its letter arrays; word lists go through render_words
+        gwfract.render_words(gwfract.sierpinski_ifs(), tree.level(3))
         gf = gwfract.GFunction(gwfract.Binomial(3, 0.9), gwfract.ary_collection(2))
         gwfract.smallest_fixed_point_bisect(gf)
     finally:
