@@ -356,13 +356,18 @@ class LazyGW:
             counts = keep.sum(axis=1)
             letters = np.flatnonzero(keep) % keep.shape[1]
             walked += len(keys)
-            if walked > self.node_budget:
-                raise ResourceLimitError(
-                    "lazy sampling exceeded node budget at relative depth %d" % lvl,
-                    partial=lvl,
-                )
+            self._charge(walked, lvl)
             keys = _child_keys_vec(np.repeat(keys, counts), letters)
             yield counts, letters, keys
+
+    def _charge(self, walked, lvl):
+        """The `node_budget` guard, after a walk's level `lvl`: `walked` is
+        `nodes_sampled` plus the nodes the walk has sampled so far."""
+        if walked > self.node_budget:
+            raise ResourceLimitError(
+                "lazy sampling exceeded node budget at relative depth %d" % lvl,
+                partial=lvl,
+            )
 
     def _level(self, keys, rel_depth):
         """The nodes `rel_depth` levels below each root with stream key in `keys`.

@@ -543,7 +543,7 @@ def cmd_extract(cfg):
     human = ("%s pipeline: witness at root %r\n"
              "arity %d, levels %d, alpha %.6g, beta %.6g, %d leaves\n"
              % (es.pipeline, es.root_word.text, es.arity, es.levels(),
-                es.alpha, es.beta, len(es.leaf_words())))
+                es.alpha, es.beta, payload["leaf_count"]))
     if pred:
         human += ("predicted per-vertex presence %.3g (witness root at depth "
                   "%d)\n" % (pred["tau"], len(es.root_word)))

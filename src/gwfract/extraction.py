@@ -17,7 +17,9 @@ chunk, and judged segment-wise by the predicate (`_segments`); the greedy stop
 is found online from the predicate's running state (`_running`), which updates
 per good child instead of judging the whole prefix again.  Results are still
 taken child by child in lex order, so `child_tests`, `capped_nodes`,
-`nodes_sampled` and `certs` read as the sequential scan's."""
+`nodes_sampled` and `certs` read as the sequential scan's.  Leaves of the
+block predicate are decided without sampling their last level, except below
+the prefixes that can still hold a full block (`_LayeredScan._block_walk`)."""
 
 import math
 from collections import deque
@@ -619,14 +621,23 @@ class ExtractedSubset:
             out.append(self.root_word.cat(Word(letters)))
         return out
 
+    def _leaf_count(self):
+        """Number of leaves, read from the witness's deepest level."""
+        if isinstance(self.subtree, StarTree):
+            return len(self.subtree.level(self.subtree.max_height()))
+        return self.subtree.level_sizes()[-1]
+
     def cloud(self):
-        return render_words(self.ifs, self.leaf_words(),
+        return self._render(self.leaf_words())
+
+    def _render(self, words):
+        return render_words(self.ifs, words,
                             meta={"pipeline": self.pipeline,
                                   "root": self.root_word.text})
 
     def measured_cloud(self):
         words = self.leaf_words()
-        cloud = self.cloud()
+        cloud = self._render(words)
         masses = np.full(len(words), 1.0 / len(words))
         half = self.ifs.diameter_bound() / 2.0
         radii = np.array([self.ifs.weights.weight(w) * half for w in words])
@@ -643,7 +654,7 @@ class ExtractedSubset:
             "c": None if self.c is None else float(self.c),
             "k": None if self.k is None else int(self.k),
             "levels": int(self.levels()),
-            "leaf_count": len(self.leaf_words()),
+            "leaf_count": self._leaf_count(),
             "seed": int(self.seed),
             "params": dict(self.params),
             "stats": dict(self.stats),
@@ -711,7 +722,9 @@ def predicted_presence(offspring, k, arity, n_levels, mode="block"):
 # layered lazy scan (uniform-ratio pipelines)
 
 
-# expected nodes sampled by one chunk of leaf tests (see `_LayeredScan`)
+# expected nodes sampled by one chunk of leaf tests (see `_LayeredScan`): a
+# leaf walks k levels, or k - 1 on the block walk, and the chunk holds as
+# many leaves as fill this many nodes at the law's mean
 _CHUNK_NODES = 4096
 
 
@@ -735,6 +748,19 @@ class _LayeredScan:
     is built by `witness_tree`, for the leaves of the final tree only, unless
     building it computes certificates: those count in `certs`, so it is built
     when the leaf passes.
+
+    Leaves of the block predicate (`DiffuseBlock` with `Ary` floors) skip
+    the last level (`_block_walk`).  A leaf holds a full block exactly when
+    some level-(k-2) node has all base_n children and each of those has all
+    base_n children, so only the children of such candidate prefixes are
+    sampled, and a candidate is dropped at its first incomplete child.  The
+    count floor needs the level-k count only when it exceeds the block
+    size, and then only for the leaves that hold a full block.  A stream
+    key's row is a pure function of the key, so these are the rows the full
+    walk draws.  `nodes_sampled` counts levels 0..k-1 as the full walk does:
+    level k-1's size is known once level k-2 is sampled, and the guard
+    charges it before any candidate is sampled.  Section leaves keep the full
+    walk, as their certificates need the last level's letter masks.
     """
 
     def __init__(self, lazy, k, pred, arity, per_node_cap):
@@ -744,8 +770,18 @@ class _LayeredScan:
         self.arity = int(arity)
         self.per_node_cap = int(per_node_cap)
         self.base_n = lazy.offspring.alphabet_size
+        self._powers = self.base_n ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
+        parts = pred.parts if isinstance(pred, Intersection) else [pred]
+        blocks = [p for p in parts if isinstance(p, DiffuseBlock)]
+        self.block = None
+        if (len(blocks) == 1 and blocks[0].k == self.k
+                and blocks[0].base_n == self.base_n
+                and all(isinstance(p, (DiffuseBlock, Ary)) for p in parts)):
+            self.block = blocks[0]
+            self.floor = max([self.arity] + [p.a for p in parts if isinstance(p, Ary)])
+        levels = self.k - 1 if self.block is not None else self.k
         mean = lazy.offspring.mean()
-        self.chunk = max(1, int(_CHUNK_NODES / sum(mean ** j for j in range(self.k))))
+        self.chunk = max(1, int(_CHUNK_NODES / sum(mean ** j for j in range(levels))))
         self.alive = {}
         self.good = {}
         self.witness = {}
@@ -754,6 +790,14 @@ class _LayeredScan:
 
     def _block_word(self, lab):
         return Word(block_decode(int(lab), self.base_n, self.k))
+
+    def _block_words(self, w, codes):
+        """Words of w's children with level-k codes `codes`, built as taken;
+        the codes are split into letters by integer division, 256 at a time
+        (a node can have 10^5 codes, and the scan often stops early)."""
+        for lo in range(0, len(codes), 256):
+            for row in (codes[lo:lo + 256, None] // self._powers % self.base_n).tolist():
+                yield w.cat(row)
 
     def _ctx(self, w):
         return PredicateContext(node=w, height=len(w) // self.k)
@@ -767,15 +811,71 @@ class _LayeredScan:
             got = self.alive[w] = (codes, keys)
         return got
 
+    def _block_walk(self, keys):
+        """(ok, nodes) of the leaves with stream keys `keys` on the block
+        predicate, without sampling level k-1 beyond candidate prefixes.
+
+        nodes[i] counts levels 0..k-1 below leaf i, as `LazyGW._level` does.
+        """
+        lazy, n = self.lazy, self.base_n
+        roots = np.arange(len(keys))
+        nodes = np.zeros(len(keys), dtype=np.int64)
+        for counts, _, kids in lazy._walk(keys, self.k - 1):
+            nodes += np.bincount(roots, minlength=len(keys))
+            prefix_roots, prefix_counts, last = roots, counts, kids
+            roots = np.repeat(roots, counts)
+        # level k-1, empty when the walk died out before it
+        nodes += np.bincount(roots, minlength=len(keys))
+        lazy._charge(lazy.nodes_sampled + int(nodes.sum()), self.k - 1)
+        ok = np.zeros(len(keys), dtype=bool)
+        if len(roots) == 0:
+            return ok, nodes
+        cands = np.flatnonzero(prefix_counts == n)
+        firsts = (np.cumsum(prefix_counts) - prefix_counts)[cands]
+        owner = prefix_roots[cands]
+        rank = np.arange(len(cands)) - np.searchsorted(owner, owner)
+        # each leaf's candidates in ascending order, a doubling batch per round,
+        # until the leaf holds a full block or runs out of candidates; the
+        # first round takes about 256 candidates, so that a sample call
+        # serves many rows
+        lo, width = 0, max(1, 256 // len(keys))
+        while True:
+            open_ = (rank >= lo) & ~ok[owner]
+            if not open_.any():
+                break
+            sel = np.flatnonzero(open_ & (rank < lo + width))
+            for j in range(n):
+                rows = lazy.offspring.sample_matrix(last[firsts[sel] + j])
+                sel = sel[rows.all(axis=1)]
+                if len(sel) == 0:
+                    break
+            ok[owner[sel]] = True
+            lo, width = lo + width, 2 * width
+        if self.floor > self.block.block:
+            # a full block meets any floor up to the block size; above it,
+            # count the level-k codes of the leaves that hold one
+            held = ok[roots]
+            sizes = lazy.offspring.sample_matrix(last[held]).sum(axis=1)
+            ok &= np.bincount(roots[held], weights=sizes, minlength=len(keys)) >= self.floor
+        return ok, nodes
+
     def _leaves(self, keys):
-        """(labels, good) of each leaf with a stream key in `keys`, in order."""
+        """(labels, good) of each leaf with a stream key in `keys`, in order;
+        labels is None on the block walk, which does not sample them."""
         for lo in range(0, len(keys), self.chunk):
-            codes, _, bounds, nodes = self.lazy._level(keys[lo:lo + self.chunk], self.k)
-            ok = self.pred._segments(codes, bounds)
-            for i in range(len(nodes)):
-                self.lazy.nodes_sampled += int(nodes[i])
-                labels = codes[bounds[i]:bounds[i + 1]]
-                yield labels, len(labels) >= self.arity and bool(ok(i))
+            chunk = keys[lo:lo + self.chunk]
+            if self.block is not None:
+                ok, nodes = self._block_walk(chunk)
+                results = ((None, good) for good in ok.tolist())
+            else:
+                codes, _, bounds, nodes = self.lazy._level(chunk, self.k)
+                member = self.pred._segments(codes, bounds)
+                spans = enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+                results = ((codes[b:e], e - b >= self.arity and bool(member(i)))
+                           for i, (b, e) in spans)
+            for count, result in zip(nodes.tolist(), results):
+                self.lazy.nodes_sampled += count
+                yield result
 
     def _record_leaf(self, v, labels, ok):
         """Cache leaf v's result; build its witness now if that certifies."""
@@ -786,7 +886,7 @@ class _LayeredScan:
 
     def _children(self, w, m, codes, keys):
         """Test results of w's children in lex order, each computed when taken."""
-        words = (w.cat(self._block_word(lab)) for lab in codes.tolist())
+        words = self._block_words(w, codes)
         if m > 2:
             return (self.test(v, m - 1) for v in words)
         # w's children are queued only after w is tested, so none is cached yet
@@ -873,8 +973,7 @@ def _scan_candidates(layered, n_total, scan_budget):
             codes = layered.alive[w][0]
             room = scan_budget - tested - len(q)
             dropped = dropped or len(codes) > room
-            for lab in codes[:room].tolist():
-                q.append((w.cat(layered._block_word(lab)), lvl + 1))
+            q.extend((v, lvl + 1) for v in layered._block_words(w, codes[:room]))
     stats = {"candidates_tested": tested,
              "by_level": {str(a): b for a, b in sorted(by_level.items())},
              "scan_budget": int(scan_budget), "exhausted": not q and not dropped}

@@ -4,6 +4,7 @@ Each test covers one numbered criterion and prints a single
 "CRITERION n PASS/FAIL" line with the measured quantities.
 """
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -170,6 +171,16 @@ def test_criterion_06_diffuse_certificates(gallery):
     report(6, ok, "%d/%d outputs passed at certified beta (3 scales, "
            ">=200 balls each); failures: %s"
            % (len(gallery) - len(failures), len(gallery), failures or "none"))
+
+
+def test_gallery_block_output_is_pinned(gallery):
+    es = dict(gallery)["block b=3"]
+    assert es.root_word.text == "0-0-0-0"
+    assert hashlib.sha256(es.tree_text().encode()).hexdigest() \
+        == "36a5128757de86ef6421bafe3f95b9fec32be3b82fbd2c10b1d8cdf01653f7fc"
+    stats = es.stats
+    assert (stats["child_tests"], stats["capped_nodes"], stats["nodes_sampled"]) \
+        == (54797, 41, 43645046)
 
 
 def test_criterion_07_ahlfors_spread(gallery):

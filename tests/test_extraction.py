@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gwfract.symbolic import (CapabilityError, FiniteTree, InvalidInputError,
-                              StarTree, WeightedAlphabet, Word,
-                              compress_along_pi_rho)
+                              ResourceLimitError, StarTree, WeightedAlphabet,
+                              Word, compress_along_pi_rho)
 from gwfract.branching import Binomial, LazyGW, sample_gw
 from gwfract.geometry import (SimilarityIFS, SimilarityMap, percolation_ifs,
                               render_words, sierpinski_ifs, word_map)
@@ -142,6 +142,88 @@ def test_layered_scan_matches_eager_dp():
     assert tested == 378 and 0 < witnesses < tested
 
 
+def _full_leaf_walk(lazy, keys, k, pred, A):
+    """Per-root (ok, nodes) of the full k-level walk: the reference."""
+    codes, _, bounds, nodes = lazy._level(keys, k)
+    member = pred._segments(codes, bounds)
+    ok = [bool(bounds[i + 1] - bounds[i] >= A and member(i)) for i in range(len(keys))]
+    return ok, nodes.tolist()
+
+
+def _block_walk_cases():
+    """(b, d, k, p, A) over the grids, block lengths and laws, with the arity
+    floor at the block size and above it."""
+    for b, d in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3)):
+        N = b ** d
+        for k in (2, 3, 4):
+            if N ** k > 10 ** 5:
+                continue  # (3, 3, 4): 531,441 codes per root at p = 1
+            floors = sorted({N * N, N * N + 1, (N * N + N ** k + 1) // 2})
+            for p in (0.6, 0.9, 1.0):
+                for A in floors:
+                    if A <= N ** k:
+                        yield b, d, k, p, A
+
+
+def test_block_leaf_walk_matches_full_walk():
+    rng = np.random.default_rng(11)
+    cases = died = passed = failed = 0
+    counted_floor = set()  # cases where the floor above the block size decides
+    for b, d, k, p, A in _block_walk_cases():
+        N = b ** d
+        pred = Intersection([DiffuseBlock(b, k, d=d), Ary(A)])
+        lazy = LazyGW(Binomial(N, p), 0)
+        scan = _LayeredScan(lazy, k, pred, A, per_node_cap=10 ** 9)
+        assert scan.block is not None
+        for size in {1, max(1, min(40, 20_000 // N ** k))}:
+            keys = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
+            ok, nodes = scan._block_walk(keys)
+            want_ok, want_nodes = _full_leaf_walk(lazy, keys, k, pred, A)
+            assert (ok.tolist(), nodes.tolist()) == (want_ok, want_nodes), \
+                (b, d, k, p, A, size)
+            if A > N * N:
+                block_only = _full_leaf_walk(lazy, keys, k, pred.parts[0], 0)[0]
+                if block_only != want_ok:
+                    counted_floor.add((b, d, k, p))
+            bounds = lazy._level(keys, k - 1)[2]
+            died += int((np.diff(bounds) == 0).sum())
+            passed += int(ok.sum())
+            failed += int((~ok).sum())
+            cases += 1
+        assert lazy.nodes_sampled == 0  # the caller counts the nodes it takes
+    assert cases == 225 and died > 0 and passed > 0 and failed > 0, \
+        (cases, died, passed, failed)
+    assert len(counted_floor) >= 5, counted_floor
+
+
+def test_block_leaf_walk_trips_the_budget_as_the_full_walk_does():
+    for b, d, k, p in ((2, 2, 3, 0.9), (3, 2, 4, 0.99), (2, 1, 2, 0.6)):
+        N = b ** d
+        pred = Intersection([DiffuseBlock(b, k, d=d), Ary(N * N)])
+        keys = np.random.default_rng(5).integers(0, 2 ** 63, size=7, dtype=np.uint64)
+        # nodes of the whole chunk at each level 0..k-1, and 100 counted before
+        sizes = [len(LazyGW(Binomial(N, p), 0)._level(keys, j)[0]) for j in range(k)]
+        spent = 100
+        budgets = sorted({spent + total + step for total in np.cumsum(sizes).tolist()
+                          for step in (-1, 0, 1)})
+        partials = set()
+        for budget in budgets:
+            outcome = []
+            for full in (True, False):
+                lazy = LazyGW(Binomial(N, p), 0, node_budget=budget)
+                lazy.nodes_sampled = spent
+                scan = _LayeredScan(lazy, k, pred, N * N, per_node_cap=10 ** 9)
+                try:
+                    lazy._level(keys, k) if full else scan._block_walk(keys)
+                    outcome.append(None)
+                except ResourceLimitError as err:
+                    outcome.append((str(err), err.partial))
+            assert outcome[0] == outcome[1], (b, d, k, p, budget)
+            partials.add(None if outcome[0] is None else outcome[0][1])
+        # every level trips the guard at some budget, and the largest passes
+        assert partials == set(range(k)) | {None}, partials
+
+
 def _random_label_sets(rng, alphabet, group, count):
     """Label sets from sparse to dense, some holding whole prefix groups."""
     for _ in range(count):
@@ -204,6 +286,13 @@ def test_block_scan_pinned_outputs():
     assert root == ""
     assert sha == "7ffe168443208b121e6c03a16784797aabe27a77ef94533426dbd16e4c43a751"
     assert (stats["child_tests"], stats["nodes_sampled"]) == (159, 127251)
+
+    # sampler-bound: 22k nodes below each leaf, most of them on level k - 1
+    root, sha, stats = _pinned(percolation_pipeline(2, 3, 0.9, 2, 6, depth=12, seed=1))
+    assert root == "0-0-0-0-0-0"
+    assert sha == "e1c02c26491f46e52fc8a9141ef814b15edbf515f8016901abf97e66d39eb422"
+    assert (stats["child_tests"], stats["capped_nodes"], stats["nodes_sampled"]) \
+        == (256, 1, 5752699)
 
 
 def test_block_scan_pinned_not_found():
@@ -367,6 +456,9 @@ def test_leaf_words_render_inside_unit_square():
     cloud = es.cloud()
     assert cloud.points.min() >= -1e-9
     assert cloud.points.max() <= 1.0 + 1e-9
+    # the leaf count is read from the tree, the measured cloud renders once
+    assert es.to_json()["leaf_count"] == len(es.leaf_words()) == 27
+    assert np.array_equal(es.measured_cloud().points, cloud.points)
 
 
 def _unequal_ratio_ifs():
@@ -383,7 +475,7 @@ def test_general_pipeline_star_frozen():
     assert es.pipeline == "general-star"
     assert es.root_word.text == "0-3-0-2"
     assert es.levels() == 1
-    assert len(es.leaf_words()) == 64
+    assert len(es.leaf_words()) == es.to_json()["leaf_count"] == 64
     assert es.params["depth"] == 7
     assert es.stats == {"candidates_tested": 50, "certs": 7, "star_nodes": 7297}
     digest = hashlib.sha256(es.tree_text().encode()).hexdigest()
