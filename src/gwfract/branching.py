@@ -375,7 +375,7 @@ class LazyGW:
         Returns (codes, keys, bounds, nodes).  Root i's nodes are codes[b:e]
         and keys[b:e] with b, e = bounds[i], bounds[i+1]: their packed codes
         relative to the root, ascending (big-endian base-alphabet integers,
-        first letter most significant, so `symbolic.block_decode` recovers
+        first letter most significant, so `symbolic.block_letters` recovers
         the letters), and their stream keys.  nodes[i] counts the nodes
         sampled below root i to reach them; `nodes_sampled` is left as it is.
         """

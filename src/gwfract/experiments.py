@@ -455,7 +455,7 @@ def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
         estimates.append(estimate(
             "subset_worst_ratio", subset_chk["worst_ratio"],
             n=subset_chk["tested"], certified_beta=es.beta,
-            passed=bool(subset_chk["pass"]), leaf_count=len(es.leaf_words())))
+            passed=bool(subset_chk["pass"]), leaf_count=es.to_json()["leaf_count"]))
 
     ladder_rows = [[bt, int(best["ratio"] <= bt),
                     int(ctrl_search["best"]["ratio"] <= bt)] for bt in betas]

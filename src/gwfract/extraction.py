@@ -4,12 +4,13 @@ A predicate declares which child sets are acceptable.  One bottom-up presence
 DP (`_presence`) serves both tree kinds: on a `FiniteTree` a child label is a
 letter, on a `StarTree` it is a word suffix.  `find_subtree` runs it and
 extracts a greedily trimmed witness; one builder (`_witness`) walks the chosen
-child sets for it, for the star pipeline and for the lazy scan.  The two
-pipelines wrap this with sampling, a breadth-first vertex scan, measure
-construction and geometric certificates.  Deep instances never materialize the
-whole sample: the scan expands one compressed block at a time and stops testing
-children of a node as soon as the predicate is satisfied, which agrees with the
-eager DP because membership is monotone and children are visited in lex order
+child sets breadth first into per-level labels and parent indices, for it, for
+the star pipeline and for the lazy scan.  The two pipelines wrap this with
+sampling, a breadth-first vertex scan, measure construction and geometric
+certificates.  Deep instances never materialize the whole sample: the scan
+expands one compressed block at a time and stops testing children of a node as
+soon as the predicate is satisfied, which agrees with the eager DP because
+membership is monotone and children are visited in lex order
 (`tests/test_extraction.py::test_layered_scan_matches_eager_dp` checks this).
 
 Children with one level to go are walked in chunks, one multi-root walk per
@@ -35,7 +36,8 @@ from .symbolic import (
     section_pi_rho,
     _section_depth,
     compress_along_pi_rho,
-    block_decode,
+    block_letters,
+    _word_rows,
     InvalidInputError,
     CapabilityError,
 )
@@ -49,8 +51,8 @@ from .geometry import (
     moran_exponent,
     percolation_ifs,
     render,
-    render_words,
     word_map,
+    _render_letters,
 )
 
 
@@ -473,19 +475,21 @@ def find_subtree(tree, pred, n):
     n = int(n)
     if n < 0:
         raise InvalidInputError("length must be >= 0")
-    star = isinstance(tree, StarTree)
-    height = tree.max_height() if star else tree.depth
-    if height < n:
+    if tree.depth < n:
         raise InvalidInputError("tree height %d is below the requested length %d"
-                                % (height, n))
+                                % (tree.depth, n))
+    star = isinstance(tree, StarTree)
     extend = Word.cat if star else Word.child
     goods, chosen = _presence(tree, pred, n, extend)
     if Word() not in goods[n]:
         return None
-    children, levels = _witness(Word(), n, chosen, extend)
-    if star:
-        return StarTree(levels)
-    return FiniteTree(tree.alphabet_size, n, children, validate=False)
+    labels, parents = _witness(Word(), n, chosen, extend)
+    if not star:
+        return FiniteTree._of(tree.alphabet_size, n, labels, parents)
+    levels = [[Word()]]
+    for labs, pars in zip(labels[1:], parents[1:]):
+        levels.append([levels[-1][p].cat(s) for s, p in zip(labs, pars)])
+    return StarTree(levels)
 
 
 def _presence(tree, pred, n, extend):
@@ -513,32 +517,32 @@ def _presence(tree, pred, n, extend):
 
 
 def _witness(root, n, chosen, step):
-    """Walk the chosen child sets down n levels from the absolute word `root`.
+    """Walk the chosen child sets breadth first, n levels down from `root`.
 
     `chosen(v, m)` is the label set kept at absolute node v with m levels to
-    go and `step(v, label)` the absolute word of that child.  Returns the
-    child map and the per-level word lists of the witness, over words relative
-    to `root` that extend by a letter label or by a word-suffix label.
+    go and `step(v, label)` the absolute node of that child.  Returns the
+    per-level labels and parent indices (into the level above) of the
+    witness; level 0, the root, holds None.  Each node's labels are taken in
+    ascending order, so every level is in lexicographic order with ascending
+    parents, as `FiniteTree` stores it.  Leaves get no absolute node.
     """
-    children = {}
-    levels = [[] for _ in range(n + 1)]
-    leaf = frozenset()  # shared: every empty frozenset() is a new 216-byte object
-
-    def build(rel, v, m):
-        levels[n - m].append(rel)
-        if m == 0:
-            children[rel] = leaf
-            return
-        labels = chosen(v, m)
-        if labels is None:
-            raise RuntimeError("witness extraction failed on a member set")
-        children[rel] = frozenset(labels)
-        for lab in sorted(labels):
-            kid = rel.cat(lab) if isinstance(lab, tuple) else rel.child(lab)
-            build(kid, step(v, lab), m - 1)
-
-    build(Word(), root, n)
-    return children, levels
+    labels, parents = [None], [None]
+    nodes = [root]
+    for m in range(n, 0, -1):
+        labs, pars, kids = [], [], []
+        for i, v in enumerate(nodes):
+            got = chosen(v, m)
+            if got is None:
+                raise RuntimeError("witness extraction failed on a member set")
+            for lab in sorted(got):
+                labs.append(lab)
+                pars.append(i)
+                if m > 1:
+                    kids.append(step(v, lab))
+        labels.append(labs)
+        parents.append(pars)
+        nodes = kids
+    return labels, parents
 
 
 # ---------------------------------------------------------------------------
@@ -557,23 +561,14 @@ def natural_measure(subtree, rho, alpha):
         raise InvalidInputError("rho^-alpha = %r is not an integer" % A_f)
 
     masses = {}
-    if isinstance(subtree, StarTree):
-        top = subtree.max_height()
-        for h in range(top + 1):
-            for w in subtree.level(h):
-                cs = subtree.children.get(w, frozenset())
-                if h < top and len(cs) != A:
-                    raise InvalidInputError(
-                        "node %r has %d children, expected %d" % (w, len(cs), A)
-                    )
-                masses[w] = float(A) ** (-h)
-        return masses
-    for w, cs in subtree.children.items():
-        if len(w) < subtree.depth and len(cs) != A:
-            raise InvalidInputError(
-                "node %r has %d children, expected %d" % (w, len(cs), A)
-            )
-        masses[w] = float(A) ** (-len(w))
+    for h in range(subtree.depth + 1):
+        for w in subtree.level(h):
+            cs = subtree.children[w]
+            if h < subtree.depth and len(cs) != A:
+                raise InvalidInputError(
+                    "node %r has %d children, expected %d" % (w, len(cs), A)
+                )
+            masses[w] = float(A) ** (-h)
     return masses
 
 
@@ -600,48 +595,43 @@ class ExtractedSubset:
     stats: dict = field(default_factory=dict)
 
     def levels(self):
-        if isinstance(self.subtree, StarTree):
-            return self.subtree.max_height()
         return self.subtree.depth
 
     def measure(self):
         return natural_measure(self.subtree, self.rho, self.alpha)
 
+    def _leaves(self):
+        """(rows, lengths) of the deepest level's absolute base-alphabet words:
+        the root prefix, then the decoded block codes (or the word suffixes of
+        a star witness), each row padded with 0 past its length."""
+        if isinstance(self.subtree, StarTree):
+            tail, lengths = _word_rows(self.subtree.level(self.subtree.depth))
+        else:
+            codes = self.subtree._rows(self.subtree.depth)
+            tail = block_letters(codes, self.ifs.alphabet_size, self.k).reshape(len(codes), -1)
+            lengths = np.full(len(tail), tail.shape[1])
+        root = np.tile(np.array(self.root_word, dtype=np.int64), (len(tail), 1))
+        return np.hstack([root, tail]), lengths + len(self.root_word)
+
     def leaf_words(self):
         """Absolute base-alphabet words of the deepest witness level."""
-        if isinstance(self.subtree, StarTree):
-            top = self.subtree.max_height()
-            return [self.root_word.cat(w) for w in self.subtree.level(top)]
-        base_n = self.ifs.alphabet_size
-        out = []
-        for w in self.subtree.level(self.subtree.depth):
-            letters = []
-            for lab in w:
-                letters.extend(block_decode(int(lab), base_n, self.k))
-            out.append(self.root_word.cat(Word(letters)))
-        return out
-
-    def _leaf_count(self):
-        """Number of leaves, read from the witness's deepest level."""
-        if isinstance(self.subtree, StarTree):
-            return len(self.subtree.level(self.subtree.max_height()))
-        return self.subtree.level_sizes()[-1]
+        rows, lengths = self._leaves()
+        return [Word(r[:n]) for r, n in zip(rows.tolist(), lengths.tolist())]
 
     def cloud(self):
-        return self._render(self.leaf_words())
-
-    def _render(self, words):
-        return render_words(self.ifs, words,
-                            meta={"pipeline": self.pipeline,
-                                  "root": self.root_word.text})
+        return _render_letters(self.ifs, *self._leaves(), None,
+                               {"pipeline": self.pipeline, "root": self.root_word.text})
 
     def measured_cloud(self):
-        words = self.leaf_words()
-        cloud = self._render(words)
-        masses = np.full(len(words), 1.0 / len(words))
-        half = self.ifs.diameter_bound() / 2.0
-        radii = np.array([self.ifs.weights.weight(w) * half for w in words])
-        return MeasuredCloud(cloud.points, masses, radii)
+        rows, lengths = self._leaves()
+        cloud = _render_letters(self.ifs, rows, lengths, None, None)
+        # the cell ratio, multiplied left to right as `WeightedAlphabet.weight` does
+        ratios = np.array(self.ifs.weights.ratios)
+        r = np.ones(len(rows))
+        for j in range(rows.shape[1]):
+            r = np.where(lengths > j, r * ratios[rows[:, j]], r)
+        masses = np.full(len(rows), 1.0 / len(rows))
+        return MeasuredCloud(cloud.points, masses, r * (self.ifs.diameter_bound() / 2.0))
 
     def to_json(self):
         return {
@@ -654,7 +644,7 @@ class ExtractedSubset:
             "c": None if self.c is None else float(self.c),
             "k": None if self.k is None else int(self.k),
             "levels": int(self.levels()),
-            "leaf_count": self._leaf_count(),
+            "leaf_count": len(self._leaves()[0]),
             "seed": int(self.seed),
             "params": dict(self.params),
             "stats": dict(self.stats),
@@ -747,7 +737,8 @@ class _LayeredScan:
     chunk, so it can trip at most one chunk earlier.  A good leaf's witness
     is built by `witness_tree`, for the leaves of the final tree only, unless
     building it computes certificates: those count in `certs`, so it is built
-    when the leaf passes.
+    when the leaf passes.  `witness_tree` hands `_witness`'s level arrays to
+    `FiniteTree._of` as they are.
 
     Leaves of the block predicate (`DiffuseBlock` with `Ary` floors) skip
     the last level (`_block_walk`).  A leaf holds a full block exactly when
@@ -770,7 +761,6 @@ class _LayeredScan:
         self.arity = int(arity)
         self.per_node_cap = int(per_node_cap)
         self.base_n = lazy.offspring.alphabet_size
-        self._powers = self.base_n ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
         parts = pred.parts if isinstance(pred, Intersection) else [pred]
         blocks = [p for p in parts if isinstance(p, DiffuseBlock)]
         self.block = None
@@ -788,19 +778,13 @@ class _LayeredScan:
         self.child_tests = 0
         self.capped_nodes = 0
 
-    def _block_word(self, lab):
-        return Word(block_decode(int(lab), self.base_n, self.k))
-
     def _block_words(self, w, codes):
         """Words of w's children with level-k codes `codes`, built as taken;
-        the codes are split into letters by integer division, 256 at a time
-        (a node can have 10^5 codes, and the scan often stops early)."""
+        the codes are decoded 256 at a time (a node can have 10^5 codes, and
+        the scan often stops early)."""
         for lo in range(0, len(codes), 256):
-            for row in (codes[lo:lo + 256, None] // self._powers % self.base_n).tolist():
+            for row in block_letters(codes[lo:lo + 256], self.base_n, self.k).tolist():
                 yield w.cat(row)
-
-    def _ctx(self, w):
-        return PredicateContext(node=w, height=len(w) // self.k)
 
     def _alive(self, w):
         """Level-k codes of w with their stream keys; walked once, counted."""
@@ -881,7 +865,7 @@ class _LayeredScan:
         """Cache leaf v's result; build its witness now if that certifies."""
         self.good[(v, 1)] = ok
         if ok and self.pred._witness_certifies:
-            self.witness[(v, 1)] = self.pred.witness_subset(labels, self._ctx(v))
+            self.witness[(v, 1)] = self.pred.witness_subset(labels)
         return ok
 
     def _children(self, w, m, codes, keys):
@@ -910,9 +894,8 @@ class _LayeredScan:
     def _greedy(self, w, m):
         """Whether w has a witness m levels deep; stores w's chosen children."""
         codes, keys = self._alive(w)
-        ctx = self._ctx(w)
         n = len(codes)
-        if n < self.arity or not self.pred.member(codes, ctx):
+        if n < self.arity or not self.pred.member(codes):
             return False
         results = self._children(w, m, codes, keys)
         push = self.pred._running()
@@ -929,7 +912,7 @@ class _LayeredScan:
                 found.append(lab)
                 if push(lab, len(found) >= self.arity):
                     self.witness[(w, m)] = self.pred.witness_subset(
-                        np.array(found, dtype=np.int64), ctx)
+                        np.array(found, dtype=np.int64))
                     return True
         return False
 
@@ -938,12 +921,12 @@ class _LayeredScan:
             wit = self.witness.get((w, m))
             if wit is None and m == 1:  # deferred: walk the leaf again, uncounted
                 labels = self.lazy._level([self.lazy.key(w)], self.k)[0]
-                wit = self.pred.witness_subset(labels, self._ctx(w))
+                wit = self.pred.witness_subset(labels)
             return wit
 
-        children, _ = _witness(v, n, chosen,
-                               lambda w, lab: w.cat(self._block_word(lab)))
-        return FiniteTree(self.base_n ** self.k, n, children, validate=False)
+        labels, parents = _witness(v, n, chosen, lambda w, lab: w.cat(
+            block_letters(lab, self.base_n, self.k).tolist()))
+        return FiniteTree._of(self.base_n ** self.k, n, labels, parents)
 
     def scan_stats(self):
         return {"child_tests": int(self.child_tests),
@@ -1352,7 +1335,10 @@ def _general_star(ifs, offspring, rho, alpha, c, A, depth, seed, n_levels,
         )
 
     v, m = hit
-    _, levels = _witness(v, m, chosen, Word.cat)
+    labels, parents = _witness(v, m, chosen, Word.cat)
+    levels = [[Word()]]
+    for labs, pars in zip(labels[1:], parents[1:]):
+        levels.append([levels[-1][p].cat(s) for s, p in zip(labs, pars)])
     witness = StarTree(levels)
     beta = rho * c * weights.r_min / ifs.diameter_bound()
     return ExtractedSubset(

@@ -327,7 +327,7 @@ def render(ifs, tree=None, depth=None, base_point=None):
         return _render_letters(ifs, letters, np.full(len(letters), depth), base_point,
                                {"depth": depth})
     if isinstance(tree, StarTree):
-        h = tree.max_height()
+        h = tree.depth
         words = tree.level(h)
         return render_words(ifs, words, base_point, meta={"height": h})
     if depth is None:

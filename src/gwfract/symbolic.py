@@ -288,21 +288,20 @@ class FiniteTree:
     views built from the arrays on first use.
     """
 
-    def __init__(self, alphabet_size, depth, children, validate=True):
+    def __init__(self, alphabet_size, depth, children):
         self.alphabet_size = int(alphabet_size)
         self.depth = int(depth)
-        if validate:
-            self._validate({Word(w): frozenset(cs) for w, cs in children.items()})
+        self._validate({Word(w): frozenset(cs) for w, cs in children.items()})
         self._set(*_tree_levels(self.alphabet_size, self.depth, *_word_rows(children)))
 
     def _set(self, letters, parents):
-        self._letters = letters
-        self._parents = parents
+        self._letters = [None] + [np.asarray(a, dtype=np.int64) for a in letters[1:]]
+        self._parents = [None] + [np.asarray(p, dtype=np.int64) for p in parents[1:]]
         self._words = {}
 
     @classmethod
     def _of(cls, alphabet_size, depth, letters, parents):
-        """Tree over ready level arrays (index 0, the root, is unused)."""
+        """Tree over ready level arrays, cast to int64 (index 0, the root, is unused)."""
         tree = cls.__new__(cls)
         tree.alphabet_size = int(alphabet_size)
         tree.depth = int(depth)
@@ -464,17 +463,18 @@ class FiniteTree:
             int(alphabet_size), int(depth), _pad(flat, lengths), lengths))
 
 
-def block_decode(idx, base, k):
-    """The k letters of a big-endian block index."""
-    out = []
-    for _ in range(k):
-        out.append(idx % base)
-        idx //= base
-    return tuple(reversed(out))
+def block_letters(codes, base, k):
+    """Letters of big-endian block codes, leading letter first.
+
+    n codes give the (n, k) int64 letter matrix, row i spelling codes[i]; codes
+    of any shape s give shape s + (k,).
+    """
+    powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.asarray(codes, dtype=np.int64)[..., None] // powers % base
 
 
 class StarTree:
-    """Tree of variable-length words graded by a height function.
+    """Tree of variable-length words graded by a height function up to `depth`.
 
     Callers guarantee that each non-root node has exactly one ancestor at the
     previous height (its longest prefix there); children are stored as word
@@ -489,6 +489,7 @@ class StarTree:
             self.levels.append(level)
             for w in level:
                 self.height[w] = h
+        self.depth = len(self.levels) - 1
         self.nodes = frozenset(self.height)
         link = {w: set() for w in self.nodes}
         for h in range(1, len(self.levels)):
@@ -505,9 +506,6 @@ class StarTree:
 
     def level(self, h):
         return self.levels[h] if 0 <= h < len(self.levels) else []
-
-    def max_height(self):
-        return len(self.levels) - 1
 
     def __contains__(self, word):
         return Word(word) in self.nodes

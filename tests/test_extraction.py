@@ -8,7 +8,8 @@ from gwfract.symbolic import (CapabilityError, FiniteTree, InvalidInputError,
                               ResourceLimitError, StarTree, WeightedAlphabet,
                               Word, compress_along_pi_rho)
 from gwfract.branching import Binomial, LazyGW, sample_gw
-from gwfract.geometry import (SimilarityIFS, SimilarityMap, percolation_ifs,
+from gwfract.cli import measured_to_csv
+from gwfract.geometry import (SimilarityIFS, SimilarityMap, cloud_to_csv, percolation_ifs,
                               render_words, sierpinski_ifs, word_map)
 from gwfract.extraction import (
     _LayeredScan,
@@ -117,7 +118,7 @@ def _block_tree(lazy, v, m, k):
         for j in range(m):
             children.setdefault(labs[:j], set()).add(labs[j])
         children[labs] = set()
-    return FiniteTree(block, m, children, validate=False)
+    return FiniteTree(block, m, children)
 
 
 def test_layered_scan_matches_eager_dp():
@@ -130,8 +131,8 @@ def test_layered_scan_matches_eager_dp():
             lazy = LazyGW(Binomial(b ** d, p), seed)
             scan = _LayeredScan(lazy, k, pred, A, per_node_cap=10 ** 9)
             # the root with two levels to go, and its first 20 block children
-            vertices = [(Word(), 2)] + [(scan._block_word(lab), 1)
-                                        for lab in scan._alive(Word())[0][:20]]
+            codes = scan._alive(Word())[0][:20]
+            vertices = [(Word(), 2)] + [(v, 1) for v in scan._block_words(Word(), codes)]
             for v, m in vertices:
                 eager = find_subtree(_block_tree(lazy, v, m, k), pred, m)
                 assert scan.test(v, m) == (eager is not None), (b, p, k, seed, v)
@@ -487,3 +488,44 @@ def test_general_pipeline_star_budget_counts_tested_vertices():
         general_pipeline(_unequal_ratio_ifs(), Binomial(4, 0.95), rho=1 / 16,
                          alpha=1.5, c=0.02, seed=0, scan_budget=10)
     assert ei.value.stats["candidates_tested"] == 10
+
+
+_ARTIFACT_CASES = {
+    # name: (pipeline call, sha256 of cloud, measured, measure CSV, leaf words)
+    "block-27": (
+        lambda: percolation_pipeline(2, 2, 0.95, 3, 3, seed=0),
+        ("6a589c2f4a5e538923d70c4a698bdebee28bbcd8bd69f1aaeab722d92d3ec4ad",
+         "d55fdac3a88fa9b4177fe4e84dec0c192ecd40ce8afebf4f98c98936decba1d0",
+         "4578f7a3e54902a7de911299aa7a32a7e82cc438da4eb8454f207d4ba608a9cb",
+         "a1d96864c196acfdca958d239870b9b84c6447618986cb95c46c0718b4abc72e")),
+    "block-4096": (
+        lambda: percolation_pipeline(2, 2, 0.99, 2, 4, depth=12, seed=1),
+        ("0342e2e4430d7f63063483b70ef56e7432efa43d286bbee24575e08595ad80d7",
+         "ec25680e42dbe802bc9ae943d24129f3b43f2165fd48a65899fa9a2e1ccd7358",
+         "835a6cafbe3bd5c752929a8b43964dc92694bb2e944fcc6917b2568459475538",
+         "36b8d379a6969c401a47618481792d6c915924f972bd7f4f42c2761a03d5c1b8")),
+    "section-grid": (
+        lambda: general_pipeline(percolation_ifs(3, 2), Binomial(9, 0.7), rho=3 ** -4,
+                                 alpha=1, c=0.05, seed=20, n_levels=2),
+        ("b1b196ad88cdfa4e88036454308c18fda3d6b7d3d4c75a2766c71ff161bb04e3",
+         "4f9aaaceaf69d64c22737d05c51e41d1038fe86e7ab4b9729607ceb0a65820e1",
+         "00abed6828e30ec9788aaf92fb398085eb77e4bedea6c06606ba3f1ea47b1e45",
+         "9b5f77d45ff460023603b6653bd75d28d59a6c2c4f66779ed5ab0a7a365ce8d6")),
+    "star": (
+        lambda: general_pipeline(_unequal_ratio_ifs(), Binomial(4, 0.95), rho=1 / 16,
+                                 alpha=1.5, c=0.02, seed=0),
+        ("ac17ec4e06c4303e8f32834919453f119889695df70d18e34d21681253097d01",
+         "831feecd72c1aaad400c9e7aed12846378bae9d3d733ce8ca38b81b63e4dc395",
+         "f3eb6eeab0507bfe3718db16c6a4ae2d661eed12a18de46750b09e50a70f7811",
+         "328d27442d877a8bd4b40c5cb86baa00d4fef8228e1097bf81dc8d7fbad041d4")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARTIFACT_CASES))
+def test_extraction_artifacts_are_pinned(name):
+    build, digests = _ARTIFACT_CASES[name]
+    es = build()
+    blobs = (cloud_to_csv(es.cloud()), measured_to_csv(es.measured_cloud()),
+             es.measure_csv(), "\n".join(w.text for w in es.leaf_words()))
+    got = tuple(hashlib.sha256(b.encode()).hexdigest() for b in blobs)
+    assert got == digests

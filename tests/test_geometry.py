@@ -156,7 +156,7 @@ def test_render_words_mixed_lengths_match_word_maps():
                             SimilarityMap(0.25, np.eye(2), [0.0, 0.7])])
     tree = sample_gw(Binomial(3, 0.9), 10, seed=1).tree
     star = compress_along_pi_rho(tree, ifs.weights, 0.2)
-    words = star.level(star.max_height())
+    words = star.level(star.depth)
     assert len({len(w) for w in words}) >= 3
     base = np.array([0.3, 0.2])
     cloud = render_words(ifs, words, base_point=base)

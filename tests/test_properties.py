@@ -18,6 +18,7 @@ from gwfract.branching import (Binomial, PerLetterBernoulli, labeled_seed,
 from gwfract.fixpoint import ary_collection, generator_collection
 from gwfract.geometry import PointCloud, width
 from gwfract.experiments import exp_convergence_g_k
+from gwfract.extraction import Ary, find_subtree
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,24 @@ def test_tree_views_match_set_of_tuples(case):
     assert back == tree
     assert back.to_text() == text
     assert FiniteTree(n, depth, kids) == tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_sets())
+def test_witness_is_a_lex_ordered_subtree(case):
+    # the witness's level arrays reach the tree without a sort or a check, so
+    # rebuilding them through the validating constructor must change nothing
+    n, depth, words, _ = case
+    tree = FiniteTree.from_words(n, depth, words)
+    lines = set(tree.to_text().splitlines())
+    for a in (1, 2, 3):
+        for m in range(depth + 1):
+            sub = find_subtree(tree, Ary(a), m)
+            if sub is None:
+                continue
+            assert FiniteTree(sub.alphabet_size, m, sub.children) == sub
+            assert set(sub.to_text().splitlines()) <= lines
+            assert all(len(cs) == a for w, cs in sub.children.items() if len(w) < m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from gwfract.branching import Binomial, sample_gw
@@ -13,7 +14,7 @@ from gwfract.symbolic import (
     StarTree,
     Word,
     WeightedAlphabet,
-    block_decode,
+    block_letters,
     compress_along_pi_rho,
     rho_index,
     section_pi_rho,
@@ -170,10 +171,14 @@ def test_tree_validation_rejects_orphans():
 
 def test_block_encode_decode_roundtrip():
     for base, k in ((2, 3), (9, 2), (4, 4)):
-        for idx in range(min(base ** k, 64)):
-            block = block_decode(idx, base, k)
+        codes = np.arange(min(base ** k, 64))
+        rows = block_letters(codes, base, k)
+        assert rows.shape == (len(codes), k) and rows.dtype == np.int64
+        for idx in codes.tolist():
+            block = block_letters(idx, base, k).tolist()
             assert len(block) == k
             assert sum(a * base ** (k - 1 - i) for i, a in enumerate(block)) == idx
+            assert rows[idx].tolist() == block
 
 
 def test_compress_along_pi_rho_equal_weights_takes_every_second_level():
@@ -181,7 +186,7 @@ def test_compress_along_pi_rho_equal_weights_takes_every_second_level():
     wa = WeightedAlphabet((0.5, 0.5))
     star = compress_along_pi_rho(t, wa, 0.25)
     assert isinstance(star, StarTree)
-    assert star.max_height() == 2
+    assert star.depth == 2
     for h in (1, 2):
         assert set(star.level(h)) == set(t.level(2 * h))
 
@@ -191,7 +196,7 @@ def test_compress_along_pi_rho_heights_agree_with_rho_index():
     rho = 0.2
     t = FiniteTree.full(2, 6)
     star = compress_along_pi_rho(t, wa, rho)
-    for h in range(1, star.max_height() + 1):
+    for h in range(1, star.depth + 1):
         for w in star.level(h):
             assert rho_index(wa, rho, w)[0] == h
 
