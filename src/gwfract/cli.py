@@ -603,6 +603,9 @@ def cmd_check_ahlfors(cfg):
     alpha = _p(cfg, "alpha")
     if alpha is None:
         raise InvalidInputError("need --alpha")
+    cap = _p(cfg, "max_spread")
+    if cap is not None and not float(cap) > 0:
+        raise InvalidInputError("--max-spread must be positive")
     with open(_p(cfg, "measured")) as fh:
         mc = measured_from_csv(fh.read())
     res = ahlfors_ratio_check(mc, float(alpha),
@@ -615,7 +618,6 @@ def cmd_check_ahlfors(cfg):
     human = ("c1_hat %.6g, c2_hat %.6g, spread %.6g over %d sampled balls\n"
              % (res.c1_hat, res.c2_hat, res.spread, len(res.samples)))
     code = 0
-    cap = _p(cfg, "max_spread")
     if cap is not None and res.spread > float(cap):
         human += "spread exceeds %.3g\n" % float(cap)
         code = 3

@@ -665,6 +665,10 @@ def diffuseness_constant(maps, F_cloud, directions=2000):
     return DiffuseResult(c_low, Hyperplane(u_best, b), raw_min, lip * half)
 
 
+_SUBSET_FROM = 1024   # least ball size that gets a subset floor
+_SUBSET_SIZE = 256    # about how many points the subset holds
+
+
 def _packing_width_bound(n, spacing, xi):
     """Lower bound on the half-thickness of any slab holding n planar points
     that lie in a ball of radius xi, pairwise at least `spacing` apart; see
@@ -683,15 +687,29 @@ class _BallWidths:
     them as the spacing s.  A call returns (points in the ball, ratio,
     WidthResult) with ratio = (w - slack) / xi.
 
-    Packing floor: discs of radius s/2 about the n points in a planar ball
-    are disjoint.  A slab of half-thickness w holding them meets the ball in
-    a strip of length at most 2*xi, so the discs fit in a (2*xi + s) x
-    (2*w + s) rectangle: n*pi*s^2/4 <= (2*xi + s) * (2*w + s), that is
-    w >= (n*pi*s^2/4 / (2*xi + s) - s) / 2 (`_packing_width_bound`).
+    Two floors bound a planar ball's half-thickness w from below:
 
-    A ball is cleared, returning ratio and WidthResult None, only when its
-    floor ratio (floor - slack) / xi exceeds beta and strictly exceeds the
-    least ratio already measured at the same radius (`least`).  Its true
+    - Packing floor: discs of radius s/2 about the n points in the ball are
+      disjoint.  A slab of half-thickness w holding them meets the ball in a
+      strip of length at most 2*xi, so the discs fit in a (2*xi + s) x
+      (2*w + s) rectangle: n*pi*s^2/4 <= (2*xi + s) * (2*w + s), that is
+      w >= (n*pi*s^2/4 / (2*xi + s) - s) / 2 (`_packing_width_bound`).
+    - Subset floor: a slab holding the ball holds every subset of its
+      points, so the width of a subset is at most w.  A ball of more than
+      `_SUBSET_FROM` points is first measured on the points of a strided
+      copy of the cloud (every 2^k-th point, k chosen so that about
+      `_SUBSET_SIZE` to twice that many fall in the ball) that lie in the
+      ball shrunk by a factor 1 - 1e-9, so none of them can fall outside
+      the ball the full query returns.  Planar `width` is exact up to its
+      rounding, which its `tol` (1e-12 * max(1, w)) covers, so the floor is
+      the subset's w - tol: rounding can never clear a ball that would have
+      set a new least ratio.  In d >= 3 `width` is a grid search, an upper
+      bound, and no subset floor is taken.
+
+    A ball's points are first only counted, and listed only when no floor
+    clears it.  It is cleared, returning ratio and WidthResult None, only
+    when a floor ratio (floor - slack) / xi exceeds beta and strictly exceeds
+    the least ratio already measured at the same radius (`least`).  Its true
     ratio then exceeds both, so no cleared ball is at or under beta, none
     attains the least ratio at its radius, and the first ball at every radius
     is always measured.
@@ -705,15 +723,35 @@ class _BallWidths:
         self.near = self.tree.query(self.pts, k=[2, 3])[0]
         planar = self.pts.shape[1] == 2 and len(self.pts) >= 2
         self.spacing = float(self.near[:, 0].min()) if planar else 0.0
+        # strided[k - 1] holds every 2^k-th point, down to _SUBSET_SIZE points
+        self.strided = []
+        while self.spacing > 0 and len(self.pts) >> len(self.strided) + 1 >= _SUBSET_SIZE:
+            self.strided.append(_cKDTree(self.pts[::2 << len(self.strided)]))
         self.least = {}
         self.cleared = 0
 
+    def _floor(self, x, xi, n, bar):
+        """Lower bound on the ratio of the n-point ball B(x, xi): the packing
+        floor, or where that does not exceed `bar`, the larger of it and the
+        subset floor."""
+        floor = (_packing_width_bound(n, self.spacing, xi) - self.slack) / xi
+        if floor > bar or n <= _SUBSET_FROM or not self.strided:
+            return floor
+        level = self.strided[(n // _SUBSET_SIZE).bit_length() - 2]
+        idx = level.query_ball_point(x, xi * (1.0 - 1e-9))
+        if not idx:
+            return floor
+        sub = width(level.data[idx])
+        return max(floor, (sub.w - sub.tol - self.slack) / xi)
+
     def __call__(self, x, xi):
+        bar = max(self.beta, self.least.get(xi, math.inf))
+        if bar < math.inf:
+            n = int(self.tree.query_ball_point(x, xi, return_length=True))
+            if self._floor(x, xi, n, bar) > bar:
+                self.cleared += 1
+                return n, None, None
         idx = self.tree.query_ball_point(x, xi)
-        floor = (_packing_width_bound(len(idx), self.spacing, xi) - self.slack) / xi
-        if floor > self.beta and floor > self.least.get(xi, math.inf):
-            self.cleared += 1
-            return len(idx), None, None
         res = width(self.pts[idx])
         ratio = (res.w - self.slack) / xi
         if ratio < self.least.get(xi, math.inf):
@@ -726,12 +764,15 @@ def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0
     escape every slab of half-thickness beta * radius.
 
     The ratio of a ball is (w - eps) / radius.  `_BallWidths` clears balls
-    whose disc-packing floor already puts them above beta and above the
-    least ratio measured at their radius, so the worst ratio and its witness
-    are those of measuring every ball; `cleared` counts the balls skipped.
+    whose disc-packing floor, or the width of a strided subset of their
+    points, already puts them above beta and above the least ratio measured
+    at their radius, so the worst ratio and its witness are those of
+    measuring every ball; `cleared` counts the balls skipped.
     """
-    if beta <= 0:
-        raise InvalidInputError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0):
+        raise InvalidInputError("beta must be positive and finite")
+    if not (math.isfinite(cloud.eps) and cloud.eps >= 0):
+        raise InvalidInputError("eps must be finite and non-negative")
     pts = cloud.points
     if len(pts) == 0:
         raise InvalidInputError("empty cloud")
@@ -773,7 +814,8 @@ def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None,
     are ranked by their second-neighbour distance so those configurations are
     reached within the budget.  Every examined ball counts against the budget;
     `_BallWidths` measures the ratio w / xi exactly wherever it can decide
-    `found`, `best` or a scale's least ratio.
+    `found`, `best` or a scale's least ratio, and clears the other balls by
+    its packing and subset floors (`cleared`).
     """
     pts = cloud.points
     n = len(pts)
@@ -878,19 +920,26 @@ def ahlfors_ratio_check(measured, alpha, sample_count=1000, seed=0, r_count=6,
 
     Outer mass counts cells meeting the ball, inner mass counts cells inside;
     the max ratio uses outer, the min uses inner, so the spread is honest.
+    A cell can meet B(x, r) only when its point lies within r + max(radii)
+    of x, so each ball filters the KD-tree's candidates within that reach,
+    in ascending index order: the masses summed are the same sequence, and
+    the sums the same, as over the whole cloud.
     """
     sample_count = int(sample_count)
     if sample_count < 1:
         raise InvalidInputError("need at least one ball (sample_count >= 1)")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InvalidInputError("alpha must be positive and finite")
     pts, masses, radii = measured.points, measured.masses, measured.cell_radii
     total = masses.sum()
     if abs(total - 1.0) > 1e-6:
         masses = masses / total
-    cloud = PointCloud(pts, float(radii.max()))
+    cell = float(radii.max())
+    cloud = PointCloud(pts, cell)
     diam = cloud.diameter()
     if r_range is None:
         r_hi = diam / 4.0
-        r_lo = max(8.0 * float(radii.max()), diam * 1e-4)
+        r_lo = max(8.0 * cell, diam * 1e-4)
         if r_lo >= r_hi:
             r_lo = r_hi  # shallow cloud: only the top scale clears the cells
     else:
@@ -898,15 +947,19 @@ def ahlfors_ratio_check(measured, alpha, sample_count=1000, seed=0, r_count=6,
     rs = np.geomspace(r_hi, r_lo, int(r_count))
     rng = np.random.Generator(np.random.Philox(key=seed))
     per = -(-sample_count // len(rs))
+    tree = _cKDTree(pts)
     c1, c2 = np.inf, 0.0
     samples = []
     for rad in rs:
         idx = rng.choice(len(pts), size=per, p=masses)
+        reach = (rad + cell) * (1.0 + 1e-9)
         for i in idx:
             x = pts[i]
-            dist = np.linalg.norm(pts - x, axis=1)
-            outer = float(masses[dist <= rad + radii].sum())
-            inner = float(masses[dist + radii <= rad].sum())
+            near = np.sort(np.array(tree.query_ball_point(x, reach), dtype=np.intp))
+            dist = np.linalg.norm(pts[near] - x, axis=1)
+            m, r = masses[near], radii[near]
+            outer = float(m[dist <= rad + r].sum())
+            inner = float(m[dist + r <= rad].sum())
             denom = rad ** alpha
             c1 = min(c1, inner / denom)
             c2 = max(c2, outer / denom)

@@ -265,6 +265,28 @@ def test_check_ahlfors_zero_balls_exits_2(tmp_path):
     assert doc["error"] == "invalid-config"
 
 
+@pytest.mark.parametrize("flags", [["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"],
+                                   ["--beta", "nan"], ["--beta", "inf"]])
+def test_check_diffuse_bad_eps_or_beta_exits_2(tmp_path, flags):
+    path = tmp_path / "cloud.csv"
+    path.write_text(cloud_to_csv(render(percolation_ifs(3, 2), depth=3)))
+    argv = ["check-diffuse", "--cloud", str(path), "--eps", "0.001", "--beta", "0.01"]
+    code, doc, _ = run_json(argv + flags)
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "nan"], ["--alpha", "-1"], ["--alpha", "0"],
+                                   ["--max-spread", "nan"], ["--max-spread", "-1"]])
+def test_check_ahlfors_bad_alpha_or_cap_exits_2(tmp_path, flags):
+    path = tmp_path / "m.csv"
+    path.write_text("0.1,0.2,0.5,0.1\n0.3,0.4,0.5,0.1\n")
+    argv = ["check-ahlfors", "--measured", str(path), "--alpha", "1", "--balls", "12"]
+    code, doc, _ = run_json(argv + flags)
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
 def test_check_diffuse_zero_diameter_cloud_exits_2(tmp_path):
     path = tmp_path / "one_point.csv"
     path.write_text("0.5,0.5\n")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -181,14 +182,18 @@ def test_flat_ball_search_floor_only_saves_work(monkeypatch):
         return [_flat_ball_search(cloud, 0.01, 1000, sd) for cloud, sd in runs]
 
     with_floor = searches()
-    monkeypatch.setattr(geometry, "_packing_width_bound", lambda *args: 0.0)
+    monkeypatch.setattr(geometry, "_SUBSET_FROM", math.inf)
+    packing_only = searches()
+    monkeypatch.setattr(geometry._BallWidths, "_floor", lambda self, x, xi, n, bar: -math.inf)
     without = searches()
     assert sum(r["cleared"] for r in with_floor) > 0
     assert all(r["cleared"] == 0 for r in without)
-    for a, b in zip(with_floor, without):
-        a.pop("cleared")
-        b.pop("cleared")
-        assert a == b
+    # on the raw sample the subset floor clears balls the packing floor cannot
+    assert with_floor[0]["cleared"] > packing_only[0]["cleared"]
+    for a, b, c in zip(with_floor, without, packing_only):
+        for r in (a, b, c):
+            r.pop("cleared")
+        assert a == b == c
 
 
 def test_non_diffuseness_rejects_sure_survival():

@@ -239,6 +239,27 @@ def test_packing_floor_is_below_the_width():
     assert positive > 100
 
 
+def test_subset_floor_is_below_the_width(grid6):
+    # a lattice cloud and a random-walk cloud with no lattice structure
+    rng = np.random.default_rng(5)
+    walk = np.cumsum(rng.normal(size=(30_000, 2)), axis=0)
+    for cloud in (grid6, PointCloud(walk / np.ptp(walk), 0.0)):
+        balls = geometry._BallWidths(cloud, 0.01, 0.0)
+        pts, diam = cloud.points, cloud.diameter()
+        raised = 0
+        for _ in range(40):
+            x, xi = pts[rng.integers(len(pts))], diam * 2.0 ** -rng.uniform(2, 6)
+            idx = balls.tree.query_ball_point(x, xi)
+            floor = balls._floor(x, xi, len(idx), math.inf)
+            assert floor <= width(pts[idx]).w / xi
+            raised += floor > geometry._packing_width_bound(len(idx), balls.spacing, xi) / xi
+        assert raised >= 10
+
+
+def _no_floor(self, x, xi, n, bar):
+    return -math.inf
+
+
 def _plain(res):
     """Check result with the witness hyperplane as numbers, `cleared` dropped."""
     out = {k: v for k, v in res.items() if k != "cleared"}
@@ -251,7 +272,7 @@ def _plain(res):
 
 def test_packing_floor_only_saves_work(grid6, monkeypatch):
     with_floor = empirical_diffuse_check(grid6, beta=0.01, sample_count=90, seed=0)
-    monkeypatch.setattr(geometry, "_packing_width_bound", lambda *args: 0.0)
+    monkeypatch.setattr(geometry._BallWidths, "_floor", _no_floor)
     without = empirical_diffuse_check(grid6, beta=0.01, sample_count=90, seed=0)
     assert with_floor["cleared"] > 0 and without["cleared"] == 0
     assert _plain(with_floor) == _plain(without)
@@ -311,6 +332,28 @@ def uniform_measured(depth=4):
     half = ifs.diameter_bound() / 2.0
     radii = np.full(n, (1 / 3.0) ** depth * half)
     return MeasuredCloud(cloud.points, np.full(n, 1.0 / n), radii)
+
+
+class _EveryPoint:
+    """KD-tree stand-in whose every query returns the whole cloud."""
+
+    def __init__(self, pts):
+        self.n = len(pts)
+
+    def query_ball_point(self, x, r):
+        return list(range(self.n))
+
+
+def test_ahlfors_reach_filter_matches_full_scan(monkeypatch):
+    # cells of unequal radii, so a reach short of r + max(radii) drops some
+    rng = np.random.default_rng(11)
+    n = 3000
+    mc = MeasuredCloud(rng.random((n, 2)), rng.random(n), rng.uniform(0.0, 0.03, n))
+    got = ahlfors_ratio_check(mc, 1.5, sample_count=300, seed=4)
+    monkeypatch.setattr(geometry, "_cKDTree", _EveryPoint)
+    want = ahlfors_ratio_check(mc, 1.5, sample_count=300, seed=4)
+    assert got == want
+    assert any(0.0 < s["inner"] < s["outer"] for s in got.samples)
 
 
 def test_ahlfors_uniform_grid_tight():
