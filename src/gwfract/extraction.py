@@ -1,11 +1,12 @@
 """Certified-subtree search and the pipelines that build diffuse, regular subsets.
 
-A predicate declares which child sets are acceptable.  One bottom-up presence
-DP (`_presence`) serves both tree kinds: on a `FiniteTree` a child label is a
-letter, on a `StarTree` it is a word suffix.  `find_subtree` runs it and
-extracts a greedily trimmed witness; one builder (`_witness`) walks the chosen
-child sets breadth first into per-level labels and parent indices, for it, for
-the star pipeline and for the lazy scan.  The two pipelines wrap this with
+A predicate declares which child sets are acceptable.  Child labels are
+integers: the letters of a `FiniteTree`, which on a `StarTree` index its
+table of word suffixes.  One bottom-up presence DP (`_presence`) runs on the
+level arrays of either kind; `find_subtree` runs it and extracts a greedily
+trimmed witness; one builder (`_witness`) walks the chosen child sets breadth
+first into per-level labels and parent indices, for it, for the star pipeline
+and for the lazy scan.  The two pipelines wrap this with
 sampling, a breadth-first vertex scan, measure construction and geometric
 certificates.  Deep instances never materialize the whole sample: the scan
 expands one compressed block at a time and stops testing children of a node as
@@ -32,12 +33,10 @@ import numpy as np
 from .symbolic import (
     Word,
     FiniteTree,
-    StarTree,
     section_pi_rho,
     _section_depth,
     compress_along_pi_rho,
     block_letters,
-    _word_rows,
     InvalidInputError,
     CapabilityError,
 )
@@ -66,24 +65,22 @@ class NotFoundError(RuntimeError):
 
 @dataclass
 class PredicateContext:
-    """Node position handed to predicates that need it (star splitting)."""
+    """Node position handed to predicates that need it (star splitting).
+
+    `suffixes` is the tree's suffix table (`StarTree.suffixes`): a star's
+    integer labels index it.  It is None on a `FiniteTree`.
+    """
 
     node: Word = Word()
     height: int = 0
+    suffixes: tuple = None
 
 
 def _as_int_array(labels):
-    """Packed labels as an ascending int64 array."""
+    """Integer labels as an ascending int64 array."""
     if isinstance(labels, np.ndarray):
         return np.sort(labels.astype(np.int64, copy=False))
     return np.array(sorted(int(x) for x in labels), dtype=np.int64)
-
-
-def _word_labels(labels):
-    """True when the labels are word suffixes rather than packed letters."""
-    for x in labels:
-        return isinstance(x, tuple)
-    return False
 
 
 def _runs(keys, bounds):
@@ -116,13 +113,11 @@ class SubtreePredicate:
     doing the certification work `member` would do on it.
     """
 
-    kind = "predicate"
     # building a witness may compute certificates, which are counted
     _witness_certifies = False
 
     def member(self, labels, ctx=None):
-        if not _word_labels(labels):
-            labels = _as_int_array(labels)
+        labels = _as_int_array(labels)
         return bool(self._segments(labels, np.array([0, len(labels)]))(0))
 
     def _segments(self, codes, bounds):
@@ -139,14 +134,9 @@ class SubtreePredicate:
         """Cardinality floor a trimmed witness must keep."""
         return 0
 
-    def describe(self):
-        return self.kind
-
 
 class Ary(SubtreePredicate):
     """Upward closure of the child sets of size exactly a."""
-
-    kind = "ary"
 
     def __init__(self, a):
         self.a = int(a)
@@ -168,14 +158,10 @@ class Ary(SubtreePredicate):
     def witness_subset(self, labels, ctx=None):
         if len(labels) < self.a:
             return None
-        return frozenset(int(x) if not isinstance(x, tuple) else Word(x)
-                         for x in sorted(labels)[: self.a])
+        return frozenset(int(x) for x in sorted(labels)[: self.a])
 
     def min_arity(self):
         return self.a
-
-    def describe(self):
-        return "%s(%d)" % (self.kind, self.a)
 
 
 class DiffuseBlock(SubtreePredicate):
@@ -185,8 +171,6 @@ class DiffuseBlock(SubtreePredicate):
     significant); the block below prefix a is all base_n^2 extensions of a.
     In an ascending set a block is a run of `block` labels with one prefix.
     """
-
-    kind = "diffuse_block"
 
     def __init__(self, b, k, d=2):
         self.b = int(b)
@@ -232,23 +216,22 @@ class DiffuseBlock(SubtreePredicate):
     def min_arity(self):
         return self.block
 
-    def describe(self):
-        return "%s(b=%d,k=%d,d=%d)" % (self.kind, self.b, self.k, self.d)
-
 
 class SectionDiffuse(SubtreePredicate):
     """Child sets with a certified-diffuse one-step family below some prefix.
 
-    For packed labels (uniform-ratio compression by k base levels) the split
-    prefix is the first k-1 base letters, and a family is the letter mask of
-    one prefix.  For word labels the prefix is the one realized in the section
-    one r_min-step above the child section, as the existence argument
-    prescribes.  Certification is one-sided: a family whose certified constant
-    falls below c counts as a non-member.  A set's families are certified in
-    ascending mask order, and only up to the first that passes.
+    With the block length k (packed labels of a uniform-ratio compression by
+    k base levels) the split prefix is the first k-1 base letters, and a
+    family is the letter mask of one prefix; a set's families are certified
+    in ascending mask order.  Without k the labels index the star's suffix
+    table (`PredicateContext.suffixes`), and the prefix of a suffix is the
+    one realized in the section one r_min-step above the child section, as
+    the existence argument prescribes; families are certified in ascending
+    prefix order.  Either way only up to the first family that passes.
+    Certification is one-sided: a family whose certified constant falls
+    below c counts as a non-member.
     """
 
-    kind = "section_diffuse"
     _witness_certifies = True
 
     def __init__(self, rho, c, ifs, F_cloud=None, k=None, directions=200,
@@ -264,36 +247,32 @@ class SectionDiffuse(SubtreePredicate):
         self.cert_count = 0
         self.base_n = ifs.alphabet_size
         self.F = F_cloud if F_cloud is not None else _attractor_cloud(ifs)
-        self._mask_ok = {}
-        self._word_ok = {}
+        self._ok = {}
 
     # -- certification ------------------------------------------------------
 
-    def _certify(self, maps):
-        self.cert_count += 1
-        if self.cert_count > self.cert_budget:
-            raise CapabilityError(
-                "diffuseness certification budget exhausted after %d families"
-                % self.cert_budget
-            )
-        res = diffuseness_constant(maps, self.F, directions=self.directions)
-        return res.c_low >= self.c
+    def _certified(self, key, family):
+        """Whether the family keyed `key` is certified; `family()` gives its
+        maps, built and certified once per key."""
+        ok = self._ok.get(key)
+        if ok is None:
+            self.cert_count += 1
+            if self.cert_count > self.cert_budget:
+                raise CapabilityError(
+                    "diffuseness certification budget exhausted after %d families"
+                    % self.cert_budget
+                )
+            res = diffuseness_constant(family(), self.F, directions=self.directions)
+            ok = self._ok[key] = res.c_low >= self.c
+        return ok
 
     def _mask_certified(self, mask):
-        ok = self._mask_ok.get(mask)
-        if ok is None:
-            letters = [j for j in range(self.base_n) if mask >> j & 1]
-            ok = self._certify([self.ifs.maps[j] for j in letters])
-            self._mask_ok[mask] = ok
-        return ok
+        return self._certified(mask, lambda: [self.ifs.maps[j] for j in range(self.base_n)
+                                              if mask >> j & 1])
 
     def _suffixes_certified(self, suffixes):
         key = frozenset(suffixes)
-        ok = self._word_ok.get(key)
-        if ok is None:
-            ok = self._certify([word_map(self.ifs, v) for v in sorted(key)])
-            self._word_ok[key] = ok
-        return ok
+        return self._certified(key, lambda: [word_map(self.ifs, v) for v in sorted(key)])
 
     # -- packed labels ------------------------------------------------------
 
@@ -334,7 +313,7 @@ class SectionDiffuse(SubtreePredicate):
                                  for m in sorted(set(masks.values())))
         return push
 
-    # -- word labels --------------------------------------------------------
+    # -- star labels --------------------------------------------------------
 
     def _split(self, w, a):
         """Prefix in the section one r_min-step up, and the remaining suffix."""
@@ -345,32 +324,27 @@ class SectionDiffuse(SubtreePredicate):
                 return Word(w[:i]), Word(w[i:])
         return Word(w), Word()
 
-    def _word_groups(self, labels, ctx):
-        a = 1.0
-        if ctx is not None and ctx.height > 0:
-            a = self.ifs.weights.weight(ctx.node) / self.rho ** ctx.height
+    def _star_families(self, labels, ctx):
+        """(remainder, label) pairs of each split prefix's family, by ascending prefix."""
+        a = self.ifs.weights.weight(ctx.node) / self.rho ** ctx.height
         groups = {}
-        for w in labels:
-            w = Word(w)
-            i, v = self._split(w, a)
-            groups.setdefault(i, []).append((v, w))
-        return groups
+        for lab in _as_int_array(labels).tolist():
+            i, v = self._split(ctx.suffixes[lab], a)
+            groups.setdefault(i, []).append((v, lab))
+        return [groups[i] for i in sorted(groups)]
 
     # -- predicate API ------------------------------------------------------
 
     def member(self, labels, ctx=None):
-        if _word_labels(labels):
-            return any(self._suffixes_certified([v for v, _ in pairs])
-                       for pairs in self._word_groups(labels, ctx).values())
+        if self.k is None:
+            return self.witness_core(labels, ctx) is not None
         return super().member(labels, ctx)
 
     def witness_core(self, labels, ctx=None):
-        if _word_labels(labels):
-            groups = self._word_groups(labels, ctx)
-            for i in sorted(groups):
-                pairs = groups[i]
+        if self.k is None:
+            for pairs in self._star_families(labels, ctx):
                 if self._suffixes_certified([v for v, _ in pairs]):
-                    return frozenset(w for _, w in pairs)
+                    return frozenset(lab for _, lab in pairs)
             return None
         arr = _as_int_array(labels)
         starts, masks, _ = self._families(arr, np.array([0, len(arr)]))
@@ -383,15 +357,10 @@ class SectionDiffuse(SubtreePredicate):
     def witness_subset(self, labels, ctx=None):
         return self.witness_core(labels, ctx)
 
-    def describe(self):
-        return "%s(rho=%g,c=%g)" % (self.kind, self.rho, self.c)
-
 
 class Intersection(SubtreePredicate):
     """All parts must accept; the witness keeps the structural cores first and
     pads with the lex-smallest remaining children up to the cardinality floor."""
-
-    kind = "intersection"
 
     def __init__(self, parts):
         self.parts = list(parts)
@@ -431,18 +400,12 @@ class Intersection(SubtreePredicate):
                     return None
                 core |= got
         need = max(self.min_arity(), len(core)) - len(core)
-        if _word_labels(labels):
-            pad = [Word(x) for x in sorted(labels) if x not in core][:need]
-        else:
-            arr = _as_int_array(labels)
-            pad = arr[~np.isin(arr, list(core))][:need].tolist()
+        arr = _as_int_array(labels)
+        pad = arr[~np.isin(arr, list(core))][:need].tolist()
         if len(pad) < need:
             return None
         out = frozenset(core.union(pad))
         return out if self.member(out, ctx) else None
-
-    def describe(self):
-        return " & ".join(p.describe() for p in self.parts)
 
 
 def diffuse_block_collection(b, k, d=2):
@@ -469,8 +432,9 @@ def _attractor_cloud(ifs, target=2000, node_cap=50_000):
 def find_subtree(tree, pred, n):
     """Bottom-up presence DP; returns the trimmed witness subtree or None.
 
-    Works on a `FiniteTree` (child labels are letters) and on a `StarTree`
-    (child labels are word suffixes); the witness has the same kind.
+    Child labels are the tree's integer letters: base or block letters on a
+    `FiniteTree`, suffix ids on a `StarTree`.  The witness has the tree's
+    kind and alphabet (on a star, the same suffix table).
     """
     n = int(n)
     if n < 0:
@@ -478,53 +442,59 @@ def find_subtree(tree, pred, n):
     if tree.depth < n:
         raise InvalidInputError("tree height %d is below the requested length %d"
                                 % (tree.depth, n))
-    star = isinstance(tree, StarTree)
-    extend = Word.cat if star else Word.child
-    goods, chosen = _presence(tree, pred, n, extend)
-    if Word() not in goods[n]:
+    good, witness = _presence(tree, pred, n)
+    if not good[0][0]:
         return None
-    labels, parents = _witness(Word(), n, chosen, extend)
-    if not star:
-        return FiniteTree._of(tree.alphabet_size, n, labels, parents)
-    levels = [[Word()]]
-    for labs, pars in zip(labels[1:], parents[1:]):
-        levels.append([levels[-1][p].cat(s) for s, p in zip(labs, pars)])
-    return StarTree(levels)
+    return tree._sub(n, *witness(0, 0))
 
 
-def _presence(tree, pred, n, extend):
-    """Goods tables of the presence DP and the witness lookup over them.
+def _presence(tree, pred, n):
+    """Presence DP over the level arrays, and the witness builder over it.
 
-    goods[m] maps each height-(n-m) node with an m-level witness below it to
-    its good child labels; `extend(v, label)` is the word of v's child.
-    `chosen(v, m)` trims goods[m][v] to the predicate's witness subset.
+    good[h] marks the height-h nodes with an (n-h)-level witness below them;
+    a node's good child labels are one segment of the good height-(h+1)
+    letters, cut by the ascending parent indices.  `witness(h, i)` gives the
+    level arrays (`_witness`) of the trimmed witness below node i of height h.
+    Each level's words are spelled once, for the predicate context.
     """
-    goods = [set(tree.level(n))]
-    for m in range(1, n + 1):
-        prev = goods[-1]
-        cur = {}
-        for v in tree.level(n - m):
-            S = frozenset(s for s in tree.children[v] if extend(v, s) in prev)
-            if pred.member(S, PredicateContext(node=v, height=n - m)):
-                cur[v] = S
-        goods.append(cur)
+    sizes = tree.level_sizes()
+    good = [None] * n + [np.ones(sizes[n], dtype=bool)]
+    below = [None] * n
+    for h in range(n - 1, -1, -1):
+        words = tree.level(h)
+        kids = np.flatnonzero(good[h + 1])
+        codes = tree._letters[h + 1][kids]
+        bounds = np.searchsorted(tree._parents[h + 1][kids], np.arange(sizes[h] + 1))
+        good[h] = np.array([pred.member(codes[b:e], PredicateContext(w, h, tree.suffixes))
+                            for w, b, e in zip(words, bounds[:-1].tolist(),
+                                               bounds[1:].tolist())], dtype=bool)
+        below[h] = words, kids, codes, bounds
 
     def chosen(v, m):
-        return pred.witness_subset(goods[m][v],
-                                   PredicateContext(node=v, height=n - m))
+        h, i = v
+        words, _, codes, bounds = below[h]
+        return pred.witness_subset(codes[bounds[i]:bounds[i + 1]],
+                                   PredicateContext(words[i], h, tree.suffixes))
 
-    return goods, chosen
+    def step(v, label):
+        h, i = v
+        _, kids, codes, bounds = below[h]
+        b = bounds[i]
+        return h + 1, int(kids[b + np.searchsorted(codes[b:bounds[i + 1]], label)])
+
+    return good, lambda h, i: _witness((h, i), n - h, chosen, step)
 
 
 def _witness(root, n, chosen, step):
     """Walk the chosen child sets breadth first, n levels down from `root`.
 
-    `chosen(v, m)` is the label set kept at absolute node v with m levels to
-    go and `step(v, label)` the absolute node of that child.  Returns the
+    `chosen(v, m)` is the label set kept at node v with m levels to go and
+    `step(v, label)` the node of that child: an absolute word on the lazy
+    scan, a (height, index) pair in the presence DP.  Returns the
     per-level labels and parent indices (into the level above) of the
     witness; level 0, the root, holds None.  Each node's labels are taken in
     ascending order, so every level is in lexicographic order with ascending
-    parents, as `FiniteTree` stores it.  Leaves get no absolute node.
+    parents, as `FiniteTree` stores it.  Leaves get no node.
     """
     labels, parents = [None], [None]
     nodes = [root]
@@ -560,16 +530,14 @@ def natural_measure(subtree, rho, alpha):
     if A < 1 or abs(A_f - A) > 1e-9 * max(1.0, A_f):
         raise InvalidInputError("rho^-alpha = %r is not an integer" % A_f)
 
-    masses = {}
-    for h in range(subtree.depth + 1):
-        for w in subtree.level(h):
-            cs = subtree.children[w]
-            if h < subtree.depth and len(cs) != A:
-                raise InvalidInputError(
-                    "node %r has %d children, expected %d" % (w, len(cs), A)
-                )
-            masses[w] = float(A) ** (-h)
-    return masses
+    sizes = subtree.level_sizes()
+    for h in range(subtree.depth):
+        counts = np.bincount(subtree._parents[h + 1], minlength=sizes[h])
+        bad = np.flatnonzero(counts != A)
+        if len(bad):
+            raise InvalidInputError("node %r has %d children, expected %d"
+                                    % (subtree.level(h)[bad[0]], counts[bad[0]], A))
+    return {w: float(A) ** (-h) for h in range(subtree.depth + 1) for w in subtree.level(h)}
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +570,12 @@ class ExtractedSubset:
 
     def _leaves(self):
         """(rows, lengths) of the deepest level's absolute base-alphabet words:
-        the root prefix, then the decoded block codes (or the word suffixes of
-        a star witness), each row padded with 0 past its length."""
-        if isinstance(self.subtree, StarTree):
-            tail, lengths = _word_rows(self.subtree.level(self.subtree.depth))
-        else:
-            codes = self.subtree._rows(self.subtree.depth)
-            tail = block_letters(codes, self.ifs.alphabet_size, self.k).reshape(len(codes), -1)
-            lengths = np.full(len(tail), tail.shape[1])
+        the root prefix, then the leaf's base letters (block codes of k
+        letters each are decoded), each row padded with 0 past its length."""
+        tail, lengths = self.subtree._level_rows(self.subtree.depth)
+        if self.k is not None:
+            tail = block_letters(tail, self.ifs.alphabet_size, self.k).reshape(len(tail), -1)
+            lengths = lengths * self.k
         root = np.tile(np.array(self.root_word, dtype=np.int64), (len(tail), 1))
         return np.hstack([root, tail]), lengths + len(self.root_word)
 
@@ -619,12 +585,11 @@ class ExtractedSubset:
         return [Word(r[:n]) for r, n in zip(rows.tolist(), lengths.tolist())]
 
     def cloud(self):
-        return _render_letters(self.ifs, *self._leaves(), None,
-                               {"pipeline": self.pipeline, "root": self.root_word.text})
+        return _render_letters(self.ifs, *self._leaves(), None)
 
     def measured_cloud(self):
         rows, lengths = self._leaves()
-        cloud = _render_letters(self.ifs, rows, lengths, None, None)
+        cloud = _render_letters(self.ifs, rows, lengths, None)
         # the cell ratio, multiplied left to right as `WeightedAlphabet.weight` does
         ratios = np.array(self.ifs.weights.ratios)
         r = np.ones(len(rows))
@@ -966,6 +931,30 @@ def _scan_candidates(layered, n_total, scan_budget):
     )
 
 
+def _layered_witness(offspring, seed, node_budget, k, pred, arity, per_node_cap,
+                     n_total, scan_budget, predicted, miss_stats):
+    """Scan one lazy realization breadth first and build the first witness.
+
+    Returns the witness root word, its tree and the scan stats with
+    `predicted`.  On a miss the NotFoundError's stats get `predicted` and
+    then `miss_stats()`, read after the scan.
+    """
+    if per_node_cap is None:
+        per_node_cap = max(4 * arity, 256)
+    lazy = LazyGW(offspring, seed, node_budget=node_budget)
+    layered = _LayeredScan(lazy, k, pred, arity, per_node_cap)
+    try:
+        v, n, scan = _scan_candidates(layered, n_total, scan_budget)
+    except NotFoundError as err:
+        err.stats["predicted"] = predicted
+        err.stats.update(miss_stats())
+        raise
+    subtree = layered.witness_tree(v, n)
+    scan.update(layered.scan_stats())
+    scan["predicted"] = predicted
+    return v, subtree, scan
+
+
 # ---------------------------------------------------------------------------
 # percolation pipeline
 
@@ -1035,25 +1024,14 @@ def percolation_pipeline(b, d, p, c, k, depth=None, seed=0, scan_budget=256,
     offspring = Binomial(N, p)
     ifs = percolation_ifs(b, d=d)
     pred = Intersection([DiffuseBlock(b, k, d=d), Ary(A)])
-    if per_node_cap is None:
-        per_node_cap = max(4 * A, 256)
-    lazy = LazyGW(offspring, seed, node_budget=node_budget)
-    layered = _LayeredScan(lazy, k, pred, A, per_node_cap)
     predicted = predicted_presence(offspring, k, A, n_total, mode="block")
-
-    try:
-        v, n, scan = _scan_candidates(layered, n_total, scan_budget)
-    except NotFoundError as err:
-        err.stats["predicted"] = predicted
-        err.stats["params"] = {"b": b, "d": d, "p": p, "c": c, "k": k,
-                               "depth": depth, "seed": int(seed)}
-        raise
-
-    subtree = layered.witness_tree(v, n)
+    v, subtree, scan = _layered_witness(
+        offspring, seed, node_budget, k, pred, A, per_node_cap, n_total,
+        scan_budget, predicted,
+        lambda: {"params": {"b": b, "d": d, "p": p, "c": c, "k": k,
+                            "depth": depth, "seed": int(seed)}})
     c_blk = _block_family_constant(b, d)
     beta = c_blk * b ** (-k) / ifs.diameter_bound()
-    scan.update(layered.scan_stats())
-    scan["predicted"] = predicted
     scan["block_constant"] = float(c_blk)
     return ExtractedSubset(
         root_word=v,
@@ -1257,11 +1235,6 @@ def _general_uniform(ifs, offspring, rho, alpha, c, A, k, depth, seed,
 
     sd = SectionDiffuse(rho, c, ifs, F_cloud=F, k=k, directions=directions)
     pred = Intersection([sd, Ary(A)])
-    if per_node_cap is None:
-        per_node_cap = max(4 * A, 256)
-    lazy = LazyGW(offspring, seed, node_budget=node_budget)
-    layered = _LayeredScan(lazy, k, pred, A, per_node_cap)
-
     predicted = None
     try:
         full_mask = (1 << ifs.alphabet_size) - 1
@@ -1270,18 +1243,11 @@ def _general_uniform(ifs, offspring, rho, alpha, c, A, k, depth, seed,
     except CapabilityError:
         predicted = None
 
-    try:
-        v, n, scan = _scan_candidates(layered, n_total, scan_budget)
-    except NotFoundError as err:
-        err.stats["predicted"] = predicted
-        err.stats["params"] = dict(params, k=k, depth=depth)
-        err.stats["certs"] = int(sd.cert_count)
-        raise
-
-    subtree = layered.witness_tree(v, n)
+    v, subtree, scan = _layered_witness(
+        offspring, seed, node_budget, k, pred, A, per_node_cap, n_total,
+        scan_budget, predicted,
+        lambda: {"params": dict(params, k=k, depth=depth), "certs": int(sd.cert_count)})
     beta = rho * c * ifs.weights.r_min / ifs.diameter_bound()
-    scan.update(layered.scan_stats())
-    scan["predicted"] = predicted
     scan["certs"] = int(sd.cert_count)
     scan["base_family_constant"] = float(base_cert.c_low)
     return ExtractedSubset(
@@ -1313,16 +1279,15 @@ def _general_star(ifs, offspring, rho, alpha, c, A, depth, seed, n_levels,
     star = compress_along_pi_rho(sample.tree, weights, rho, n_levels=n_total)
     sd = SectionDiffuse(rho, c, ifs, F_cloud=F, k=None, directions=directions)
     pred = Intersection([sd, Ary(A)])
-    goods, chosen = _presence(star, pred, n_total, Word.cat)
+    good, witness = _presence(star, pred, n_total)
 
-    candidates = ((v, n_total - lvl) for lvl in range(n_total)
-                  for v in star.level(lvl))
+    candidates = ((h, i) for h in range(n_total) for i in range(len(good[h])))
     hit = None
     tested = 0
-    for v, m in islice(candidates, scan_budget):
+    for h, i in islice(candidates, scan_budget):
         tested += 1
-        if v in goods[m]:
-            hit = (v, m)
+        if good[h][i]:
+            hit = (h, i)
             break
 
     stats = {"candidates_tested": tested, "certs": int(sd.cert_count),
@@ -1334,16 +1299,11 @@ def _general_star(ifs, offspring, rho, alpha, c, A, depth, seed, n_levels,
             stats,
         )
 
-    v, m = hit
-    labels, parents = _witness(v, m, chosen, Word.cat)
-    levels = [[Word()]]
-    for labs, pars in zip(labels[1:], parents[1:]):
-        levels.append([levels[-1][p].cat(s) for s, p in zip(labs, pars)])
-    witness = StarTree(levels)
+    h, i = hit
     beta = rho * c * weights.r_min / ifs.diameter_bound()
     return ExtractedSubset(
-        root_word=v,
-        subtree=witness,
+        root_word=star.level(h)[i],
+        subtree=star._sub(n_total - h, *witness(h, i)),
         arity=A,
         alpha=alpha,
         beta=float(beta),

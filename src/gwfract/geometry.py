@@ -5,7 +5,7 @@ width, diffuseness certificates, box dimension, Ahlfors ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -15,7 +15,6 @@ from scipy.spatial import cKDTree as _cKDTree
 from .symbolic import (
     CapabilityError,
     InvalidInputError,
-    StarTree,
     WeightedAlphabet,
     _word_rows,
 )
@@ -195,7 +194,6 @@ class SimilarityIFS:
 class PointCloud:
     points: np.ndarray
     eps: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -290,7 +288,7 @@ def _compose(ifs, letters, lengths):
     return r, S, t
 
 
-def _render_letters(ifs, letters, lengths, base_point, meta):
+def _render_letters(ifs, letters, lengths, base_point):
     if letters.size and not (0 <= letters.min() and letters.max() < ifs.alphabet_size):
         raise InvalidInputError("letter out of range for %d maps" % ifs.alphabet_size)
     if base_point is None:
@@ -299,15 +297,15 @@ def _render_letters(ifs, letters, lengths, base_point, meta):
     r, S, t = _compose(ifs, letters, lengths)
     pts = np.einsum("nij,j->ni", S, base_point) + t
     eps = ifs.diameter_bound() * float(np.max(r))
-    return PointCloud(pts, eps, meta=dict(meta or {}))
+    return PointCloud(pts, eps)
 
 
-def render_words(ifs, words, base_point=None, meta=None):
+def render_words(ifs, words, base_point=None):
     """One representative point per word: the image of a fixed base point."""
     letters, lengths = _word_rows(words)
     if not len(lengths):
-        return PointCloud(np.zeros((0, ifs.d)), 0.0, meta=dict(meta or {}, empty=True))
-    return _render_letters(ifs, letters, lengths, base_point, meta)
+        return PointCloud(np.zeros((0, ifs.d)), 0.0)
+    return _render_letters(ifs, letters, lengths, base_point)
 
 
 def render(ifs, tree=None, depth=None, base_point=None):
@@ -324,20 +322,11 @@ def render(ifs, tree=None, depth=None, base_point=None):
             raise InvalidInputError("full render too large at this depth")
         # row i spells i in base n, leading letter first: the sorted full level
         letters = np.arange(n ** depth)[:, None] // n ** np.arange(depth - 1, -1, -1) % n
-        return _render_letters(ifs, letters, np.full(len(letters), depth), base_point,
-                               {"depth": depth})
-    if isinstance(tree, StarTree):
-        h = tree.depth
-        words = tree.level(h)
-        return render_words(ifs, words, base_point, meta={"height": h})
-    if depth is None:
-        depth = tree.depth
-    n = min(depth, tree.depth)
-    letters = tree._rows(n)
+        return _render_letters(ifs, letters, np.full(len(letters), depth), base_point)
+    letters, lengths = tree._level_rows(tree.depth if depth is None else min(depth, tree.depth))
     if not len(letters):
-        return PointCloud(np.zeros((0, ifs.d)), 0.0, meta={"extinct": True})
-    return _render_letters(ifs, letters, np.full(len(letters), n), base_point,
-                           {"depth": depth})
+        return PointCloud(np.zeros((0, ifs.d)), 0.0)
+    return _render_letters(ifs, letters, lengths, base_point)
 
 
 # ---------------------------------------------------------------------------

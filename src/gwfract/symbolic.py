@@ -7,6 +7,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import cached_property
 
 import numpy as np
@@ -58,14 +59,6 @@ class Word(tuple):
         if not self:
             raise InvalidInputError("the empty word has no parent")
         return Word(self[:-1])
-
-    def is_prefix_of(self, other):
-        return len(self) <= len(other) and tuple(other[: len(self)]) == tuple(self)
-
-    def suffix_after(self, prefix):
-        if not Word(prefix).is_prefix_of(self):
-            raise InvalidInputError("not a prefix")
-        return Word(self[len(prefix):])
 
     @property
     def text(self):
@@ -284,9 +277,12 @@ class FiniteTree:
 
     Level n = 1..depth holds the last letter of each of its words and the index
     of each word's parent in level n-1, in lexicographic order, so the parent
-    indices ascend.  The root is level 0.  `level`, `children` and `nodes` are
-    views built from the arrays on first use.
+    indices ascend.  The root is level 0.  `level` spells a level's words on
+    each call; `children` is built from the arrays on first use and kept.
     """
+
+    # a StarTree's letters index this table of word suffixes
+    suffixes = None
 
     def __init__(self, alphabet_size, depth, children):
         self.alphabet_size = int(alphabet_size)
@@ -297,16 +293,22 @@ class FiniteTree:
     def _set(self, letters, parents):
         self._letters = [None] + [np.asarray(a, dtype=np.int64) for a in letters[1:]]
         self._parents = [None] + [np.asarray(p, dtype=np.int64) for p in parents[1:]]
-        self._words = {}
 
-    @classmethod
-    def _of(cls, alphabet_size, depth, letters, parents):
-        """Tree over ready level arrays, cast to int64 (index 0, the root, is unused)."""
-        tree = cls.__new__(cls)
+    @staticmethod
+    def _of(alphabet_size, depth, letters, parents):
+        """Tree over ready level arrays, cast to int64 (index 0, the root, is unused).
+
+        Always a plain `FiniteTree`: a `StarTree` also needs its suffix table.
+        """
+        tree = FiniteTree.__new__(FiniteTree)
         tree.alphabet_size = int(alphabet_size)
         tree.depth = int(depth)
         tree._set(letters, parents)
         return tree
+
+    def _sub(self, depth, letters, parents):
+        """Tree of the same kind and alphabet over the given level arrays."""
+        return FiniteTree._of(self.alphabet_size, depth, letters, parents)
 
     def _validate(self, children):
         if self.depth < 0:
@@ -353,13 +355,16 @@ class FiniteTree:
         return rows
 
     def level(self, n):
-        """Sorted words at length n."""
+        """Sorted words at height n."""
         if not 0 <= n <= self.depth:
             return []
-        words = self._words.get(n)
-        if words is None:
-            words = self._words[n] = list(map(Word, self._rows(n).tolist()))
-        return words
+        rows, lengths = self._level_rows(n)
+        return [Word(r[:k]) for r, k in zip(rows.tolist(), lengths.tolist())]
+
+    def _level_rows(self, n):
+        """Padded base-letter rows of level n's words, and the word lengths."""
+        rows = self._rows(n)
+        return rows, np.full(len(rows), n)
 
     @cached_property
     def children(self):
@@ -377,9 +382,6 @@ class FiniteTree:
                 b = e
         out.update(dict.fromkeys(self.level(self.depth), leaf))
         return out
-
-    def nodes(self):
-        return self.children.keys()
 
     def _has(self, rows, lengths):
         """Whether each padded letter row, of the given length, spells a node.
@@ -431,7 +433,7 @@ class FiniteTree:
         """
         width = max(self.depth, 1)
         pads, lines, prev = [np.full((1, width), -1)], [""], [""]
-        suffix = ["%d" % a for a in range(self.alphabet_size)]
+        suffix = self._label_texts()
         for n in range(1, self.depth + 1):
             rows = self._rows(n)
             pads.append(np.pad(rows, ((0, 0), (0, width - n)), constant_values=-1))
@@ -441,6 +443,9 @@ class FiniteTree:
             lines.extend(prev)
         order = np.lexsort(np.concatenate(pads).T[::-1])
         return "\n".join([lines[i] for i in order.tolist()]) + "\n"
+
+    def _label_texts(self):
+        return ["%d" % a for a in range(self.alphabet_size)]
 
     @classmethod
     def from_text(cls, text, alphabet_size=None, depth=None):
@@ -473,51 +478,43 @@ def block_letters(codes, base, k):
     return np.asarray(codes, dtype=np.int64)[..., None] // powers % base
 
 
-class StarTree:
+class StarTree(FiniteTree):
     """Tree of variable-length words graded by a height function up to `depth`.
 
-    Callers guarantee that each non-root node has exactly one ancestor at the
-    previous height (its longest prefix there); children are stored as word
-    suffixes relative to their parent.
+    A `FiniteTree` whose letters index `suffixes`, a sorted table of nonempty
+    words: a node's word is its parent's word followed by the suffix its
+    letter names.  Sibling suffixes are never prefixes of one another, so
+    suffix order is word order and the lexicographic layout holds as it is.
+    `level(h)` spells root-relative words; `children` maps them to suffix ids.
     """
 
-    def __init__(self, nodes_by_height):
-        self.height = {}
-        self.levels = []
-        for h, words in enumerate(nodes_by_height):
-            level = sorted(Word(w) for w in words)
-            self.levels.append(level)
-            for w in level:
-                self.height[w] = h
-        self.depth = len(self.levels) - 1
-        self.nodes = frozenset(self.height)
-        link = {w: set() for w in self.nodes}
-        for h in range(1, len(self.levels)):
-            prev = set(self.levels[h - 1])
-            for w in self.levels[h]:
-                par = None
-                for i in range(len(w) - 1, -1, -1):
-                    cand = Word(w[:i])
-                    if cand in prev:
-                        par = cand
-                        break
-                link[par].add(w.suffix_after(par))
-        self.children = {w: frozenset(vs) for w, vs in link.items()}
+    def __init__(self, suffixes, depth, letters, parents):
+        self.suffixes = tuple(Word(v) for v in suffixes)
+        self.alphabet_size = len(self.suffixes)
+        self.depth = int(depth)
+        self._set(letters, parents)
 
-    def level(self, h):
-        return self.levels[h] if 0 <= h < len(self.levels) else []
+    def _sub(self, depth, letters, parents):
+        return StarTree(self.suffixes, depth, letters, parents)
+
+    def _level_rows(self, n):
+        ids = self._rows(n)
+        table, sizes = _word_rows(self.suffixes)
+        live = np.arange(table.shape[1]) < sizes[:, None]
+        lengths = sizes[ids].sum(axis=1)
+        # each row's suffixes, their live letters end to end
+        return _pad(table[ids][live[ids]], lengths), lengths
 
     def __contains__(self, word):
-        return Word(word) in self.nodes
-
-    def __len__(self):
-        return len(self.nodes)
+        word = Word(word)
+        return any(word in self.level(h) for h in range(self.depth + 1))
 
     def __eq__(self, other):
-        return isinstance(other, StarTree) and self.height == other.height
+        return (isinstance(other, StarTree) and self.suffixes == other.suffixes
+                and super().__eq__(other))
 
-    def to_text(self):
-        return "\n".join(w.text for w in sorted(self.nodes)) + "\n"
+    def _label_texts(self):
+        return [v.text for v in self.suffixes]
 
 
 def compress_along_pi_rho(tree, weights, rho, n_levels=None):
@@ -543,4 +540,14 @@ def compress_along_pi_rho(tree, weights, rho, n_levels=None):
         words = section_pi_rho(weights, rho ** n).sorted_words()
         kept = tree._has(*_word_rows(words))
         levels.append([w for w, k in zip(words, kept.tolist()) if k])
-    return StarTree(levels)
+    # a word's parent is its prefix in the previous section (the tree is
+    # prefix-closed): the last kept word there not after it, as that section
+    # is an antichain
+    parents = [None] + [[bisect_right(up, w) - 1 for w in ws]
+                        for up, ws in zip(levels, levels[1:])]
+    tails = [[Word(w[len(up[p]):]) for w, p in zip(ws, ps)]
+             for up, ws, ps in zip(levels, levels[1:], parents[1:])]
+    suffixes = sorted(set().union(*tails))
+    ids = {v: i for i, v in enumerate(suffixes)}
+    letters = [None] + [[ids[v] for v in vs] for vs in tails]
+    return StarTree(suffixes, n_levels, letters, parents)

@@ -4,13 +4,14 @@ import io
 import json
 import math
 import os
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from gwfract.branching import Binomial, sample_gw
 from gwfract.cli import config_schema, main
-from gwfract.geometry import cloud_to_csv, percolation_ifs, render
+from gwfract.geometry import cloud_to_csv, ifs_to_json, percolation_ifs, render
 
 
 def run(argv):
@@ -361,3 +362,23 @@ def test_threads_env_restored_after_error(monkeypatch):
                       "--threads", "3"])
     assert code == 2
     assert "GWFRACT_THREADS" not in os.environ
+
+
+def _readme_usage_lines():
+    """The `gwfract` commands of README.md's CLI usage block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in text.split("```sh\n")[1:] if b.startswith("gwfract "))
+    block = block.split("```")[0].replace("\\\n", " ")
+    return [ln.split()[1:] for ln in block.splitlines() if ln.startswith("gwfract ")]
+
+
+def test_readme_usage_block_runs(tmp_path, monkeypatch):
+    # every command of the usage block runs as written, in order, on the
+    # files the earlier ones write
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text(json.dumps(ifs_to_json(percolation_ifs(2, 2))))
+    lines = _readme_usage_lines()
+    assert len(lines) == 12
+    for argv in lines:
+        code, _, err = run(argv)
+        assert code == 0, (argv, err)

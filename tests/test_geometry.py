@@ -133,7 +133,6 @@ def test_render_depth_equals_render_of_full_tree(ifs, depth):
     via_tree = render(ifs, tree=FiniteTree.full(ifs.alphabet_size, depth))
     assert np.array_equal(direct.points, via_tree.points)
     assert direct.eps == via_tree.eps
-    assert direct.meta == via_tree.meta == {"depth": depth}
 
 
 def test_render_depth_zero_and_negative():

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
 from gwfract.symbolic import (FiniteTree, Word, WeightedAlphabet, _section_depth,
-                              rho_index, section_pi_rho, validate_section)
+                              compress_along_pi_rho, rho_index, section_pi_rho,
+                              validate_section)
 from gwfract.branching import (Binomial, PerLetterBernoulli, labeled_seed,
                                parallel_map, sample_gw, thin)
 from gwfract.fixpoint import ary_collection, generator_collection
@@ -228,6 +229,29 @@ def test_witness_is_a_lex_ordered_subtree(case):
             assert FiniteTree(sub.alphabet_size, m, sub.children) == sub
             assert set(sub.to_text().splitlines()) <= lines
             assert all(len(cs) == a for w, cs in sub.children.items() if len(w) < m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratio_lists, st.floats(0.4, 0.95), st.integers(1, 2), st.floats(0.6, 1.0),
+       st.integers(0, 2 ** 16), st.integers(1, 3))
+def test_star_parents_text_and_witness_arity(ratios, frac, levels, p, seed, a):
+    weights = WeightedAlphabet(ratios)
+    rho = weights.r_min * frac
+    depth = _section_depth(weights, rho ** levels)
+    tree = sample_gw(Binomial(len(ratios), p), depth, seed=seed).tree
+    star = compress_along_pi_rho(tree, weights, rho, n_levels=levels)
+    words = [star.level(h) for h in range(levels + 1)]
+    # a node's parent is a proper prefix one graded section up
+    for h in range(1, levels + 1):
+        for w, i in zip(words[h], star._parents[h].tolist()):
+            u = words[h - 1][i]
+            assert len(u) < len(w) and w[:len(u)] == u
+            assert rho_index(weights, rho, w)[0] == rho_index(weights, rho, u)[0] + 1 == h
+    assert star.to_text() == "".join(w.text + "\n" for w in sorted(sum(words, [])))
+    for m in range(levels + 1):
+        sub = find_subtree(star, Ary(a), m)
+        if sub is not None:
+            assert all(len(sub.children[w]) == a for h in range(m) for w in sub.level(h))
 
 
 # ---------------------------------------------------------------------------

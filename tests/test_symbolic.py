@@ -27,9 +27,6 @@ def test_word_roundtrip_and_order():
     assert w.text == "2-0-1"
     assert FiniteTree.from_text(w.text + "\n").level(3) == [w]
     assert w.parent == Word((2, 0))
-    assert Word((2,)).is_prefix_of(w)
-    assert not Word((0,)).is_prefix_of(w)
-    assert w.suffix_after(Word((2,))) == Word((0, 1))
     assert Word() < Word((0,)) < Word((0, 1)) < Word((1,))
 
 
