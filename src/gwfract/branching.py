@@ -105,6 +105,38 @@ def parallel_map(fn, items, threads=None):
 
 
 # ---------------------------------------------------------------------------
+# binomial and normal distribution functions
+#
+# The Boost ufuncs that scipy.stats.binom calls, imported without
+# scipy.stats: that module is most of `import gwfract`'s start-up time.
+# binom_cdf and binom_pmf add what rv_discrete does around them, so values
+# are bit-identical to binom.cdf and binom.pmf.  norm_ppf is norm.ppf's own
+# kernel.
+try:
+    from scipy.special._ufuncs import _binom_cdf, _binom_pmf
+except ImportError:  # older scipy: same Boost code, behind scipy.stats
+    from scipy.stats import binom as _binom
+
+    _binom_cdf, _binom_pmf = _binom.cdf, _binom.pmf
+from scipy.special import ndtri as norm_ppf
+
+
+def binom_cdf(k, n, p):
+    """P(Binomial(n, p) <= k) for an integer k; the ufunc is nan outside [0, n]."""
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    return min(max(float(_binom_cdf(k, n, p)), 0.0), 1.0)
+
+
+def binom_pmf(k, n, p):
+    """P(Binomial(n, p) = k), elementwise over integer k."""
+    k = np.asarray(k)
+    return np.where((k >= 0) & (k <= n), np.clip(_binom_pmf(k, n, p), 0.0, 1.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
 # offspring laws
 
 
@@ -156,9 +188,7 @@ class Binomial(_IndependentLetters):
         return (1.0 - self.p + self.p * s) ** self.n
 
     def size_pmf(self):
-        from scipy.stats import binom
-
-        return binom.pmf(np.arange(self.n + 1), self.n, self.p)
+        return binom_pmf(np.arange(self.n + 1), self.n, self.p)
 
     def thinned(self, s):
         return Binomial(self.n, self.p * (1.0 - s))

@@ -8,6 +8,7 @@ found / inconclusive, 4 resource or capability limit.
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -79,6 +80,21 @@ CONFIG_SCHEMA = {
 
 def config_schema():
     return copy.deepcopy(CONFIG_SCHEMA)
+
+
+@functools.cache
+def _config_validator():
+    """CONFIG_SCHEMA's validator, its schema checked once per process."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
+def _validate_config(cfg):
+    """What jsonschema.validate raises: the best match of all errors."""
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        raise error
 
 
 def _jsonify(obj):
@@ -755,7 +771,7 @@ def main(argv=None):
     saved_threads = os.environ.get("GWFRACT_THREADS")
     try:
         cfg = merge_config(args)
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        _validate_config(cfg)
         as_json = bool(cfg.get("json", False))
         if cfg.get("threads"):
             os.environ["GWFRACT_THREADS"] = str(int(cfg["threads"]))

@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import binom as _binom
-from scipy.stats import norm as _norm
 
 from .branching import (
     Binomial,
@@ -17,8 +15,11 @@ from .branching import (
     PerLetterBernoulli,
     _GAMMA,
     _child_keys_vec,
+    binom_cdf,
+    binom_pmf,
     labeled_seed,
     mix64_vec,
+    norm_ppf,
 )
 from .symbolic import (
     CapabilityError,
@@ -255,7 +256,7 @@ class GFunction:
         a = self.collection.card_a
         if a is not None:
             if isinstance(off, Binomial):
-                return float(_binom.cdf(a - 1, off.n, off.p * (1.0 - s)))
+                return binom_cdf(a - 1, off.n, off.p * (1.0 - s))
             if isinstance(off, PerLetterBernoulli):
                 pmf = np.array([1.0])
                 for p in off.probs:
@@ -265,7 +266,7 @@ class GFunction:
             if isinstance(off, ExplicitTable):
                 tot = 0.0
                 for sub, pr in off.rows:
-                    tot += pr * float(_binom.cdf(a - 1, len(sub), 1.0 - s))
+                    tot += pr * binom_cdf(a - 1, len(sub), 1.0 - s)
                 return tot
         member = self._member_array()
         if isinstance(off, Binomial):
@@ -297,7 +298,7 @@ class GFunction:
         bad = _nonmember_rows(self.collection, S)
         v = float(bad.mean())
         R = len(bad)
-        z = _norm.ppf(0.5 + self.ci_level / 2.0)
+        z = norm_ppf(0.5 + self.ci_level / 2.0)
         half = z * math.sqrt(max(v * (1.0 - v), 1e-300) / R)
         return v, (max(0.0, v - half), min(1.0, v + half))
 
@@ -446,12 +447,17 @@ def smallest_fixed_point_bisect(gf, tol=1e-12, scan_steps=1024):
 
 
 def _poly_mul_trunc(a, b, L):
-    if len(a) + len(b) - 1 <= 1024:
+    n = len(a) + len(b) - 1
+    if n <= 1024 or min(len(a), len(b)) == 1:
         out = np.convolve(a, b)
     else:
-        from scipy.signal import fftconvolve
+        # scipy.signal.fftconvolve's steps for 1-D real input, bit for bit;
+        # scipy.signal itself imports scipy.stats
+        from scipy import fft
 
-        out = np.clip(fftconvolve(a, b), 0.0, None)
+        size = fft.next_fast_len(n, True)
+        spectrum = fft.rfftn(a, [size], axes=[0]) * fft.rfftn(b, [size], axes=[0])
+        out = np.clip(fft.irfftn(spectrum, [size], axes=[0])[:n], 0.0, None)
     return out[:L]
 
 
@@ -498,7 +504,7 @@ def g_k_a_curve(offspring, k, a_k, s, trials=100_000, seed=0):
         p = offspring.p
         q = p * (1.0 - s)
         L = min(a_k, N ** k + 1)
-        h = np.array([_binom.pmf(j, N, q) for j in range(min(N, L - 1) + 1)])
+        h = binom_pmf(np.arange(min(N, L - 1) + 1), N, q)
         for _ in range(k - 1):
             h = _binomial_of_poly(h, N, p, L)
         value = float(h[:a_k].sum())

@@ -7,10 +7,13 @@ from gwfract.branching import (
     ExplicitTable,
     LazyGW,
     PerLetterBernoulli,
+    binom_cdf,
+    binom_pmf,
     extinction_prob,
     labeled_seed,
     mc_extinction_frequency,
     mix64_vec,
+    norm_ppf,
     offspring_from_json,
     parallel_map,
     pgf,
@@ -28,6 +31,23 @@ def test_binomial_basics():
     pmf = off.size_pmf()
     assert len(pmf) == 10
     assert sum(pmf) == pytest.approx(1.0)
+
+
+def test_binomial_helpers_match_scipy_stats():
+    from scipy.stats import binom, norm
+
+    rng = np.random.default_rng(0)
+    ps = [0.0, 1.0, 0.5, 0.6 * (1.0 - 0.3)] + list(rng.random(12))
+    for n in (0, 1, 2, 3, 9, 25):
+        ks = np.arange(-2, n + 3)
+        for p in ps:
+            # bit-identical, k < 0 and k > n included (the ufuncs give nan there)
+            assert np.array_equal(binom_pmf(ks, n, p), binom.pmf(ks, n, p))
+            for k in ks:
+                assert binom_cdf(int(k), n, p) == binom.cdf(k, n, p)
+    assert binom_cdf(-1, 3, 0.4) == 0.0 and binom_cdf(4, 3, 0.4) == 1.0
+    for q in (0.5, 0.975, 0.995, 1e-9):
+        assert norm_ppf(q) == norm.ppf(q)
 
 
 def test_thinned_law_mean():

@@ -4,11 +4,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import gwfract
 from gwfract.branching import Binomial, sample_gw
 from gwfract.cli import config_schema, main
 from gwfract.geometry import cloud_to_csv, ifs_to_json, percolation_ifs, render
@@ -24,6 +27,17 @@ def run(argv):
 def run_json(argv):
     code, out, err = run(argv + ["--json"])
     return code, json.loads(out), err
+
+
+def test_cli_import_skips_scipy_stats_and_signal():
+    # scipy.stats was most of start-up time; scipy.signal would load it again
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gwfract.__file__)))
+    code = ("import sys, gwfract.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_schema_is_valid_draft_2020_12():
@@ -92,6 +106,15 @@ def test_unknown_config_key_exits_2(tmp_path):
                                "bogus": 1}))
     code, out, err = run(["moran", "--config", str(cfg), "--json"])
     assert code == 2
+    assert json.loads(out)["message"] == (
+        "Additional properties are not allowed ('bogus' was unexpected)")
+    # two errors: the message is jsonschema's best match, not the first found
+    cfg.write_text(json.dumps({"command": "moran",
+                               "percolation": {"b": 1, "d": 2, "p": 0.6},
+                               "seed": "x"}))
+    code, out, err = run(["moran", "--config", str(cfg), "--json"])
+    assert code == 2
+    assert json.loads(out)["message"] == "'x' is not of type 'integer'"
 
 
 def test_config_file_supplies_model(tmp_path):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gwfract.symbolic import CapabilityError, InvalidInputError, Word, WeightedAlphabet
-from gwfract.branching import Binomial, PerLetterBernoulli
+from gwfract.branching import Binomial, ExplicitTable, PerLetterBernoulli
 from gwfract.fixpoint import (
     GFunction,
+    _poly_mul_trunc,
     MonotoneCollection,
     appendix_b_gap,
     ary_collection,
@@ -190,6 +191,15 @@ def test_enum_matches_closed_form():
         assert b.eval(s)[0] == pytest.approx(a.eval(s)[0], abs=1e-12)
 
 
+def test_closed_form_tails_outside_the_binomial_support():
+    # a table row shorter than a - 1, and a target above the alphabet size
+    table = ExplicitTable(3, [((0,), 0.5), ((0, 1, 2), 0.5)])
+    gf = GFunction(table, ary_collection(3))
+    got = [gf.eval(s)[0] for s in (0.0, 0.3, 0.7)]
+    assert got == [0.5, 0.8285, 0.9864999999999999]
+    assert GFunction(Binomial(2, 0.7), ary_collection(4)).eval(0.3)[0] == 1.0
+
+
 def test_mc_covers_exact():
     off = Binomial(9, 0.6)
     exact = GFunction(off, ary_collection(2), strategy="closed_form")
@@ -220,6 +230,17 @@ def test_gk_curve_frozen_values():
         assert got["value"] == pytest.approx(want, rel=1e-9)
     # decreasing toward the extinction probability of the thinned tree
     assert all(a >= b for a, b in zip(frozen, frozen[1:]))
+
+
+def test_long_polynomial_products_match_fftconvolve():
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(5)
+    for la, lb in ((1, 1500), (700, 400), (1025, 1025), (2000, 3)):
+        a, b = rng.random(la), rng.random(lb) ** 8
+        want = np.clip(fftconvolve(a, b), 0.0, None)
+        assert np.array_equal(_poly_mul_trunc(a, b, la + lb), want)
+        assert np.array_equal(_poly_mul_trunc(a, b, 900), want[:900])
 
 
 def test_gk_curve_supercritical_target_climbs():
