@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull
-from scipy.spatial import cKDTree as _cKDTree
 
 from .symbolic import (
     CapabilityError,
@@ -431,10 +429,18 @@ def _hull_vertices(pts):
     """
     if pts.shape[1] == 1 and len(pts):
         return pts[[int(np.argmin(pts[:, 0])), int(np.argmax(pts[:, 0]))]]
+    from scipy.spatial import ConvexHull
     try:
         return pts[ConvexHull(pts).vertices]
     except Exception:
         return pts
+
+
+def _cKDTree(pts):
+    """KD-tree of the points; like Qhull, scipy.spatial is loaded on first use."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(pts)
 
 
 def _flat_direction(pts):
@@ -482,10 +488,12 @@ def _edge_normal_width(hv, chunk=512):
     vertices in order: the normal of one of its edges (Houle and Toussaint,
     "Computing the width of a set", IEEE PAMI 1988).  Edges are projected in
     chunks, so memory stays linear in the vertex count."""
-    e = np.roll(hv, -1, axis=0) - hv
-    nrm = np.linalg.norm(e, axis=1)
-    e, nrm = e[nrm >= 1e-15], nrm[nrm >= 1e-15]
-    u = np.column_stack([-e[:, 1], e[:, 0]]) / nrm[:, None]
+    e = np.concatenate((hv[1:], hv[:1])) - hv
+    nrm = np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1])
+    keep = nrm >= 1e-15
+    u = e[keep][:, ::-1] * [-1.0, 1.0] / nrm[keep, None]
+    if len(u) <= chunk:
+        return u[int(np.argmin(np.ptp(hv @ u.T, axis=0)))]
     spans = np.concatenate([np.ptp(hv @ u[i:i + chunk].T, axis=0)
                             for i in range(0, len(u), chunk)])
     return u[int(np.argmin(spans))]
@@ -584,7 +592,8 @@ def diffuseness_constant(maps, F_cloud, directions=2000):
     smallest upper endpoint after eps-inflation).  The certificate subtracts a
     Lipschitz correction covering directions between grid points.  A linear
     functional attains its extremes on hull vertices, so only the images of
-    the base cloud's hull vertices are projected, one map at a time.
+    the base cloud's hull vertices are projected: on the direction grid one
+    map at a time, in the refinement all maps' images as one stacked array.
     """
     pts = F_cloud.points
     if len(pts) == 0:
@@ -602,7 +611,10 @@ def diffuseness_constant(maps, F_cloud, directions=2000):
                              note="degenerate base cloud: width %.3g is below resolution" % base_w.w)
 
     imgs = [m.apply(F_cloud.hull) for m in maps]
-    infl = [F_cloud.eps * m.ratio for m in maps]
+    infl = np.array([F_cloud.eps * m.ratio for m in maps])
+    # map i's image is stack[starts[i]:starts[i + 1]]; no hull is empty, so starts ascend
+    stack = np.concatenate(imgs)
+    starts = np.cumsum([0] + [len(img) for img in imgs[:-1]])
     # mean of all image points = mean over maps of the image of the cloud mean
     mean = pts.mean(axis=0)
     center = np.mean([m.apply(mean) for m in maps], axis=0)
@@ -630,11 +642,9 @@ def diffuseness_constant(maps, F_cloud, directions=2000):
     u_best = grid[k]
 
     def c_of(u):
-        L, H = -np.inf, np.inf
-        for img, e in zip(imgs, infl):
-            pr = img @ u
-            L = max(L, float(pr.min()) - e)
-            H = min(H, float(pr.max()) + e)
+        pr = stack @ u
+        L = float((np.minimum.reduceat(pr, starts) - infl).max())
+        H = float((np.maximum.reduceat(pr, starts) + infl).min())
         return max(0.0, 0.5 * (L - H)), 0.5 * (L + H)
 
     if d == 2:

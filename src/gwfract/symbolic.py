@@ -291,12 +291,14 @@ class FiniteTree:
         self._set(*_tree_levels(self.alphabet_size, self.depth, *_word_rows(children)))
 
     def _set(self, letters, parents):
-        self._letters = [None] + [np.asarray(a, dtype=np.int64) for a in letters[1:]]
-        self._parents = [None] + [np.asarray(p, dtype=np.int64) for p in parents[1:]]
+        # int32 halves what a kept tree holds; `_has` widens before its keys
+        kind = np.int32 if self.alphabet_size <= 2 ** 31 else np.int64
+        self._letters = [None] + [np.asarray(a, dtype=kind) for a in letters[1:]]
+        self._parents = [None] + [np.asarray(p, dtype=np.int32) for p in parents[1:]]
 
     @staticmethod
     def _of(alphabet_size, depth, letters, parents):
-        """Tree over ready level arrays, cast to int64 (index 0, the root, is unused).
+        """Tree over ready level arrays, narrowed by `_set` (index 0, the root, is unused).
 
         Always a plain `FiniteTree`: a `StarTree` also needs its suffix table.
         """
@@ -395,7 +397,7 @@ class FiniteTree:
         idx = np.zeros(len(rows), dtype=np.int64)
         for j in range(1, min(int(lengths.max(initial=0)), self.depth) + 1):
             live = np.flatnonzero(found & (lengths >= j))
-            keys = self._parents[j] * a + self._letters[j]
+            keys = self._parents[j].astype(np.int64) * a + self._letters[j]
             want = idx[live] * a + rows[live, j - 1]
             pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
             hit = keys[pos] == want if len(keys) else np.zeros(len(live), dtype=bool)
@@ -445,7 +447,9 @@ class FiniteTree:
         return "\n".join([lines[i] for i in order.tolist()]) + "\n"
 
     def _label_texts(self):
-        return ["%d" % a for a in range(self.alphabet_size)]
+        # the letters in use only: a block alphabet can be far larger than the tree
+        used = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + self._letters[1:]))
+        return {a: "%d" % a for a in used.tolist()}
 
     @classmethod
     def from_text(cls, text, alphabet_size=None, depth=None):

@@ -30,10 +30,11 @@ def run_json(argv):
 
 
 def test_cli_import_skips_scipy_stats_and_signal():
-    # scipy.stats was most of start-up time; scipy.signal would load it again
+    # scipy.stats was most of start-up time; scipy.signal would load it again;
+    # scipy.spatial loads only when a hull or a KD-tree is first built
     src = os.path.dirname(os.path.dirname(os.path.abspath(gwfract.__file__)))
-    code = ("import sys, gwfract.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
+    code = ("import sys, gwfract.cli; print(sorted(m for m in sys.modules if m.split('.')[:2]"
+            " in (['scipy', 'stats'], ['scipy', 'signal'], ['scipy', 'spatial'])))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr

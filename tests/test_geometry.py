@@ -109,6 +109,76 @@ def test_diffuseness_grid_one_step():
         abs(abs(res.witness.normal[1]) - 1.0) < 1e-3
 
 
+def _per_map_certificate(maps, F, directions):
+    """Reference d = 2 certificate whose refinement evaluates one map at a
+    time: (c_low, raw_min, tol, normal, offset), or None for a base cloud
+    below resolution."""
+    if F.width.w <= max(F.eps, 1e-12):
+        return None
+    imgs = [m.apply(F.hull) for m in maps]
+    infl = [F.eps * m.ratio for m in maps]
+    center = np.mean([m.apply(F.points.mean(axis=0)) for m in maps], axis=0)
+    lip = max(float(np.linalg.norm(img - center, axis=1).max()) for img in imgs)
+    angles = np.linspace(0.0, math.pi, directions, endpoint=False)
+    grid = np.column_stack([np.cos(angles), np.sin(angles)])
+    L, H = np.full(directions, -np.inf), np.full(directions, np.inf)
+    for img, e in zip(imgs, infl):
+        proj = img @ grid.T
+        np.maximum(L, proj.min(axis=0) - e, out=L)
+        np.minimum(H, proj.max(axis=0) + e, out=H)
+    cvals = np.maximum(0.0, 0.5 * (L - H))
+    k = int(np.argmin(cvals))
+    raw_min, u_best = float(cvals[k]), grid[k]
+
+    def c_of(u):
+        L, H = -np.inf, np.inf
+        for img, e in zip(imgs, infl):
+            pr = img @ u
+            L = max(L, float(pr.min()) - e)
+            H = min(H, float(pr.max()) + e)
+        return max(0.0, 0.5 * (L - H)), 0.5 * (L + H)
+
+    def on_arc(th):
+        return np.array([math.cos(th), math.sin(th)])
+
+    th0, span = math.atan2(u_best[1], u_best[0]), math.pi / directions
+    th, v, _ = geometry._golden_min(lambda t: c_of(on_arc(t))[0], th0 - span, th0 + span,
+                                    iters=50)
+    if v < raw_min:
+        raw_min, u_best = v, on_arc(th)
+    tol = lip * geometry._coverage_halfangle(2, directions)
+    return max(0.0, raw_min - tol), raw_min, tol, u_best, c_of(u_best)[1]
+
+
+def test_certificate_matches_per_map_reference():
+    # seeded random planar families over base clouds of 1 to 79 points, so
+    # hull sizes differ from family to family; eps > 0 inflates every image
+    rng = np.random.default_rng(16)
+    positive = 0
+    for trial in range(24):
+        F = PointCloud(rng.uniform(size=(1 if trial == 0 else int(rng.integers(3, 80)), 2)),
+                       float(rng.uniform(1e-4, 0.02)))
+        maps = []
+        for _ in range(int(rng.integers(2, 10))):
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            flip = np.diag([1.0, rng.choice([-1.0, 1.0])])
+            rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+            maps.append(SimilarityMap(rng.uniform(0.1, 0.45), rot @ flip, rng.uniform(size=2)))
+        directions = int(rng.integers(50, 400))
+        res = diffuseness_constant(maps, F, directions=directions)
+        want = _per_map_certificate(maps, F, directions)
+        if want is None:  # the one-point base cloud
+            assert trial == 0 and len(F.hull) == 1
+            assert (res.c_low, res.raw_min, res.tol) == (0.0, 0.0, 0.0)
+            continue
+        c_low, raw_min, tol, normal, offset = want
+        assert (res.c_low, res.raw_min, res.tol, res.witness.offset) == \
+            (c_low, raw_min, tol, offset)
+        assert np.array_equal(res.witness.normal, normal)
+        positive += raw_min > 0.0
+    assert positive >= 5
+
+
 def test_render_full_grid():
     ifs = percolation_ifs(3, 2)
     cloud = render(ifs, depth=2)

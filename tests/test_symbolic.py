@@ -161,6 +161,28 @@ def test_tree_text_rejects_bad_letters(text):
         FiniteTree.from_text(text)
 
 
+def test_level_arrays_are_narrow_and_wide_letters_round_trip():
+    # parent index 2999 times the alphabet 2^20 is above 2^31: the keys of
+    # `__contains__` must not be formed in int32
+    a = 2 ** 20
+    words = [Word((i, 5)) for i in range(3000)]
+    tree = FiniteTree.from_words(a, 2, words)
+    assert tree._letters[2].dtype == tree._parents[2].dtype == np.int32
+    assert 2999 * a > 2 ** 31
+    assert all(w in tree for w in words[::37] + words[-1:])
+    assert Word((2999, 4)) not in tree and Word((2998, 6)) not in tree
+    # letters at and above 2^31 keep int64 and round-trip exactly
+    big = 2 ** 33
+    top = (2 ** 31, 2 ** 31 + 1, big - 1)
+    tree = FiniteTree.from_words(big, 2, [Word((x, y)) for x in top for y in top[1:]])
+    assert tree._letters[1].dtype == np.int64 and tree._parents[1].dtype == np.int32
+    assert FiniteTree.from_text(tree.to_text(), big, 2) == tree
+    assert "%d-%d" % (2 ** 31, big - 1) in tree.to_text().splitlines()
+    assert tree.children[Word((big - 1,))] == frozenset(top[1:])
+    assert tree.children[Word()] == frozenset(top)
+    assert Word((2 ** 31 + 1, big - 1)) in tree and Word((big - 1, 2 ** 31)) not in tree
+
+
 def test_tree_validation_rejects_orphans():
     with pytest.raises(InvalidInputError):
         FiniteTree(2, 1, {Word(): (3,)})
