@@ -114,25 +114,37 @@ def collection_from_json(doc):
     raise InvalidInputError("unknown collection kind %r" % (kind,))
 
 
-def _nonmember_rows(collection, S):
-    """Row-wise indicator of NOT belonging to the closure; S is a bool matrix."""
-    R, N = S.shape
+def _member_thresholds(collection, W, U):
+    """Per row, the largest s at which the kept set {i : W[i] and U[i] >= s}
+    lies in the closure: +inf when the empty set does, -1 when not even all of
+    W does.  The closure is upward closed, so a row misses it at s exactly
+    when its threshold is below s.  An oracle gets one binary search per row
+    over its kept letters, largest U first."""
+    R, N = W.shape
     if collection.trivial_all:
-        return np.zeros(R, dtype=bool)
-    if collection.card_a is not None:
-        return S.sum(axis=1) < collection.card_a
+        return np.full(R, np.inf)
+    V = np.where(W, U, -1.0)
+    a = collection.card_a
+    if a is not None:
+        return np.partition(V, N - a, axis=1)[:, N - a] if a <= N else np.full(R, -1.0)
+    t = np.full(R, -1.0)
     if collection.generators is not None:
-        hit = np.zeros(R, dtype=bool)
         for g in collection.generators:
-            idx = sorted(g)
-            if idx and idx[-1] >= N:
-                continue  # generator mentions labels outside this alphabet
-            hit |= S[:, idx].all(axis=1) if idx else True
-        return ~hit
-    out = np.empty(R, dtype=bool)
-    for r in range(R):
-        out[r] = not collection.closure_member(frozenset(np.nonzero(S[r])[0].tolist()))
-    return out
+            if max(g) < N:  # else it mentions labels outside this alphabet
+                np.maximum(t, V[:, sorted(g)].min(axis=1), out=t)
+        return t
+    order = np.argsort(-V, axis=1, kind="stable")
+    for r, kept in enumerate(W.sum(axis=1).tolist()):
+        lo, hi = 1, kept + 1  # the shortest member prefix, kept + 1 for none
+        while lo < hi:
+            m = (lo + hi) // 2
+            if collection.closure_member(order[r, :m].tolist()):
+                hi = m
+            else:
+                lo = m + 1
+        if lo <= kept:
+            t[r] = V[r, order[r, lo - 1]]
+    return t
 
 
 class GFunction:
@@ -140,10 +152,13 @@ class GFunction:
 
     strategy: "auto" | "closed_form" | "enum" | "mc". Closed form needs binomial
     offspring and a cardinality collection; enumeration needs alphabet size <= 20;
-    Monte Carlo always applies and reports a confidence interval.
+    Monte Carlo always applies and reports a confidence interval.  Its sample
+    block is drawn once and kept as one sorted membership threshold per sample
+    (`_member_thresholds`), so each g(s) is a binary search.
     """
 
     ENUM_MAX = 20
+    MC_BLOCK = 1 << 15  # rows drawn and reduced at a time
 
     def __init__(self, offspring, collection, strategy="auto", sample_size=100_000,
                  ci_level=0.99, seed=0):
@@ -153,9 +168,10 @@ class GFunction:
         self.sample_size = int(sample_size)
         self.ci_level = float(ci_level)
         self.seed = int(seed)
-        self._W = None
-        self._U = None
+        self._thresholds = None
         self._member_arr = None
+        self._na = None
+        self._enum_bufs = None
         self._table_poly = None
         self.strategy = self._resolve(strategy)
 
@@ -188,7 +204,8 @@ class GFunction:
     # -- enumeration tables -------------------------------------------------
 
     def _member_array(self):
-        """Closure membership over all 2^N subsets, encoded as bitmask ids."""
+        """Closure membership over all 2^N subsets, encoded as bitmask ids; also
+        caches `_na`, the nonmember counts by set size."""
         if self._member_arr is not None:
             return self._member_arr
         ids = np.arange(1 << self.N, dtype=np.uint32)
@@ -206,6 +223,7 @@ class GFunction:
                     frozenset(i for i in range(self.N) if (m >> i) & 1)
                 )
         self._member_arr = member
+        self._na = np.bincount(np.bitwise_count(ids)[~member].astype(int), minlength=self.N + 1)
         return member
 
     def _table_polys(self):
@@ -228,15 +246,19 @@ class GFunction:
     # -- monte carlo storage ------------------------------------------------
 
     def ensure_samples(self, n):
-        """Draw (or re-draw) the shared sample block of at least n trials."""
+        """Draw (or re-draw) the shared sample block of at least n trials: the
+        child sets W and thinning uniforms U, in row blocks of MC_BLOCK (the
+        same stream as one draw), each reduced to its rows' thresholds.  Only
+        the sorted thresholds are kept."""
         n = int(n)
-        if self._W is not None and self._W.shape[0] >= n:
+        if self._thresholds is not None and len(self._thresholds) >= n:
             return
         self.sample_size = max(self.sample_size, n)
         rng = np.random.Generator(np.random.Philox(key=labeled_seed(self.seed, "gfn-mc")))
         keys = rng.integers(0, 1 << 63, size=self.sample_size, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-        self._W = self.offspring.sample_matrix(keys)
-        self._U = rng.random((self.sample_size, self.N))
+        self._thresholds = np.sort(np.concatenate([_member_thresholds(
+            self.collection, self.offspring.sample_matrix(kb), rng.random((len(kb), self.N)))
+            for kb in np.split(keys, range(self.MC_BLOCK, len(keys), self.MC_BLOCK))]))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -270,19 +292,23 @@ class GFunction:
                 return tot
         member = self._member_array()
         if isinstance(off, Binomial):
-            pops = np.bitwise_count(np.arange(1 << self.N, dtype=np.uint32))
-            na = np.bincount(pops[~member].astype(int), minlength=self.N + 1)
             q = off.p * (1.0 - s)
             per_set = np.array(
                 [q ** j * (1.0 - q) ** (self.N - j) for j in range(self.N + 1)]
             )
-            return float((na[: self.N + 1] * per_set).sum())
+            return float((self._na * per_set).sum())
         if isinstance(off, PerLetterBernoulli):
-            w = np.array([1.0])
-            for p in off.probs:
+            if self._enum_bufs is None:  # subset weights, nonmember ids, their gather
+                idx = np.flatnonzero(~member)
+                self._enum_bufs = np.empty(1 << self.N), idx, np.empty(len(idx))
+            w, idx, buf = self._enum_bufs
+            w[0], h = 1.0, 1
+            for p in off.probs:  # subset m's weight lands at w[m], as by doubling
                 q = p * (1.0 - s)
-                w = np.concatenate([w * (1.0 - q), w * q])
-            return float(w[~member].sum())
+                np.multiply(w[:h], q, out=w[h:2 * h])
+                w[:h] *= 1.0 - q
+                h *= 2
+            return float(np.take(w, idx, out=buf).sum())
         if isinstance(off, ExplicitTable):
             tot = 0.0
             for n_r, pr, counts in self._table_polys():
@@ -294,10 +320,8 @@ class GFunction:
 
     def _eval_mc(self, s):
         self.ensure_samples(self.sample_size)
-        S = self._W & (self._U >= s)
-        bad = _nonmember_rows(self.collection, S)
-        v = float(bad.mean())
-        R = len(bad)
+        R = len(self._thresholds)
+        v = int(np.searchsorted(self._thresholds, s)) / R
         z = norm_ppf(0.5 + self.ci_level / 2.0)
         half = z * math.sqrt(max(v * (1.0 - v), 1e-300) / R)
         return v, (max(0.0, v - half), min(1.0, v + half))
@@ -581,9 +605,7 @@ def _star_g_for_a(weights, rho, offspring, predicate_family, s, a, trials, seed)
     sub = labeled_seed(seed, label)
     S = _section_survival(offspring, section, trials, sub)
     rng = np.random.Generator(np.random.Philox(key=labeled_seed(sub, "thin")))
-    kept = S & (rng.random(S.shape) >= s)
-    bad = _nonmember_rows(coll, kept)
-    v = float(bad.mean())
+    v = float((_member_thresholds(coll, S, rng.random(S.shape)) < s).mean())
     se = math.sqrt(max(v * (1.0 - v), 1e-300) / trials)
     return v, se, section
 

@@ -979,13 +979,6 @@ def grid_cell_coords(letter, b, d):
     return tuple(out)
 
 
-def grid_letter(coords, b):
-    out = 0
-    for c in coords:
-        out = out * b + int(c)
-    return out
-
-
 def percolation_ifs(b, d=2):
     """b-adic grid subdivision of the unit cube."""
     b = int(b)

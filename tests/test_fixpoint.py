@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gwfract.symbolic import CapabilityError, InvalidInputError, Word, WeightedAlphabet
-from gwfract.branching import Binomial, ExplicitTable, PerLetterBernoulli
+from gwfract.branching import Binomial, ExplicitTable, PerLetterBernoulli, labeled_seed
 from gwfract.fixpoint import (
     GFunction,
+    _member_thresholds,
     _poly_mul_trunc,
     MonotoneCollection,
     appendix_b_gap,
@@ -313,3 +314,73 @@ def test_gfunction_rejects_nonmonotone_grid():
     gf = GFunction(Binomial(3, 0.9), bad, strategy="enum")
     with pytest.raises(InvalidInputError):
         smallest_fixed_point(gf)
+
+
+def _oracle(coll):
+    return MonotoneCollection(member=coll.closure_member, kind="custom")
+
+
+def test_member_thresholds_match_rowwise_membership():
+    rng = np.random.default_rng(11)
+    R, N = 400, 6
+    W = rng.random((R, N)) < 0.7
+    U = np.round(rng.random((R, N)), 2)  # coarse values, so rows share ties
+    pairs = generator_collection([(0, 2), (1, 3, 4), (5,)])
+    cases = [
+        pairs,
+        _oracle(pairs),
+        generator_collection([(0, 1), ()]),
+        generator_collection([(0, 9), (2, 3)]),
+        generator_collection([(7,), (6, 1)]),
+        ary_collection(0),
+        ary_collection(3),
+        ary_collection(N + 1),
+        _oracle(ary_collection(4)),
+    ]
+    for s in [0.0, 1.0, 0.5, *U[W][:8].tolist()]:
+        kept = W & (U >= s)
+        for coll in cases:
+            want = [not coll.closure_member(np.flatnonzero(row).tolist()) for row in kept]
+            got = _member_thresholds(coll, W, U) < s
+            assert got.tolist() == want, (coll.generators, coll.card_a, s)
+
+
+def test_mc_oracle_matches_its_generators():
+    off = Binomial(6, 0.7)
+    coll = generator_collection([(0, 1), (2, 3, 4), (1, 5)])
+    a = GFunction(off, coll, strategy="mc", sample_size=3_000, seed=4)
+    b = GFunction(off, _oracle(coll), strategy="mc", sample_size=3_000, seed=4)
+    for s in (0.0, 0.1, 0.37, 0.8, 1.0):
+        assert a.eval(s) == b.eval(s)
+
+
+def test_mc_blockwise_draw_matches_one_whole_draw():
+    off = Binomial(9, 0.6)
+    gens = [(i, (i + 1) % 9) for i in range(9)]
+    n = 170_001  # not a multiple of the row block
+    gf = GFunction(off, generator_collection(gens), strategy="mc", sample_size=n, seed=6)
+    rng = np.random.Generator(np.random.Philox(key=labeled_seed(6, "gfn-mc")))
+    keys = rng.integers(0, 1 << 63, size=n, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    W = off.sample_matrix(keys)
+    U = rng.random((n, 9))
+    for s in (0.05, 0.113, 0.4, *U[W][:20].tolist()):  # sampled values: ties
+        S = W & (U >= s)
+        hit = np.zeros(n, dtype=bool)
+        for g in gens:
+            hit |= S[:, list(g)].all(axis=1)
+        assert gf.eval(s)[0] == float((~hit).mean())
+
+
+def test_per_letter_enumeration_matches_doubling_reference():
+    rng = np.random.default_rng(2)
+    probs = rng.uniform(0.2, 0.95, 11)
+    coll = generator_collection([(0, 3), (2, 5, 7), (1, 10), (4, 6), (8, 9)])
+    gf = GFunction(PerLetterBernoulli(probs), coll, strategy="enum")
+    member = np.array([coll.closure_member([i for i in range(11) if m >> i & 1])
+                       for m in range(1 << 11)])
+    for s in (0.0, 0.2, 0.5, 0.73, 1.0):
+        w = np.array([1.0])
+        for p in probs:
+            q = p * (1.0 - s)
+            w = np.concatenate([w * (1.0 - q), w * q])
+        assert gf.eval(s)[0] == float(w[~member].sum())

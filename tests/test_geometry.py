@@ -23,8 +23,6 @@ from gwfract.geometry import (
     cloud_to_pgm,
     diffuseness_constant,
     empirical_diffuse_check,
-    grid_cell_coords,
-    grid_letter,
     ifs_from_json,
     ifs_to_json,
     moran_exponent,
@@ -61,12 +59,6 @@ def test_grid_ifs_shape():
     assert all(abs(m.ratio - 1 / 3.0) < 1e-12 for m in ifs.maps)
     assert ifs.osc is not None
     assert set(ifs.weights.ratios) == {1 / 3.0}
-
-
-def test_grid_letter_coords_roundtrip():
-    for letter in range(9):
-        coords = grid_cell_coords(letter, 3, 2)
-        assert grid_letter(coords, 3) == letter
 
 
 def test_sierpinski_shape():
