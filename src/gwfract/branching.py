@@ -1,4 +1,4 @@
-"""Offspring laws, Galton-Watson sampling, thinning, and extinction diagnostics.
+"""Offspring laws, Galton-Watson sampling, and extinction diagnostics.
 
 Randomness is counter-based: every tree node owns a 64-bit stream key derived
 from (seed, path), so regeneration is bit-identical and independent of
@@ -28,7 +28,6 @@ from .symbolic import (
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _CHILD_SALT = 0xD1B54A32D192ED03
-_THIN_SALT = 0x8CB92BA72F3D8DD7
 
 
 def mix64(x):
@@ -190,9 +189,6 @@ class Binomial(_IndependentLetters):
     def size_pmf(self):
         return binom_pmf(np.arange(self.n + 1), self.n, self.p)
 
-    def thinned(self, s):
-        return Binomial(self.n, self.p * (1.0 - s))
-
     def to_json(self):
         return {"kind": "binomial", "n": self.n, "p": self.p}
 
@@ -232,9 +228,6 @@ class PerLetterBernoulli(_IndependentLetters):
         for p in self.probs:
             pmf = np.convolve(pmf, [1.0 - p, p])
         return pmf
-
-    def thinned(self, s):
-        return PerLetterBernoulli(tuple(p * (1.0 - s) for p in self.probs))
 
     def to_json(self):
         return {"kind": "bernoulli", "p": list(self.probs)}
@@ -466,30 +459,6 @@ def sample_gw(offspring, depth, seed, node_budget=DEFAULT_NODE_BUDGET):
     sample = GWSample(tree=tree, seed=int(seed), params=offspring)
     sample.extinct_at = tree.extinct_level()
     return sample
-
-
-# ---------------------------------------------------------------------------
-# thinning
-
-
-def thin_uniforms(key, labels):
-    """Per-label uniforms for a thinning stream (shared-randomness friendly)."""
-    labels = np.asarray(sorted(labels), dtype=np.uint64)
-    base = np.uint64(mix64(key ^ _THIN_SALT))
-    offs = (labels + np.uint64(1)) * np.uint64(_GAMMA)
-    return labels, _unit(mix64_vec(base + offs))
-
-
-def thin(subset, s, seed):
-    """Keep each element independently with probability 1-s."""
-    s = float(s)
-    if not (0.0 <= s <= 1.0):
-        raise InvalidInputError("thinning parameter must lie in [0,1]")
-    subset = sorted(int(a) for a in subset)
-    if not subset:
-        return frozenset()
-    labels, u = thin_uniforms(root_key(seed), subset)
-    return frozenset(int(a) for a, ua in zip(labels, u) if ua >= s)
 
 
 # ---------------------------------------------------------------------------

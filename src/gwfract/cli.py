@@ -228,7 +228,7 @@ def build_parser():
     sp.add_argument("--collection", metavar="SPEC",
                     help="ary:a, diffuse-block:b:k[:d], or a JSON file")
     sp.add_argument("--strategy",
-                    choices=["auto", "trivial", "closed_form", "enum", "mc"])
+                    choices=["auto", "closed_form", "enum", "mc"])
     sp.add_argument("--trials", type=int)
     sp.add_argument("--tol", type=float)
 

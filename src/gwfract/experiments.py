@@ -368,7 +368,7 @@ def exp_dimension_ladder(b, d, p, c_sequence=(2, 3, 4), depth=None,
 def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
                         search_budget=10_000, seed=0, depth=7,
                         extract_rho=None, extract_alpha=None, c_diffuse=0.05,
-                        control_depth=5, profile_balls=900, threads=None):
+                        control_depth=5, profile_balls=900):
     """Flat balls exist in the raw sample but not in the extracted subset.
 
     Three clouds are probed: the raw percolation sample (a flat ball at the

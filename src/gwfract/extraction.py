@@ -40,8 +40,8 @@ from .symbolic import (
     InvalidInputError,
     CapabilityError,
 )
-from .branching import LazyGW, sample_gw, pgf
-from .fixpoint import g_k_a_curve, _section_survival_given
+from .branching import LazyGW, sample_gw, pgf, _child_keys_vec
+from .fixpoint import g_k_a_curve, generator_collection
 from .geometry import (
     PointCloud,
     MeasuredCloud,
@@ -409,12 +409,12 @@ class Intersection(SubtreePredicate):
 
 
 def diffuse_block_collection(b, k, d=2):
-    """Monotone collection view of the block predicate, for fixed-point runs."""
-    from .fixpoint import MonotoneCollection
-
+    """The block predicate as a generator collection, for fixed-point runs:
+    one full block per (k-2)-letter prefix."""
     pred = DiffuseBlock(b, k, d=d)
-    return MonotoneCollection(member=lambda S: pred.member(S),
-                              kind="diffuse_block")
+    return generator_collection(
+        range(p * pred.block, (p + 1) * pred.block)
+        for p in range(pred.alphabet // pred.block))
 
 
 def _attractor_cloud(ifs, target=2000, node_cap=50_000):
@@ -847,9 +847,7 @@ class _LayeredScan:
         cached = self.good.get(key)
         if cached is not None:
             return cached
-        if m == 0:
-            ok = True
-        elif m == 1:
+        if m == 1:
             ok = self._record_leaf(w, *next(self._leaves([self.lazy.key(w)])))
         else:
             ok = self._greedy(w, m)
@@ -1087,16 +1085,27 @@ class SectionLaw:
         return self._letter_probs.copy()
 
     def sample_matrix(self, keys):
-        return _section_survival_given(self.base, self.section, keys)
+        """Bool matrix (len(keys) x section size): which section words survive
+        below roots with these stream keys."""
+        trials = len(keys)
+        order = sorted({Word(w[:i]) for w in self.words for i in range(1, len(w) + 1)},
+                       key=lambda w: (len(w), w))
+        alive = {Word(): np.ones(trials, dtype=bool)}
+        node_keys = {Word(): np.asarray(keys, dtype=np.uint64)}
+        keep = {}
+        for w in order:
+            par = w.parent
+            if par not in keep:
+                keep[par] = self.base.sample_matrix(node_keys[par])
+            alive[w] = alive[par] & keep[par][:, w[-1]]
+            node_keys[w] = _child_keys_vec(node_keys[par], np.full(trials, w[-1], dtype=np.uint64))
+        return np.column_stack([alive[w] for w in self.words])
 
     def pgf(self, s):
         raise CapabilityError("section law has no closed-form pgf; sample instead")
 
     def size_pmf(self):
         raise CapabilityError("section law has no closed-form size pmf")
-
-    def thinned(self, s):
-        raise CapabilityError("thin the base process before taking sections")
 
     def to_json(self):
         return {"kind": self.kind, "base": self.base.to_json(),
@@ -1136,6 +1145,8 @@ def general_pipeline(ifs, offspring, rho, alpha, c, depth=None, seed=0,
     weights = ifs.weights
     if offspring.mean() <= 1.0:
         raise InvalidInputError("subcritical process: mean offspring <= 1")
+    if n_levels is not None and int(n_levels) < 1:
+        raise InvalidInputError("n_levels must be >= 1")
     delta = moran_exponent(offspring, weights)
     if not (0.0 < alpha < delta):
         raise InvalidInputError(

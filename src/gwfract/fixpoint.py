@@ -13,36 +13,24 @@ from .branching import (
     Binomial,
     ExplicitTable,
     PerLetterBernoulli,
-    _GAMMA,
-    _child_keys_vec,
     binom_cdf,
     binom_pmf,
     labeled_seed,
-    mix64_vec,
     norm_ppf,
 )
-from .symbolic import (
-    CapabilityError,
-    InvalidInputError,
-    Word,
-    section_pi_rho,
-)
+from .symbolic import CapabilityError, InvalidInputError
 
 
 class MonotoneCollection:
-    """Upward-closed family of label sets, given by generators or an oracle.
-
-    `generators` generate the closure by taking supersets; alternatively
-    `member` is an oracle for the closure itself (the caller guarantees it is
-    monotone; `monotonicity_violations` spot-checks that).
+    """Upward-closed family of label sets: every set of at least `card_a`
+    labels, or every superset of one of `generators`.  Both forms are upward
+    closed by construction.
     """
 
-    def __init__(self, generators=None, member=None, kind="custom", card_a=None):
-        if generators is None and member is None and card_a is None:
-            raise InvalidInputError("need generators, an oracle, or a cardinality bound")
-        self.kind = kind
+    def __init__(self, generators=None, card_a=None):
+        if generators is None and card_a is None:
+            raise InvalidInputError("need generators or a cardinality bound")
         self.card_a = card_a
-        self.member = member
         if generators is not None:
             gens = []
             seen = set()
@@ -60,29 +48,13 @@ class MonotoneCollection:
         """True when the empty set already belongs to the closure."""
         if self.card_a is not None:
             return self.card_a <= 0
-        if self.generators is not None:
-            return any(len(g) == 0 for g in self.generators)
-        return bool(self.member(frozenset()))
+        return any(len(g) == 0 for g in self.generators)
 
     def closure_member(self, S):
         S = frozenset(int(x) for x in S)
         if self.card_a is not None:
             return len(S) >= self.card_a
-        if self.generators is not None:
-            return any(g <= S for g in self.generators)
-        return bool(self.member(S))
-
-    def monotonicity_violations(self, alphabet_size, samples=200, seed=0):
-        """Sampled check that membership survives adding elements."""
-        rng = np.random.Generator(np.random.Philox(key=labeled_seed(seed, "monochk")))
-        bad = []
-        for _ in range(samples):
-            small = frozenset(np.nonzero(rng.random(alphabet_size) < 0.5)[0].tolist())
-            extra = frozenset(np.nonzero(rng.random(alphabet_size) < 0.5)[0].tolist())
-            big = small | extra
-            if self.closure_member(small) and not self.closure_member(big):
-                bad.append((small, big))
-        return bad
+        return any(g <= S for g in self.generators)
 
 
 def ary_collection(a):
@@ -90,11 +62,11 @@ def ary_collection(a):
     a = int(a)
     if a < 0:
         raise InvalidInputError("arity must be >= 0")
-    return MonotoneCollection(kind="ary", card_a=a)
+    return MonotoneCollection(card_a=a)
 
 
 def generator_collection(sets):
-    return MonotoneCollection(generators=sets, kind="generators")
+    return MonotoneCollection(generators=sets)
 
 
 def collection_from_json(doc):
@@ -118,8 +90,8 @@ def _member_thresholds(collection, W, U):
     """Per row, the largest s at which the kept set {i : W[i] and U[i] >= s}
     lies in the closure: +inf when the empty set does, -1 when not even all of
     W does.  The closure is upward closed, so a row misses it at s exactly
-    when its threshold is below s.  An oracle gets one binary search per row
-    over its kept letters, largest U first."""
+    when its threshold is below s: the a-th largest kept U for `card_a`, else
+    the best generator's smallest U."""
     R, N = W.shape
     if collection.trivial_all:
         return np.full(R, np.inf)
@@ -128,32 +100,22 @@ def _member_thresholds(collection, W, U):
     if a is not None:
         return np.partition(V, N - a, axis=1)[:, N - a] if a <= N else np.full(R, -1.0)
     t = np.full(R, -1.0)
-    if collection.generators is not None:
-        for g in collection.generators:
-            if max(g) < N:  # else it mentions labels outside this alphabet
-                np.maximum(t, V[:, sorted(g)].min(axis=1), out=t)
-        return t
-    order = np.argsort(-V, axis=1, kind="stable")
-    for r, kept in enumerate(W.sum(axis=1).tolist()):
-        lo, hi = 1, kept + 1  # the shortest member prefix, kept + 1 for none
-        while lo < hi:
-            m = (lo + hi) // 2
-            if collection.closure_member(order[r, :m].tolist()):
-                hi = m
-            else:
-                lo = m + 1
-        if lo <= kept:
-            t[r] = V[r, order[r, lo - 1]]
+    for g in collection.generators:
+        if max(g) < N:  # else it mentions labels outside this alphabet
+            np.maximum(t, V[:, sorted(g)].min(axis=1), out=t)
     return t
 
 
 class GFunction:
     """Evaluator for g(s) = P(thinned offspring set outside the closed collection).
 
-    strategy: "auto" | "closed_form" | "enum" | "mc". Closed form needs binomial
-    offspring and a cardinality collection; enumeration needs alphabet size <= 20;
-    Monte Carlo always applies and reports a confidence interval.  Its sample
-    block is drawn once and kept as one sorted membership threshold per sample
+    strategy: "auto" | "closed_form" | "enum" | "mc"; a collection holding the
+    empty set resolves to "trivial" (g = 0) whatever is asked.  Closed form
+    needs binomial offspring and a cardinality collection; enumeration needs
+    alphabet size <= 20 and tabulates membership of all 2^N subsets from the
+    collection's bound or generators; Monte Carlo always applies and reports a
+    confidence interval.  Its block of `sample_size` samples is drawn on first
+    use and kept as one sorted membership threshold per sample
     (`_member_thresholds`), so each g(s) is a binary search.
     """
 
@@ -166,6 +128,8 @@ class GFunction:
         self.collection = collection
         self.N = offspring.alphabet_size
         self.sample_size = int(sample_size)
+        if self.sample_size < 1:
+            raise InvalidInputError("sample_size must be at least 1")
         self.ci_level = float(ci_level)
         self.seed = int(seed)
         self._thresholds = None
@@ -209,19 +173,14 @@ class GFunction:
         if self._member_arr is not None:
             return self._member_arr
         ids = np.arange(1 << self.N, dtype=np.uint32)
-        if self.collection.generators is not None:
+        if self.collection.card_a is not None:
+            member = np.bitwise_count(ids) >= self.collection.card_a
+        else:
             member = np.zeros(len(ids), dtype=bool)
             for g in self.collection.generators:
-                if g and max(g) >= self.N:
-                    continue
-                gm = np.uint32(sum(1 << x for x in g))
-                member |= (ids & gm) == gm
-        else:
-            member = np.empty(len(ids), dtype=bool)
-            for m in range(len(ids)):
-                member[m] = self.collection.closure_member(
-                    frozenset(i for i in range(self.N) if (m >> i) & 1)
-                )
+                if max(g) < self.N:  # else it mentions labels outside this alphabet
+                    gm = np.uint32(sum(1 << x for x in g))
+                    member |= (ids & gm) == gm
         self._member_arr = member
         self._na = np.bincount(np.bitwise_count(ids)[~member].astype(int), minlength=self.N + 1)
         return member
@@ -245,18 +204,14 @@ class GFunction:
 
     # -- monte carlo storage ------------------------------------------------
 
-    def ensure_samples(self, n):
-        """Draw (or re-draw) the shared sample block of at least n trials: the
-        child sets W and thinning uniforms U, in row blocks of MC_BLOCK (the
-        same stream as one draw), each reduced to its rows' thresholds.  Only
-        the sorted thresholds are kept."""
-        n = int(n)
-        if self._thresholds is not None and len(self._thresholds) >= n:
-            return
-        self.sample_size = max(self.sample_size, n)
+    def _draw_thresholds(self):
+        """The sorted thresholds of `sample_size` samples.  Child sets W and
+        thinning uniforms U are drawn in row blocks of MC_BLOCK (the same
+        stream as one draw) and reduced block by block, so only the
+        thresholds are kept."""
         rng = np.random.Generator(np.random.Philox(key=labeled_seed(self.seed, "gfn-mc")))
         keys = rng.integers(0, 1 << 63, size=self.sample_size, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-        self._thresholds = np.sort(np.concatenate([_member_thresholds(
+        return np.sort(np.concatenate([_member_thresholds(
             self.collection, self.offspring.sample_matrix(kb), rng.random((len(kb), self.N)))
             for kb in np.split(keys, range(self.MC_BLOCK, len(keys), self.MC_BLOCK))]))
 
@@ -319,7 +274,8 @@ class GFunction:
         raise CapabilityError("enumeration not available for this offspring type")
 
     def _eval_mc(self, s):
-        self.ensure_samples(self.sample_size)
+        if self._thresholds is None:
+            self._thresholds = self._draw_thresholds()
         R = len(self._thresholds)
         v = int(np.searchsorted(self._thresholds, s)) / R
         z = norm_ppf(0.5 + self.ci_level / 2.0)
@@ -428,8 +384,6 @@ def _solve(gf, tol, max_evals, scan_steps):
     if tol <= 0 or scan_steps < 1:
         raise InvalidInputError("tol must be positive and scan_steps at least 1")
     strategy = getattr(gf, "strategy", "function")
-    if strategy == "mc":
-        gf.ensure_samples(100_000)  # noise floor control for the search
     grid = [gf.eval(float(s)) for s in _GRID]
     vals = [v for v, _ in grid]
     for u, v in zip(vals, vals[1:]):
@@ -560,108 +514,6 @@ def g_k_a_curve(offspring, k, a_k, s, trials=100_000, seed=0):
             "method": "mc", "flagged": True,
             "flag_reason": "exact path needs binomial offspring and k <= 6",
             "k": k, "a_k": a_k, "s": s}
-
-
-# ---------------------------------------------------------------------------
-# section-compressed sup
-
-
-def _section_survival_given(offspring, section, root_keys):
-    """Bool matrix (len(root_keys) x section size): which section words survive."""
-    trials = len(root_keys)
-    words = sorted(section.sorted_words(), key=lambda w: (len(w), w))
-    closure = set()
-    for w in words:
-        for i in range(len(w) + 1):
-            closure.add(Word(w[:i]))
-    order = sorted(closure, key=lambda w: (len(w), w))
-    alive = {Word(): np.ones(trials, dtype=bool)}
-    keys = {Word(): np.asarray(root_keys, dtype=np.uint64)}
-    keep_cache = {}
-    for w in order:
-        if len(w) == 0:
-            continue
-        par = w.parent
-        if par not in keep_cache:
-            keep_cache[par] = offspring.sample_matrix(keys[par])
-        alive[w] = alive[par] & keep_cache[par][:, w[-1]]
-        keys[w] = _child_keys_vec(keys[par], np.full(trials, w[-1], dtype=np.uint64))
-    cols = [alive[w] for w in section.sorted_words()]
-    return np.column_stack(cols) if cols else np.zeros((trials, 0), dtype=bool)
-
-
-def _section_survival(offspring, section, trials, seed):
-    """Bool matrix (trials x section size): which section words are reached."""
-    base = np.uint64(labeled_seed(seed, "starsec"))
-    offs = np.arange(1, trials + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    return _section_survival_given(offspring, section, mix64_vec(base + offs))
-
-
-def _star_g_for_a(weights, rho, offspring, predicate_family, s, a, trials, seed):
-    """Monte-Carlo g for one realized scale factor a."""
-    section = section_pi_rho(weights, rho / a, extended=True)
-    coll = predicate_family(a, section) if callable(predicate_family) else predicate_family
-    label = "star:%.9f" % round(a, 9)
-    sub = labeled_seed(seed, label)
-    S = _section_survival(offspring, section, trials, sub)
-    rng = np.random.Generator(np.random.Philox(key=labeled_seed(sub, "thin")))
-    v = float((_member_thresholds(coll, S, rng.random(S.shape)) < s).mean())
-    se = math.sqrt(max(v * (1.0 - v), 1e-300) / trials)
-    return v, se, section
-
-
-def star_sup_g(weights, rho, offspring, predicate_family, s, height_cap=4,
-               trials=10_000, seed=0):
-    """Max of g over the distinct scale factors realized up to height_cap.
-
-    Nodes of the section-compressed tree carry a factor a = weight / rho^height
-    in (r_min, 1]; the child law below a node depends on the node only through
-    a, so distinct factors are enumerated breadth-first with witnesses and g is
-    evaluated once per factor.
-    """
-    rho = float(rho)
-    if not (0.0 < rho < weights.r_min):
-        raise InvalidInputError("rho must lie in (0, r_min)")
-    if not (0.0 <= s <= 1.0):
-        raise InvalidInputError("s must lie in [0,1]")
-    if offspring.alphabet_size != len(weights.ratios):
-        raise InvalidInputError("offspring alphabet and weights disagree")
-
-    seen = []  # (a, witness word, height)
-
-    def _find(a):
-        for j, (a0, _, _) in enumerate(seen):
-            if abs(a - a0) <= 1e-9 * max(a, a0):
-                return j
-        return -1
-
-    seen.append((1.0, Word(), 0))
-    frontier = [(1.0, Word())]
-    for h in range(1, int(height_cap) + 1):
-        nxt = []
-        for a, wit in frontier:
-            sec = section_pi_rho(weights, rho / a, extended=True)
-            for j in sec.sorted_words():
-                a2 = a * weights.weight(j) / rho
-                if _find(a2) < 0:
-                    seen.append((a2, wit.cat(j), h))
-                    nxt.append((a2, wit.cat(j)))
-        frontier = nxt
-
-    per_a = []
-    best = None
-    for a, wit, h in seen:
-        v, se, section = _star_g_for_a(
-            weights, rho, offspring, predicate_family, s, a, trials, seed
-        )
-        entry = {"a": a, "g": v, "se": se, "height": h,
-                 "witness_word": wit, "section_size": len(section.sorted_words())}
-        per_a.append(entry)
-        if best is None or v > best["g"]:
-            best = entry
-    per_a.sort(key=lambda e: e["a"])
-    return {"sup": best["g"], "witness": best, "per_a": per_a,
-            "height_cap": int(height_cap), "trials": int(trials)}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from gwfract.branching import (
     parallel_map,
     pgf,
     sample_gw,
-    thin,
 )
 
 
@@ -48,12 +47,6 @@ def test_binomial_helpers_match_scipy_stats():
     assert binom_cdf(-1, 3, 0.4) == 0.0 and binom_cdf(4, 3, 0.4) == 1.0
     for q in (0.5, 0.975, 0.995, 1e-9):
         assert norm_ppf(q) == norm.ppf(q)
-
-
-def test_thinned_law_mean():
-    off = Binomial(9, 0.6)
-    assert off.thinned(0.5).mean() == pytest.approx(5.4 * 0.5)
-    assert off.thinned(0.0).mean() == pytest.approx(5.4)
 
 
 def test_extinction_golden_case():
@@ -170,23 +163,6 @@ def test_mc_extinction_matches_exact():
     q = extinction_prob(off)
     mc = mc_extinction_frequency(off, depth=30, trials=40_000, seed=7)
     assert abs(mc["frequency"] - q) <= 4 * mc["se"]
-
-
-def test_thin_keep_probability():
-    kept = 0
-    n = 2000
-    for seed in range(n):
-        kept += len(thin(frozenset({0, 1, 2, 3}), 0.25, seed))
-    rate = kept / (4.0 * n)
-    assert abs(rate - 0.75) < 0.02
-
-
-def test_thin_edge_cases():
-    assert thin(frozenset(), 0.3, 1) == frozenset()
-    assert thin(frozenset({1, 2}), 0.0, 1) == frozenset({1, 2})
-    assert thin(frozenset({1, 2}), 1.0, 1) == frozenset()
-    with pytest.raises(InvalidInputError):
-        thin(frozenset({1}), 1.5, 0)
 
 
 def test_labeled_seed_separates_streams():

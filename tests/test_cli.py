@@ -67,7 +67,8 @@ def test_extinction_json():
 
 def test_fixpoint_solvers_agree():
     # one solver: the JSON always carries the checked interval, and the
-    # removed --solver switch is rejected as bad input
+    # removed --solver switch is rejected as bad input, as is --strategy
+    # trivial, which only a collection holding the empty set resolves to
     base = ["fixpoint", "--offspring", "bin:3:0.9", "--collection", "ary:2"]
     code, doc, _ = run_json(base)
     assert code == 0
@@ -80,9 +81,10 @@ def test_fixpoint_solvers_agree():
     assert code2 == 0
     assert doc2["interval"][1] - doc2["interval"][0] <= 1e-13
     assert doc2["s0"] == pytest.approx(doc["s0"], abs=1e-10)
-    with pytest.raises(SystemExit) as exc:
-        run(base + ["--solver", "bisect"])
-    assert exc.value.code == 2
+    for bad in (["--solver", "bisect"], ["--strategy", "trivial"]):
+        with pytest.raises(SystemExit) as exc:
+            run(base + bad)
+        assert exc.value.code == 2
 
 
 def test_gk_curve_single_point():

@@ -9,6 +9,7 @@ from gwfract.symbolic import (CapabilityError, FiniteTree, InvalidInputError,
                               Word, compress_along_pi_rho)
 from gwfract.branching import Binomial, LazyGW, sample_gw
 from gwfract.cli import measured_to_csv
+from gwfract.fixpoint import GFunction, _member_thresholds, ary_collection, generator_collection
 from gwfract.geometry import (SimilarityIFS, SimilarityMap, cloud_to_csv, percolation_ifs,
                               render_words, sierpinski_ifs, word_map)
 from gwfract.extraction import (
@@ -73,10 +74,25 @@ def test_intersection_pads_witness():
 
 
 def test_diffuse_block_collection_matches_predicate():
-    coll = diffuse_block_collection(2, 2, 2)
-    pred = DiffuseBlock(2, 2, 2)
-    for S in (frozenset(range(16)), frozenset(range(15)), frozenset({1, 2})):
-        assert coll.closure_member(S) == pred.member(S)
+    # one generator per prefix; several for k > 2
+    for b, k, d in ((2, 2, 2), (2, 3, 1), (2, 4, 1), (3, 3, 1)):
+        coll = diffuse_block_collection(b, k, d)
+        pred = DiffuseBlock(b, k, d)
+        N = pred.alphabet
+        assert len(coll.generators) == N // pred.block
+        for S in (frozenset(range(N)), frozenset(range(N - 1)), frozenset({1, 2}),
+                  frozenset(range(N - pred.block, N))):
+            assert coll.closure_member(S) == pred.member(S)
+        rng = np.random.default_rng(b * 100 + k * 10 + d)
+        # keep rates near 1 so that full blocks turn up
+        W = rng.random((300, N)) < rng.uniform(0.6, 1.0, (300, 1))
+        U = np.round(rng.random((300, N)), 2)
+        for row in W:
+            S = np.flatnonzero(row).tolist()
+            assert coll.closure_member(S) == pred.member(S)
+        for s in (0.0, 0.3, 0.5, *U[W][:5].tolist()):
+            want = [not pred.member(np.flatnonzero(row)) for row in W & (U >= s)]
+            assert (_member_thresholds(coll, W, U) < s).tolist() == want, (b, k, d, s)
 
 
 def test_find_subtree_full_tree():
@@ -428,6 +444,16 @@ def test_general_pipeline_rejects_non_integral_arity():
                         c=0.05, seed=0)
 
 
+def test_general_pipeline_rejects_levels_below_one():
+    # the scan tests a vertex for m >= 1 levels; n_levels = 0 or -1 used to
+    # return a root-only subset reporting that many levels
+    ifs = percolation_ifs(3, 2)
+    for n_levels in (0, -1):
+        with pytest.raises(InvalidInputError):
+            general_pipeline(ifs, Binomial(9, 0.9), rho=3.0 ** -4, alpha=1.0,
+                             c=0.05, n_levels=n_levels)
+
+
 def test_section_reduction_composes_maps():
     base = sierpinski_ifs()
     reduced, law = section_reduction(base, Binomial(3, 0.9), 2)
@@ -445,8 +471,12 @@ def test_section_law_declines_closed_forms():
     _, law = section_reduction(sierpinski_ifs(), Binomial(3, 0.9), 2)
     with pytest.raises(CapabilityError):
         law.pgf(0.5)
-    with pytest.raises(CapabilityError):
-        law.thinned(0.5)
+    # nor does g enumerate over it, for a cardinality collection as for generators
+    for coll in (ary_collection(2), generator_collection([(0, 4)])):
+        gf = GFunction(law, coll)
+        assert gf.strategy == "enum"
+        with pytest.raises(CapabilityError):
+            gf.eval(0.5)
     doc = law.to_json()
     assert doc["kind"] == "section_law"
     assert len(doc["section"]) == 9

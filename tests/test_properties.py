@@ -1,4 +1,4 @@
-"""Law-level checks: exact cover, grading, closure, thinning, width, seeds.
+"""Law-level checks: exact cover, grading, closure, width, seeds.
 
 This file is self-contained and cheap enough to run standalone.
 """
@@ -7,15 +7,12 @@ import math
 import os
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import chi2_contingency
 
 from gwfract.symbolic import (FiniteTree, Word, WeightedAlphabet, _section_depth,
                               compress_along_pi_rho, rho_index, section_pi_rho,
                               validate_section)
-from gwfract.branching import (Binomial, PerLetterBernoulli, labeled_seed,
-                               parallel_map, sample_gw, thin)
+from gwfract.branching import Binomial, parallel_map, sample_gw
 from gwfract.fixpoint import ary_collection, generator_collection
 from gwfract.geometry import PointCloud, width
 from gwfract.experiments import exp_convergence_g_k
@@ -109,43 +106,6 @@ def test_ary_closure_laws(a, S, T):
     assert coll.closure_member(frozenset(S)) == (len(S) >= a)
     if coll.closure_member(frozenset(S)) and S <= T:
         assert coll.closure_member(frozenset(T))
-
-
-def test_no_monotonicity_violations_on_samples():
-    coll = generator_collection([frozenset({0, 1}), frozenset({3})])
-    assert coll.monotonicity_violations(6, samples=300, seed=4) == []
-    assert ary_collection(3).monotonicity_violations(6, samples=300, seed=5) == []
-
-
-# ---------------------------------------------------------------------------
-# thinning composes: two rounds equal one round at the composed parameter
-
-def test_thinning_composition_exact_parameters():
-    for s1, s2 in ((0.3, 0.25), (0.0, 0.4), (0.6, 0.6)):
-        s = 1.0 - (1.0 - s1) * (1.0 - s2)
-        b = Binomial(9, 0.7)
-        assert b.thinned(s1).thinned(s2).p == pytest.approx(b.thinned(s).p)
-        pl = PerLetterBernoulli((0.9, 0.5, 0.7))
-        two = pl.thinned(s1).thinned(s2).probs
-        one = pl.thinned(s).probs
-        assert np.allclose(two, one)
-
-
-def test_thinning_composition_distribution():
-    s1, s2 = 0.3, 0.25
-    s = 1.0 - (1.0 - s1) * (1.0 - s2)
-    base = frozenset(range(9))
-    n = 3000
-    sizes_two = np.zeros(10, dtype=int)
-    sizes_one = np.zeros(10, dtype=int)
-    for t in range(n):
-        w = thin(thin(base, s1, labeled_seed(t, "r1")), s2, labeled_seed(t, "r2"))
-        sizes_two[len(w)] += 1
-        sizes_one[len(thin(base, s, labeled_seed(t, "one")))] += 1
-    keep = (sizes_two + sizes_one) > 0
-    table = np.stack([sizes_two[keep], sizes_one[keep]])
-    _, pval, _, _ = chi2_contingency(table)
-    assert pval > 1e-3, (pval, sizes_two.tolist(), sizes_one.tolist())
 
 
 # ---------------------------------------------------------------------------
