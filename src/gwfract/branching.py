@@ -511,6 +511,8 @@ def mc_extinction_frequency(offspring, depth, trials, seed, cap=100_000_000):
     Populations above `cap` individuals are frozen as survivors; the neglected
     extinction mass is below q^cap, far under any tolerance in use.
     """
+    if trials < 1:
+        raise InvalidInputError("trials must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=labeled_seed(seed, "mcext")))
     z = np.ones(trials, dtype=np.int64)
     for _ in range(depth):

@@ -14,14 +14,14 @@ soon as the predicate is satisfied, which agrees with the eager DP because
 membership is monotone and children are visited in lex order
 (`tests/test_extraction.py::test_layered_scan_matches_eager_dp` checks this).
 
-Children with one level to go are walked in chunks, one multi-root walk per
-chunk, and judged segment-wise by the predicate (`_segments`); the greedy stop
-is found online from the predicate's running state (`_running`), which updates
-per good child instead of judging the whole prefix again.  Results are still
-taken child by child in lex order, so `child_tests`, `capped_nodes`,
-`nodes_sampled` and `certs` read as the sequential scan's.  Leaves of the
-block predicate are decided without sampling their last level, except below
-the prefixes that can still hold a full block (`_LayeredScan._block_walk`)."""
+Children with one level to go (leaves) are walked in chunks: levels 0..k-2
+once per chunk, then the level-(k-1) child rows in lex order until each leaf
+is decided, for block and section leaves alike (`_LayeredScan`).  The greedy
+stop is found online from the predicate's running state (`_running`), which
+updates per good child instead of judging the whole prefix again.  Results
+are still taken child by child in lex order, so `child_tests`,
+`capped_nodes` and `nodes_sampled` read as the sequential scan's, and
+families are certified only for the leaves whose results are taken."""
 
 import math
 from collections import deque
@@ -40,7 +40,7 @@ from .symbolic import (
     InvalidInputError,
     CapabilityError,
 )
-from .branching import LazyGW, sample_gw, pgf, _child_keys_vec
+from .branching import Binomial, LazyGW, sample_gw, pgf, _child_keys_vec
 from .fixpoint import g_k_a_curve, generator_collection
 from .geometry import (
     PointCloud,
@@ -83,19 +83,12 @@ def _as_int_array(labels):
     return np.array(sorted(int(x) for x in labels), dtype=np.int64)
 
 
-def _runs(keys, bounds):
-    """Runs of equal `keys` inside each segment keys[bounds[i]:bounds[i+1]].
-
-    Returns the start and the length of every run, and the segment it lies in.
-    """
-    n = len(keys)
-    cut = np.ones(n, dtype=bool)
+def _runs(keys):
+    """Start and length of each run of equal values in `keys`."""
+    cut = np.ones(len(keys), dtype=bool)
     cut[1:] = keys[1:] != keys[:-1]
-    firsts = bounds[:-1]
-    cut[firsts[firsts < n]] = True
     starts = np.flatnonzero(cut)
-    lengths = np.diff(np.append(starts, n))
-    return starts, lengths, np.searchsorted(bounds, starts, side="right") - 1
+    return starts, np.diff(np.append(starts, len(keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,30 +98,20 @@ def _runs(keys, bounds):
 class SubtreePredicate:
     """A monotone collection of acceptable child sets.
 
-    Packed labels are judged segment-wise: `_segments(codes, bounds)` takes
-    many child sets at once, set i being codes[bounds[i]:bounds[i+1]] in
-    ascending order, and returns `ok(i)`; `member` is its one-segment case.
+    A structural predicate (a full block, a certified family) finds the core
+    that makes a set a member with `witness_core`, and a set is a member
+    exactly when it has one; that core is also its minimal witness.
     `_running()` returns `push(label, check)`, which adds one label to a
     growing set and, when `check` is true, says whether that set is a member,
     doing the certification work `member` would do on it.
     """
 
-    # building a witness may compute certificates, which are counted
-    _witness_certifies = False
-
     def member(self, labels, ctx=None):
-        labels = _as_int_array(labels)
-        return bool(self._segments(labels, np.array([0, len(labels)]))(0))
-
-    def _segments(self, codes, bounds):
-        raise NotImplementedError
-
-    def _running(self):
-        raise NotImplementedError
+        return self.witness_core(labels, ctx) is not None
 
     def witness_subset(self, labels, ctx=None):
         """Minimal certifying child set (None when labels are not a member)."""
-        raise NotImplementedError
+        return self.witness_core(labels, ctx)
 
     def min_arity(self):
         """Cardinality floor a trimmed witness must keep."""
@@ -143,8 +126,8 @@ class Ary(SubtreePredicate):
         if self.a < 1:
             raise InvalidInputError("a must be >= 1")
 
-    def _segments(self, codes, bounds):
-        return (np.diff(bounds) >= self.a).__getitem__
+    def member(self, labels, ctx=None):
+        return len(labels) >= self.a
 
     def _running(self):
         size = 0
@@ -184,12 +167,6 @@ class DiffuseBlock(SubtreePredicate):
         self.block = self.base_n ** 2
         self.alphabet = self.base_n ** self.k
 
-    def _segments(self, codes, bounds):
-        _, lengths, seg = _runs(codes // self.block, bounds)
-        full = np.zeros(len(bounds) - 1, dtype=bool)
-        full[seg[lengths == self.block]] = True
-        return full.__getitem__
-
     def _running(self):
         counts = {}
         full = False
@@ -204,14 +181,11 @@ class DiffuseBlock(SubtreePredicate):
 
     def witness_core(self, labels, ctx=None):
         arr = _as_int_array(labels)
-        starts, lengths, _ = _runs(arr // self.block, np.array([0, len(arr)]))
+        starts, lengths = _runs(arr // self.block)
         full = starts[lengths == self.block]
         if len(full) == 0:
             return None
         return frozenset(arr[full[0]:full[0] + self.block].tolist())
-
-    def witness_subset(self, labels, ctx=None):
-        return self.witness_core(labels, ctx)
 
     def min_arity(self):
         return self.block
@@ -222,17 +196,14 @@ class SectionDiffuse(SubtreePredicate):
 
     With the block length k (packed labels of a uniform-ratio compression by
     k base levels) the split prefix is the first k-1 base letters, and a
-    family is the letter mask of one prefix; a set's families are certified
-    in ascending mask order.  Without k the labels index the star's suffix
-    table (`PredicateContext.suffixes`), and the prefix of a suffix is the
-    one realized in the section one r_min-step above the child section, as
-    the existence argument prescribes; families are certified in ascending
-    prefix order.  Either way only up to the first family that passes.
-    Certification is one-sided: a family whose certified constant falls
-    below c counts as a non-member.
+    family is the letter mask of one prefix.  Without k the labels index the
+    star's suffix table (`PredicateContext.suffixes`), and the prefix of a
+    suffix is the one realized in the section one r_min-step above the child
+    section, as the existence argument prescribes.  Either way a set's
+    families are certified in ascending prefix order, only up to the first
+    that passes, which is the witness's core.  Certification is one-sided: a
+    family whose certified constant falls below c counts as a non-member.
     """
-
-    _witness_certifies = True
 
     def __init__(self, rho, c, ifs, F_cloud=None, k=None, directions=200,
                  cert_budget=4096):
@@ -274,34 +245,12 @@ class SectionDiffuse(SubtreePredicate):
         key = frozenset(suffixes)
         return self._certified(key, lambda: [word_map(self.ifs, v) for v in sorted(key)])
 
-    # -- packed labels ------------------------------------------------------
-
-    def _families(self, codes, bounds):
-        """Start, letter mask and segment of each (segment, prefix) run."""
-        if self.k is None:
-            raise InvalidInputError("packed labels need the block length k")
+    @property
+    def _bits(self):
+        """Each base letter's bit in a family's letter mask."""
         if self.base_n > 60:
             raise CapabilityError("mask grouping supports at most 60 base letters")
-        prefixes, letters = np.divmod(codes, self.base_n)
-        starts, _, seg = _runs(prefixes, bounds)
-        masks = np.zeros(len(starts), dtype=np.int64)
-        if len(starts):
-            masks = np.bitwise_or.reduceat(np.int64(1) << letters, starts)
-        return starts, masks, seg
-
-    def _segments(self, codes, bounds):
-        _, masks, seg = self._families(codes, bounds)
-        order = np.lexsort((masks, seg))
-        masks, seg = masks[order], seg[order]
-        new = np.ones(len(masks), dtype=bool)
-        new[1:] = (masks[1:] != masks[:-1]) | (seg[1:] != seg[:-1])
-        masks, seg = masks[new], seg[new]
-        first = np.searchsorted(seg, np.arange(len(bounds)))
-
-        def ok(i):
-            return any(self._mask_certified(m)
-                       for m in masks[first[i]:first[i + 1]].tolist())
-        return ok
+        return np.int64(1) << np.arange(self.base_n, dtype=np.int64)
 
     def _running(self):
         masks = {}
@@ -309,8 +258,7 @@ class SectionDiffuse(SubtreePredicate):
         def push(label, check):
             prefix, letter = divmod(label, self.base_n)
             masks[prefix] = masks.get(prefix, 0) | 1 << letter
-            return check and any(self._mask_certified(m)
-                                 for m in sorted(set(masks.values())))
+            return check and any(self._mask_certified(masks[p]) for p in sorted(masks))
         return push
 
     # -- star labels --------------------------------------------------------
@@ -335,11 +283,6 @@ class SectionDiffuse(SubtreePredicate):
 
     # -- predicate API ------------------------------------------------------
 
-    def member(self, labels, ctx=None):
-        if self.k is None:
-            return self.witness_core(labels, ctx) is not None
-        return super().member(labels, ctx)
-
     def witness_core(self, labels, ctx=None):
         if self.k is None:
             for pairs in self._star_families(labels, ctx):
@@ -347,15 +290,13 @@ class SectionDiffuse(SubtreePredicate):
                     return frozenset(lab for _, lab in pairs)
             return None
         arr = _as_int_array(labels)
-        starts, masks, _ = self._families(arr, np.array([0, len(arr)]))
-        ends = np.append(starts[1:], len(arr))
-        for s, e, m in zip(starts.tolist(), ends.tolist(), masks.tolist()):
+        prefixes, letters = np.divmod(arr, self.base_n)
+        starts, lengths = _runs(prefixes)
+        masks = np.bitwise_or.reduceat(self._bits[letters], starts) if len(arr) else starts
+        for s, n, m in zip(starts.tolist(), lengths.tolist(), masks.tolist()):
             if self._mask_certified(m):
-                return frozenset(arr[s:e].tolist())
+                return frozenset(arr[s:s + n].tolist())
         return None
-
-    def witness_subset(self, labels, ctx=None):
-        return self.witness_core(labels, ctx)
 
 
 class Intersection(SubtreePredicate):
@@ -366,14 +307,9 @@ class Intersection(SubtreePredicate):
         self.parts = list(parts)
         if not self.parts:
             raise InvalidInputError("intersection needs at least one part")
-        self._witness_certifies = any(p._witness_certifies for p in self.parts)
 
     def member(self, labels, ctx=None):
         return all(p.member(labels, ctx) for p in self.parts)
-
-    def _segments(self, codes, bounds):
-        tests = [p._segments(codes, bounds) for p in self.parts]
-        return lambda i: all(ok(i) for ok in tests)
 
     def _running(self):
         pushes = [p._running() for p in self.parts]
@@ -678,9 +614,24 @@ def predicted_presence(offspring, k, arity, n_levels, mode="block"):
 
 
 # expected nodes sampled by one chunk of leaf tests (see `_LayeredScan`): a
-# leaf walks k levels, or k - 1 on the block walk, and the chunk holds as
-# many leaves as fill this many nodes at the law's mean
+# leaf walks levels 0..k-2 in full, and the chunk holds as many leaves as
+# fill this many nodes at the law's mean
 _CHUNK_NODES = 4096
+
+
+def _lex_batches(owner, done):
+    """Rows to read, a doubling batch per round: each leaf's rows in lex
+    order (`owner`, ascending, is each row's leaf) until the caller sets
+    done[leaf] between rounds or the leaf's rows run out.  The first round
+    takes about 256 rows, so that one sample call serves many."""
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    lo, width = 0, max(1, 256 // len(done))
+    while True:
+        open_ = (rank >= lo) & ~done[owner]
+        if not open_.any():
+            return
+        yield np.flatnonzero(open_ & (rank < lo + width))
+        lo, width = lo + width, 2 * width
 
 
 class _LayeredScan:
@@ -693,30 +644,27 @@ class _LayeredScan:
     good child is pushed into the predicate's running state, which answers
     for the prefix without judging the whole prefix again.
 
-    Children with one level to go (leaves) are walked a chunk at a time, in
-    one multi-root walk of about `_CHUNK_NODES` expected nodes, and judged
-    segment-wise.  Their results are still taken one by one, in order, so
-    `child_tests`, `capped_nodes` and `nodes_sampled` read as the sequential
-    scan's: a leaf's nodes count when its result is taken, and leaves walked
-    past the stop are dropped.  Only the `node_budget` guard sees the whole
-    chunk, so it can trip at most one chunk earlier.  A good leaf's witness
-    is built by `witness_tree`, for the leaves of the final tree only, unless
-    building it computes certificates: those count in `certs`, so it is built
-    when the leaf passes.  `witness_tree` hands `_witness`'s level arrays to
-    `FiniteTree._of` as they are.
+    The predicate is one `DiffuseBlock` or one packed `SectionDiffuse` of
+    length k, with `Ary` floors.  Children with one level to go (leaves) are
+    walked a chunk of about `_CHUNK_NODES` expected nodes at a time: levels
+    0..k-2 once (`_prefix_walk`), then the level-(k-1) child rows in lex
+    order, a doubling batch per round, until each leaf is decided
+    (`_lex_batches`); a stream key's row is a pure function of the key, so
+    these are the rows the full walk draws.  Results are still taken one by
+    one, in order, so `child_tests`, `capped_nodes` and `nodes_sampled` read
+    as the sequential scan's: a leaf's nodes (levels 0..k-1, as the full walk
+    counts them) count when its result is taken, and leaves walked past the
+    stop are dropped.  Only the `node_budget` guard sees the whole chunk, so
+    it can trip at most one chunk earlier.
 
-    Leaves of the block predicate (`DiffuseBlock` with `Ary` floors) skip
-    the last level (`_block_walk`).  A leaf holds a full block exactly when
-    some level-(k-2) node has all base_n children and each of those has all
-    base_n children, so only the children of such candidate prefixes are
-    sampled, and a candidate is dropped at its first incomplete child.  The
-    count floor needs the level-k count only when it exceeds the block
-    size, and then only for the leaves that hold a full block.  A stream
-    key's row is a pure function of the key, so these are the rows the full
-    walk draws.  `nodes_sampled` counts levels 0..k-1 as the full walk does:
-    level k-1's size is known once level k-2 is sampled, and the guard
-    charges it before any candidate is sampled.  Section leaves keep the full
-    walk, as their certificates need the last level's letter masks.
+    A block leaf's rows are read only below candidate prefixes
+    (`_block_walk`).  A section leaf's row is one family, and rows are read
+    until the leaf holds its count floor; its families are certified in
+    prefix order when its result is taken, and its other rows are read only
+    if none passes (`_section_walk`).  A good leaf's witness is built by
+    `witness_tree`, for the leaves of the final tree only, unless building it
+    computes certificates: those count in `certs`, so it is built when the
+    leaf passes.
     """
 
     def __init__(self, lazy, k, pred, arity, per_node_cap):
@@ -727,16 +675,16 @@ class _LayeredScan:
         self.per_node_cap = int(per_node_cap)
         self.base_n = lazy.offspring.alphabet_size
         parts = pred.parts if isinstance(pred, Intersection) else [pred]
-        blocks = [p for p in parts if isinstance(p, DiffuseBlock)]
-        self.block = None
-        if (len(blocks) == 1 and blocks[0].k == self.k
-                and blocks[0].base_n == self.base_n
-                and all(isinstance(p, (DiffuseBlock, Ary)) for p in parts)):
-            self.block = blocks[0]
-            self.floor = max([self.arity] + [p.a for p in parts if isinstance(p, Ary)])
-        levels = self.k - 1 if self.block is not None else self.k
+        core = [p for p in parts if not isinstance(p, Ary)]
+        if not (len(core) == 1 and isinstance(core[0], (DiffuseBlock, SectionDiffuse))
+                and core[0].k == self.k and core[0].base_n == self.base_n):
+            raise CapabilityError("the layered scan takes one block or packed section "
+                                  "predicate of length %d, with cardinality floors" % self.k)
+        self.block = core[0] if isinstance(core[0], DiffuseBlock) else None
+        self.section = None if self.block else core[0]
+        self.floor = max([self.arity] + [p.a for p in parts if isinstance(p, Ary)])
         mean = lazy.offspring.mean()
-        self.chunk = max(1, int(_CHUNK_NODES / sum(mean ** j for j in range(levels))))
+        self.chunk = max(1, int(_CHUNK_NODES / sum(mean ** j for j in range(self.k - 1))))
         self.alive = {}
         self.good = {}
         self.witness = {}
@@ -760,76 +708,117 @@ class _LayeredScan:
             got = self.alive[w] = (codes, keys)
         return got
 
-    def _block_walk(self, keys):
-        """(ok, nodes) of the leaves with stream keys `keys` on the block
-        predicate, without sampling level k-1 beyond candidate prefixes.
+    def _prefix_walk(self, keys):
+        """Levels 0..k-2 below the leaves with stream keys `keys`, walked once.
 
-        nodes[i] counts levels 0..k-1 below leaf i, as `LazyGW._level` does.
+        Returns (nodes, levels, owner, last): nodes[i] counts levels 0..k-1
+        below leaf i, as `LazyGW._level` does, and the guard is charged
+        for them; levels holds each step's (roots, counts, letters), roots
+        being each walked node's leaf; owner and last are the leaf and the
+        stream key of each level-(k-1) node, in lex order.
         """
-        lazy, n = self.lazy, self.base_n
+        lazy = self.lazy
         roots = np.arange(len(keys))
         nodes = np.zeros(len(keys), dtype=np.int64)
-        for counts, _, kids in lazy._walk(keys, self.k - 1):
+        levels = []
+        for counts, letters, last in lazy._walk(keys, self.k - 1):
             nodes += np.bincount(roots, minlength=len(keys))
-            prefix_roots, prefix_counts, last = roots, counts, kids
+            levels.append((roots, counts, letters))
             roots = np.repeat(roots, counts)
         # level k-1, empty when the walk died out before it
         nodes += np.bincount(roots, minlength=len(keys))
         lazy._charge(lazy.nodes_sampled + int(nodes.sum()), self.k - 1)
+        return nodes, levels, roots, last
+
+    def _block_walk(self, keys):
+        """(ok, nodes) of the leaves with stream keys `keys` on the block
+        predicate, nodes as `_prefix_walk` counts them.
+
+        A leaf holds a full block exactly when some level-(k-2) node has all
+        base_n children and each of those has all base_n children, so only
+        such candidates' rows are read, column by column, and a candidate is
+        dropped at its first incomplete row.  The count floor needs the
+        level-k count only when it exceeds the block size, and then only for
+        the leaves that hold a full block.
+        """
+        lazy, n = self.lazy, self.base_n
+        nodes, levels, roots, last = self._prefix_walk(keys)
         ok = np.zeros(len(keys), dtype=bool)
         if len(roots) == 0:
             return ok, nodes
+        prefix_roots, prefix_counts, _ = levels[-1]
         cands = np.flatnonzero(prefix_counts == n)
         firsts = (np.cumsum(prefix_counts) - prefix_counts)[cands]
         owner = prefix_roots[cands]
-        rank = np.arange(len(cands)) - np.searchsorted(owner, owner)
-        # each leaf's candidates in ascending order, a doubling batch per round,
-        # until the leaf holds a full block or runs out of candidates; the
-        # first round takes about 256 candidates, so that a sample call
-        # serves many rows
-        lo, width = 0, max(1, 256 // len(keys))
-        while True:
-            open_ = (rank >= lo) & ~ok[owner]
-            if not open_.any():
-                break
-            sel = np.flatnonzero(open_ & (rank < lo + width))
+        for sel in _lex_batches(owner, ok):
             for j in range(n):
                 rows = lazy.offspring.sample_matrix(last[firsts[sel] + j])
                 sel = sel[rows.all(axis=1)]
                 if len(sel) == 0:
                     break
             ok[owner[sel]] = True
-            lo, width = lo + width, 2 * width
         if self.floor > self.block.block:
-            # a full block meets any floor up to the block size; above it,
-            # count the level-k codes of the leaves that hold one
             held = ok[roots]
             sizes = lazy.offspring.sample_matrix(last[held]).sum(axis=1)
             ok &= np.bincount(roots[held], weights=sizes, minlength=len(keys)) >= self.floor
         return ok, nodes
 
+    def _section_walk(self, keys):
+        """(judge, nodes) of the leaves with stream keys `keys` on the section
+        predicate: judge(i) is leaf i's (labels, ok), labels being the level-k
+        codes below the rows it read; nodes as `_prefix_walk` counts them."""
+        lazy, n, sd = self.lazy, self.base_n, self.section
+        nodes, levels, owner, last = self._prefix_walk(keys)
+        codes = np.zeros(len(keys), dtype=np.int64)
+        for _, counts, letters in levels:
+            codes = np.repeat(codes, counts) * n + letters
+        ends = np.searchsorted(owner, np.arange(len(keys) + 1))
+        masks = np.full(len(owner), -1)  # a row's letter mask once it is read
+        held = np.zeros(len(keys))
+        full = np.zeros(len(keys), dtype=bool)
+
+        def read(sel):
+            rows = lazy.offspring.sample_matrix(last[sel])
+            masks[sel] = rows @ sd._bits
+            return rows.sum(axis=1)
+
+        for sel in _lex_batches(owner, full):
+            held += np.bincount(owner[sel], weights=read(sel), minlength=len(keys))
+            full |= held >= self.floor
+
+        def certified(fams):
+            return any(sd._mask_certified(m) for m in fams.tolist() if m)
+
+        def judge(i):
+            b, e = ends[i], ends[i + 1]
+            m = b + np.count_nonzero(masks[b:e] >= 0)
+            if full[i] and m < e and not certified(masks[b:m]):
+                read(np.arange(m, e))
+                m = e
+            ok = bool(full[i]) and certified(masks[b:m])
+            below = (masks[b:m, None] >> np.arange(n)) & 1 == 1
+            return (codes[b:m, None] * n + np.arange(n))[below], ok
+        return judge, nodes
+
     def _leaves(self, keys):
         """(labels, good) of each leaf with a stream key in `keys`, in order;
-        labels is None on the block walk, which does not sample them."""
+        labels is None on the block walk, which does not need them."""
         for lo in range(0, len(keys), self.chunk):
             chunk = keys[lo:lo + self.chunk]
             if self.block is not None:
                 ok, nodes = self._block_walk(chunk)
-                results = ((None, good) for good in ok.tolist())
+                judge = [(None, good) for good in ok.tolist()].__getitem__
             else:
-                codes, _, bounds, nodes = self.lazy._level(chunk, self.k)
-                member = self.pred._segments(codes, bounds)
-                spans = enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-                results = ((codes[b:e], e - b >= self.arity and bool(member(i)))
-                           for i, (b, e) in spans)
-            for count, result in zip(nodes.tolist(), results):
+                judge, nodes = self._section_walk(chunk)
+            for i, count in enumerate(nodes.tolist()):
                 self.lazy.nodes_sampled += count
-                yield result
+                yield judge(i)
 
     def _record_leaf(self, v, labels, ok):
-        """Cache leaf v's result; build its witness now if that certifies."""
+        """Cache leaf v's result; build its witness now if that certifies
+        families (a section witness), as certificates count in `certs`."""
         self.good[(v, 1)] = ok
-        if ok and self.pred._witness_certifies:
+        if ok and self.section is not None:
             self.witness[(v, 1)] = self.pred.witness_subset(labels)
         return ok
 
@@ -983,8 +972,6 @@ def percolation_pipeline(b, d, p, c, k, depth=None, seed=0, scan_budget=256,
     length under each vertex; reports predicted presence probabilities next to
     the scan outcome on failure.
     """
-    from .branching import Binomial
-
     b = int(b)
     d = int(d)
     k = int(k)

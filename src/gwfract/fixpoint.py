@@ -471,6 +471,8 @@ def g_k_a_curve(offspring, k, a_k, s, trials=100_000, seed=0):
         raise InvalidInputError("k must be >= 1")
     if not (0.0 <= s < 1.0):
         raise InvalidInputError("s must lie in [0,1)")
+    if trials < 1:
+        raise InvalidInputError("trials must be >= 1")
     if a_k <= 0:
         return {"value": 0.0, "method": "exact", "flagged": False, "k": k, "a_k": a_k, "s": s}
     N = offspring.alphabet_size
@@ -528,6 +530,8 @@ def appendix_b_gap(p, eps, trials=100_000, seed=0):
     """
     p = float(p)
     eps = float(eps)
+    if trials < 1:
+        raise InvalidInputError("trials must be >= 1")
     base = Binomial(3, p)
     gf = GFunction(base, ary_collection(2), strategy="closed_form")
     sol = smallest_fixed_point(gf, tol=1e-13)

@@ -291,10 +291,15 @@ class FiniteTree:
         self._set(*_tree_levels(self.alphabet_size, self.depth, *_word_rows(children)))
 
     def _set(self, letters, parents):
-        # int32 halves what a kept tree holds; `_has` widens before its keys
-        kind = np.int32 if self.alphabet_size <= 2 ** 31 else np.int64
-        self._letters = [None] + [np.asarray(a, dtype=kind) for a in letters[1:]]
-        self._parents = [None] + [np.asarray(p, dtype=np.int32) for p in parents[1:]]
+        # each level in the narrowest of uint8, uint16, int32 and int64 that
+        # holds it, letters below the alphabet and parents below the size of
+        # the level above; readers widen before arithmetic, as `_has` does
+        def narrow(a, bound):
+            return np.asarray(a, dtype=next(t for t in (np.uint8, np.uint16, np.int32, np.int64)
+                                            if bound <= np.iinfo(t).max + 1))
+        sizes = [1] + [len(a) for a in letters[1:]]
+        self._letters = [None] + [narrow(a, self.alphabet_size) for a in letters[1:]]
+        self._parents = [None] + [narrow(p, n) for p, n in zip(parents[1:], sizes)]
 
     @staticmethod
     def _of(alphabet_size, depth, letters, parents):

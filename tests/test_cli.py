@@ -283,6 +283,26 @@ def test_check_diffuse_zero_balls_exits_2():
     assert doc["error"] == "invalid-config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gk-curve", "--offspring", "bern:0.9,0.9,0.9,0.9,0.9", "--k", "8", "--a", "5000",
+     "--s", "0.2", "--trials", "0"],
+    ["gk-curve", "--offspring", "bern:0.9,0.9,0.9,0.9,0.9", "--k", "8", "--a", "5000",
+     "--s", "0.2", "--trials", "-5"],
+    ["extinction", "--offspring", "bin:3:0.9", "--trials", "-1"],
+    ["experiment", "convergence-g-k", "--percolation", "b=2,d=2,p=0.9", "--c", "2",
+     "--trials", "0"],
+])
+def test_bad_trials_exits_2(argv):
+    code, doc, _ = run_json(argv)
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
+def test_extinction_zero_trials_skips_monte_carlo():
+    code, doc, _ = run_json(["extinction", "--offspring", "bin:3:0.9", "--trials", "0"])
+    assert code == 0 and "mc" not in doc
+
+
 def test_check_ahlfors_zero_balls_exits_2(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("0.1,0.2,0.5,0.1\n0.3,0.4,0.5,0.1\n")

@@ -11,7 +11,7 @@ from gwfract.branching import Binomial, LazyGW, sample_gw
 from gwfract.cli import measured_to_csv
 from gwfract.fixpoint import GFunction, _member_thresholds, ary_collection, generator_collection
 from gwfract.geometry import (SimilarityIFS, SimilarityMap, cloud_to_csv, percolation_ifs,
-                              render_words, sierpinski_ifs, word_map)
+                              render, render_words, sierpinski_ifs, word_map)
 from gwfract.extraction import (
     _LayeredScan,
     Ary,
@@ -137,6 +137,22 @@ def _block_tree(lazy, v, m, k):
     return FiniteTree(block, m, children)
 
 
+def _scan_matches_eager(lazy, k, pred, A):
+    """(tested, witnesses) of the root with two levels to go and its first 20
+    block children, each checked against the eager DP on the sampled tree."""
+    scan = _LayeredScan(lazy, k, pred, A, per_node_cap=10 ** 9)
+    codes = scan._alive(Word())[0][:20]
+    vertices = [(Word(), 2)] + [(v, 1) for v in scan._block_words(Word(), codes)]
+    witnesses = 0
+    for v, m in vertices:
+        eager = find_subtree(_block_tree(lazy, v, m, k), pred, m)
+        assert scan.test(v, m) == (eager is not None), (lazy.seed, v)
+        if eager is not None:
+            assert scan.witness_tree(v, m) == eager
+            witnesses += 1
+    return len(vertices), witnesses
+
+
 def test_layered_scan_matches_eager_dp():
     tested = witnesses = 0
     for b, d, p, c, k in ((2, 2, 0.95, 3, 3), (2, 2, 0.9, 3, 3),
@@ -144,27 +160,40 @@ def test_layered_scan_matches_eager_dp():
         A = c ** k
         pred = Intersection([DiffuseBlock(b, k, d=d), Ary(A)])
         for seed in range(6):
-            lazy = LazyGW(Binomial(b ** d, p), seed)
-            scan = _LayeredScan(lazy, k, pred, A, per_node_cap=10 ** 9)
-            # the root with two levels to go, and its first 20 block children
-            codes = scan._alive(Word())[0][:20]
-            vertices = [(Word(), 2)] + [(v, 1) for v in scan._block_words(Word(), codes)]
-            for v, m in vertices:
-                eager = find_subtree(_block_tree(lazy, v, m, k), pred, m)
-                assert scan.test(v, m) == (eager is not None), (b, p, k, seed, v)
-                if eager is not None:
-                    assert scan.witness_tree(v, m) == eager
-                    witnesses += 1
-                tested += 1
+            t, w = _scan_matches_eager(LazyGW(Binomial(b ** d, p), seed), k, pred, A)
+            tested, witnesses = tested + t, witnesses + w
     assert tested == 378 and 0 < witnesses < tested
+    # section predicates: c is the certified constant, A the count floor
+    tested = witnesses = 0
+    for b, d, p, c, k, A in ((3, 2, 0.6, 0.05, 2, 30), (4, 1, 0.7, 0.05, 3, 12),
+                             (3, 1, 0.9, 0.05, 3, 9)):
+        pred = Intersection([SectionDiffuse(float(b) ** -k, c, percolation_ifs(b, d), k=k),
+                             Ary(A)])
+        for seed in range(6):
+            t, w = _scan_matches_eager(LazyGW(Binomial(b ** d, p), seed), k, pred, A)
+            tested, witnesses = tested + t, witnesses + w
+    assert tested == 337 and 0 < witnesses < tested
+
+
+def test_layered_scan_takes_one_block_or_packed_section_predicate():
+    lazy = LazyGW(Binomial(4, 0.9), 0)
+    star = SectionDiffuse(0.25, 0.05, percolation_ifs(2, 2))
+    for pred in (Ary(4), star, DiffuseBlock(2, 2, d=2),
+                 Intersection([DiffuseBlock(2, 3, d=2), DiffuseBlock(2, 3, d=2)])):
+        with pytest.raises(CapabilityError):
+            _LayeredScan(lazy, 3, pred, 4, per_node_cap=10)
+    # letter masks are int64 bit sets
+    wide = SectionDiffuse(8.0 ** -2, 0.05, percolation_ifs(8, 2), k=2)
+    with pytest.raises(CapabilityError):
+        wide.member([0, 1])
 
 
 def _full_leaf_walk(lazy, keys, k, pred, A):
-    """Per-root (ok, nodes) of the full k-level walk: the reference."""
+    """Per-root (ok, nodes, codes) of the full k-level walk: the reference."""
     codes, _, bounds, nodes = lazy._level(keys, k)
-    member = pred._segments(codes, bounds)
-    ok = [bool(bounds[i + 1] - bounds[i] >= A and member(i)) for i in range(len(keys))]
-    return ok, nodes.tolist()
+    leaves = [codes[b:e] for b, e in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    ok = [bool(len(c) >= A and pred.member(c)) for c in leaves]
+    return ok, nodes.tolist(), leaves
 
 
 def _block_walk_cases():
@@ -182,6 +211,18 @@ def _block_walk_cases():
                         yield b, d, k, p, A
 
 
+def _section_preds():
+    """(b, d, k, predicate) over the grids, block lengths and certificate
+    levels; one predicate serves every law and floor, so its families are
+    certified once."""
+    for b, d in ((3, 1), (2, 2), (3, 2), (4, 1)):
+        ifs = percolation_ifs(b, d)
+        F = render(ifs, depth=3)
+        for k in (2, 3, 4):
+            for c in (0.05, 0.2):
+                yield b, d, k, SectionDiffuse(float(b) ** -k, c, ifs, F_cloud=F, k=k)
+
+
 def test_block_leaf_walk_matches_full_walk():
     rng = np.random.default_rng(11)
     cases = died = passed = failed = 0
@@ -195,7 +236,7 @@ def test_block_leaf_walk_matches_full_walk():
         for size in {1, max(1, min(40, 20_000 // N ** k))}:
             keys = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
             ok, nodes = scan._block_walk(keys)
-            want_ok, want_nodes = _full_leaf_walk(lazy, keys, k, pred, A)
+            want_ok, want_nodes, _ = _full_leaf_walk(lazy, keys, k, pred, A)
             assert (ok.tolist(), nodes.tolist()) == (want_ok, want_nodes), \
                 (b, d, k, p, A, size)
             if A > N * N:
@@ -211,34 +252,70 @@ def test_block_leaf_walk_matches_full_walk():
     assert cases == 225 and died > 0 and passed > 0 and failed > 0, \
         (cases, died, passed, failed)
     assert len(counted_floor) >= 5, counted_floor
+    # section leaves: rows are read until a leaf holds its floor and the
+    # families below them until one is certified; membership, the nodes
+    # counted and the witness built from the codes read must be the full walk's
+    rng = np.random.default_rng(13)
+    cases = died = passed = failed = stopped = late = 0
+    for b, d, k, sd in _section_preds():
+        N = b ** d
+        for p in (0.5, 0.8, 1.0):
+            for A in sorted({N, (N + N ** k) // 2, N ** k}):
+                pred = Intersection([sd, Ary(A)])
+                lazy = LazyGW(Binomial(N, p), 0)
+                scan = _LayeredScan(lazy, k, pred, A, per_node_cap=10 ** 9)
+                assert scan.block is None and scan.section is sd
+                for size in {1, max(1, min(256, 4000 // N ** k))}:
+                    keys = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
+                    judge, nodes = scan._section_walk(keys)
+                    got = [judge(i) for i in range(size)]
+                    want_ok, want_nodes, leaves = _full_leaf_walk(lazy, keys, k, pred, A)
+                    where = (b, d, k, p, sd.c, A, size)
+                    assert ([ok for _, ok in got], nodes.tolist()) == (want_ok, want_nodes), where
+                    for (labels, ok), codes in zip(got, leaves):
+                        if ok:
+                            assert pred.witness_subset(labels) == pred.witness_subset(codes), where
+                            stopped += len(labels) < len(codes)
+                            # its first certified family lies past the lex-first A codes
+                            late += max(sd.witness_core(codes)) > codes[A - 1]
+                    died += int((np.diff(lazy._level(keys, k - 1)[2]) == 0).sum())
+                    passed += sum(want_ok)
+                    failed += size - sum(want_ok)
+                    cases += 1
+                assert lazy.nodes_sampled == 0  # the caller counts the nodes it takes
+    assert cases == 414 and min(died, passed, failed, stopped, late) > 0, \
+        (cases, died, passed, failed, stopped, late)
 
 
 def test_block_leaf_walk_trips_the_budget_as_the_full_walk_does():
     for b, d, k, p in ((2, 2, 3, 0.9), (3, 2, 4, 0.99), (2, 1, 2, 0.6)):
         N = b ** d
-        pred = Intersection([DiffuseBlock(b, k, d=d), Ary(N * N)])
+        section = SectionDiffuse(float(b) ** -k, 0.05, percolation_ifs(b, d), k=k)
         keys = np.random.default_rng(5).integers(0, 2 ** 63, size=7, dtype=np.uint64)
         # nodes of the whole chunk at each level 0..k-1, and 100 counted before
         sizes = [len(LazyGW(Binomial(N, p), 0)._level(keys, j)[0]) for j in range(k)]
         spent = 100
         budgets = sorted({spent + total + step for total in np.cumsum(sizes).tolist()
                           for step in (-1, 0, 1)})
-        partials = set()
-        for budget in budgets:
-            outcome = []
-            for full in (True, False):
-                lazy = LazyGW(Binomial(N, p), 0, node_budget=budget)
-                lazy.nodes_sampled = spent
-                scan = _LayeredScan(lazy, k, pred, N * N, per_node_cap=10 ** 9)
-                try:
-                    lazy._level(keys, k) if full else scan._block_walk(keys)
-                    outcome.append(None)
-                except ResourceLimitError as err:
-                    outcome.append((str(err), err.partial))
-            assert outcome[0] == outcome[1], (b, d, k, p, budget)
-            partials.add(None if outcome[0] is None else outcome[0][1])
-        # every level trips the guard at some budget, and the largest passes
-        assert partials == set(range(k)) | {None}, partials
+        for core in (DiffuseBlock(b, k, d=d), section):
+            pred = Intersection([core, Ary(N * N)])
+            partials = set()
+            for budget in budgets:
+                outcome = []
+                for full in (True, False):
+                    lazy = LazyGW(Binomial(N, p), 0, node_budget=budget)
+                    lazy.nodes_sampled = spent
+                    scan = _LayeredScan(lazy, k, pred, N * N, per_node_cap=10 ** 9)
+                    walk = scan._block_walk if core is not section else scan._section_walk
+                    try:
+                        lazy._level(keys, k) if full else walk(keys)
+                        outcome.append(None)
+                    except ResourceLimitError as err:
+                        outcome.append((str(err), err.partial))
+                assert outcome[0] == outcome[1], (b, d, k, p, budget, type(core))
+                partials.add(None if outcome[0] is None else outcome[0][1])
+            # every level trips the guard at some budget, and the largest passes
+            assert partials == set(range(k)) | {None}, partials
 
 
 def _random_label_sets(rng, alphabet, group, count):
@@ -336,16 +413,16 @@ def test_section_scan_pinned_outputs():
                           alpha=1, c=0.05, seed=20, n_levels=2)
     stats = _pinned(es)[2]
     assert (stats["certs"], stats["child_tests"], stats["nodes_sampled"]) \
-        == (238, 81, 23550)
+        == (88, 81, 23550)
     # 136 children are tested for an 81-ary witness, so some passing children
-    # stay out of the tree; building their witnesses certifies 13 more families
+    # stay out of the tree; building their witnesses certifies 7 more families
     root, sha, stats = _pinned(general_pipeline(
         percolation_ifs(3, 2), Binomial(9, 0.6), rho=3.0 ** -4, alpha=1, c=0.14,
         seed=2, n_levels=2))
     assert root == ""
     assert sha == "ff95ddec5839e922c9ba843c9a2d1d7326781eec10fe37641b95e85b2bdf3df1"
     assert (stats["certs"], stats["child_tests"], stats["nodes_sampled"]) \
-        == (502, 136, 25398)
+        == (427, 136, 25398)
 
 
 def test_natural_measure_mass_law():

@@ -278,6 +278,12 @@ def test_appendix_gap_rejects_bad_eps():
         appendix_b_gap(0.9, 0.5)
 
 
+def test_appendix_gap_rejects_zero_trials():
+    # the Monte-Carlo standard error divides by the trial count
+    with pytest.raises(InvalidInputError):
+        appendix_b_gap(0.9, 0.01, trials=0)
+
+
 def test_gfunction_rejects_nonmonotone_grid():
     # collections are upward closed by construction, so only a duck-typed g
     # can dip; the solve must refuse it rather than enclose a wrong s0

@@ -167,7 +167,7 @@ def test_level_arrays_are_narrow_and_wide_letters_round_trip():
     a = 2 ** 20
     words = [Word((i, 5)) for i in range(3000)]
     tree = FiniteTree.from_words(a, 2, words)
-    assert tree._letters[2].dtype == tree._parents[2].dtype == np.int32
+    assert tree._letters[2].dtype == np.int32 and tree._parents[2].dtype == np.uint16
     assert 2999 * a > 2 ** 31
     assert all(w in tree for w in words[::37] + words[-1:])
     assert Word((2999, 4)) not in tree and Word((2998, 6)) not in tree
@@ -175,7 +175,7 @@ def test_level_arrays_are_narrow_and_wide_letters_round_trip():
     big = 2 ** 33
     top = (2 ** 31, 2 ** 31 + 1, big - 1)
     tree = FiniteTree.from_words(big, 2, [Word((x, y)) for x in top for y in top[1:]])
-    assert tree._letters[1].dtype == np.int64 and tree._parents[1].dtype == np.int32
+    assert tree._letters[1].dtype == np.int64 and tree._parents[1].dtype == np.uint8
     assert FiniteTree.from_text(tree.to_text(), big, 2) == tree
     assert "%d-%d" % (2 ** 31, big - 1) in tree.to_text().splitlines()
     assert tree.children[Word((big - 1,))] == frozenset(top[1:])
