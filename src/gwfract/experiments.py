@@ -402,6 +402,7 @@ def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
     profile = empirical_diffuse_check(cloud, beta_star,
                                       sample_count=profile_balls,
                                       seed=labeled_seed(seed, "profile"))
+    del cloud._ball_index  # shared by the two checks above; freed before the control's
 
     # subset from the same master seed, checked at its certified beta
     if extract_rho is None:

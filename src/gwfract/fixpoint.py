@@ -491,30 +491,36 @@ def g_k_a_curve(offspring, k, a_k, s, trials=100_000, seed=0):
         return {"value": min(value, 1.0), "method": "exact", "flagged": False,
                 "k": k, "a_k": a_k, "s": s}
 
-    # flagged fallback: exact-law population counts, then binomial thinning
+    # flagged fallback: exact-law population counts, then binomial thinning.
+    # A population above `cap` stops growing, since its next step could
+    # overflow int64; it is carried to level k at the mean growth instead,
+    # from which it deviates by a relative error of order cap^(-1/2) < 1e-9.
     from .branching import _population_step
 
     rng = np.random.Generator(np.random.Philox(key=labeled_seed(seed, "gka")))
-    cap = 1_000_000_000
+    cap = (2 ** 63 - 1) // N
     z = np.ones(int(trials), dtype=np.int64)
-    capped = np.zeros(int(trials), dtype=bool)
+    skipped = np.zeros(int(trials), dtype=np.int64)  # generations a population skipped
     for _ in range(k):
-        active = (z > 0) & ~capped
+        skipped[z > cap] += 1
+        active = (z > 0) & (z <= cap)
         if active.any():
             z[active] = _population_step(offspring, z[active], rng)
-            newly = z > cap
-            capped |= newly
-            z[newly] = cap
+    capped = skipped > 0
     survivors = np.zeros(int(trials), dtype=np.int64)
-    alive = z > 0
+    alive = (z > 0) & ~capped
     if alive.any():
         survivors[alive] = rng.binomial(z[alive], 1.0 - s)
-    below = (survivors < a_k) & ~capped  # capped populations cannot thin below a_k
+    below = survivors < a_k
+    if capped.any():
+        # in logarithms, as a_k and the carried means may exceed the float range
+        below[capped] = (np.log(z[capped]) + skipped[capped] * math.log(offspring.mean())
+                         + math.log1p(-s) < math.log(a_k))
     v = float(below.mean())
     se = math.sqrt(max(v * (1.0 - v), 1e-300) / trials)
     return {"value": v, "se": se, "ci": (max(0.0, v - 3 * se), min(1.0, v + 3 * se)),
             "method": "mc", "flagged": True,
-            "flag_reason": "exact path needs binomial offspring and k <= 6",
+            "flag_reason": "exact path needs binomial offspring and k <= 6 or a_k <= 4096",
             "k": k, "a_k": a_k, "s": s}
 
 

@@ -216,6 +216,11 @@ class PointCloud:
         """`width(self)` at its default directions, computed on first use."""
         return width(self)
 
+    @cached_property
+    def _ball_index(self):
+        """`_ball_index(self.points)`, computed on first use."""
+        return _ball_index(self.points)
+
     def diameter(self):
         """Exact diameter via hull vertices (pairwise scan on the hull)."""
         if len(self.points) < 2:
@@ -491,9 +496,11 @@ def _edge_normal_width(hv, chunk=512):
     e = np.concatenate((hv[1:], hv[:1])) - hv
     nrm = np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1])
     keep = nrm >= 1e-15
-    u = e[keep][:, ::-1] * [-1.0, 1.0] / nrm[keep, None]
+    u = e[keep][:, ::-1] / nrm[keep, None]
+    u[:, 0] = -u[:, 0]
     if len(u) <= chunk:
-        return u[int(np.argmin(np.ptp(hv @ u.T, axis=0)))]
+        proj = hv @ u.T
+        return u[int(np.argmin(proj.max(axis=0) - proj.min(axis=0)))]
     spans = np.concatenate([np.ptp(hv @ u[i:i + chunk].T, axis=0)
                             for i in range(0, len(u), chunk)])
     return u[int(np.argmin(spans))]
@@ -666,6 +673,10 @@ def diffuseness_constant(maps, F_cloud, directions=2000):
 
 _SUBSET_FROM = 1024   # least ball size that gets a subset floor
 _SUBSET_SIZE = 256    # about how many points the subset holds
+# 16 unit directions in counter-clockwise order; row k + 8 is minus row k
+_SUPPORT_DIRS = np.array([[math.cos(t), math.sin(t)] for t in np.arange(8) * (math.pi / 8)])
+_SUPPORT_DIRS = np.concatenate((_SUPPORT_DIRS, -_SUPPORT_DIRS))
+_SUPPORT_PREV = np.roll(np.arange(16), 1)
 
 
 def _packing_width_bound(n, spacing, xi):
@@ -678,15 +689,45 @@ def _packing_width_bound(n, spacing, xi):
     return max(0.0, (area / (2.0 * xi + spacing) - spacing) / 2.0)
 
 
+def _support_floor(pts):
+    """Lower bound on the half-thickness of any slab holding the planar points:
+    the exact half-width of the polygon on their support points in the 16
+    `_SUPPORT_DIRS` (Akl and Toussaint, "A fast convex hull algorithm", 1978).
+
+    The support points lie on the hull in counter-clockwise order, so once
+    consecutive repeats are dropped the least span over their edge normals is
+    the polygon's width (Houle and Toussaint), at most that of all the points.
+    Fewer than 3 support points give 0.
+    """
+    i = (_SUPPORT_DIRS @ pts.T).argmax(axis=1)
+    hv = pts[i[i != i[_SUPPORT_PREV]]]
+    return _slab(hv, _edge_normal_width(hv))[0] if len(hv) >= 3 else 0.0
+
+
+def _ball_index(pts):
+    """What `_BallWidths` needs of a cloud, whatever its beta: the KD-tree,
+    each point's distances to its two nearest other points (inf where there
+    are fewer), the spacing (the least of them for planar clouds, else 0)
+    and, for planar clouds, KD-trees of strided copies (entry k - 1 holds
+    every 2^k-th point, down to `_SUBSET_SIZE` points)."""
+    tree = _cKDTree(pts)
+    near = tree.query(pts, k=[2, 3])[0]
+    planar = pts.shape[1] == 2 and len(pts) >= 2
+    spacing = float(near[:, 0].min()) if planar else 0.0
+    strided = []
+    while planar and len(pts) >> len(strided) + 1 >= _SUBSET_SIZE:
+        strided.append(_cKDTree(pts[::2 << len(strided)]))
+    return tree, near, spacing, strided
+
+
 class _BallWidths:
     """Slab widths of one cloud inside balls B(x, xi), one ball per call.
 
-    The cloud gets one KD-tree, its distances to the two nearest other points
-    (`near`, inf where there are fewer) and, for planar clouds, the least of
-    them as the spacing s.  A call returns (points in the ball, ratio,
-    WidthResult) with ratio = (w - slack) / xi.
+    The cloud's `_ball_index`, built once per cloud, supplies the KD-tree,
+    the distances `near` and the spacing s.  A call returns (points in the
+    ball, ratio, WidthResult) with ratio = (w - slack) / xi.
 
-    Two floors bound a planar ball's half-thickness w from below:
+    Three floors bound a planar ball's half-thickness w from below:
 
     - Packing floor: discs of radius s/2 about the n points in the ball are
       disjoint.  A slab of half-thickness w holding them meets the ball in a
@@ -694,40 +735,44 @@ class _BallWidths:
       (2*w + s) rectangle: n*pi*s^2/4 <= (2*xi + s) * (2*w + s), that is
       w >= (n*pi*s^2/4 / (2*xi + s) - s) / 2 (`_packing_width_bound`).
     - Subset floor: a slab holding the ball holds every subset of its
-      points, so the width of a subset is at most w.  A ball of more than
-      `_SUBSET_FROM` points is first measured on the points of a strided
-      copy of the cloud (every 2^k-th point, k chosen so that about
-      `_SUBSET_SIZE` to twice that many fall in the ball) that lie in the
-      ball shrunk by a factor 1 - 1e-9, so none of them can fall outside
-      the ball the full query returns.  Planar `width` is exact up to its
-      rounding, which its `tol` (1e-12 * max(1, w)) covers, so the floor is
-      the subset's w - tol: rounding can never clear a ball that would have
-      set a new least ratio.  In d >= 3 `width` is a grid search, an upper
-      bound, and no subset floor is taken.
+      points.  A ball of more than `_SUBSET_FROM` points takes the support
+      floor (`_support_floor`) of the points of a strided copy of the cloud
+      (every 2^k-th point, k chosen so that about `_SUBSET_SIZE` to twice
+      that many fall in the ball) that lie in the ball shrunk by a factor
+      1 - 1e-9, so none of them can fall outside the ball the full query
+      returns.
+    - Ball floor: the support floor of the ball's own points, taken once
+      they are listed for `width` and before Qhull runs.  It is tried only
+      where some ball measured at the same radius has a ratio above the bar
+      (`most`): where none has, as with beta near 1, it would seldom clear
+      a ball and would only add its cost.
 
-    A ball's points are first only counted, and listed only when no floor
-    clears it.  It is cleared, returning ratio and WidthResult None, only
-    when a floor ratio (floor - slack) / xi exceeds beta and strictly exceeds
-    the least ratio already measured at the same radius (`least`).  Its true
-    ratio then exceeds both, so no cleared ball is at or under beta, none
-    attains the least ratio at its radius, and the first ball at every radius
-    is always measured.
+    The support floor is exact up to rounding, which 1e-12 * max(1, f)
+    covers, so a floor f counts as f - 1e-12 * max(1, f): rounding can
+    never clear a ball that would have set a new least ratio.  Off the
+    plane no floor is taken (in d >= 3 `width` is a grid search, an upper
+    bound): the spacing is 0 and there are no strided copies or ball floors.
+
+    A ball's points are first only counted, and listed only when neither
+    the packing nor the subset floor clears it.  It is cleared, returning
+    ratio and WidthResult None, only when a floor ratio (floor - slack) / xi
+    exceeds beta and strictly exceeds the least ratio already measured at
+    the same radius (`least`).  Its true ratio then exceeds both, so no
+    cleared ball is at or under beta, none attains the least ratio at its
+    radius, and the first ball at every radius is always measured.
     """
 
     def __init__(self, cloud, beta, slack):
         self.pts = cloud.points
         self.beta = float(beta)
         self.slack = float(slack)
-        self.tree = _cKDTree(self.pts)
-        self.near = self.tree.query(self.pts, k=[2, 3])[0]
-        planar = self.pts.shape[1] == 2 and len(self.pts) >= 2
-        self.spacing = float(self.near[:, 0].min()) if planar else 0.0
-        # strided[k - 1] holds every 2^k-th point, down to _SUBSET_SIZE points
-        self.strided = []
-        while self.spacing > 0 and len(self.pts) >> len(self.strided) + 1 >= _SUBSET_SIZE:
-            self.strided.append(_cKDTree(self.pts[::2 << len(self.strided)]))
+        self.tree, self.near, self.spacing, self.strided = cloud._ball_index
         self.least = {}
+        self.most = {}
         self.cleared = 0
+
+    def _ratio(self, f, xi):
+        return (f - 1e-12 * max(1.0, f) - self.slack) / xi
 
     def _floor(self, x, xi, n, bar):
         """Lower bound on the ratio of the n-point ball B(x, xi): the packing
@@ -740,8 +785,12 @@ class _BallWidths:
         idx = level.query_ball_point(x, xi * (1.0 - 1e-9))
         if not idx:
             return floor
-        sub = width(level.data[idx])
-        return max(floor, (sub.w - sub.tol - self.slack) / xi)
+        return max(floor, self._ratio(_support_floor(level.data.take(idx, axis=0)), xi))
+
+    def _ball_floor(self, ball, xi):
+        """Lower bound on the ratio of the ball B(x, xi) holding the points
+        `ball`: their support floor."""
+        return self._ratio(_support_floor(ball), xi) if ball.shape[1] == 2 else -math.inf
 
     def __call__(self, x, xi):
         bar = max(self.beta, self.least.get(xi, math.inf))
@@ -750,12 +799,17 @@ class _BallWidths:
             if self._floor(x, xi, n, bar) > bar:
                 self.cleared += 1
                 return n, None, None
-        idx = self.tree.query_ball_point(x, xi)
-        res = width(self.pts[idx])
+        ball = self.pts.take(self.tree.query_ball_point(x, xi), axis=0)
+        if bar < self.most.get(xi, -math.inf) and self._ball_floor(ball, xi) > bar:
+            self.cleared += 1
+            return len(ball), None, None
+        res = width(ball)
         ratio = (res.w - self.slack) / xi
         if ratio < self.least.get(xi, math.inf):
             self.least[xi] = ratio
-        return len(idx), ratio, res
+        if ratio > self.most.get(xi, -math.inf):
+            self.most[xi] = ratio
+        return len(ball), ratio, res
 
 
 def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0):
@@ -763,10 +817,11 @@ def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0
     escape every slab of half-thickness beta * radius.
 
     The ratio of a ball is (w - eps) / radius.  `_BallWidths` clears balls
-    whose disc-packing floor, or the width of a strided subset of their
-    points, already puts them above beta and above the least ratio measured
-    at their radius, so the worst ratio and its witness are those of
-    measuring every ball; `cleared` counts the balls skipped.
+    whose disc-packing floor, or the support-polygon floor of a strided
+    subset of their points or of the points themselves, already puts them
+    above beta and above the least ratio measured at their radius, so the
+    worst ratio and its witness are those of measuring every ball; `cleared`
+    counts the balls skipped.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise InvalidInputError("beta must be positive and finite")
@@ -814,7 +869,7 @@ def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None,
     reached within the budget.  Every examined ball counts against the budget;
     `_BallWidths` measures the ratio w / xi exactly wherever it can decide
     `found`, `best` or a scale's least ratio, and clears the other balls by
-    its packing and subset floors (`cleared`).
+    its packing, subset and ball floors (`cleared`).
     """
     pts = cloud.points
     n = len(pts)
@@ -1048,8 +1103,10 @@ def ifs_to_json(ifs):
 
 
 def _csv_text(rows):
-    """Headerless CSV of a float matrix, each value written by `repr`."""
-    return "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+    """Headerless CSV of a float matrix, each value written by `repr`; the
+    values are formatted a column at a time and joined once."""
+    cols = [map(repr, col) for col in rows.T.tolist()]
+    return "\n".join([*map(",".join, zip(*cols)), ""])
 
 
 def _csv_rows(text, what):

@@ -183,12 +183,13 @@ def test_flat_ball_search_floor_only_saves_work(monkeypatch):
 
     with_floor = searches()
     monkeypatch.setattr(geometry, "_SUBSET_FROM", math.inf)
+    monkeypatch.setattr(geometry._BallWidths, "_ball_floor", lambda self, ball, xi: -math.inf)
     packing_only = searches()
     monkeypatch.setattr(geometry._BallWidths, "_floor", lambda self, x, xi, n, bar: -math.inf)
     without = searches()
     assert sum(r["cleared"] for r in with_floor) > 0
     assert all(r["cleared"] == 0 for r in without)
-    # on the raw sample the subset floor clears balls the packing floor cannot
+    # on the raw sample the subset and ball floors clear balls the packing floor cannot
     assert with_floor[0]["cleared"] > packing_only[0]["cleared"]
     for a, b, c in zip(with_floor, without, packing_only):
         for r in (a, b, c):

@@ -262,6 +262,26 @@ def test_gk_curve_mc_flagged_path():
     assert 0.0 <= got["ci"][0] <= got["value"] <= got["ci"][1] <= 1.0
 
 
+def test_gk_curve_mc_above_the_int32_scale():
+    # a_k above 10^9: the level-12 point agrees with the level-11 point at the
+    # same a_k / m^k, and so does a level-26 point whose populations pass the
+    # int64 step limit and are carried at the mean growth
+    off = Binomial(9, 0.7)
+    m = off.mean()
+    a12 = 2_178_799_151
+    k11 = g_k_a_curve(off, 11, round(a12 / m), 0.0, trials=20_000)
+    k12 = g_k_a_curve(off, 12, a12, 0.0, trials=20_000)
+    k26 = g_k_a_curve(off, 26, round(a12 * m ** 14), 0.0, trials=20_000)
+    assert k12["method"] == k26["method"] == "mc"
+    assert "a_k <= 4096" in k12["flag_reason"]
+    assert k11["value"] > 0.02
+    assert k12["value"] == pytest.approx(k11["value"], abs=0.01)
+    assert k26["value"] == pytest.approx(k11["value"], abs=0.01)
+    # level 400 holds about 10^320 individuals, beyond the float range of a_k
+    assert g_k_a_curve(off, 400, 10 ** 350, 0.0, trials=200)["value"] == 1.0
+    assert g_k_a_curve(off, 400, 10 ** 300, 0.0, trials=200)["value"] == 0.0
+
+
 def test_appendix_gap_closed_form():
     res = appendix_b_gap(0.9, 0.01, trials=50_000, seed=0)
     alpha = res["alpha"]

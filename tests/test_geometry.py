@@ -301,23 +301,74 @@ def test_packing_floor_is_below_the_width():
 
 
 def test_subset_floor_is_below_the_width(grid6):
-    # a lattice cloud and a random-walk cloud with no lattice structure
+    # a lattice cloud and a random-walk cloud with no lattice structure; the
+    # subset floor (strided points) and the ball floor (the ball's own points)
     rng = np.random.default_rng(5)
     walk = np.cumsum(rng.normal(size=(30_000, 2)), axis=0)
     for cloud in (grid6, PointCloud(walk / np.ptp(walk), 0.0)):
         balls = geometry._BallWidths(cloud, 0.01, 0.0)
         pts, diam = cloud.points, cloud.diameter()
-        raised = 0
+        raised = positive = 0
         for _ in range(40):
             x, xi = pts[rng.integers(len(pts))], diam * 2.0 ** -rng.uniform(2, 6)
             idx = balls.tree.query_ball_point(x, xi)
+            w = width(pts[idx]).w / xi
             floor = balls._floor(x, xi, len(idx), math.inf)
-            assert floor <= width(pts[idx]).w / xi
+            assert floor <= w
             raised += floor > geometry._packing_width_bound(len(idx), balls.spacing, xi) / xi
+            ball_floor = balls._ball_floor(pts[idx], xi)
+            assert ball_floor <= w
+            positive += ball_floor > 0
         assert raised >= 10
+        assert positive >= 30
 
 
-def _no_floor(self, x, xi, n, bar):
+def _support_floor_clouds(rng):
+    """Planar point sets on which the support floor must stay under the width."""
+    for _ in range(150):  # lattice points, some rotated
+        k = int(rng.integers(2, 12))
+        grid = np.argwhere(rng.random((k, k)) < rng.uniform(0.2, 1.0)) / k
+        if len(grid):
+            a = rng.choice([0.0, rng.uniform(0, math.pi)])
+            yield grid @ np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
+    for _ in range(150):  # random walks
+        yield np.cumsum(rng.normal(size=(int(rng.integers(3, 300)), 2)), axis=0)
+    for _ in range(150):  # near-collinear, 1e-9 thick, rotated
+        n = int(rng.integers(3, 100))
+        a = rng.uniform(0, 2 * math.pi)
+        along, across = rng.uniform(-1, 1, n), 1e-9 * rng.uniform(-1, 1, n)
+        u, v = np.array([math.cos(a), math.sin(a)]), np.array([-math.sin(a), math.cos(a)])
+        yield along[:, None] * u + across[:, None] * v + rng.normal(size=2)
+    for _ in range(150):  # duplicate points
+        base = rng.random((int(rng.integers(1, 8)), 2))
+        yield base[rng.integers(0, len(base), size=int(rng.integers(2, 40)))]
+
+
+def test_support_floor_is_below_the_width():
+    rng = np.random.default_rng(11)
+    positive = 0
+    for pts in _support_floor_clouds(rng):
+        floor = geometry._support_floor(pts)
+        w = width(pts).w
+        # `_BallWidths` counts a floor f as f - 1e-12 * max(1, f)
+        assert floor - 1e-12 * max(1.0, floor) <= w, (floor, w)
+        positive += floor > 0
+    assert positive >= 300
+
+
+def test_support_floor_of_at_most_two_distinct_support_points_is_zero():
+    rng = np.random.default_rng(12)
+    pair = rng.random((2, 2))
+    line = np.column_stack([rng.random(20), np.full(20, 0.3)])
+    for pts in (pair[:1], pair, pair[[0, 1, 1, 0, 1]], np.repeat(pair[:1], 5, axis=0), line,
+                line[:, ::-1]):
+        assert geometry._support_floor(pts) == 0.0
+    # a triangle's floor is its exact half-width: area over the longest side
+    tri = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
+    assert geometry._support_floor(tri) == pytest.approx(6.0 / math.sqrt(18.0), rel=1e-15)
+
+
+def _no_floor(self, *args):
     return -math.inf
 
 
@@ -334,6 +385,7 @@ def _plain(res):
 def test_packing_floor_only_saves_work(grid6, monkeypatch):
     with_floor = empirical_diffuse_check(grid6, beta=0.01, sample_count=90, seed=0)
     monkeypatch.setattr(geometry._BallWidths, "_floor", _no_floor)
+    monkeypatch.setattr(geometry._BallWidths, "_ball_floor", _no_floor)
     without = empirical_diffuse_check(grid6, beta=0.01, sample_count=90, seed=0)
     assert with_floor["cleared"] > 0 and without["cleared"] == 0
     assert _plain(with_floor) == _plain(without)
@@ -439,6 +491,20 @@ def test_cloud_csv_roundtrip():
     back = cloud_from_csv(text, eps=0.25)
     assert np.allclose(back.points, cloud.points)
     assert back.eps == 0.25
+
+
+def test_csv_text_matches_the_per_row_writer():
+    def per_row(rows):
+        return "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+
+    rng = np.random.default_rng(4)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, 1.0, -1e300]
+    for cols in (1, 2, 3, 4):
+        for rows in (0, 1, 7, 300):
+            m = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-320, 300, size=(rows, cols))
+            mask = rng.random((rows, cols)) < 0.3
+            m[mask] = rng.choice(special, size=int(mask.sum()))
+            assert geometry._csv_text(m) == per_row(m)
 
 
 def test_csv_writers_keep_repr_digits():

@@ -1,18 +1,20 @@
 """The benchmark's output checks (perfbench/workloads.py) on one round.
 
 The benchmark refuses a run whose outputs fail its checks; running one round
-of the extraction workloads here makes a change to witness trees or level
-arrays fail the suite first.
+of the extraction and verify workloads here makes a change to witness trees,
+level arrays or the CLI checks' verdicts fail the suite first.
 """
 
 import pathlib
 
 import pytest
 
+import gwfract.cli  # noqa: F401  (the verify workload calls it, as perfbench/run.py loads it)
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.parametrize("name", ["block-extract", "section-extract"])
+@pytest.mark.parametrize("name", ["block-extract", "section-extract", "verify"])
 def test_extraction_workload_round_passes_its_checks(name, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
