@@ -81,9 +81,9 @@ def child_key(parent_key, letter):
     return mix64(parent_key ^ (((letter + 1) * _CHILD_SALT) & MASK64))
 
 
-def _child_keys_vec(parent_keys, letters):
-    mults = (((letters.astype(np.uint64) + np.uint64(1)) * np.uint64(_CHILD_SALT)))
-    return _mix64_inplace(parent_keys ^ mults)
+def _child_salts(n):
+    """child_key's salt of each letter 0..n-1, (letter + 1) * _CHILD_SALT mod 2^64."""
+    return np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_CHILD_SALT)
 
 
 def labeled_seed(seed, label):
@@ -144,18 +144,18 @@ class _IndependentLetters:
 
     @cached_property
     def _draw(self):
-        # per-letter stream offsets and integer keep thresholds, fixed for the law:
-        # u * 2^-53 < p exactly when u < ceil(p * 2^53), as p * 2^53 is exact
-        # (p = 1 gives 2^53, which fits)
-        probs = self.letter_probs()
+        # per-letter stream offsets and integer keep bounds, fixed for the law:
+        # with u the top 53 bits of the mixed word x, u * 2^-53 < p exactly
+        # when u < ceil(p * 2^53), as p * 2^53 is exact, that is when
+        # x <= (ceil(p * 2^53) << 11) - 1 (p = 1 gives 2^64 - 1, which fits)
+        probs = self.letter_probs().tolist()
         offs = np.arange(1, len(probs) + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        return offs, np.ceil(probs * 2.0 ** 53).astype(np.uint64)
+        return offs, np.array([(math.ceil(p * 2.0 ** 53) << 11) - 1 for p in probs],
+                              dtype=np.uint64)
 
     def sample_matrix(self, keys):
-        offs, limits = self._draw
-        u = _mix64_inplace(keys[:, None] + offs)
-        u >>= np.uint64(11)
-        return u < limits
+        offs, bounds = self._draw
+        return _mix64_inplace(keys[:, None] + offs) <= bounds
 
 
 class Binomial(_IndependentLetters):
@@ -348,6 +348,7 @@ class LazyGW:
         self.offspring = offspring
         self.seed = int(seed)
         self.node_budget = node_budget
+        self._salts = _child_salts(offspring.alphabet_size)
         self._keys = {Word(): root_key(self.seed)}
         self._children = {}
         self.nodes_sampled = 0
@@ -363,25 +364,35 @@ class LazyGW:
     def _walk(self, keys, rel_depth):
         """Vectorized breadth-first walk below the roots with stream keys `keys`.
 
-        Each step samples one level and yields (counts, letters, keys): the
-        child count of each node of the level, in order; the letters of all
-        their children, grouped by parent and ascending within one; and the
-        children's stream keys.  The walk counts its nodes against
-        `node_budget` on top of `nodes_sampled`; callers add the nodes they
-        use to that counter.
+        Each step samples one level and yields (rows, letters, keys): keys
+        are the stream keys of the level's nodes, in order; rows and letters
+        have one entry per child, grouped by parent and ascending within
+        one, and give the index of its parent in the level and its letter.
+        A child's stream key is `_child_keys(keys, rows, letters)`; the walk
+        mixes them only to take its next step, so a caller mixes the last
+        level's keys, or only the ones it reads.  The walk counts its nodes
+        against `node_budget` on top of `nodes_sampled`; callers add the
+        nodes they use to that counter.
         """
         keys = np.asarray(keys, dtype=np.uint64)
+        n = self.offspring.alphabet_size
         walked = self.nodes_sampled
         for lvl in range(rel_depth):
+            if lvl:
+                keys = self._child_keys(keys, rows, letters)
             if len(keys) == 0:
                 return
-            keep = self.offspring.sample_matrix(keys)
-            counts = keep.sum(axis=1)
-            letters = np.flatnonzero(keep) % keep.shape[1]
+            kept = np.flatnonzero(self.offspring.sample_matrix(keys))
+            rows = kept // n
+            letters = kept - rows * n
             walked += len(keys)
             self._charge(walked, lvl)
-            keys = _child_keys_vec(np.repeat(keys, counts), letters)
-            yield counts, letters, keys
+            yield rows, letters, keys
+
+    def _child_keys(self, keys, rows, letters):
+        """Stream keys of the children `letters` of the nodes with stream
+        keys keys[rows]: `child_key`, vectorized."""
+        return _mix64_inplace(keys[rows] ^ self._salts[letters])
 
     def _charge(self, walked, lvl):
         """The `node_budget` guard, after a walk's level `lvl`: `walked` is
@@ -407,11 +418,14 @@ class LazyGW:
         codes = np.zeros(len(keys), dtype=np.int64)
         bounds = np.arange(len(keys) + 1)
         nodes = np.zeros(len(keys), dtype=np.int64)
-        for counts, letters, keys in self._walk(keys, rel_depth):
+        level_keys = None
+        for rows, letters, level_keys in self._walk(keys, rel_depth):
             nodes += np.diff(bounds)
-            codes = np.repeat(codes, counts) * n + letters
+            codes = codes[rows] * n + letters
             # the children of root i's nodes sit at bounds[i]:bounds[i+1] of the new level
-            bounds = np.concatenate(([0], np.cumsum(counts)))[bounds]
+            bounds = np.searchsorted(rows, bounds)
+        if level_keys is not None:
+            keys = self._child_keys(level_keys, rows, letters)
         return codes, keys, bounds, nodes
 
     def children(self, word):
@@ -433,10 +447,10 @@ class LazyGW:
         empty = np.zeros(0, dtype=np.int64)
         letters, parents = [None] + [empty] * rel_depth, [None] + [empty] * rel_depth
         walk = self._walk([self.key(word)], rel_depth)
-        for n, (counts, kids, _) in enumerate(walk, 1):
-            self.nodes_sampled += len(counts)
+        for n, (rows, kids, level) in enumerate(walk, 1):
+            self.nodes_sampled += len(level)
             letters[n] = kids
-            parents[n] = np.repeat(np.arange(len(counts)), counts)
+            parents[n] = rows
         return FiniteTree._of(self.offspring.alphabet_size, rel_depth, letters, parents)
 
     def level_codes(self, word, rel_depth):

@@ -39,8 +39,9 @@ from .symbolic import (
     block_letters,
     InvalidInputError,
     CapabilityError,
+    ResourceLimitError,
 )
-from .branching import Binomial, LazyGW, sample_gw, pgf, _child_keys_vec
+from .branching import Binomial, LazyGW, sample_gw, pgf, _child_salts, _mix64_inplace
 from .fixpoint import g_k_a_curve, generator_collection
 from .geometry import (
     PointCloud,
@@ -406,11 +407,13 @@ def _presence(tree, pred, n):
                                                bounds[1:].tolist())], dtype=bool)
         below[h] = words, kids, codes, bounds
 
-    def chosen(v, m):
-        h, i = v
-        words, _, codes, bounds = below[h]
-        return pred.witness_subset(codes[bounds[i]:bounds[i + 1]],
-                                   PredicateContext(words[i], h, tree.suffixes))
+    def chosen(vs, m):
+        got = []
+        for h, i in vs:
+            words, _, codes, bounds = below[h]
+            got.append(pred.witness_subset(codes[bounds[i]:bounds[i + 1]],
+                                           PredicateContext(words[i], h, tree.suffixes)))
+        return got
 
     def step(v, label):
         h, i = v
@@ -424,20 +427,19 @@ def _presence(tree, pred, n):
 def _witness(root, n, chosen, step):
     """Walk the chosen child sets breadth first, n levels down from `root`.
 
-    `chosen(v, m)` is the label set kept at node v with m levels to go and
-    `step(v, label)` the node of that child: an absolute word on the lazy
-    scan, a (height, index) pair in the presence DP.  Returns the
-    per-level labels and parent indices (into the level above) of the
-    witness; level 0, the root, holds None.  Each node's labels are taken in
-    ascending order, so every level is in lexicographic order with ascending
-    parents, as `FiniteTree` stores it.  Leaves get no node.
+    `chosen(vs, m)` lists the label sets kept at the nodes vs of one level,
+    with m levels to go, and `step(v, label)` is the node of that child: an
+    absolute word on the lazy scan, a (height, index) pair in the presence
+    DP.  Returns the per-level labels and parent indices (into the level
+    above) of the witness; level 0, the root, holds None.  Each node's labels
+    are taken in ascending order, so every level is in lexicographic order
+    with ascending parents, as `FiniteTree` stores it.  Leaves get no node.
     """
     labels, parents = [None], [None]
     nodes = [root]
     for m in range(n, 0, -1):
         labs, pars, kids = [], [], []
-        for i, v in enumerate(nodes):
-            got = chosen(v, m)
+        for i, (v, got) in enumerate(zip(nodes, chosen(nodes, m))):
             if got is None:
                 raise RuntimeError("witness extraction failed on a member set")
             for lab in sorted(got):
@@ -615,17 +617,20 @@ def predicted_presence(offspring, k, arity, n_levels, mode="block"):
 
 # expected nodes sampled by one chunk of leaf tests (see `_LayeredScan`): a
 # leaf walks levels 0..k-2 in full, and the chunk holds as many leaves as
-# fill this many nodes at the law's mean
+# fill this many nodes at the law's mean, and at least k - 1
 _CHUNK_NODES = 4096
+# expected level-k nodes of the leaves walked again at once for their
+# witnesses (`_LayeredScan.witness_tree`)
+_REWALK_NODES = 1 << 15
 
 
-def _lex_batches(owner, done):
+def _lex_batches(owner, done, width):
     """Rows to read, a doubling batch per round: each leaf's rows in lex
     order (`owner`, ascending, is each row's leaf) until the caller sets
     done[leaf] between rounds or the leaf's rows run out.  The first round
-    takes about 256 rows, so that one sample call serves many."""
+    takes `width` rows of each leaf, the next 2 * width, and so on."""
     rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
-    lo, width = 0, max(1, 256 // len(done))
+    lo = 0
     while True:
         open_ = (rank >= lo) & ~done[owner]
         if not open_.any():
@@ -646,25 +651,28 @@ class _LayeredScan:
 
     The predicate is one `DiffuseBlock` or one packed `SectionDiffuse` of
     length k, with `Ary` floors.  Children with one level to go (leaves) are
-    walked a chunk of about `_CHUNK_NODES` expected nodes at a time: levels
-    0..k-2 once (`_prefix_walk`), then the level-(k-1) child rows in lex
-    order, a doubling batch per round, until each leaf is decided
-    (`_lex_batches`); a stream key's row is a pure function of the key, so
-    these are the rows the full walk draws.  Results are still taken one by
-    one, in order, so `child_tests`, `capped_nodes` and `nodes_sampled` read
-    as the sequential scan's: a leaf's nodes (levels 0..k-1, as the full walk
-    counts them) count when its result is taken, and leaves walked past the
-    stop are dropped.  Only the `node_budget` guard sees the whole chunk, so
-    it can trip at most one chunk earlier.
+    walked a chunk at a time: as many leaves as fill `_CHUNK_NODES` expected
+    prefix nodes, and at least k - 1, so that a chunk's k - 1 level steps
+    cost at most about one step's numpy calls per leaf.  Levels 0..k-2 are
+    walked once (`_prefix_walk`); the level-(k-1) child rows are then read in
+    lex order, a doubling batch per round, until each leaf is decided
+    (`_lex_batches`), their stream keys mixed for the rows read only; a
+    stream key's row is a pure function of the key, so these are the rows
+    the full walk draws.  Results are still taken one by one, in order, so
+    `child_tests`, `capped_nodes` and `nodes_sampled` read as the sequential
+    scan's: a leaf's nodes (levels 0..k-1, as the full walk counts them)
+    count when its result is taken, and leaves walked past the stop are
+    dropped.  Only the `node_budget` guard sees the whole chunk, so it can
+    trip at most one chunk earlier.
 
-    A block leaf's rows are read only below candidate prefixes
-    (`_block_walk`).  A section leaf's row is one family, and rows are read
-    until the leaf holds its count floor; its families are certified in
-    prefix order when its result is taken, and its other rows are read only
-    if none passes (`_section_walk`).  A good leaf's witness is built by
-    `witness_tree`, for the leaves of the final tree only, unless building it
-    computes certificates: those count in `certs`, so it is built when the
-    leaf passes.
+    A block leaf's rows are read only below candidate prefixes, a few
+    columns per sample call (`_block_walk`).  A section leaf's row is one
+    family, and rows are read until the leaf holds its count floor; its
+    families are certified in prefix order when its result is taken, and
+    its other rows are read only if none passes (`_section_walk`).  A good
+    leaf's witness is built by `witness_tree`, for the leaves of the final
+    tree only, unless building it computes certificates: those count in
+    `certs`, so it is built when the leaf passes.
     """
 
     def __init__(self, lazy, k, pred, arity, per_node_cap):
@@ -684,7 +692,18 @@ class _LayeredScan:
         self.section = None if self.block else core[0]
         self.floor = max([self.arity] + [p.a for p in parts if isinstance(p, Ary)])
         mean = lazy.offspring.mean()
-        self.chunk = max(1, int(_CHUNK_NODES / sum(mean ** j for j in range(self.k - 1))))
+        self.chunk = max(self.k - 1,
+                         int(_CHUNK_NODES / sum(mean ** j for j in range(self.k - 1))))
+        self.rewalk = max(1, int(_REWALK_NODES / mean ** self.k))
+        if self.block:
+            # a node has all base_n children with probability p_full: read
+            # as many block columns per sample call as a candidate passes
+            # with probability at least 1/2, and first twice the candidates
+            # a leaf needs on average to find a full block (the floor on
+            # p_full^base_n only keeps the count finite where it underflows)
+            p_full = float(lazy.offspring.size_pmf()[-1])
+            self.cols = max(1, sum(p_full ** g >= 0.5 for g in range(1, self.base_n + 1)))
+            self.first = math.ceil(2 / max(p_full ** self.base_n, 2.0 ** -60))
         self.alive = {}
         self.good = {}
         self.witness = {}
@@ -711,24 +730,30 @@ class _LayeredScan:
     def _prefix_walk(self, keys):
         """Levels 0..k-2 below the leaves with stream keys `keys`, walked once.
 
-        Returns (nodes, levels, owner, last): nodes[i] counts levels 0..k-1
-        below leaf i, as `LazyGW._level` does, and the guard is charged
-        for them; levels holds each step's (roots, counts, letters), roots
-        being each walked node's leaf; owner and last are the leaf and the
-        stream key of each level-(k-1) node, in lex order.
+        Returns (nodes, levels, owner): nodes[i] counts levels 0..k-1 below
+        leaf i, as `LazyGW._level` does, and the guard is charged for them;
+        levels holds each step of `LazyGW._walk` as (roots, rows, letters,
+        keys), roots being each walked node's leaf; owner is the leaf of each
+        level-(k-1) node, in lex order.  Level k-1's stream keys are not
+        mixed: `_row_keys` mixes them for the rows a leaf reads.
         """
         lazy = self.lazy
         roots = np.arange(len(keys))
         nodes = np.zeros(len(keys), dtype=np.int64)
         levels = []
-        for counts, letters, last in lazy._walk(keys, self.k - 1):
+        for rows, letters, level_keys in lazy._walk(keys, self.k - 1):
             nodes += np.bincount(roots, minlength=len(keys))
-            levels.append((roots, counts, letters))
-            roots = np.repeat(roots, counts)
+            levels.append((roots, rows, letters, level_keys))
+            roots = roots[rows]
         # level k-1, empty when the walk died out before it
         nodes += np.bincount(roots, minlength=len(keys))
         lazy._charge(lazy.nodes_sampled + int(nodes.sum()), self.k - 1)
-        return nodes, levels, roots, last
+        return nodes, levels, roots
+
+    def _row_keys(self, levels, sel):
+        """Stream keys of the level-(k-1) nodes `sel` of a prefix walk."""
+        _, rows, letters, level_keys = levels[-1]
+        return self.lazy._child_keys(level_keys, rows[sel], letters[sel])
 
     def _block_walk(self, keys):
         """(ok, nodes) of the leaves with stream keys `keys` on the block
@@ -736,31 +761,34 @@ class _LayeredScan:
 
         A leaf holds a full block exactly when some level-(k-2) node has all
         base_n children and each of those has all base_n children, so only
-        such candidates' rows are read, column by column, and a candidate is
-        dropped at its first incomplete row.  The count floor needs the
-        level-k count only when it exceeds the block size, and then only for
-        the leaves that hold a full block.
+        such candidates' rows are read, `cols` columns per sample call, and a
+        candidate is dropped at its first group with an incomplete row.  The
+        candidates' children have every letter, so their keys come straight
+        from the candidates' keys.  The count floor needs the level-k count
+        only when it exceeds the block size, and then only for the leaves
+        that hold a full block.
         """
         lazy, n = self.lazy, self.base_n
-        nodes, levels, roots, last = self._prefix_walk(keys)
+        nodes, levels, owner = self._prefix_walk(keys)
         ok = np.zeros(len(keys), dtype=bool)
-        if len(roots) == 0:
+        if len(owner) == 0:
             return ok, nodes
-        prefix_roots, prefix_counts, _ = levels[-1]
-        cands = np.flatnonzero(prefix_counts == n)
-        firsts = (np.cumsum(prefix_counts) - prefix_counts)[cands]
-        owner = prefix_roots[cands]
-        for sel in _lex_batches(owner, ok):
-            for j in range(n):
-                rows = lazy.offspring.sample_matrix(last[firsts[sel] + j])
-                sel = sel[rows.all(axis=1)]
+        roots, rows, _, level_keys = levels[-1]
+        cands = np.flatnonzero(np.bincount(rows, minlength=len(roots)) == n)
+        cand_keys, cand_roots = level_keys[cands], roots[cands]
+        for sel in _lex_batches(cand_roots, ok, min(self.first, len(cands))):
+            for j in range(0, n, self.cols):
+                salts = lazy._salts[j:j + self.cols]
+                full = lazy.offspring.sample_matrix(
+                    _mix64_inplace(cand_keys[sel, None] ^ salts).reshape(-1))
+                sel = sel[full.reshape(len(sel), -1).all(axis=1)]
                 if len(sel) == 0:
                     break
-            ok[owner[sel]] = True
+            ok[cand_roots[sel]] = True
         if self.floor > self.block.block:
-            held = ok[roots]
-            sizes = lazy.offspring.sample_matrix(last[held]).sum(axis=1)
-            ok &= np.bincount(roots[held], weights=sizes, minlength=len(keys)) >= self.floor
+            held = np.flatnonzero(ok[owner])
+            sizes = lazy.offspring.sample_matrix(self._row_keys(levels, held)).sum(axis=1)
+            ok &= np.bincount(owner[held], weights=sizes, minlength=len(keys)) >= self.floor
         return ok, nodes
 
     def _section_walk(self, keys):
@@ -768,21 +796,22 @@ class _LayeredScan:
         predicate: judge(i) is leaf i's (labels, ok), labels being the level-k
         codes below the rows it read; nodes as `_prefix_walk` counts them."""
         lazy, n, sd = self.lazy, self.base_n, self.section
-        nodes, levels, owner, last = self._prefix_walk(keys)
+        nodes, levels, owner = self._prefix_walk(keys)
         codes = np.zeros(len(keys), dtype=np.int64)
-        for _, counts, letters in levels:
-            codes = np.repeat(codes, counts) * n + letters
+        for _, rows, letters, _ in levels:
+            codes = codes[rows] * n + letters
         ends = np.searchsorted(owner, np.arange(len(keys) + 1))
         masks = np.full(len(owner), -1)  # a row's letter mask once it is read
         held = np.zeros(len(keys))
         full = np.zeros(len(keys), dtype=bool)
 
         def read(sel):
-            rows = lazy.offspring.sample_matrix(last[sel])
+            rows = lazy.offspring.sample_matrix(self._row_keys(levels, sel))
             masks[sel] = rows @ sd._bits
             return rows.sum(axis=1)
 
-        for sel in _lex_batches(owner, full):
+        # the first round reads about 256 rows, so that one sample call serves many
+        for sel in _lex_batches(owner, full, max(1, 256 // len(keys))):
             held += np.bincount(owner[sel], weights=read(sel), minlength=len(keys))
             full |= held >= self.floor
 
@@ -868,13 +897,29 @@ class _LayeredScan:
                     return True
         return False
 
+    def _leaf_codes(self, words):
+        """Level-k codes below each of the leaves `words`, walked again as one
+        group and not counted.  If the group's nodes pass `node_budget`, its
+        leaves are walked one by one, so that the guard trips exactly where
+        one walk per leaf would."""
+        lazy = self.lazy
+        keys = [lazy.key(w) for w in words]
+        try:
+            codes, _, bounds, _ = lazy._level(keys, self.k)
+        except ResourceLimitError:
+            return [lazy._level([key], self.k)[0] for key in keys]
+        return np.split(codes, bounds[1:-1])
+
     def witness_tree(self, v, n):
-        def chosen(w, m):
-            wit = self.witness.get((w, m))
-            if wit is None and m == 1:  # deferred: walk the leaf again, uncounted
-                labels = self.lazy._level([self.lazy.key(w)], self.k)[0]
-                wit = self.pred.witness_subset(labels)
-            return wit
+        def chosen(ws, m):
+            wits = [self.witness.get((w, m)) for w in ws]
+            if m == 1:  # deferred leaves: walked again, `rewalk` at a time
+                todo = [i for i, wit in enumerate(wits) if wit is None]
+                for lo in range(0, len(todo), self.rewalk):
+                    group = todo[lo:lo + self.rewalk]
+                    for i, labels in zip(group, self._leaf_codes([ws[i] for i in group])):
+                        wits[i] = self.pred.witness_subset(labels)
+            return wits
 
         labels, parents = _witness(v, n, chosen, lambda w, lab: w.cat(
             block_letters(lab, self.base_n, self.k).tolist()))
@@ -1079,13 +1124,14 @@ class SectionLaw:
                        key=lambda w: (len(w), w))
         alive = {Word(): np.ones(trials, dtype=bool)}
         node_keys = {Word(): np.asarray(keys, dtype=np.uint64)}
+        salts = _child_salts(self.base.alphabet_size)
         keep = {}
         for w in order:
             par = w.parent
             if par not in keep:
                 keep[par] = self.base.sample_matrix(node_keys[par])
             alive[w] = alive[par] & keep[par][:, w[-1]]
-            node_keys[w] = _child_keys_vec(node_keys[par], np.full(trials, w[-1], dtype=np.uint64))
+            node_keys[w] = _mix64_inplace(node_keys[par] ^ salts[w[-1]])
         return np.column_stack([alive[w] for w in self.words])
 
     def pgf(self, s):

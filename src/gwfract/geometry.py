@@ -98,25 +98,24 @@ class OSCBall:
 
 
 def _parallelotope_axes(o1, o2, d):
-    axes = [o1[:, j] for j in range(d)] + [o2[:, j] for j in range(d)]
+    """Separating-axis candidates of two parallelotopes with edge frames o1
+    and o2, as the columns of one matrix: both frames' columns and, in 3-d,
+    the unit cross products of their edges (degenerate ones dropped)."""
+    axes = [o1, o2]
     if d == 3:
-        for i in range(3):
-            for j in range(3):
-                c = np.cross(o1[:, i], o2[:, j])
-                n = np.linalg.norm(c)
-                if n > 1e-12:
-                    axes.append(c / n)
-    return axes
+        c = np.cross(o1.T[:, None], o2.T[None]).reshape(-1, 3)
+        n = np.linalg.norm(c, axis=1)
+        axes.append((c[n > 1e-12] / n[n > 1e-12, None]).T)
+    return np.hstack(axes)
 
 
 def _convex_disjoint(c1, c2, axes, tol=1e-12):
-    # separating axis test; touching boundaries count as disjoint interiors
-    for u in axes:
-        a = c1 @ u
-        b = c2 @ u
-        if a.max() <= b.min() + tol or b.max() <= a.min() + tol:
-            return True
-    return False
+    """Separating-axis test of the hulls of the corner sets c1 and c2 on
+    the columns of `axes`, all projected at once; touching boundaries count
+    as disjoint interiors."""
+    a, b = c1 @ axes, c2 @ axes
+    return bool(((a.max(axis=0) <= b.min(axis=0) + tol)
+                 | (b.max(axis=0) <= a.min(axis=0) + tol)).any())
 
 
 class SimilarityIFS:
@@ -162,10 +161,15 @@ class SimilarityIFS:
             for k, ic in enumerate(imgs):
                 if (ic < u.lo - 1e-12).any() or (ic > u.hi + 1e-12).any():
                     raise InvalidInputError("image %d escapes the witness box" % k)
+            frames = [m.ortho.tobytes() for m in self.maps]
+            axes = {}  # per pair of edge frames, most often one for the whole system
             for i in range(len(imgs)):
                 for j in range(i + 1, len(imgs)):
-                    axes = _parallelotope_axes(self.maps[i].ortho, self.maps[j].ortho, self.d)
-                    if not _convex_disjoint(imgs[i], imgs[j], axes):
+                    pair = frames[i], frames[j]
+                    if pair not in axes:
+                        axes[pair] = _parallelotope_axes(
+                            self.maps[i].ortho, self.maps[j].ortho, self.d)
+                    if not _convex_disjoint(imgs[i], imgs[j], axes[pair]):
                         raise InvalidInputError("images %d and %d overlap" % (i, j))
             return
         raise InvalidInputError("unsupported open-set witness %r" % (u,))
@@ -218,8 +222,8 @@ class PointCloud:
 
     @cached_property
     def _ball_index(self):
-        """`_ball_index(self.points)`, computed on first use."""
-        return _ball_index(self.points)
+        """`_BallIndex(self.points)`, built on first use."""
+        return _BallIndex(self.points)
 
     def diameter(self):
         """Exact diameter via hull vertices (pairwise scan on the hull)."""
@@ -704,27 +708,43 @@ def _support_floor(pts):
     return _slab(hv, _edge_normal_width(hv))[0] if len(hv) >= 3 else 0.0
 
 
-def _ball_index(pts):
-    """What `_BallWidths` needs of a cloud, whatever its beta: the KD-tree,
-    each point's distances to its two nearest other points (inf where there
-    are fewer), the spacing (the least of them for planar clouds, else 0)
-    and, for planar clouds, KD-trees of strided copies (entry k - 1 holds
-    every 2^k-th point, down to `_SUBSET_SIZE` points)."""
-    tree = _cKDTree(pts)
-    near = tree.query(pts, k=[2, 3])[0]
-    planar = pts.shape[1] == 2 and len(pts) >= 2
-    spacing = float(near[:, 0].min()) if planar else 0.0
-    strided = []
-    while planar and len(pts) >> len(strided) + 1 >= _SUBSET_SIZE:
-        strided.append(_cKDTree(pts[::2 << len(strided)]))
-    return tree, near, spacing, strided
+class _BallIndex:
+    """What `_BallWidths` needs of a cloud, whatever its beta: the KD-tree
+    and, for planar clouds, KD-trees of strided copies (`strided`, entry
+    k - 1 holding every 2^k-th point, down to `_SUBSET_SIZE` points), built
+    at once; the spacing and the neighbour distances `near`, on first use."""
+
+    def __init__(self, pts):
+        self.pts = pts
+        self.tree = _cKDTree(pts)
+        self.planar = pts.shape[1] == 2 and len(pts) >= 2
+        self.strided = []
+        while self.planar and len(pts) >> len(self.strided) + 1 >= _SUBSET_SIZE:
+            self.strided.append(_cKDTree(pts[::2 << len(self.strided)]))
+
+    @cached_property
+    def near(self):
+        """Each point's distances to its two nearest other points (inf where
+        there are fewer); only `_flat_ball_search` ranks by them."""
+        return self.tree.query(self.pts, k=[2, 3])[0]
+
+    @cached_property
+    def spacing(self):
+        """The least distance between two points of a planar cloud, else 0:
+        read off `near` once that is built, else off a query of each point's
+        nearest other point alone."""
+        if not self.planar:
+            return 0.0
+        if "near" in self.__dict__:
+            return float(self.near[:, 0].min())
+        return float(self.tree.query(self.pts, k=2)[0][:, 1].min())
 
 
 class _BallWidths:
     """Slab widths of one cloud inside balls B(x, xi), one ball per call.
 
     The cloud's `_ball_index`, built once per cloud, supplies the KD-tree,
-    the distances `near` and the spacing s.  A call returns (points in the
+    the strided copies and the spacing s.  A call returns (points in the
     ball, ratio, WidthResult) with ratio = (w - slack) / xi.
 
     Three floors bound a planar ball's half-thickness w from below:
@@ -766,7 +786,8 @@ class _BallWidths:
         self.pts = cloud.points
         self.beta = float(beta)
         self.slack = float(slack)
-        self.tree, self.near, self.spacing, self.strided = cloud._ball_index
+        index = cloud._ball_index
+        self.tree, self.spacing, self.strided = index.tree, index.spacing, index.strided
         self.least = {}
         self.most = {}
         self.cleared = 0
@@ -875,9 +896,11 @@ def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None,
     n = len(pts)
     if n == 0:
         raise InvalidInputError("empty cloud")
+    # second-neighbour distance, the first where there is no second; taken
+    # before `_BallWidths` reads the spacing, which then comes off it
+    near = cloud._ball_index.near
+    d2 = np.where(np.isfinite(near[:, 1]), near[:, 1], near[:, 0])
     balls = _BallWidths(cloud, beta, 0.0)
-    # second-neighbour distance, the first where there is no second
-    d2 = np.where(np.isfinite(balls.near[:, 1]), balls.near[:, 1], balls.near[:, 0])
     diam = cloud.diameter()
     if xi_floor is None:
         xi_floor = 1.25 * cloud.eps

@@ -95,9 +95,10 @@ def test_criterion_03_fixed_point_identity():
     def subtree_height(tree):
         # h(v) >= m+1 iff at least two children reach m, the Ary(2) DP
         h = {}
+        children = tree.children
         for depth in range(tree.depth, -1, -1):
             for v in tree.level(depth):
-                kids = sorted((h[v.child(j)] for j in tree.children[v]),
+                kids = sorted((h[v.child(j)] for j in children[v]),
                               reverse=True) if depth < tree.depth else []
                 h[v] = (kids[1] + 1) if len(kids) >= 2 else 0
         return h[Word()]

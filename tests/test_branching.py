@@ -9,9 +9,11 @@ from gwfract.branching import (
     PerLetterBernoulli,
     binom_cdf,
     binom_pmf,
+    child_key,
     extinction_prob,
     labeled_seed,
     mc_extinction_frequency,
+    mix64,
     mix64_vec,
     norm_ppf,
     offspring_from_json,
@@ -127,6 +129,72 @@ def test_sampler_matches_float_formula():
         expected = u * 2.0 ** -53 < law.letter_probs()
         assert np.array_equal(law.sample_matrix(keys), expected), law.to_json()
     assert law.sample_matrix(keys)[:, 4].all()  # p = 1 keeps every letter
+
+
+def test_sampler_matches_python_int_reference():
+    # letter i of the row of key x is kept when (mix64(x + (i+1) * gamma) >> 11)
+    # < ceil(p * 2^53), in Python ints
+    gamma = 0x9E3779B97F4A7C15
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 2 ** 63, size=400, dtype=np.uint64) * np.uint64(2)
+    keys += rng.integers(0, 2, size=len(keys), dtype=np.uint64)
+    keys[:3] = [0, 2 ** 64 - 1, 2 ** 64 - gamma]  # the offset sum wraps around
+    laws = [Binomial(5, p) for p in (1.0, 2.0 ** -53, 0.5, 0.9)]
+    laws.append(PerLetterBernoulli((1.0, 2.0 ** -53, 0.5, 0.9, 0.3, 1e-300)))
+    for law in laws:
+        limits = [int(np.ceil(p * 2.0 ** 53)) for p in law.letter_probs().tolist()]
+        want = [[(mix64(key + (i + 1) * gamma) >> 11) < limit
+                 for i, limit in enumerate(limits)] for key in keys.tolist()]
+        got = law.sample_matrix(keys)
+        assert got.dtype == bool and got.tolist() == want, law.to_json()
+        for p, kept in zip(law.letter_probs().tolist(), got.T):
+            assert kept.all() if p == 1.0 else kept.sum() <= 1 if p < 1e-15 else 0 < kept.sum() < 400
+        # key + gamma wraps to 0, which mixes to 0: letter 0 is kept at any p
+        assert got[2, 0]
+    # keys whose mixed word sits on either side of the bound, found by
+    # inverting mix64: (limit << 11) - 1 is kept, (limit << 11) is not
+    for p in (0.5, 0.9, 2.0 ** -53):
+        limit = int(np.ceil(p * 2.0 ** 53))
+        for word, kept in (((limit << 11) - 1, True), (limit << 11, False)):
+            key = (_unmix64(word) - gamma) % 2 ** 64
+            assert mix64(key + gamma) == word
+            assert Binomial(1, p).sample_matrix(np.array([key], dtype=np.uint64))[0, 0] == kept
+    assert int(Binomial(1, 1.0)._draw[1][0]) == 2 ** 64 - 1
+
+
+def _unmix64(y):
+    """The inverse of mix64 on Python ints."""
+    def unshift(y, s):  # inverse of x ^ (x >> s)
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+    y = unshift(y, 31) * pow(0x94D049BB133111EB, -1, 2 ** 64) % 2 ** 64
+    y = unshift(y, 27) * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) % 2 ** 64
+    return unshift(y, 30)
+
+
+def test_walk_steps_match_child_key():
+    off = Binomial(4, 0.7)
+    lazy = LazyGW(off, seed=21)
+    roots = [Word(), Word((1,)), Word((3, 2))]
+    keys = [lazy.key(w) for w in roots]
+    words = list(roots)  # the words of the level a step samples
+    steps = list(lazy._walk(keys, 4))
+    assert len(steps) == 4 and lazy.nodes_sampled == 0
+    for rows, letters, level in steps:
+        assert level.tolist() == [lazy.key(w) for w in words]
+        counts = np.bincount(rows, minlength=len(level))
+        assert counts.tolist() == [int(r.sum()) for r in off.sample_matrix(level)]
+        # grouped by parent, letters ascending within one
+        assert np.all((np.diff(rows) > 0) | ((np.diff(rows) == 0) & (np.diff(letters) > 0)))
+        kids = [words[r].child(a) for r, a in zip(rows.tolist(), letters.tolist())]
+        for r, a, kid in zip(rows.tolist(), letters.tolist(), kids):
+            assert a in lazy.children(words[r])
+            assert child_key(int(level[r]), a) == lazy.key(kid)
+        assert lazy._child_keys(level, rows, letters).tolist() == [lazy.key(w) for w in kids]
+        words = kids
+    assert len(words) > 0
 
 
 def test_multi_root_walk_matches_single_roots():

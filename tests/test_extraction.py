@@ -14,6 +14,7 @@ from gwfract.geometry import (SimilarityIFS, SimilarityMap, cloud_to_csv, percol
                               render, render_words, sierpinski_ifs, word_map)
 from gwfract.extraction import (
     _LayeredScan,
+    _scan_candidates,
     Ary,
     DiffuseBlock,
     Intersection,
@@ -316,6 +317,67 @@ def test_block_leaf_walk_trips_the_budget_as_the_full_walk_does():
                 partials.add(None if outcome[0] is None else outcome[0][1])
             # every level trips the guard at some budget, and the largest passes
             assert partials == set(range(k)) | {None}, partials
+
+
+def _witness_outcome(scan, v, m):
+    """The witness tree below v, or the budget error's (message, partial)."""
+    try:
+        return scan.witness_tree(v, m)
+    except ResourceLimitError as err:
+        return str(err), err.partial
+
+
+def test_batched_leaf_rewalks_match_per_leaf_walks():
+    # block leaves are walked again for the final tree's witnesses, `rewalk`
+    # leaves at a time; one leaf at a time is the reference, for the trees
+    # and for where the budget trips (each leaf is charged on its own)
+    partials, fallbacks, split = set(), 0, 0
+    for b, d, p, c, k, depth, seed in ((2, 2, 0.9, 2, 4, 12, 0), (3, 2, 0.99, 3, 4, 8, 1),
+                                       (2, 2, 0.97, 3, 3, 6, 4)):
+        N, A = b ** d, round(c ** k)
+        lazy = LazyGW(Binomial(N, p), seed, node_budget=10 ** 9)
+        scan = _LayeredScan(lazy, k, Intersection([DiffuseBlock(b, k, d=d), Ary(A)]), A,
+                            per_node_cap=max(4 * A, 256))
+        v, m, _ = _scan_candidates(scan, depth // k, 256)
+        batch, spent = scan.rewalk, lazy.nodes_sampled
+        groups = []
+        leaf_codes = scan._leaf_codes
+        scan._leaf_codes = lambda words: groups.append(list(words)) or leaf_codes(words)
+        tree = scan.witness_tree(v, m)
+        scan._leaf_codes = leaf_codes
+        assert max(map(len, groups)) > 1 and lazy.nodes_sampled == spent
+        split += len(groups) > 1
+        # each leaf's nodes through each level, and each group's in all
+        cum = np.array([[lazy._level([lazy.key(w)], j)[3][0] for j in range(1, k + 1)]
+                        for g in groups for w in g])
+        totals = [sum(lazy._level([lazy.key(w)], k)[3][0] for w in g) for g in groups]
+        budgets = {spent + x + step for x in cum.max(axis=0).tolist() for step in (-1, 0)}
+        budgets |= {spent + t - 1 for t in totals[:3]}
+        for budget in sorted(budgets) + [10 ** 9]:
+            lazy.node_budget = budget
+            scan.rewalk = 1
+            want = _witness_outcome(scan, v, m)
+            scan.rewalk = batch
+            got = _witness_outcome(scan, v, m)
+            assert got == want, (b, d, k, seed, budget)
+            if isinstance(want, tuple):
+                partials.add(want[1])
+            else:
+                assert want == tree
+                fallbacks += budget - spent < max(totals)
+    # the guard tripped at every level, and some groups passed the budget in
+    # all while none of their leaves did alone
+    assert partials == set(range(4)) and fallbacks > 0 and split, (partials, fallbacks, split)
+
+
+def test_gallery_block_scan_walks_no_more_leaves(monkeypatch):
+    walked = []
+    block_walk = _LayeredScan._block_walk
+    monkeypatch.setattr(_LayeredScan, "_block_walk",
+                        lambda self, keys: walked.append(len(keys)) or block_walk(self, keys))
+    es = percolation_pipeline(3, 2, 0.99, 3, 4, depth=12, seed=0)
+    assert (es.stats["child_tests"], es.stats["nodes_sampled"]) == (54797, 43645046)
+    assert sum(walked) <= 60_795, sum(walked)
 
 
 def _random_label_sets(rng, alphabet, group, count):

@@ -13,6 +13,8 @@ from gwfract import extraction, geometry
 from gwfract.geometry import (
     Hyperplane,
     MeasuredCloud,
+    OSCBall,
+    OSCBox,
     PointCloud,
     SimilarityIFS,
     SimilarityMap,
@@ -65,6 +67,86 @@ def test_sierpinski_shape():
     ifs = sierpinski_ifs()
     assert ifs.alphabet_size == 3
     assert all(abs(m.ratio - 0.5) < 1e-12 for m in ifs.maps)
+
+
+def test_open_set_check_rejects_escapes_and_overlaps():
+    eye, box = np.eye(2), OSCBox(np.zeros(2), np.ones(2))
+    with pytest.raises(InvalidInputError, match="image 1 escapes the witness box"):
+        SimilarityIFS(2, [SimilarityMap(0.5, eye, [0.0, 0.0]),
+                          SimilarityMap(0.5, eye, [0.6, 0.0])], osc=box)
+    with pytest.raises(InvalidInputError, match="images 1 and 2 overlap"):
+        SimilarityIFS(2, [SimilarityMap(0.5, eye, [0.0, 0.0]),
+                          SimilarityMap(0.5, eye, [0.5, 0.0]),
+                          SimilarityMap(0.5, eye, [0.5, 0.25])], osc=box)
+    ball = OSCBall(np.zeros(2), 1.0)
+    with pytest.raises(InvalidInputError, match="image ball escapes"):
+        SimilarityIFS(2, [SimilarityMap(0.5, eye, [0.6, 0.0])], osc=ball)
+    with pytest.raises(InvalidInputError, match="image balls 0 and 1 overlap"):
+        SimilarityIFS(2, [SimilarityMap(0.5, eye, [-0.3, 0.0]),
+                          SimilarityMap(0.5, eye, [0.3, 0.0])], osc=ball)
+    # touching images pass: boundaries may meet
+    SimilarityIFS(2, [SimilarityMap(0.5, eye, [-0.5, 0.0]),
+                      SimilarityMap(0.5, eye, [0.5, 0.0])], osc=ball)
+    percolation_ifs(2, 3)
+
+
+def _per_axis_disjoint(c1, c2, o1, o2, d, tol=1e-12):
+    """The separating-axis test one axis at a time: the reference."""
+    axes = [o1[:, j] for j in range(d)] + [o2[:, j] for j in range(d)]
+    if d == 3:
+        for i in range(3):
+            for j in range(3):
+                c = np.cross(o1[:, i], o2[:, j])
+                n = np.linalg.norm(c)
+                if n > 1e-12:
+                    axes.append(c / n)
+    for u in axes:
+        a, b = c1 @ u, c2 @ u
+        if a.max() <= b.min() + tol or b.max() <= a.min() + tol:
+            return True
+    return False
+
+
+def _random_frame(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))  # a reflection half the time (det = +-1)
+
+
+def test_vectorized_box_test_matches_per_axis_reference():
+    rng = np.random.default_rng(17)
+    verdicts, passed = {2: set(), 3: set()}, 0
+    for trial in range(120):
+        d = 2 + trial % 2
+        box = OSCBox(np.zeros(d), np.ones(d))
+        frames = [_random_frame(rng, d) for _ in range(2)]
+        maps = []
+        for _ in range(4):
+            # a frame shared with another map now and then: equal frames
+            # give degenerate cross products in 3-d
+            o = frames[rng.integers(2)] if rng.random() < 0.5 else _random_frame(rng, d)
+            r = rng.uniform(0.15, 0.45)
+            ext = r * (box.corners() @ o.T)
+            t = rng.uniform(-ext.min(axis=0), 1.0 - ext.max(axis=0))
+            maps.append(SimilarityMap(r, o, t))
+        imgs = [m.apply(box.corners()) for m in maps]
+        want = None
+        for i in range(4):
+            for j in range(i + 1, 4):
+                disjoint = _per_axis_disjoint(imgs[i], imgs[j], maps[i].ortho,
+                                              maps[j].ortho, d)
+                axes = geometry._parallelotope_axes(maps[i].ortho, maps[j].ortho, d)
+                assert geometry._convex_disjoint(imgs[i], imgs[j], axes) == disjoint
+                verdicts[d].add(disjoint)
+                if want is None and not disjoint:
+                    want = "images %d and %d overlap" % (i, j)
+        try:
+            SimilarityIFS(d, maps, osc=box)
+            got = None
+        except InvalidInputError as err:
+            got = str(err)
+        assert got == want, trial
+        passed += got is None
+    assert verdicts == {2: {True, False}, 3: {True, False}} and 0 < passed < 120, passed
 
 
 def test_width_square_half_thickness():
@@ -298,6 +380,23 @@ def test_packing_floor_is_below_the_width():
         positive += floor > 0
         assert floor <= width(ball).w
     assert positive > 100
+
+
+def test_ball_index_spacing_is_the_least_pair_distance():
+    # the spacing comes off a nearest-neighbour query alone, or off the
+    # two-neighbour distances when `_flat_ball_search` has built them first
+    rng = np.random.default_rng(4)
+    pairs = rng.random((40, 2))
+    clouds = [rng.random((300, 2)), np.vstack([pairs, pairs[:3] + 1e-9]),
+              np.vstack([pairs, pairs[5:6]]), render(percolation_ifs(3, 2), depth=3).points]
+    for pts in clouds:
+        gaps = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+        brute = gaps[np.triu_indices(len(pts), 1)].min()
+        alone, ranked = geometry._BallIndex(pts), geometry._BallIndex(pts)
+        assert ranked.near.shape == (len(pts), 2)
+        assert alone.spacing == ranked.spacing == pytest.approx(brute, rel=1e-9, abs=1e-15)
+        assert "near" not in vars(alone)
+    assert geometry._BallIndex(rng.random((30, 3))).spacing == 0.0
 
 
 def test_subset_floor_is_below_the_width(grid6):

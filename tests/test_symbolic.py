@@ -153,6 +153,7 @@ def test_tree_text_orders_letters_numerically():
     assert t.to_text() == "\n".join(["", "1", "1-10", "9", "9-2", "9-11", "10"]) + "\n"
     assert t.level(2) == [Word((1, 10)), Word((9, 2)), Word((9, 11))]
     assert t.children[Word((9,))] == frozenset({2, 11})
+    assert "children" not in vars(t)  # built on each use, not kept on the tree
 
 
 @pytest.mark.parametrize("text", ["\n0\n0-x\n", "\n0\n0--1\n", "\n0\n0-1.5\n", "\n-1\n"])
