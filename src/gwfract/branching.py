@@ -2,7 +2,7 @@
 
 Randomness is counter-based: every tree node owns a 64-bit stream key derived
 from (seed, path), so regeneration is bit-identical and independent of
-traversal order or thread count.
+traversal order.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,11 +34,6 @@ def mix64(x):
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return x ^ (x >> 31)
-
-
-def mix64_vec(x):
-    """SplitMix64 finalizer on a uint64 ndarray (bit-compatible with mix64)."""
-    return _mix64_inplace(np.asarray(x, dtype=np.uint64).copy())
 
 
 _S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
@@ -90,17 +83,6 @@ def labeled_seed(seed, label):
     """Derive an independent 64-bit sub-seed from a master seed and a label."""
     h = hashlib.blake2b(("%s:%d" % (label, int(seed))).encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
-
-
-def parallel_map(fn, items, threads=None):
-    """Order-preserving map over a thread pool; result independent of pool size."""
-    if threads is None:
-        threads = int(os.environ.get("GWFRACT_THREADS", "0")) or (os.cpu_count() or 1)
-    threads = max(1, int(threads))
-    if threads == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +312,6 @@ def offspring_from_json(doc):
 class GWSample:
     tree: FiniteTree
     seed: int
-    params: object
     extinct_at: int | None = None
 
     def level_sizes(self):
@@ -340,8 +321,8 @@ class GWSample:
 class LazyGW:
     """On-demand Galton-Watson realization; a pure function of (params, seed).
 
-    Child sets are memoized, so exploring the same node twice (in any order,
-    from any thread count) yields identical results.
+    Child sets are memoized, so exploring the same node twice (in any order)
+    yields identical results.
     """
 
     def __init__(self, offspring, seed, node_budget=DEFAULT_NODE_BUDGET):
@@ -470,7 +451,7 @@ def sample_gw(offspring, depth, seed, node_budget=DEFAULT_NODE_BUDGET):
         raise InvalidInputError("depth must be >= 1")
     lazy = LazyGW(offspring, seed, node_budget=node_budget)
     tree = lazy.expand(Word(), depth)
-    sample = GWSample(tree=tree, seed=int(seed), params=offspring)
+    sample = GWSample(tree=tree, seed=int(seed))
     sample.extinct_at = tree.extinct_level()
     return sample
 
@@ -483,17 +464,16 @@ def pgf(offspring, s):
     return offspring.pgf(float(s))
 
 
-def extinction_prob(offspring, tol=1e-12, max_iter=10_000_000):
-    """Smallest fixed point of the offspring pgf, enclosed as `smallest_fixed_point` does."""
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+def extinction_prob(offspring):
+    """Smallest fixed point of the offspring pgf, enclosed as `smallest_fixed_point`
+    does, to within 1e-12."""
     pmf = offspring.size_pmf()
     if len(pmf) > 1 and abs(pmf[1] - 1.0) < 1e-15:
         return 0.0  # one child always: the line never dies
     if offspring.mean() <= 1.0:
         return 1.0
     from .fixpoint import _GRID, _enclose  # fixpoint imports this module
-    return _enclose(offspring.pgf, [offspring.pgf(s) for s in _GRID], tol, max_iter, 1024)[1]
+    return _enclose(offspring.pgf, [offspring.pgf(s) for s in _GRID], 1e-12, 10_000_000, 1024)[1]
 
 
 def _population_step(offspring, z, rng):
@@ -519,14 +499,17 @@ def _population_step(offspring, z, rng):
     raise InvalidInputError("unsupported offspring type for population simulation")
 
 
-def mc_extinction_frequency(offspring, depth, trials, seed, cap=100_000_000):
+def mc_extinction_frequency(offspring, depth, trials, seed):
     """Monte-Carlo frequency of dying out by `depth`, via exact population counts.
 
-    Populations above `cap` individuals are frozen as survivors; the neglected
-    extinction mass is below q^cap, far under any tolerance in use.
+    Populations above `cap` = 10^8 individuals are frozen as survivors; the
+    neglected extinction mass is below q^cap, far under any tolerance in use.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    if depth < 0:
+        raise InvalidInputError("depth must be >= 0")
+    cap = 100_000_000
     rng = np.random.Generator(np.random.Philox(key=labeled_seed(seed, "mcext")))
     z = np.ones(trials, dtype=np.int64)
     for _ in range(depth):

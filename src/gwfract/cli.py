@@ -125,6 +125,19 @@ def _say(line):
 # shorthand parsing
 
 
+def _cast(cast, val, what):
+    """cast(val); a value that `cast` rejects is bad input."""
+    try:
+        return cast(val)
+    except (TypeError, ValueError):
+        raise InvalidInputError("bad %s value %r" % (what, val)) from None
+
+
+def _split(cast, text, what):
+    """The comma list `text`, each item cast."""
+    return [_cast(cast, x, what) for x in str(text).split(",")]
+
+
 def parse_percolation(text):
     """Shorthand 'b=3,d=2,p=0.6'."""
     out = {}
@@ -133,10 +146,7 @@ def parse_percolation(text):
         key = key.strip()
         if not sep or key not in ("b", "d", "p"):
             raise InvalidInputError("percolation shorthand wants b=,d=,p=")
-        try:
-            out[key] = float(val) if key == "p" else int(val)
-        except ValueError:
-            raise InvalidInputError("bad percolation value %r" % val)
+        out[key] = _cast(float if key == "p" else int, val, "percolation")
     missing = [k for k in ("b", "d", "p") if k not in out]
     if missing:
         raise InvalidInputError("percolation shorthand missing %s"
@@ -149,9 +159,10 @@ def parse_offspring_spec(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise InvalidInputError("binomial shorthand is bin:N:p")
-        return {"kind": "binomial", "n": int(parts[1]), "p": float(parts[2])}
+        return {"kind": "binomial", "n": _cast(int, parts[1], "offspring"),
+                "p": _cast(float, parts[2], "offspring")}
     if text.startswith("bern:"):
-        probs = [float(x) for x in text[5:].split(",") if x.strip()]
+        probs = [_cast(float, x, "offspring") for x in text[5:].split(",") if x.strip()]
         return {"kind": "bernoulli", "p": probs}
     if os.path.exists(text):
         with open(text) as fh:
@@ -162,15 +173,13 @@ def parse_offspring_spec(text):
 
 def parse_collection_spec(text):
     if text.startswith("ary:"):
-        return {"kind": "ary", "a": int(text[4:])}
+        return {"kind": "ary", "a": _cast(int, text[4:], "collection")}
     if text.startswith("diffuse-block:"):
         parts = text.split(":")[1:]
         if len(parts) not in (2, 3):
             raise InvalidInputError("shorthand is diffuse-block:b:k[:d]")
-        doc = {"kind": "diffuse_block", "b": int(parts[0]), "k": int(parts[1])}
-        if len(parts) == 3:
-            doc["d"] = int(parts[2])
-        return doc
+        nums = [_cast(int, x, "collection") for x in parts]
+        return dict(zip(("kind", "b", "k", "d"), ["diffuse_block"] + nums))
     if os.path.exists(text):
         with open(text) as fh:
             return json.load(fh)
@@ -201,7 +210,7 @@ def build_parser():
                         help="machine JSON on stdout")
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
         sp.add_argument("--threads", type=int,
-                        help="thread cap; default GWFRACT_THREADS or cores")
+                        help="has no effect: gwfract runs on one thread")
         sp.add_argument("--percolation", metavar="b=3,d=2,p=0.6",
                         help="grid IFS plus binomial offspring shorthand")
         sp.add_argument("--ifs", metavar="PATH", help="IFS JSON file")
@@ -368,8 +377,10 @@ def resolve_model(cfg, need_ifs=True, need_offspring=True):
     return ifs, offspring
 
 
-def _p(cfg, key, default=None):
-    return cfg.get("params", {}).get(key, default)
+def _p(cfg, key, default=None, cast=None):
+    """params[key], or `default`; passed through `cast` when one is given."""
+    val = cfg.get("params", {}).get(key, default)
+    return val if cast is None or val is None else _cast(cast, val, key)
 
 
 def _write_text(path, text):
@@ -405,13 +416,13 @@ def measured_from_csv(text):
 
 def cmd_simulate(cfg):
     ifs, offspring = resolve_model(cfg)
-    depth = int(_p(cfg, "depth", 4))
+    depth = _p(cfg, "depth", 4, int)
     seed = int(cfg.get("seed", 0))
     sample = sample_gw(offspring, depth, seed)
     cloud = render(ifs, tree=sample.tree)
     if _p(cfg, "render"):
         _write_bytes(_p(cfg, "render"),
-                     cloud_to_pgm(cloud, pixels=int(_p(cfg, "pixels", 512))))
+                     cloud_to_pgm(cloud, pixels=_p(cfg, "pixels", 512, int)))
     if _p(cfg, "tree_out"):
         _write_text(_p(cfg, "tree_out"), sample.tree.to_text())
     if _p(cfg, "cloud_out"):
@@ -432,10 +443,10 @@ def cmd_extinction(cfg):
     q = extinction_prob(offspring)
     payload = {"command": "extinction", "q": q}
     human = "extinction probability q = %.12g\n" % q
-    trials = _p(cfg, "trials")
+    trials = _p(cfg, "trials", cast=int)
     if trials:
-        mc = mc_extinction_frequency(offspring, int(_p(cfg, "mc_depth", 30)),
-                                     int(trials), int(cfg.get("seed", 0)))
+        mc = mc_extinction_frequency(offspring, _p(cfg, "mc_depth", 30, int),
+                                     trials, int(cfg.get("seed", 0)))
         payload["mc"] = mc
         human += ("frequency by depth %d: %.6g +- %.2g (%d trials)\n"
                   % (mc["depth"], mc["frequency"], mc["se"], mc["trials"]))
@@ -456,9 +467,9 @@ def cmd_fixpoint(cfg):
     coll = collection_from_json(cfg["collection"])
     gf = GFunction(offspring, coll,
                    strategy=_p(cfg, "strategy", "auto"),
-                   sample_size=int(_p(cfg, "trials", 100_000)),
+                   sample_size=_p(cfg, "trials", 100_000, int),
                    seed=int(cfg.get("seed", 0)))
-    tol = _p(cfg, "tol")
+    tol = _p(cfg, "tol", cast=float)
     res = smallest_fixed_point(gf, **({"tol": tol} if tol else {}))
     payload = {"command": "fixpoint", "strategy": gf.strategy}
     payload.update({k: v for k, v in res.items() if k != "iterates"})
@@ -474,26 +485,25 @@ def cmd_fixpoint(cfg):
 
 def cmd_gk_curve(cfg):
     _, offspring = resolve_model(cfg, need_ifs=False)
-    s = float(_p(cfg, "s", 0.5))
-    trials = int(_p(cfg, "trials", 100_000))
+    s = _p(cfg, "s", 0.5, float)
+    trials = _p(cfg, "trials", 100_000, int)
     seed = int(cfg.get("seed", 0))
     rows = []
     if _p(cfg, "k") is not None:
-        k = int(_p(cfg, "k"))
-        a = _p(cfg, "a")
+        k = _p(cfg, "k", cast=int)
+        a = _p(cfg, "a", cast=int)
         if a is None:
-            c = _p(cfg, "c")
+            c = _p(cfg, "c", cast=float)
             if c is None:
                 raise InvalidInputError("single-point mode wants --a or --c")
-            a = math.ceil(float(c) ** k)
-        rows.append(g_k_a_curve(offspring, k, int(a), s, trials=trials,
+            a = math.ceil(c ** k)
+        rows.append(g_k_a_curve(offspring, k, a, s, trials=trials,
                                 seed=labeled_seed(seed, "gk%d" % k)))
     else:
-        c = _p(cfg, "c")
+        c = _p(cfg, "c", cast=float)
         if c is None:
             raise InvalidInputError("need --c (or --k with --a)")
-        c = float(c)
-        for k in range(1, int(_p(cfg, "k_max", 6)) + 1):
+        for k in range(1, _p(cfg, "k_max", 6, int) + 1):
             rows.append(g_k_a_curve(offspring, k, math.ceil(c ** k), s,
                                     trials=trials,
                                     seed=labeled_seed(seed, "gk%d" % k)))
@@ -518,7 +528,7 @@ def cmd_extract(cfg):
     kwargs = {}
     for key in ("depth", "scan_budget", "node_budget"):
         if _p(cfg, key) is not None:
-            kwargs[key] = int(_p(cfg, key))
+            kwargs[key] = _p(cfg, key, cast=int)
     if pipeline == "block":
         perc = cfg.get("percolation")
         if not perc:
@@ -527,7 +537,7 @@ def cmd_extract(cfg):
             if _p(cfg, key) is None:
                 raise InvalidInputError("block pipeline wants --c and --k")
         es = percolation_pipeline(perc["b"], perc["d"], perc["p"],
-                                  c=int(_p(cfg, "c")), k=int(_p(cfg, "k")),
+                                  c=_p(cfg, "c", cast=float), k=_p(cfg, "k", cast=int),
                                   seed=seed, **kwargs)
     elif pipeline == "section":
         ifs, offspring = resolve_model(cfg)
@@ -536,10 +546,10 @@ def cmd_extract(cfg):
                 raise InvalidInputError(
                     "section pipeline wants --rho, --alpha and --c")
         if _p(cfg, "levels") is not None:
-            kwargs["n_levels"] = int(_p(cfg, "levels"))
-        es = general_pipeline(ifs, offspring, rho=float(_p(cfg, "rho")),
-                              alpha=float(_p(cfg, "alpha")),
-                              c=float(_p(cfg, "c")), seed=seed, **kwargs)
+            kwargs["n_levels"] = _p(cfg, "levels", cast=int)
+        es = general_pipeline(ifs, offspring, rho=_p(cfg, "rho", cast=float),
+                              alpha=_p(cfg, "alpha", cast=float),
+                              c=_p(cfg, "c", cast=float), seed=seed, **kwargs)
     else:
         raise InvalidInputError("need --pipeline block or section")
     if _p(cfg, "tree_out"):
@@ -552,7 +562,7 @@ def cmd_extract(cfg):
         _write_text(_p(cfg, "measure_out"), es.measure_csv())
     if _p(cfg, "render"):
         _write_bytes(_p(cfg, "render"),
-                     cloud_to_pgm(es.cloud(), pixels=int(_p(cfg, "pixels", 512))))
+                     cloud_to_pgm(es.cloud(), pixels=_p(cfg, "pixels", 512, int)))
     payload = {"command": "extract"}
     payload.update(es.to_json())
     pred = es.stats.get("predicted")
@@ -568,9 +578,9 @@ def cmd_extract(cfg):
 
 def cmd_diffuse_cert(cfg):
     ifs, _ = resolve_model(cfg, need_offspring=False)
-    F = _attractor_cloud(ifs, target=int(_p(cfg, "points", 2000)))
+    F = _attractor_cloud(ifs, target=_p(cfg, "points", 2000, int))
     res = diffuseness_constant(ifs.maps, F,
-                               directions=int(_p(cfg, "directions", 2000)))
+                               directions=_p(cfg, "directions", 2000, int))
     payload = {"command": "diffuse-cert", "c_low": res.c_low,
                "raw_min": res.raw_min, "tol": res.tol, "note": res.note,
                "witness": res.witness}
@@ -583,59 +593,59 @@ def cmd_diffuse_cert(cfg):
 def _cloud_from_cfg(cfg, allow_sample=False):
     if _p(cfg, "cloud"):
         with open(_p(cfg, "cloud")) as fh:
-            return cloud_from_csv(fh.read(), eps=float(_p(cfg, "eps", 0.0)))
+            return cloud_from_csv(fh.read(), eps=_p(cfg, "eps", 0.0, float))
     ifs, offspring = resolve_model(cfg, need_offspring=False)
-    depth = _p(cfg, "depth")
+    depth = _p(cfg, "depth", cast=int)
     if depth is None:
         raise InvalidInputError("need --cloud or a model with --depth")
     if allow_sample and _p(cfg, "sample"):
         if offspring is None:
             raise InvalidInputError("--sample wants an offspring law")
-        tree = sample_gw(offspring, int(depth), int(cfg.get("seed", 0))).tree
+        tree = sample_gw(offspring, depth, int(cfg.get("seed", 0))).tree
         return render(ifs, tree=tree)
-    return render(ifs, depth=int(depth))
+    return render(ifs, depth=depth)
 
 
 def cmd_check_diffuse(cfg):
-    beta = _p(cfg, "beta")
+    beta = _p(cfg, "beta", cast=float)
     if beta is None:
         raise InvalidInputError("need --beta")
     cloud = _cloud_from_cfg(cfg)
-    res = empirical_diffuse_check(cloud, float(beta),
-                                  scale_count=int(_p(cfg, "scales", 3)),
-                                  sample_count=int(_p(cfg, "balls", 200)),
+    res = empirical_diffuse_check(cloud, beta,
+                                  scale_count=_p(cfg, "scales", 3, int),
+                                  sample_count=_p(cfg, "balls", 200, int),
                                   seed=int(cfg.get("seed", 0)))
     payload = {"command": "check-diffuse"}
     payload.update(res)
     human = ("%s: worst ratio %.6g over %d balls at beta %.3g\n"
              % ("pass" if res["pass"] else "FAIL", res["worst_ratio"], res["tested"],
-                float(beta)))
+                beta))
     return payload, human, 0 if res["pass"] else 3
 
 
 def cmd_check_ahlfors(cfg):
     if not _p(cfg, "measured"):
         raise InvalidInputError("need --measured CSV (x...,mass,radius)")
-    alpha = _p(cfg, "alpha")
+    alpha = _p(cfg, "alpha", cast=float)
     if alpha is None:
         raise InvalidInputError("need --alpha")
-    cap = _p(cfg, "max_spread")
-    if cap is not None and not float(cap) > 0:
+    cap = _p(cfg, "max_spread", cast=float)
+    if cap is not None and not cap > 0:
         raise InvalidInputError("--max-spread must be positive")
     with open(_p(cfg, "measured")) as fh:
         mc = measured_from_csv(fh.read())
-    res = ahlfors_ratio_check(mc, float(alpha),
-                              sample_count=int(_p(cfg, "balls", 1000)),
+    res = ahlfors_ratio_check(mc, alpha,
+                              sample_count=_p(cfg, "balls", 1000, int),
                               seed=int(cfg.get("seed", 0)),
-                              r_count=int(_p(cfg, "r_count", 6)))
-    payload = {"command": "check-ahlfors", "alpha": float(alpha),
+                              r_count=_p(cfg, "r_count", 6, int))
+    payload = {"command": "check-ahlfors", "alpha": alpha,
                "c1_hat": res.c1_hat, "c2_hat": res.c2_hat,
                "spread": res.spread, "samples": len(res.samples)}
     human = ("c1_hat %.6g, c2_hat %.6g, spread %.6g over %d sampled balls\n"
              % (res.c1_hat, res.c2_hat, res.spread, len(res.samples)))
     code = 0
-    if cap is not None and res.spread > float(cap):
-        human += "spread exceeds %.3g\n" % float(cap)
+    if cap is not None and res.spread > cap:
+        human += "spread exceeds %.3g\n" % cap
         code = 3
     return payload, human, code
 
@@ -644,9 +654,9 @@ def cmd_boxdim(cfg):
     cloud = _cloud_from_cfg(cfg, allow_sample=True)
     kwargs = {}
     if _p(cfg, "scales"):
-        kwargs["scales"] = [float(x) for x in str(_p(cfg, "scales")).split(",")]
+        kwargs["scales"] = _split(float, _p(cfg, "scales"), "scales")
     elif _p(cfg, "scale_count"):
-        kwargs["scale_count"] = int(_p(cfg, "scale_count"))
+        kwargs["scale_count"] = _p(cfg, "scale_count", cast=int)
     if _p(cfg, "anchor"):
         kwargs["anchor"] = _p(cfg, "anchor")
     dim, table = box_dimension(cloud, **kwargs)
@@ -675,28 +685,23 @@ def cmd_experiment(cfg):
     kwargs = {"b": perc["b"], "d": perc["d"], "p": perc["p"]}
     for key, cast in _EXP_PARAM_KEYS[exp_id].items():
         if _p(cfg, key) is not None:
-            kwargs[key] = cast(_p(cfg, key))
+            kwargs[key] = _p(cfg, key, cast=cast)
     if "budget" in kwargs:
         kwargs["search_budget"] = kwargs.pop("budget")
     if exp_id == "convergence-g-k":
         if "c" not in kwargs:
             raise InvalidInputError("convergence-g-k wants --c")
         if _p(cfg, "k_max"):
-            kwargs["k_range"] = tuple(range(1, int(_p(cfg, "k_max")) + 1))
+            kwargs["k_range"] = tuple(range(1, _p(cfg, "k_max", cast=int) + 1))
         kwargs["seed"] = int(cfg.get("seed", 0))
-        kwargs["threads"] = cfg.get("threads")
     elif exp_id == "dimension-ladder":
         if _p(cfg, "c_seq"):
-            kwargs["c_sequence"] = tuple(
-                int(x) for x in str(_p(cfg, "c_seq")).split(","))
+            kwargs["c_sequence"] = _split(int, _p(cfg, "c_seq"), "c_seq")
         if _p(cfg, "seeds"):
-            kwargs["seeds"] = tuple(
-                int(x) for x in str(_p(cfg, "seeds")).split(","))
-        kwargs["threads"] = cfg.get("threads")
+            kwargs["seeds"] = _split(int, _p(cfg, "seeds"), "seeds")
     else:
         if _p(cfg, "beta_ladder"):
-            kwargs["beta_ladder"] = tuple(
-                float(x) for x in str(_p(cfg, "beta_ladder")).split(","))
+            kwargs["beta_ladder"] = _split(float, _p(cfg, "beta_ladder"), "beta_ladder")
         kwargs["seed"] = int(cfg.get("seed", 0))
     rep = fn(**kwargs)
     if cfg.get("outdir"):
@@ -723,15 +728,15 @@ def cmd_render(cfg):
             raise InvalidInputError("--sample wants an offspring law")
         if _p(cfg, "depth") is None:
             raise InvalidInputError("--sample wants --depth")
-        tree = sample_gw(offspring, int(_p(cfg, "depth")),
+        tree = sample_gw(offspring, _p(cfg, "depth", cast=int),
                          int(cfg.get("seed", 0))).tree
         cloud = render(ifs, tree=tree)
     else:
         if _p(cfg, "depth") is None:
             raise InvalidInputError("need --depth, --sample or --tree")
-        cloud = render(ifs, depth=int(_p(cfg, "depth")))
+        cloud = render(ifs, depth=_p(cfg, "depth", cast=int))
     out = _p(cfg, "out", "render.pgm")
-    _write_bytes(out, cloud_to_pgm(cloud, pixels=int(_p(cfg, "pixels", 512))))
+    _write_bytes(out, cloud_to_pgm(cloud, pixels=_p(cfg, "pixels", 512, int)))
     if _p(cfg, "cloud_out"):
         _write_text(_p(cfg, "cloud_out"), cloud_to_csv(cloud))
     payload = {"command": "render", "points": int(len(cloud.points)),
@@ -768,13 +773,10 @@ def _emit_error(as_json, kind, exc, extra=None):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     as_json = bool(getattr(args, "json", False))
-    saved_threads = os.environ.get("GWFRACT_THREADS")
     try:
         cfg = merge_config(args)
         _validate_config(cfg)
         as_json = bool(cfg.get("json", False))
-        if cfg.get("threads"):
-            os.environ["GWFRACT_THREADS"] = str(int(cfg["threads"]))
         payload, human, code = HANDLERS[cfg["command"]](cfg)
     except (InvalidInputError, jsonschema.ValidationError,
             json.JSONDecodeError) as e:
@@ -793,12 +795,6 @@ def main(argv=None):
     except (ResourceLimitError, CapabilityError) as e:
         _emit_error(as_json, "resource-limit", e)
         return 4
-    finally:
-        # the setting belongs to this call; in-process callers keep their own
-        if saved_threads is None:
-            os.environ.pop("GWFRACT_THREADS", None)
-        else:
-            os.environ["GWFRACT_THREADS"] = saved_threads
     if as_json:
         sys.stdout.write(json.dumps(_jsonify(payload), indent=2,
                                     sort_keys=True, allow_nan=False) + "\n")

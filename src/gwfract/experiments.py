@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .symbolic import DegenerateSampleError, InvalidInputError
 from .branching import (Binomial, extinction_prob, labeled_seed,
-                        mc_extinction_frequency, parallel_map, sample_gw)
+                        mc_extinction_frequency, sample_gw)
 from .fixpoint import g_k_a_curve
 from .geometry import (box_dimension, cloud_to_pgm, empirical_diffuse_check,
                        percolation_ifs, render)
@@ -82,9 +82,8 @@ class ExperimentReport:
             "notes": self.notes,
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.payload(), indent=indent, sort_keys=True,
-                          allow_nan=False)
+    def to_json(self):
+        return json.dumps(self.payload(), indent=2, sort_keys=True, allow_nan=False)
 
     def curves_csv(self):
         out = {}
@@ -115,7 +114,7 @@ class ExperimentReport:
 
 
 def exp_convergence_g_k(b, d, p, c, s=0.5, k_range=(1, 2, 3, 4, 5, 6),
-                        trials=100_000, seed=0, threads=None, conv_tol=0.05):
+                        trials=100_000, seed=0, conv_tol=0.05):
     """Curve of undershoot probabilities with target count a_k = ceil(c^k).
 
     For c below the offspring mean the curve should fall toward the extinction
@@ -134,11 +133,8 @@ def exp_convergence_g_k(b, d, p, c, s=0.5, k_range=(1, 2, 3, 4, 5, 6),
     m = offspring.mean()
     rising = c > m
 
-    def point(k):
-        return g_k_a_curve(offspring, k, math.ceil(c ** k), s, trials=trials,
-                           seed=labeled_seed(seed, "gk%d" % k))
-
-    rows = parallel_map(point, ks, threads=threads)
+    rows = [g_k_a_curve(offspring, k, math.ceil(c ** k), s, trials=trials,
+                        seed=labeled_seed(seed, "gk%d" % k)) for k in ks]
     q = extinction_prob(offspring)
     mc = mc_extinction_frequency(offspring, depth=30, trials=trials,
                                  seed=labeled_seed(seed, "ext"))
@@ -216,7 +212,7 @@ def _slope_ci(table):
 
 def exp_dimension_ladder(b, d, p, c_sequence=(2, 3, 4), depth=None,
                          seeds=(0, 1, 2, 3), pipeline="auto", c_diffuse=0.05,
-                         dim_tol=0.1, node_budget=400_000_000, threads=None):
+                         dim_tol=0.1):
     """Extract one subset per branching target c and box-count its dimension.
 
     pipeline "auto" tries the block scan only when its own presence prediction
@@ -259,7 +255,7 @@ def exp_dimension_ladder(b, d, p, c_sequence=(2, 3, 4), depth=None,
                 try:
                     es = percolation_pipeline(b, d, p, c=c_n, k=kb, depth=depth,
                                               seed=sd, scan_budget=16,
-                                              node_budget=node_budget)
+                                              node_budget=400_000_000)
                     return es, "percolation", sd, notes
                 except NotFoundError:
                     notes.append("c=%d block scan seed %d: no witness within "
@@ -272,7 +268,7 @@ def exp_dimension_ladder(b, d, p, c_sequence=(2, 3, 4), depth=None,
             try:
                 es = general_pipeline(ifs, offspring, rho=rho, alpha=alpha,
                                       c=c_diffuse, depth=depth, seed=sd,
-                                      n_levels=2, node_budget=node_budget)
+                                      n_levels=2, node_budget=400_000_000)
                 return es, "general", sd, notes
             except NotFoundError:
                 notes.append("c=%d section scan seed %d: no witness within "
@@ -281,7 +277,7 @@ def exp_dimension_ladder(b, d, p, c_sequence=(2, 3, 4), depth=None,
                 notes.append("c=%d seed %d: %s" % (c_n, sd, e))
         return None, None, None, notes
 
-    points = parallel_map(run_point, cs, threads=threads)
+    points = [run_point(c_n) for c_n in cs]
 
     estimates = []
     ladder_rows = []
@@ -366,9 +362,8 @@ def exp_dimension_ladder(b, d, p, c_sequence=(2, 3, 4), depth=None,
 
 
 def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
-                        search_budget=10_000, seed=0, depth=7,
-                        extract_rho=None, extract_alpha=None, c_diffuse=0.05,
-                        control_depth=5, profile_balls=900):
+                        search_budget=10_000, seed=0, depth=7, c_diffuse=0.05,
+                        control_depth=5):
     """Flat balls exist in the raw sample but not in the extracted subset.
 
     Three clouds are probed: the raw percolation sample (a flat ball at the
@@ -400,16 +395,14 @@ def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
     search = geometry._flat_ball_search(cloud, beta_star, search_budget,
                                         labeled_seed(seed, "search"))
     profile = empirical_diffuse_check(cloud, beta_star,
-                                      sample_count=profile_balls,
+                                      sample_count=900,
                                       seed=labeled_seed(seed, "profile"))
     del cloud._ball_index  # shared by the two checks above; freed before the control's
 
     # subset from the same master seed, checked at its certified beta
-    if extract_rho is None:
-        extract_rho = float(b) ** (-4)
-    if extract_alpha is None:
-        arity = 2 ** int(math.ceil(math.log2(N * N)))
-        extract_alpha = math.log(arity) / (4.0 * math.log(b))
+    extract_rho = float(b) ** (-4)
+    arity = 2 ** int(math.ceil(math.log2(N * N)))
+    extract_alpha = math.log(arity) / (4.0 * math.log(b))
     notes = []
     es = None
     for sd in (seed, seed + 1, seed + 2, seed + 3):
@@ -473,8 +466,8 @@ def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
         experiment="non_diffuseness",
         params={"b": b, "d": d, "p": p, "beta_ladder": betas,
                 "search_budget": int(search_budget), "seed": int(seed),
-                "depth": int(depth), "extract_rho": float(extract_rho),
-                "extract_alpha": float(extract_alpha),
+                "depth": int(depth), "extract_rho": extract_rho,
+                "extract_alpha": extract_alpha,
                 "c_diffuse": float(c_diffuse),
                 "control_depth": int(control_depth)},
         estimates=estimates,

@@ -206,8 +206,10 @@ class SectionDiffuse(SubtreePredicate):
     family whose certified constant falls below c counts as a non-member.
     """
 
-    def __init__(self, rho, c, ifs, F_cloud=None, k=None, directions=200,
-                 cert_budget=4096):
+    # families certified per predicate before the scan gives up
+    CERT_BUDGET = 4096
+
+    def __init__(self, rho, c, ifs, F_cloud=None, k=None, directions=200):
         self.rho = float(rho)
         self.c = float(c)
         if self.c <= 0:
@@ -215,7 +217,6 @@ class SectionDiffuse(SubtreePredicate):
         self.ifs = ifs
         self.k = None if k is None else int(k)
         self.directions = int(directions)
-        self.cert_budget = int(cert_budget)
         self.cert_count = 0
         self.base_n = ifs.alphabet_size
         self.F = F_cloud if F_cloud is not None else _attractor_cloud(ifs)
@@ -229,10 +230,10 @@ class SectionDiffuse(SubtreePredicate):
         ok = self._ok.get(key)
         if ok is None:
             self.cert_count += 1
-            if self.cert_count > self.cert_budget:
+            if self.cert_count > self.CERT_BUDGET:
                 raise CapabilityError(
                     "diffuseness certification budget exhausted after %d families"
-                    % self.cert_budget
+                    % self.CERT_BUDGET
                 )
             res = diffuseness_constant(family(), self.F, directions=self.directions)
             ok = self._ok[key] = res.c_low >= self.c
@@ -354,10 +355,12 @@ def diffuse_block_collection(b, k, d=2):
         for p in range(pred.alphabet // pred.block))
 
 
-def _attractor_cloud(ifs, target=2000, node_cap=50_000):
+def _attractor_cloud(ifs, target=2000):
+    """The attractor rendered at the least depth with `target` points, capped
+    at 50,000 points."""
     n = ifs.alphabet_size
     depth = max(1, math.ceil(math.log(target) / math.log(n)))
-    while depth > 1 and n ** depth > node_cap:
+    while depth > 1 and n ** depth > 50_000:
         depth -= 1
     return render(ifs, depth=depth)
 

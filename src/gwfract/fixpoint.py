@@ -460,9 +460,9 @@ def _binomial_of_poly(h, n, p, L):
 def g_k_a_curve(offspring, k, a_k, s, trials=100_000, seed=0):
     """P(count of thinning survivors at level k is below a_k).
 
-    Exact for binomial offspring with k <= 6 via truncated pgf composition
-    (truncation below a_k is lossless for the tail being summed); otherwise a
-    flagged Monte-Carlo estimate from population counts.
+    Exact for binomial offspring with k <= 6 or a_k <= 4096 via truncated pgf
+    composition (truncation below a_k is lossless for the tail being summed);
+    otherwise a flagged Monte-Carlo estimate from population counts.
     """
     k = int(k)
     a_k = int(a_k)

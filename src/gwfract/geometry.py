@@ -109,13 +109,13 @@ def _parallelotope_axes(o1, o2, d):
     return np.hstack(axes)
 
 
-def _convex_disjoint(c1, c2, axes, tol=1e-12):
+def _convex_disjoint(c1, c2, axes):
     """Separating-axis test of the hulls of the corner sets c1 and c2 on
     the columns of `axes`, all projected at once; touching boundaries count
     as disjoint interiors."""
     a, b = c1 @ axes, c2 @ axes
-    return bool(((a.max(axis=0) <= b.min(axis=0) + tol)
-                 | (b.max(axis=0) <= a.min(axis=0) + tol)).any())
+    return bool(((a.max(axis=0) <= b.min(axis=0) + 1e-12)
+                 | (b.max(axis=0) <= a.min(axis=0) + 1e-12)).any())
 
 
 class SimilarityIFS:
@@ -217,7 +217,7 @@ class PointCloud:
 
     @cached_property
     def width(self):
-        """`width(self)` at its default directions, computed on first use."""
+        """`width(self)`, computed on first use."""
         return width(self)
 
     @cached_property
@@ -340,10 +340,9 @@ def render(ifs, tree=None, depth=None, base_point=None):
 # dimension solvers
 
 
-def moran_exponent(offspring, weights, tol=1e-12):
-    """Exponent where the expected weighted sum of kept ratios equals 1."""
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+def moran_exponent(offspring, weights):
+    """Exponent where the expected weighted sum of kept ratios equals 1, to
+    within 1e-12 in that sum."""
     probs = offspring.letter_probs()
     ratios = np.asarray(weights.ratios, dtype=float)
     if len(probs) != len(ratios):
@@ -362,7 +361,7 @@ def moran_exponent(offspring, weights, tol=1e-12):
     for _ in range(500):
         mid = 0.5 * (lo + hi)
         v = psi(mid)
-        if abs(v - 1.0) <= tol:
+        if abs(v - 1.0) <= 1e-12:
             return mid
         if v > 1.0:
             lo = mid
@@ -492,11 +491,12 @@ def _golden_min(f, a, b, iters=60):
     return x, f(x), b - a
 
 
-def _edge_normal_width(hv, chunk=512):
+def _edge_normal_width(hv):
     """Unit normal of the thinnest slab around a convex polygon given by its
     vertices in order: the normal of one of its edges (Houle and Toussaint,
     "Computing the width of a set", IEEE PAMI 1988).  Edges are projected in
-    chunks, so memory stays linear in the vertex count."""
+    chunks of 512, so memory stays linear in the vertex count."""
+    chunk = 512
     e = np.concatenate((hv[1:], hv[:1])) - hv
     nrm = np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1])
     keep = nrm >= 1e-15
@@ -510,12 +510,12 @@ def _edge_normal_width(hv, chunk=512):
     return u[int(np.argmin(spans))]
 
 
-def width(cloud, directions=2000):
+def width(cloud):
     """Smallest half-thickness of a slab containing the cloud, with witness.
 
     At most d points lie in a hyperplane: width exactly 0.  d=2 is exact (the
     optimal normal is perpendicular to a hull edge); d>=3 uses a quasi-uniform
-    direction grid with local refinement.
+    grid of 2000 directions (d>=4: Philox key 2000) with local refinement.
     """
     pts = np.atleast_2d(np.asarray(cloud.points if isinstance(cloud, PointCloud) else cloud,
                                    dtype=float))
@@ -543,10 +543,10 @@ def width(cloud, directions=2000):
 
     hv = cloud.hull if isinstance(cloud, PointCloud) else _hull_vertices(pts)
     if d == 3:
-        grid = _fibonacci_sphere(int(directions))
+        grid = _fibonacci_sphere(2000)
     else:
-        rng = np.random.Generator(np.random.Philox(key=directions))
-        raw = rng.normal(size=(max(int(directions), 100), d))
+        rng = np.random.Generator(np.random.Philox(key=2000))
+        raw = rng.normal(size=(2000, d))
         grid = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     grid = np.vstack([grid, u0.reshape(1, -1)])
     proj = hv @ grid.T
@@ -879,18 +879,18 @@ def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0
             "scales": xis, "eps": cloud.eps}
 
 
-def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None,
-                      targeted_frac=0.3):
+def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None):
     """Seeded hunt for one flat ball: random centers plus the most isolated
     points, over a dyadic scale ladder down to the sample's own resolution.
 
     A ball holding at most d points has width exactly zero, so isolated or
     near-isolated local configurations are the natural witnesses; candidates
     are ranked by their second-neighbour distance so those configurations are
-    reached within the budget.  Every examined ball counts against the budget;
-    `_BallWidths` measures the ratio w / xi exactly wherever it can decide
-    `found`, `best` or a scale's least ratio, and clears the other balls by
-    its packing, subset and ball floors (`cleared`).
+    reached within the budget (30% of it, at most one per point).  Every
+    examined ball counts against the budget; `_BallWidths` measures the ratio
+    w / xi exactly wherever it can decide `found`, `best` or a scale's least
+    ratio, and clears the other balls by its packing, subset and ball floors
+    (`cleared`).
     """
     pts = cloud.points
     n = len(pts)
@@ -933,7 +933,7 @@ def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None,
         if found is None and ratio <= beta:
             found = rec
 
-    n_random = budget - min(n, max(1, int(budget * targeted_frac)))
+    n_random = budget - min(n, max(1, int(budget * 0.3)))
     per_scale = max(1, n_random // len(scales))
     for xi in scales:
         centers = pts[rng.integers(0, n, size=per_scale)]
@@ -1153,20 +1153,15 @@ def cloud_from_csv(text, eps=0.0):
     return PointCloud(_csv_rows(text, "cloud"), eps)
 
 
-def cloud_to_pgm(cloud, pixels=512, lo=None, hi=None):
-    """Binary PGM raster; a pixel is white iff some point falls inside it."""
+def cloud_to_pgm(cloud, pixels=512):
+    """Binary PGM raster of the unit square's first two coordinates; a pixel
+    is white iff some point falls inside it."""
     pts = cloud.points
-    if lo is None:
-        lo = (0.0, 0.0)
-    if hi is None:
-        hi = (1.0, 1.0)
-    lo = np.asarray(lo, dtype=float)[:2]
-    hi = np.asarray(hi, dtype=float)[:2]
     w = h = int(pixels)
     raster = np.zeros((h, w), dtype=np.uint8)
     if len(pts):
         xy = pts[:, :2]
-        ij = np.floor((xy - lo) / (hi - lo) * [w, h]).astype(np.int64)
+        ij = np.floor(xy * [w, h]).astype(np.int64)
         ij = np.clip(ij, 0, [w - 1, h - 1])
         raster[h - 1 - ij[:, 1], ij[:, 0]] = 255
     header = ("P5\n%d %d\n255\n" % (w, h)).encode()

@@ -1,7 +1,7 @@
 """Words, finite trees, sections, and compression along the graded sections.
 
 Everything here is purely combinatorial; all types are immutable after
-construction and safe to share across workers.
+construction.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Every public name has a caller in the package or the benchmark harness."""
+"""Every public name has a caller in the package or the benchmark harness, and
+the package reads no environment and starts no threads or processes."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,23 @@ def test_every_export_is_loaded_outside_its_definition():
     exports = _exports()
     assert set(UNCALLED_OK) <= exports
     assert sorted(exports - loaded - set(UNCALLED_OK)) == []
+
+
+def test_no_environment_input_and_no_concurrency():
+    # outputs are a function of (config, seed) alone
+    banned = ("concurrent", "threading", "multiprocessing")
+    found = []
+    for f in sorted((ROOT / "src/gwfract").glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names
+                                               if node.module == "os"]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += ["%s:%d %s" % (f.name, node.lineno, n) for n in names
+                      if n.split(".")[0] in banned or n in ("environ", "environb", "getenv")]
+    assert found == []

@@ -102,6 +102,29 @@ def test_bad_shorthand_exits_2():
     assert json.loads(out)["error"] == "invalid-config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["fixpoint", "--offspring", "bin:x:0.5", "--collection", "ary:2"],
+    ["extinction", "--offspring", "bern:0.5,zz"],
+    ["fixpoint", "--offspring", "bin:3:0.9", "--collection", "ary:q"],
+    ["fixpoint", "--offspring", "bin:9:0.9", "--collection", "diffuse-block:2:x"],
+    ["boxdim", "--percolation", "b=3,d=2,p=0.6", "--depth", "3", "--scales", "0.5,abc"],
+    ["experiment", "dimension-ladder", "--percolation", "b=3,d=2,p=0.7", "--c-seq", "2,x"],
+    ["experiment", "dimension-ladder", "--percolation", "b=3,d=2,p=0.7", "--seeds", "0,y"],
+    ["experiment", "non-diffuseness", "--percolation", "b=3,d=2,p=0.6",
+     "--beta-ladder", "0.1,zz"],
+    ["simulate", "--config", "CFG"],
+])
+def test_value_that_is_not_a_number_exits_2(tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "simulate",
+                               "percolation": {"b": 3, "d": 2, "p": 0.6},
+                               "params": {"depth": "x"}}))
+    code, doc, err = run_json([str(cfg) if a == "CFG" else a for a in argv])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+    assert doc["message"].startswith("bad ")
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "moran",
@@ -298,6 +321,22 @@ def test_bad_trials_exits_2(argv):
     assert doc["error"] == "invalid-config"
 
 
+def test_extinction_negative_mc_depth_exits_2():
+    code, doc, _ = run_json(["extinction", "--offspring", "bin:3:0.9", "--trials", "10",
+                             "--mc-depth", "-1"])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
+def test_extract_block_non_integer_c_exits_2():
+    # c = 2.5 is not cut to 2: c^k = 39.0625 is no arity
+    code, doc, _ = run_json(["extract", "--pipeline", "block", "--percolation",
+                             "b=2,d=2,p=0.9", "--c", "2.5", "--k", "4"])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+    assert "not an integer" in doc["message"]
+
+
 def test_extinction_zero_trials_skips_monte_carlo():
     code, doc, _ = run_json(["extinction", "--offspring", "bin:3:0.9", "--trials", "0"])
     assert code == 0 and "mc" not in doc
@@ -378,36 +417,20 @@ def test_experiment_convergence_json(tmp_path):
     assert (tmp_path / "convergence_g_k.json").exists()
 
 
-def test_threads_env_propagation(monkeypatch):
-    # --threads reaches the handler through the environment for that call only
-    import gwfract.cli as cli
-
-    seen = []
-    moran = cli.HANDLERS["moran"]
-
-    def spy(cfg):
-        seen.append(os.environ.get("GWFRACT_THREADS"))
-        return moran(cfg)
-
-    monkeypatch.setitem(cli.HANDLERS, "moran", spy)
-    for before in (None, "5"):
-        if before is None:
-            monkeypatch.delenv("GWFRACT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("GWFRACT_THREADS", before)
-        code, _, _ = run_json(["moran", "--percolation", "b=3,d=2,p=0.6",
-                               "--threads", "3"])
-        assert code == 0
-        assert seen[-1] == "3"
-        assert os.environ.get("GWFRACT_THREADS") == before
-
-
-def test_threads_env_restored_after_error(monkeypatch):
-    monkeypatch.delenv("GWFRACT_THREADS", raising=False)
-    code, _, _ = run(["moran", "--percolation", "b=3,d=2,p=0.01",
-                      "--threads", "3"])
-    assert code == 2
-    assert "GWFRACT_THREADS" not in os.environ
+@pytest.mark.parametrize("argv", [
+    ["moran", "--percolation", "b=3,d=2,p=0.6"],
+    ["experiment", "convergence-g-k", "--percolation", "b=3,d=2,p=0.9", "--c", "2",
+     "--k-max", "2", "--trials", "400"],
+])
+def test_threads_flag_config_key_and_variable_have_no_effect(tmp_path, monkeypatch, argv):
+    plain = run(argv + ["--json"])[:2]
+    flag = run(argv + ["--json", "--threads", "3"])[:2]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": argv[0], "threads": 3}))
+    monkeypatch.setenv("GWFRACT_THREADS", "5")
+    config_and_env = run(argv + ["--json", "--config", str(cfg)])[:2]
+    assert plain[0] == 0
+    assert plain == flag == config_and_env
 
 
 def _readme_usage_lines():

@@ -59,12 +59,6 @@ def test_convergence_payload_deterministic():
     assert "runtime" not in a.payload()
 
 
-def test_convergence_threads_do_not_change_payload():
-    a = small_convergence(threads=1)
-    b = small_convergence(threads=3)
-    assert a.to_json() == b.to_json()
-
-
 def test_convergence_trivial_regime():
     rep = exp_convergence_g_k(b=2, d=1, p=1.0, c=2, s=0.0, k_range=(1, 2, 3),
                               trials=500, seed=0)

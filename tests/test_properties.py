@@ -4,7 +4,6 @@ This file is self-contained and cheap enough to run standalone.
 """
 
 import math
-import os
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -12,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from gwfract.symbolic import (FiniteTree, Word, WeightedAlphabet, _section_depth,
                               compress_along_pi_rho, rho_index, section_pi_rho,
                               validate_section)
-from gwfract.branching import Binomial, parallel_map, sample_gw
+from gwfract.branching import Binomial, sample_gw
 from gwfract.fixpoint import ary_collection, generator_collection
 from gwfract.geometry import PointCloud, width
-from gwfract.experiments import exp_convergence_g_k
 from gwfract.extraction import Ary, find_subtree
 
 
@@ -215,14 +213,7 @@ def test_star_parents_text_and_witness_arity(ratios, frac, levels, p, seed, a):
 
 
 # ---------------------------------------------------------------------------
-# seeded runs do not depend on the thread count
-
-def test_parallel_map_thread_count_invariance():
-    fn = lambda k: math.sin(k) * k
-    one = parallel_map(fn, range(40), threads=1)
-    four = parallel_map(fn, range(40), threads=4)
-    assert one == four
-
+# seeded runs are functions of the seed
 
 def test_sampling_deterministic_per_seed():
     a = sample_gw(Binomial(9, 0.6), 4, seed=123).tree
@@ -231,19 +222,3 @@ def test_sampling_deterministic_per_seed():
     c = sample_gw(Binomial(9, 0.6), 4, seed=124).tree
     assert a.children != c.children
 
-
-def test_experiment_payload_thread_invariance():
-    kw = dict(b=3, d=2, p=0.9, c=2, k_range=(1, 2), trials=400, seed=3)
-    one = exp_convergence_g_k(threads=1, **kw).to_json()
-    two = exp_convergence_g_k(threads=2, **kw).to_json()
-    assert one == two
-    old = os.environ.get("GWFRACT_THREADS")
-    os.environ["GWFRACT_THREADS"] = "3"
-    try:
-        env = exp_convergence_g_k(**kw).to_json()
-    finally:
-        if old is None:
-            os.environ.pop("GWFRACT_THREADS", None)
-        else:
-            os.environ["GWFRACT_THREADS"] = old
-    assert env == one
