@@ -343,7 +343,8 @@ def merge_config(args):
     if ns.get("collection"):
         cfg["collection"] = parse_collection_spec(ns["collection"])
     for key in _TOP_KEYS:
-        if ns.get(key) not in (None, False):
+        # by identity: 0 == False, and an explicit --seed 0 must still win
+        if ns.get(key) is not None and ns.get(key) is not False:
             cfg[key] = ns[key]
     params = dict(cfg.get("params", {}))
     skip = set(_TOP_KEYS) | {"command", "config", "percolation", "ifs",

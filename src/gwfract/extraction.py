@@ -235,7 +235,8 @@ class SectionDiffuse(SubtreePredicate):
                     "diffuseness certification budget exhausted after %d families"
                     % self.CERT_BUDGET
                 )
-            res = diffuseness_constant(family(), self.F, directions=self.directions)
+            res = diffuseness_constant(family(), self.F, directions=self.directions,
+                                       need=self.c)
             ok = self._ok[key] = res.c_low >= self.c
         return ok
 
@@ -512,18 +513,24 @@ class ExtractedSubset:
     def _leaves(self):
         """(rows, lengths) of the deepest level's absolute base-alphabet words:
         the root prefix, then the leaf's base letters (block codes of k
-        letters each are decoded), each row padded with 0 past its length."""
+        letters each are decoded), each row padded with 0 past its length.
+        The rows keep the level arrays' narrow letter dtype."""
         tail, lengths = self.subtree._level_rows(self.subtree.depth)
         if self.k is not None:
             tail = block_letters(tail, self.ifs.alphabet_size, self.k).reshape(len(tail), -1)
             lengths = lengths * self.k
-        root = np.tile(np.array(self.root_word, dtype=np.int64), (len(tail), 1))
-        return np.hstack([root, tail]), lengths + len(self.root_word)
+        m = len(self.root_word)
+        rows = np.empty((len(tail), m + tail.shape[1]), dtype=tail.dtype)
+        rows[:, :m] = self.root_word
+        rows[:, m:] = tail
+        return rows, lengths + m
 
     def leaf_words(self):
-        """Absolute base-alphabet words of the deepest witness level."""
+        """Absolute base-alphabet words of the deepest witness level, spelled
+        from 4,096 rows at a time so that no nested list of every row is held."""
         rows, lengths = self._leaves()
-        return [Word(r[:n]) for r, n in zip(rows.tolist(), lengths.tolist())]
+        return [Word(r[:n]) for i in range(0, len(rows), 4096)
+                for r, n in zip(rows[i:i + 4096].tolist(), lengths[i:i + 4096].tolist())]
 
     def cloud(self):
         return _render_letters(self.ifs, *self._leaves(), None)
@@ -1222,7 +1229,7 @@ def general_pipeline(ifs, offspring, rho, alpha, c, depth=None, seed=0,
             sub = F.points[:: max(1, len(F.points) // 1200)]
             fam = [word_map(ifs, w) for w in sec.sorted_words()]
             res = diffuseness_constant(fam, PointCloud(sub, F.eps),
-                                       directions=directions)
+                                       directions=directions, need=c)
             if res.c_low >= c:
                 reduced_ifs, law = section_reduction(ifs, offspring, level)
                 if rho >= reduced_ifs.weights.r_min:

@@ -221,6 +221,12 @@ class PointCloud:
         return width(self)
 
     @cached_property
+    def _mean(self):
+        """Mean of the points, computed on first use: every certificate on
+        this cloud reads it."""
+        return self.points.mean(axis=0)
+
+    @cached_property
     def _ball_index(self):
         """`_BallIndex(self.points)`, built on first use."""
         return _BallIndex(self.points)
@@ -284,15 +290,26 @@ def _compose(ifs, letters, lengths):
     r = np.ones(n)
     S = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     t = np.zeros((n, d))
+    live = lengths.min(initial=L)
     for j in range(L):
-        # rows of at least j+1 letters; a slice (no copies) while all are live
-        rows = slice(None) if lengths.min() > j else np.flatnonzero(lengths > j)
-        a = letters[rows, j]
+        a = letters[:, j]
+        if j < live:  # every row: the products replace the arrays, no copies back
+            t = np.einsum("nij,nj->ni", S, trans[a]) + t
+            S = S @ mats[a]
+            r = r * ratios[a]
+            continue
+        rows = np.flatnonzero(lengths > j)
+        a = a[rows]
         St = S[rows]
         t[rows] = np.einsum("nij,nj->ni", St, trans[a]) + t[rows]
         S[rows] = St @ mats[a]
         r[rows] = r[rows] * ratios[a]
     return r, S, t
+
+
+# rows composed at a time: the (rows, d, d) products stay small, and each
+# point's arithmetic is the same whatever the chunk
+_RENDER_ROWS = 1 << 12
 
 
 def _render_letters(ifs, letters, lengths, base_point):
@@ -301,10 +318,13 @@ def _render_letters(ifs, letters, lengths, base_point):
     if base_point is None:
         base_point = ifs.centroid()
     base_point = np.asarray(base_point, dtype=float)
-    r, S, t = _compose(ifs, letters, lengths)
-    pts = np.einsum("nij,j->ni", S, base_point) + t
-    eps = ifs.diameter_bound() * float(np.max(r))
-    return PointCloud(pts, eps)
+    pts = np.empty((len(letters), ifs.d))
+    r_max = 0.0
+    for i in range(0, len(letters), _RENDER_ROWS):
+        r, S, t = _compose(ifs, letters[i:i + _RENDER_ROWS], lengths[i:i + _RENDER_ROWS])
+        pts[i:i + _RENDER_ROWS] = np.einsum("nij,j->ni", S, base_point) + t
+        r_max = max(r_max, float(r.max()))
+    return PointCloud(pts, ifs.diameter_bound() * r_max)
 
 
 def render_words(ifs, words, base_point=None):
@@ -473,11 +493,16 @@ def _slab(pts, u):
     return 0.5 * (hi - lo), 0.5 * (hi + lo)
 
 
-def _golden_min(f, a, b, iters=60):
+def _golden_steps(f, a, b, iters):
+    """Golden-section search for a minimum of f on [a, b]: yields the bracket
+    and its two probes, (a, b, x1, f1, x2, f2), before the first of `iters`
+    steps and after each.  Brackets nest, so every later probe, and the
+    midpoint of the last bracket, lies in the one yielded."""
     g = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - g * (b - a)
     x2 = a + g * (b - a)
     f1, f2 = f(x1), f(x2)
+    yield a, b, x1, f1, x2, f2
     for _ in range(iters):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -487,6 +512,12 @@ def _golden_min(f, a, b, iters=60):
             a, x1, f1 = x1, x2, f2
             x2 = a + g * (b - a)
             f2 = f(x2)
+        yield a, b, x1, f1, x2, f2
+
+
+def _golden_min(f, a, b, iters=60):
+    for a, b, *_ in _golden_steps(f, a, b, iters):
+        pass
     x = 0.5 * (a + b)
     return x, f(x), b - a
 
@@ -595,7 +626,11 @@ def _coverage_halfangle(d, directions):
     return 2.8 / math.sqrt(directions)
 
 
-def diffuseness_constant(maps, F_cloud, directions=2000):
+# most elements one projection of `diffuseness_constant`'s direction grid holds
+_PROJ_BUDGET = 1 << 18
+
+
+def diffuseness_constant(maps, F_cloud, directions=2000, *, need=None):
     """Certified lower bound on min over hyperplanes of the farthest-image distance.
 
     For each direction the optimal offset has closed form (the images project
@@ -603,8 +638,22 @@ def diffuseness_constant(maps, F_cloud, directions=2000):
     smallest upper endpoint after eps-inflation).  The certificate subtracts a
     Lipschitz correction covering directions between grid points.  A linear
     functional attains its extremes on hull vertices, so only the images of
-    the base cloud's hull vertices are projected: on the direction grid one
-    map at a time, in the refinement all maps' images as one stacked array.
+    the base cloud's hull vertices are projected, all maps' images as one
+    stacked array: on the direction grid a run of maps on a run of
+    directions at a time, at most `_PROJ_BUDGET` elements, in the
+    refinement one direction at a time.
+
+    With `need` the call settles only on which side of `need` the full
+    c_low lies, and returns once it is settled, by the Lipschitz bound of
+    Piyavskii (1972) and Shubert ("A sequential method seeking the global
+    maximum of a function", SIAM J. Numer. Anal., 1972).  The
+    objective is lip-Lipschitz in the angle, lip the largest distance of an
+    image point from their centre.  The refinement only lowers raw_min, so a
+    grid bound below `need` is final.  Every later probe of the refinement
+    lies in its bracket [a, b], so a probe value f bounds them all from below
+    by f - lip * (b - a); once that bound, less the correction, exceeds
+    `need` by a rounding margin, the pass is final.  Either way the c_low
+    returned is certified and lies on the same side of `need` as the full one.
     """
     pts = F_cloud.points
     if len(pts) == 0:
@@ -621,15 +670,18 @@ def diffuseness_constant(maps, F_cloud, directions=2000):
         return DiffuseResult(0.0, base_w.witness, 0.0, 0.0,
                              note="degenerate base cloud: width %.3g is below resolution" % base_w.w)
 
-    imgs = [m.apply(F_cloud.hull) for m in maps]
-    infl = np.array([F_cloud.eps * m.ratio for m in maps])
-    # map i's image is stack[starts[i]:starts[i + 1]]; no hull is empty, so starts ascend
-    stack = np.concatenate(imgs)
-    starts = np.cumsum([0] + [len(img) for img in imgs[:-1]])
+    hull = F_cloud.hull
+    h, m = len(hull), len(maps)
+    # columns j*d..(j+1)*d-1 hold map j's linear part and shift
+    mats = np.hstack([mp.matrix.T for mp in maps])
+    shifts = np.concatenate([mp.trans for mp in maps])
+    # map j's image is stack[starts[j]:starts[j] + h]
+    stack = (hull @ mats + shifts).reshape(h, m, d).swapaxes(0, 1).reshape(m * h, d)
+    starts = np.arange(0, m * h, h)
+    infl = F_cloud.eps * np.array([mp.ratio for mp in maps])
     # mean of all image points = mean over maps of the image of the cloud mean
-    mean = pts.mean(axis=0)
-    center = np.mean([m.apply(mean) for m in maps], axis=0)
-    lip = max(float(np.linalg.norm(img - center, axis=1).max()) for img in imgs)
+    center = (F_cloud._mean @ mats + shifts).reshape(m, d).mean(axis=0)
+    lip = float(np.linalg.norm(stack - center, axis=1).max())
 
     if d == 2:
         angles = np.linspace(0.0, math.pi, int(directions), endpoint=False)
@@ -643,14 +695,22 @@ def diffuseness_constant(maps, F_cloud, directions=2000):
 
     L = np.full(len(grid), -np.inf)
     H = np.full(len(grid), np.inf)
-    for img, e in zip(imgs, infl):
-        proj = img @ grid.T
-        np.maximum(L, proj.min(axis=0) - e, out=L)
-        np.minimum(H, proj.max(axis=0) + e, out=H)
+    run = max(1, _PROJ_BUDGET // h)
+    for j in range(0, m, run):
+        block, e = stack[j * h:(j + run) * h], infl[j:j + run, None]
+        seg = starts[:len(e)]
+        cols = max(1, _PROJ_BUDGET // len(block))
+        for i in range(0, len(grid), cols):
+            proj = block @ grid[i:i + cols].T
+            np.maximum(L[i:i + cols], (np.minimum.reduceat(proj, seg) - e).max(axis=0),
+                       out=L[i:i + cols])
+            np.minimum(H[i:i + cols], (np.maximum.reduceat(proj, seg) + e).min(axis=0),
+                       out=H[i:i + cols])
     cvals = np.maximum(0.0, 0.5 * (L - H))
     k = int(np.argmin(cvals))
     raw_min = float(cvals[k])
     u_best = grid[k]
+    tol = lip * _coverage_halfangle(d, int(directions))
 
     def c_of(u):
         pr = stack @ u
@@ -658,21 +718,27 @@ def diffuseness_constant(maps, F_cloud, directions=2000):
         H = float((np.maximum.reduceat(pr, starts) + infl).min())
         return max(0.0, 0.5 * (L - H)), 0.5 * (L + H)
 
-    if d == 2:
+    if d == 2 and (need is None or max(0.0, raw_min - tol) >= need):
         th0 = math.atan2(u_best[1], u_best[0])
         span = math.pi / directions
+        margin = 1e-9 * max(1.0, lip, float(np.abs(stack).max()))
 
         def f(th):
             return c_of(np.array([math.cos(th), math.sin(th)]))[0]
 
-        th, v, _ = _golden_min(f, th0 - span, th0 + span, iters=50)
+        for a, b, x1, f1, x2, f2 in _golden_steps(f, th0 - span, th0 + span, 50):
+            if need is not None and \
+                    min(raw_min, max(f1, f2) - lip * (b - a)) - tol > need + margin:
+                th, v = (x1, f1) if f1 <= f2 else (x2, f2)
+                break
+        else:
+            th = 0.5 * (a + b)
+            v = f(th)
         if v < raw_min:
             raw_min = v
             u_best = np.array([math.cos(th), math.sin(th)])
-    half = _coverage_halfangle(d, int(directions))
-    c_low = max(0.0, raw_min - lip * half)
-    _, b = c_of(u_best)
-    return DiffuseResult(c_low, Hyperplane(u_best, b), raw_min, lip * half)
+    _, offset = c_of(u_best)
+    return DiffuseResult(max(0.0, raw_min - tol), Hyperplane(u_best, offset), raw_min, tol)
 
 
 _SUBSET_FROM = 1024   # least ball size that gets a subset floor
@@ -732,12 +798,20 @@ class _BallIndex:
     def spacing(self):
         """The least distance between two points of a planar cloud, else 0:
         read off `near` once that is built, else off a query of each point's
-        nearest other point alone."""
+        nearest other point alone.  That query prunes at just above the first
+        point's nearest-neighbour distance d0, which bounds the least one: a
+        point with no other point within the bound reads inf, and the least
+        distance, if under the bound, comes out as the unbounded query gives
+        it.  The bound is compared squared, so where rounding leaves every
+        point at inf (d0 = 0 squares to 0) the unbounded query runs."""
         if not self.planar:
             return 0.0
         if "near" in self.__dict__:
             return float(self.near[:, 0].min())
-        return float(self.tree.query(self.pts, k=2)[0][:, 1].min())
+        d0 = self.tree.query(self.pts[0], k=2)[0][1]
+        least = float(self.tree.query(self.pts, k=2, distance_upper_bound=np.nextafter(d0, np.inf))
+                      [0][:, 1].min())
+        return least if least < np.inf else float(self.tree.query(self.pts, k=2)[0][:, 1].min())
 
 
 class _BallWidths:

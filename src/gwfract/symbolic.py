@@ -353,9 +353,10 @@ class FiniteTree:
         return cls._of(n, depth, letters, parents)
 
     def _rows(self, n):
-        """(size, n) letter matrix of level n, row i spelling the i-th word."""
+        """(size, n) letter matrix of level n, row i spelling the i-th word, in
+        the level's letter dtype."""
         size = len(self._letters[n]) if n else 1
-        rows = np.empty((size, n), dtype=np.int64)
+        rows = np.empty((size, n), dtype=self._letters[n].dtype if n else np.int64)
         idx = np.arange(size)
         for j in range(n, 0, -1):
             rows[:, j - 1] = self._letters[j][idx]
@@ -444,7 +445,8 @@ class FiniteTree:
         suffix = self._label_texts()
         for n in range(1, self.depth + 1):
             rows = self._rows(n)
-            pads.append(np.pad(rows, ((0, 0), (0, width - n)), constant_values=-1))
+            pads.append(np.pad(rows.astype(np.int64), ((0, 0), (0, width - n)),
+                               constant_values=-1))
             sep = "-" if n > 1 else ""
             prev = [prev[p] + sep + suffix[a] for p, a in
                     zip(self._parents[n].tolist(), self._letters[n].tolist())]
@@ -481,11 +483,14 @@ class FiniteTree:
 def block_letters(codes, base, k):
     """Letters of big-endian block codes, leading letter first.
 
-    n codes give the (n, k) int64 letter matrix, row i spelling codes[i]; codes
-    of any shape s give shape s + (k,).
+    n codes give the (n, k) letter matrix, row i spelling codes[i]; codes
+    of any shape s give shape s + (k,).  The letters keep the codes' integer
+    dtype, widened only where it cannot hold the largest code base^k - 1.
     """
-    powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return np.asarray(codes, dtype=np.int64)[..., None] // powers % base
+    codes = np.asarray(codes)
+    dtype = np.promote_types(codes.dtype, np.min_scalar_type(base ** k - 1))
+    powers = (base ** np.arange(k - 1, -1, -1, dtype=np.int64)).astype(dtype)
+    return codes.astype(dtype, copy=False)[..., None] // powers % dtype.type(base)
 
 
 class StarTree(FiniteTree):

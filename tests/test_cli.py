@@ -14,7 +14,7 @@ import pytest
 import gwfract
 from gwfract.branching import Binomial, sample_gw
 from gwfract.cli import config_schema, main
-from gwfract.geometry import cloud_to_csv, ifs_to_json, percolation_ifs, render
+from gwfract.geometry import cloud_to_csv, ifs_to_json, percolation_ifs, render, sierpinski_ifs
 
 
 def run(argv):
@@ -150,6 +150,20 @@ def test_config_file_supplies_model(tmp_path):
     code, doc, _ = run_json(["moran", "--config", str(cfg)])
     assert code == 0
     assert doc["delta"] == pytest.approx(1.535026479282073, abs=1e-9)
+
+
+def test_zero_flags_override_config(tmp_path):
+    # 0 == False: an explicit --seed 0 or --threads 0 must still reach the config
+    cfg = tmp_path / "cfg.json"
+    argv = ["extinction", "--offspring", "bin:3:0.6", "--trials", "2000"]
+    cfg.write_text(json.dumps({"command": "extinction", "seed": 5}))
+    seed0 = run_json(argv + ["--seed", "0"])[1]
+    assert run_json(argv + ["--seed", "0", "--config", str(cfg)])[1] == seed0
+    assert run_json(argv + ["--config", str(cfg)])[1] == run_json(argv + ["--seed", "5"])[1]
+    assert run_json(argv + ["--config", str(cfg)])[1] != seed0
+    cfg.write_text(json.dumps({"command": "extinction", "threads": 0}))
+    assert run(argv + ["--json", "--config", str(cfg)])[0] == 2
+    assert run(argv + ["--json", "--threads", "0"])[0] == 2
 
 
 def test_missing_config_file_exits_2():
@@ -404,6 +418,26 @@ def test_diffuse_cert_command():
                              "--directions", "400"])
     assert code == 0
     assert 0.1 < doc["c_low"] <= doc["raw_min"] <= 1 / 6.0 + 1e-6
+
+
+@pytest.mark.parametrize("model, want", [
+    ("grid", {"c_low": 0.15653158710442192, "raw_min": 0.15708466203808155,
+              "tol": 0.0005530749336596329, "note": "",
+              "witness": {"normal": [1.0, 0.0], "offset": 0.5}}),
+    ("gasket", {"c_low": 0.0, "raw_min": 0.0, "tol": 0.0005831145040414705, "note": "",
+                "witness": {"normal": [1.0, 0.0], "offset": 0.4993489583333333}}),
+])
+def test_diffuse_cert_json_is_pinned(tmp_path, model, want):
+    # the full certificate, bit for bit; only the section pipeline's
+    # threshold readers stop early
+    if model == "grid":
+        argv = ["--percolation", "b=3,d=2,p=0.7"]
+    else:
+        (tmp_path / "gasket.json").write_text(json.dumps(ifs_to_json(sierpinski_ifs())))
+        argv = ["--ifs", str(tmp_path / "gasket.json")]
+    code, doc, _ = run_json(["diffuse-cert"] + argv)
+    assert code == 0
+    assert doc == dict(want, command="diffuse-cert")
 
 
 def test_experiment_convergence_json(tmp_path):

@@ -279,6 +279,30 @@ def test_render_depth_equals_render_of_full_tree(ifs, depth):
     assert direct.eps == via_tree.eps
 
 
+def _unequal_planar_ifs():
+    return SimilarityIFS(2, [SimilarityMap(0.5, np.eye(2), [0.0, 0.0]),
+                             SimilarityMap(1 / 3.0, [[0.0, -1.0], [1.0, 0.0]], [0.9, 0.0]),
+                             SimilarityMap(0.25, np.eye(2), [0.0, 0.7])])
+
+
+@pytest.mark.parametrize("ifs", [percolation_ifs(3, 2), _unequal_planar_ifs(), rotation_ifs_3d()])
+def test_render_chunks_change_nothing(monkeypatch, ifs):
+    # rows are composed a chunk at a time; every point comes out bit for bit
+    # as from one chunk, whether chunks cut through words of one length or,
+    # on unequal ratios, through a star's leaves of mixed lengths
+    trees = [FiniteTree.full(ifs.alphabet_size, 4)]
+    if ifs.alphabet_size == 3:
+        tree = sample_gw(Binomial(3, 0.9), 10, seed=1).tree
+        trees.append(compress_along_pi_rho(tree, ifs.weights, 0.2))
+        assert len({len(w) for w in trees[-1].level(trees[-1].depth)}) >= 2
+    whole = [render(ifs, tree=t) for t in trees]
+    for rows in (1, 7, 64):
+        monkeypatch.setattr(geometry, "_RENDER_ROWS", rows)
+        for one, t in zip(whole, trees):
+            chunked = render(ifs, tree=t)
+            assert np.array_equal(one.points, chunked.points) and one.eps == chunked.eps
+
+
 def test_render_depth_zero_and_negative():
     cloud = render(sierpinski_ifs(), depth=0)
     assert np.array_equal(cloud.points, sierpinski_ifs().centroid()[None, :])
@@ -294,9 +318,7 @@ def test_render_depth_zero_and_negative():
 def test_render_words_mixed_lengths_match_word_maps():
     # unequal ratios: the leaf level of a section-compressed star has words
     # of several lengths
-    ifs = SimilarityIFS(2, [SimilarityMap(0.5, np.eye(2), [0.0, 0.0]),
-                            SimilarityMap(1 / 3.0, [[0.0, -1.0], [1.0, 0.0]], [0.9, 0.0]),
-                            SimilarityMap(0.25, np.eye(2), [0.0, 0.7])])
+    ifs = _unequal_planar_ifs()
     tree = sample_gw(Binomial(3, 0.9), 10, seed=1).tree
     star = compress_along_pi_rho(tree, ifs.weights, 0.2)
     words = star.level(star.depth)
@@ -383,18 +405,24 @@ def test_packing_floor_is_below_the_width():
 
 
 def test_ball_index_spacing_is_the_least_pair_distance():
-    # the spacing comes off a nearest-neighbour query alone, or off the
-    # two-neighbour distances when `_flat_ball_search` has built them first
+    # the spacing comes off a nearest-neighbour query alone, pruned at the
+    # first point's nearest-neighbour distance, or off the two-neighbour
+    # distances when `_flat_ball_search` has built them first; both equal
+    # the unbounded query's least distance bit for bit
     rng = np.random.default_rng(4)
     pairs = rng.random((40, 2))
+    lattice = np.stack(np.meshgrid(np.arange(12.0), np.arange(9.0)), axis=-1).reshape(-1, 2)
     clouds = [rng.random((300, 2)), np.vstack([pairs, pairs[:3] + 1e-9]),
-              np.vstack([pairs, pairs[5:6]]), render(percolation_ifs(3, 2), depth=3).points]
+              np.vstack([pairs, pairs[5:6]]), np.vstack([pairs[:1], pairs]),
+              render(percolation_ifs(3, 2), depth=3).points, lattice * 0.1, lattice[::-1]]
     for pts in clouds:
         gaps = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
         brute = gaps[np.triu_indices(len(pts), 1)].min()
+        unbounded = float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
         alone, ranked = geometry._BallIndex(pts), geometry._BallIndex(pts)
         assert ranked.near.shape == (len(pts), 2)
-        assert alone.spacing == ranked.spacing == pytest.approx(brute, rel=1e-9, abs=1e-15)
+        assert alone.spacing == ranked.spacing == unbounded
+        assert unbounded == pytest.approx(brute, rel=1e-9, abs=1e-15)
         assert "near" not in vars(alone)
     assert geometry._BallIndex(rng.random((30, 3))).spacing == 0.0
 
@@ -815,6 +843,50 @@ def test_width_3d_hull_matches_all_points():
         assert res.w == pytest.approx(w, rel=1e-12, abs=1e-15)
         assert np.allclose(res.witness.normal, u, rtol=0.0, atol=1e-12)
         assert res.witness.offset == pytest.approx(b, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("b, d, want", [
+    # 81 maps: the block family of the gallery grid
+    (3, 2, ("0.3829218945656951", "0.38569488734602714", "0.0027729927803320405",
+            "[1.0, 0.0]", "0.49999999999999994")),
+    # 64 maps in 3-d: no refinement, the grid phase alone
+    (2, 3, ("0.0996918632292123", "0.21904098918825524", "0.11934912595904294",
+            "[0.9983385737246263, 0.0037205125290762295, 0.057499999999999996]",
+            "0.5297795431268513")),
+])
+def test_block_family_certificates_are_pinned(monkeypatch, b, d, want):
+    ifs = percolation_ifs(b, d=d)
+    n = ifs.alphabet_size
+    fam = [word_map(ifs, (u, v)) for u in range(n) for v in range(n)]
+    res = diffuseness_constant(fam, extraction._attractor_cloud(ifs), directions=400)
+    assert (repr(res.c_low), repr(res.raw_min), repr(res.tol),
+            repr(res.witness.normal.tolist()), repr(res.witness.offset)) == want
+    monkeypatch.setattr(extraction, "_BLOCK_CONSTANT", {})
+    assert repr(extraction._block_family_constant(b, d)) == want[0]
+
+
+def test_certificate_grid_chunks_change_nothing(monkeypatch):
+    # a budget of a few elements splits the grid phase into runs of maps and
+    # of directions; every projection stays within it, the result is the same
+    ifs = percolation_ifs(3, 2)
+    fam = [word_map(ifs, (u, v)) for u in range(9) for v in range(9)][::4]
+    F = extraction._attractor_cloud(ifs)
+    whole = diffuseness_constant(fam, F, directions=150)
+    sizes = []
+    real = np.minimum.reduceat
+
+    def spy(proj, *args, **kwargs):
+        if proj.ndim == 2:  # the grid phase's; the refinement projects one direction
+            sizes.append(proj.size)
+        return real(proj, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_PROJ_BUDGET", 3 * len(F.hull))
+    monkeypatch.setattr(np.minimum, "reduceat", spy, raising=False)
+    chunked = diffuseness_constant(fam, F, directions=150)
+    assert (chunked.c_low, chunked.raw_min, chunked.tol, chunked.witness.offset) == \
+        (whole.c_low, whole.raw_min, whole.tol, whole.witness.offset)
+    assert np.array_equal(chunked.witness.normal, whole.witness.normal)
+    assert len(sizes) > 150 // 3 and max(sizes) <= 3 * len(F.hull)
 
 
 def test_width_3d_memory_is_bounded(monkeypatch):

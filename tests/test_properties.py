@@ -3,6 +3,7 @@
 This file is self-contained and cheap enough to run standalone.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -13,8 +14,9 @@ from gwfract.symbolic import (FiniteTree, Word, WeightedAlphabet, _section_depth
                               validate_section)
 from gwfract.branching import Binomial, sample_gw
 from gwfract.fixpoint import ary_collection, generator_collection
-from gwfract.geometry import PointCloud, width
-from gwfract.extraction import Ary, find_subtree
+from gwfract.geometry import (PointCloud, SimilarityIFS, SimilarityMap, diffuseness_constant,
+                              percolation_ifs, sierpinski_ifs, width, word_map)
+from gwfract.extraction import Ary, _attractor_cloud, find_subtree
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +134,56 @@ def test_width_scaling(pts, lam):
     w0 = width(PointCloud(arr, 0.0)).w
     w1 = width(PointCloud(lam * arr, 0.0)).w
     assert abs(w1 - lam * w0) <= 1e-8 * max(1.0, lam * w0)
+
+
+# ---------------------------------------------------------------------------
+# a certificate asked only for the side of c lands on the full one's side
+
+
+def _rotated_ifs():
+    """Four maps of ratio 0.4 in the corners of the unit square, each turned
+    by its own angle."""
+    maps = []
+    for i, t in enumerate(((0.0, 0.0), (0.6, 0.0), (0.0, 0.6), (0.6, 0.6))):
+        th = 0.3 + 0.7 * i
+        maps.append(SimilarityMap(0.4, [[math.cos(th), -math.sin(th)],
+                                        [math.sin(th), math.cos(th)]], t))
+    return SimilarityIFS(2, maps)
+
+
+@functools.lru_cache(maxsize=None)
+def _decision_system(name):
+    """(one-letter maps, two-letter maps, attractor cloud) of a planar system."""
+    ifs = {"grid": lambda: percolation_ifs(3, 2), "gasket": sierpinski_ifs,
+           "rotated": _rotated_ifs}[name]()
+    n = ifs.alphabet_size
+    return (ifs.maps, [word_map(ifs, (u, v)) for u in range(n) for v in range(n)],
+            _attractor_cloud(ifs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["grid", "gasket", "rotated"]), st.booleans(),
+       st.sets(st.integers(0, 80), min_size=2, max_size=20),
+       st.sampled_from([60, 200, 400]),
+       st.sampled_from(["full", "below", "above", "grid", "random"]), st.floats(0.0, 0.4))
+def test_decision_certificate_lands_on_the_full_side(name, two_step, picks, directions,
+                                                      which, x):
+    one, two, F = _decision_system(name)
+    pool = two if two_step else one
+    family = [pool[i] for i in sorted({i % len(pool) for i in picks})]
+    if len(family) < 2:
+        family = pool[:2]
+    full = diffuseness_constant(family, F, directions=directions)
+    # with an unreachable need the call stops after the direction grid
+    grid = diffuseness_constant(family, F, directions=directions, need=math.inf)
+    c = {"full": full.c_low, "below": np.nextafter(full.c_low, -math.inf),
+         "above": np.nextafter(full.c_low, math.inf), "grid": grid.c_low, "random": x}[which]
+    got = diffuseness_constant(family, F, directions=directions, need=c)
+    assert (got.c_low >= c) == (full.c_low >= c)
+    # every answer is a certified bound: at most the grid phase's, with its correction
+    assert full.c_low <= grid.c_low and got.c_low <= grid.c_low
+    assert got.tol == full.tol == grid.tol
+    assert got.c_low == max(0.0, got.raw_min - got.tol)
 
 
 # ---------------------------------------------------------------------------
