@@ -52,7 +52,10 @@ from .geometry import (
     percolation_ifs,
     render,
     word_map,
-    _render_letters,
+    _compose,
+    _render_levels,
+    _tree_level,
+    _width_exceeds,
 )
 
 
@@ -81,7 +84,9 @@ def _as_int_array(labels):
     """Integer labels as an ascending int64 array."""
     if isinstance(labels, np.ndarray):
         return np.sort(labels.astype(np.int64, copy=False))
-    return np.array(sorted(int(x) for x in labels), dtype=np.int64)
+    arr = np.fromiter(labels, dtype=np.int64)
+    arr.sort()
+    return arr
 
 
 def _runs(keys):
@@ -340,11 +345,15 @@ class Intersection(SubtreePredicate):
                 core |= got
         need = max(self.min_arity(), len(core)) - len(core)
         arr = _as_int_array(labels)
-        pad = arr[~np.isin(arr, list(core))][:need].tolist()
+        keep = np.isin(arr, list(core))
+        pad = np.flatnonzero(~keep)[:need]
         if len(pad) < need:
             return None
-        out = frozenset(core.union(pad))
-        return out if self.member(out, ctx) else None
+        keep[pad] = True
+        # the check reads the result as the ascending array it already is
+        if not self.member(arr[keep], ctx):
+            return None
+        return frozenset(core.union(arr[pad].tolist()))
 
 
 def diffuse_block_collection(b, k, d=2):
@@ -532,19 +541,30 @@ class ExtractedSubset:
         return [Word(r[:n]) for i in range(0, len(rows), 4096)
                 for r, n in zip(rows[i:i + 4096].tolist(), lengths[i:i + 4096].tolist())]
 
+    def _cells(self):
+        """Points and cell ratios of the deepest level's leaves, in one
+        top-down pass (`geometry._render_levels`): the root word's map is
+        composed once, and each block code steps through its k base letters.
+        Each point and ratio is bit for bit `_render_letters` of the leaf's
+        row of `_leaves`."""
+        sub, n, k = self.subtree, self.ifs.alphabet_size, self.k
+        spell = None if k is None else \
+            (lambda codes: (block_letters(codes, n, k), np.full(len(codes), k)))
+        root = np.array(self.root_word, dtype=np.int64).reshape(1, -1)
+        start = _compose(self.ifs, root, np.array([len(self.root_word)]))
+        return _render_levels(self.ifs, sub.depth, sub.level_sizes()[sub.depth],
+                              _tree_level(sub, spell), start, None)
+
     def cloud(self):
-        return _render_letters(self.ifs, *self._leaves(), None)
+        pts, r = self._cells()
+        return PointCloud(pts, self.ifs.diameter_bound() * r.max())
 
     def measured_cloud(self):
-        rows, lengths = self._leaves()
-        cloud = _render_letters(self.ifs, rows, lengths, None)
-        # the cell ratio, multiplied left to right as `WeightedAlphabet.weight` does
-        ratios = np.array(self.ifs.weights.ratios)
-        r = np.ones(len(rows))
-        for j in range(rows.shape[1]):
-            r = np.where(lengths > j, r * ratios[rows[:, j]], r)
-        masses = np.full(len(rows), 1.0 / len(rows))
-        return MeasuredCloud(cloud.points, masses, r * (self.ifs.diameter_bound() / 2.0))
+        # the cell ratio is the map's, multiplied left to right as
+        # `WeightedAlphabet.weight` does
+        pts, r = self._cells()
+        masses = np.full(len(pts), 1.0 / len(pts))
+        return MeasuredCloud(pts, masses, r * (self.ifs.diameter_bound() / 2.0))
 
     def to_json(self):
         return {
@@ -557,7 +577,7 @@ class ExtractedSubset:
             "c": None if self.c is None else float(self.c),
             "k": None if self.k is None else int(self.k),
             "levels": int(self.levels()),
-            "leaf_count": len(self._leaves()[0]),
+            "leaf_count": self.subtree.level_sizes()[self.subtree.depth],
             "seed": int(self.seed),
             "params": dict(self.params),
             "stats": dict(self.stats),
@@ -1210,11 +1230,10 @@ def general_pipeline(ifs, offspring, rho, alpha, c, depth=None, seed=0,
         )
 
     F = F_cloud if F_cloud is not None else _attractor_cloud(ifs)
-    wres = F.width
-    if wres.w <= 1e-8 * max(1.0, F.diameter()):
+    if not _width_exceeds(F, 1e-8 * max(1.0, F.diameter())):
         raise InvalidInputError(
             "attractor render is planar (width %.3g); no diffuse subset exists"
-            % wres.w
+            % F.width.w
         )
 
     base_cert = diffuseness_constant(ifs.maps, F, directions=max(directions, 400))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -139,6 +139,12 @@ class SimilarityIFS:
     @property
     def alphabet_size(self):
         return len(self.maps)
+
+    @cached_property
+    def _stacked(self):
+        """Per-map ratios, linear parts (ratio folded in) and shifts as arrays."""
+        return (np.array([m.ratio for m in self.maps]), np.array([m.matrix for m in self.maps]),
+                np.array([m.trans for m in self.maps]))
 
     def _check_osc(self):
         u = self.osc
@@ -276,45 +282,121 @@ def word_map(ifs, word):
     return m
 
 
+def _step(ifs, maps, a):
+    """(r, S, t) of the maps `maps` each followed by the map of its letter in
+    `a`: t = S trans + t, S = S M, r = r ratio."""
+    ratios, mats, trans = ifs._stacked
+    r, S, t = maps
+    return r * ratios[a], S @ mats[a], np.einsum("nij,nj->ni", S, trans[a]) + t
+
+
+def _check_letters(ifs, letters):
+    if letters.size and not (0 <= letters.min() and letters.max() < ifs.alphabet_size):
+        raise InvalidInputError("letter out of range for %d maps" % ifs.alphabet_size)
+
+
 def _compose(ifs, letters, lengths):
     """(r, S, t) of the map along each row of an (n, L) letter array.
 
-    Row i composes its first lengths[i] letters, left letter applied first;
-    S is the linear part with the ratio folded in.
+    Row i composes its first lengths[i] letters, left letter applied first
+    (`_step`); S is the linear part with the ratio folded in.
     """
+    _check_letters(ifs, letters)
     n, L = letters.shape
     d = ifs.d
-    ratios = np.array([m.ratio for m in ifs.maps])
-    mats = np.array([m.matrix for m in ifs.maps])
-    trans = np.array([m.trans for m in ifs.maps])
-    r = np.ones(n)
-    S = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    t = np.zeros((n, d))
+    maps = np.ones(n), np.broadcast_to(np.eye(d), (n, d, d)).copy(), np.zeros((n, d))
     live = lengths.min(initial=L)
     for j in range(L):
         a = letters[:, j]
         if j < live:  # every row: the products replace the arrays, no copies back
-            t = np.einsum("nij,nj->ni", S, trans[a]) + t
-            S = S @ mats[a]
-            r = r * ratios[a]
+            maps = _step(ifs, maps, a)
             continue
         rows = np.flatnonzero(lengths > j)
-        a = a[rows]
-        St = S[rows]
-        t[rows] = np.einsum("nij,nj->ni", St, trans[a]) + t[rows]
-        S[rows] = St @ mats[a]
-        r[rows] = r[rows] * ratios[a]
-    return r, S, t
+        for whole, part in zip(maps, _step(ifs, [m[rows] for m in maps], a[rows])):
+            whole[rows] = part
+    return maps
 
 
-# rows composed at a time: the (rows, d, d) products stay small, and each
+# nodes composed at a time: the (rows, d, d) products stay small, and each
 # point's arithmetic is the same whatever the chunk
 _RENDER_ROWS = 1 << 12
 
 
+def _descend(ifs, start, p, rows, lengths):
+    """(r, S, t) of nodes whose parents' maps are rows p of `start`, each
+    stepped through the base letters its own letter spells (row i of `rows`,
+    lengths[i] letters), one letter at a time by `_step`.
+
+    Adjacent nodes that share a parent and a spelled prefix share its map,
+    which is composed once: siblings come in letter order, so on a block or
+    star level each distinct prefix of a sibling family takes one step.
+    """
+    _check_letters(ifs, rows)
+    maps = start
+    n, L = rows.shape
+    full = lengths.min(initial=L) == L
+    g = p.astype(np.intp)  # row i's map is row g[i] of maps
+    out = None
+    for q in range(L + 1):
+        if full and q == L and len(maps[0]) == n:  # one map per row
+            return maps
+        end = np.flatnonzero(lengths == q)
+        if len(end):
+            if out is None:
+                out = [np.empty((n,) + m.shape[1:]) for m in maps]
+            for o, m in zip(out, maps):
+                o[end] = m[g[end]]
+        if q == L:
+            return tuple(out)
+        live = slice(None) if full else np.flatnonzero(lengths > q)
+        a, h = rows[live, q], g[live]
+        new = np.empty(len(h), dtype=bool)
+        new[:1] = True
+        np.not_equal(h[1:], h[:-1], out=new[1:])
+        new[1:] |= a[1:] != a[:-1]
+        first = h[new]
+        maps = _step(ifs, [m[first] for m in maps], a[new])
+        g[live] = np.cumsum(new) - 1
+
+
+def _render_levels(ifs, depth, size, level, start, base_point):
+    """Points (images of the base point) and map ratios of the `size` nodes
+    at `depth`, in one top-down pass over the levels.
+
+    A node's map is its parent's, stepped through the base letters that its
+    own letter spells (`_descend`), so each row is bit for bit `_compose` of
+    the node's whole word.  `level(j, lo, hi)` gives nodes lo..hi-1 of level
+    j as (parent indices, base-letter rows, lengths); `start` is the root's
+    map, one row.  Parents ascend, so a run of `_RENDER_ROWS` nodes has one
+    run of ancestors on every level, and the runs are composed in turn.
+    """
+    base_point = ifs.centroid() if base_point is None else np.asarray(base_point, dtype=float)
+    pts, ratios = np.empty((size, ifs.d)), np.empty(size)
+    for lo in range(0, size, _RENDER_ROWS):
+        a, b = lo, min(size, lo + _RENDER_ROWS)
+        steps = []
+        for j in range(depth, 0, -1):
+            parents, rows, lengths = level(j, a, b)
+            a, b = int(parents[0]), int(parents[-1]) + 1
+            steps.append((parents.astype(np.intp) - a, rows, lengths))
+        r, S, t = start
+        for p, rows, lengths in reversed(steps):
+            r, S, t = _descend(ifs, (r, S, t), p, rows, lengths)
+        pts[lo:lo + len(r)] = np.einsum("nij,j->ni", S, base_point) + t
+        ratios[lo:lo + len(r)] = r
+    return pts, ratios
+
+
+def _tree_level(tree, spell=None):
+    """`level` of `_render_levels` over a tree's level arrays, each letter
+    spelled by `spell` (by default the tree's own `_spell`)."""
+    spell = spell or tree._spell
+    return lambda j, lo, hi: (tree._parents[j][lo:hi], *spell(tree._letters[j][lo:hi]))
+
+
 def _render_letters(ifs, letters, lengths, base_point):
-    if letters.size and not (0 <= letters.min() and letters.max() < ifs.alphabet_size):
-        raise InvalidInputError("letter out of range for %d maps" % ifs.alphabet_size)
+    """Cloud of the words in the rows of a letter array, each row composed
+    whole by `_compose`: the reference for the tree renders."""
     if base_point is None:
         base_point = ifs.centroid()
     base_point = np.asarray(base_point, dtype=float)
@@ -336,7 +418,12 @@ def render_words(ifs, words, base_point=None):
 
 
 def render(ifs, tree=None, depth=None, base_point=None):
-    """Point cloud of the deepest surviving level (or the full tree of a depth)."""
+    """Point cloud of the deepest surviving level (or the full tree of a depth).
+
+    The maps are composed top-down once per tree node (`_render_levels`), not
+    once per leaf and letter; every point is as `render_words` gives it on
+    the level's words.
+    """
     if depth is not None:
         depth = int(depth)
         if depth < 0:
@@ -345,15 +432,22 @@ def render(ifs, tree=None, depth=None, base_point=None):
         if depth is None:
             raise InvalidInputError("need a tree or an explicit depth")
         n = ifs.alphabet_size
-        if n ** depth > 10_000_000:
+        size = n ** depth
+        if size > 10_000_000:
             raise InvalidInputError("full render too large at this depth")
-        # row i spells i in base n, leading letter first: the sorted full level
-        letters = np.arange(n ** depth)[:, None] // n ** np.arange(depth - 1, -1, -1) % n
-        return _render_letters(ifs, letters, np.full(len(letters), depth), base_point)
-    letters, lengths = tree._level_rows(tree.depth if depth is None else min(depth, tree.depth))
-    if not len(letters):
-        return PointCloud(np.zeros((0, ifs.d)), 0.0)
-    return _render_letters(ifs, letters, lengths, base_point)
+
+        def level(j, lo, hi):  # node i of a full level: parent i // n, letter i % n
+            idx = np.arange(lo, hi)
+            return idx // n, (idx % n)[:, None], np.ones(hi - lo, dtype=np.int64)
+    else:
+        depth = tree.depth if depth is None else min(depth, tree.depth)
+        size = tree.level_sizes()[depth]
+        if not size:
+            return PointCloud(np.zeros((0, ifs.d)), 0.0)
+        level = _tree_level(tree)
+    root = np.ones(1), np.eye(ifs.d)[None], np.zeros((1, ifs.d))
+    pts, r = _render_levels(ifs, depth, size, level, root, base_point)
+    return PointCloud(pts, ifs.diameter_bound() * r.max())
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +581,24 @@ def _fibonacci_sphere(n):
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
+@cache
+def _direction_grid(d, directions):
+    """Unit directions of the width and certificate grids, built once per
+    (d, directions) and read-only: in the plane `directions` angles evenly
+    spaced over [0, pi), in d = 3 a Fibonacci sphere, above that normal
+    vectors drawn with Philox key `directions`, scaled to unit length."""
+    if d == 2:
+        angles = np.linspace(0.0, math.pi, directions, endpoint=False)
+        grid = np.column_stack([np.cos(angles), np.sin(angles)])
+    elif d == 3:
+        grid = _fibonacci_sphere(directions)
+    else:
+        raw = np.random.Generator(np.random.Philox(key=directions)).normal(size=(directions, d))
+        grid = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    grid.flags.writeable = False
+    return grid
+
+
 def _slab(pts, u):
     proj = pts @ u
     lo, hi = float(proj.min()), float(proj.max())
@@ -573,13 +685,7 @@ def width(cloud):
         return WidthResult(0.0 if n <= d else w0, Hyperplane(u0, b0), 0.0)
 
     hv = cloud.hull if isinstance(cloud, PointCloud) else _hull_vertices(pts)
-    if d == 3:
-        grid = _fibonacci_sphere(2000)
-    else:
-        rng = np.random.Generator(np.random.Philox(key=2000))
-        raw = rng.normal(size=(2000, d))
-        grid = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    grid = np.vstack([grid, u0.reshape(1, -1)])
+    grid = np.vstack([_direction_grid(d, 2000), u0.reshape(1, -1)])
     proj = hv @ grid.T
     widths = 0.5 * (proj.max(axis=0) - proj.min(axis=0))
     order = np.argsort(widths)
@@ -604,6 +710,28 @@ def width(cloud):
             best_w, best_u, best_b = w, u, b
     scale = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
     return WidthResult(best_w, Hyperplane(best_u, best_b), step * scale)
+
+
+def _width_exceeds(cloud, level):
+    """Whether `cloud.width.w > level`.
+
+    In d = 3 the slab half-width is R-Lipschitz in the direction, R the
+    largest distance of a hull vertex from their mean, and every direction
+    lies within `_coverage_halfangle(3, 2000)` of `width`'s grid.  So the
+    grid's least half-width less R times that angle is a lower bound on the
+    width (the padded angle also absorbs rounding); when it exceeds `level`
+    the answer is settled without the refined `width`.  Otherwise, in other
+    dimensions, and once the cloud's width is cached, `cloud.width` decides.
+    """
+    pts = cloud.points
+    if pts.shape[1] == 3 and len(pts) > 3 and "width" not in cloud.__dict__:
+        hv = cloud.hull
+        proj = hv @ _direction_grid(3, 2000).T
+        lip = float(np.linalg.norm(hv - hv.mean(axis=0), axis=1).max())
+        if 0.5 * float((proj.max(axis=0) - proj.min(axis=0)).min()) \
+                - lip * _coverage_halfangle(3, 2000) > level:
+            return True
+    return cloud.width.w > level
 
 
 @dataclass
@@ -665,8 +793,8 @@ def diffuseness_constant(maps, F_cloud, directions=2000, *, need=None):
         p0 = maps[0].apply(pts[:1])[0]
         return DiffuseResult(0.0, Hyperplane(u, float(p0[0])), 0.0, 0.0,
                              note="single map: every hyperplane through its image defeats it")
-    base_w = F_cloud.width
-    if base_w.w <= max(F_cloud.eps, 1e-12):
+    if not _width_exceeds(F_cloud, max(F_cloud.eps, 1e-12)):
+        base_w = F_cloud.width
         return DiffuseResult(0.0, base_w.witness, 0.0, 0.0,
                              note="degenerate base cloud: width %.3g is below resolution" % base_w.w)
 
@@ -683,15 +811,7 @@ def diffuseness_constant(maps, F_cloud, directions=2000, *, need=None):
     center = (F_cloud._mean @ mats + shifts).reshape(m, d).mean(axis=0)
     lip = float(np.linalg.norm(stack - center, axis=1).max())
 
-    if d == 2:
-        angles = np.linspace(0.0, math.pi, int(directions), endpoint=False)
-        grid = np.column_stack([np.cos(angles), np.sin(angles)])
-    elif d == 3:
-        grid = _fibonacci_sphere(int(directions))
-    else:
-        rng = np.random.Generator(np.random.Philox(key=directions))
-        raw = rng.normal(size=(int(directions), d))
-        grid = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    grid = _direction_grid(d, int(directions))
 
     L = np.full(len(grid), -np.inf)
     H = np.full(len(grid), np.inf)
@@ -1065,6 +1185,22 @@ class AhlforsResult:
         yield self.c2_hat
 
 
+# most candidate points `ahlfors_ratio_check` measures in one batch of balls
+_BALL_CANDIDATES = 1 << 14
+
+
+def _capped_runs(sizes, cap):
+    """Consecutive runs [lo, hi) of `sizes`, each summing to at most `cap`
+    unless it holds a single item."""
+    lo, total = 0, 0
+    for i, n in enumerate(sizes.tolist()):
+        if total + n > cap and i > lo:
+            yield lo, i
+            lo, total = i, 0
+        total += n
+    yield lo, len(sizes)
+
+
 def ahlfors_ratio_check(measured, alpha, sample_count=1000, seed=0, r_count=6,
                         r_range=None):
     """Min/max of ball-mass over r^alpha across sampled centers and radii.
@@ -1074,7 +1210,9 @@ def ahlfors_ratio_check(measured, alpha, sample_count=1000, seed=0, r_count=6,
     A cell can meet B(x, r) only when its point lies within r + max(radii)
     of x, so each ball filters the KD-tree's candidates within that reach,
     in ascending index order: the masses summed are the same sequence, and
-    the sums the same, as over the whole cloud.
+    the sums the same, as over the whole cloud.  The balls of one radius are
+    queried, measured and masked in batches of at most `_BALL_CANDIDATES`
+    candidates (a larger ball alone); each ball's two sums stay separate.
     """
     sample_count = int(sample_count)
     if sample_count < 1:
@@ -1104,17 +1242,28 @@ def ahlfors_ratio_check(measured, alpha, sample_count=1000, seed=0, r_count=6,
     for rad in rs:
         idx = rng.choice(len(pts), size=per, p=masses)
         reach = (rad + cell) * (1.0 + 1e-9)
-        for i in idx:
-            x = pts[i]
-            near = np.sort(np.array(tree.query_ball_point(x, reach), dtype=np.intp))
-            dist = np.linalg.norm(pts[near] - x, axis=1)
+        denom = rad ** alpha
+        sizes = np.asarray(tree.query_ball_point(pts[idx], reach, return_length=True))
+        for lo, hi in _capped_runs(sizes, _BALL_CANDIDATES):
+            x = pts[idx[lo:hi]]
+            near = [np.array(got, dtype=np.intp)
+                    for got in tree.query_ball_point(x, reach, return_sorted=False)]
+            for got in near:
+                got.sort()
+            cut = np.cumsum([0] + [len(got) for got in near]).tolist()
+            near = near[0] if len(near) == 1 else np.concatenate(near)
+            dist = pts[near]  # offsets from each ball's centre, then their lengths
+            for b in range(hi - lo):
+                dist[cut[b]:cut[b + 1]] -= x[b]
+            dist = np.linalg.norm(dist, axis=1)
             m, r = masses[near], radii[near]
-            outer = float(m[dist <= rad + r].sum())
-            inner = float(m[dist + r <= rad].sum())
-            denom = rad ** alpha
-            c1 = min(c1, inner / denom)
-            c2 = max(c2, outer / denom)
-            samples.append({"r": float(rad), "inner": inner, "outer": outer})
+            meets, inside = dist <= rad + r, dist + r <= rad
+            for s, e in zip(cut, cut[1:]):  # one ball's cells are near[s:e]
+                outer = float(m[s:e][meets[s:e]].sum())
+                inner = float(m[s:e][inside[s:e]].sum())
+                c1 = min(c1, inner / denom)
+                c2 = max(c2, outer / denom)
+                samples.append({"r": float(rad), "inner": inner, "outer": outer})
     spread = c2 / c1 if c1 > 0 else math.inf
     return AhlforsResult(float(c1), float(c2), float(spread), samples)
 

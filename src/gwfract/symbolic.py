@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import cached_property
 
 import numpy as np
 
@@ -375,6 +376,10 @@ class FiniteTree:
         rows = self._rows(n)
         return rows, np.full(len(rows), n)
 
+    def _spell(self, letters):
+        """Base-letter rows and lengths of node letters: each letter is itself."""
+        return letters[:, None], np.ones(len(letters), dtype=np.int64)
+
     @property
     def children(self):
         """Child letter set of every node; all leaves share one empty frozenset."""
@@ -512,13 +517,23 @@ class StarTree(FiniteTree):
     def _sub(self, depth, letters, parents):
         return StarTree(self.suffixes, depth, letters, parents)
 
+    @cached_property
+    def _table(self):
+        """Padded base-letter rows of the suffixes, and their lengths."""
+        return _word_rows(self.suffixes)
+
     def _level_rows(self, n):
         ids = self._rows(n)
-        table, sizes = _word_rows(self.suffixes)
+        table, sizes = self._table
         live = np.arange(table.shape[1]) < sizes[:, None]
         lengths = sizes[ids].sum(axis=1)
         # each row's suffixes, their live letters end to end
         return _pad(table[ids][live[ids]], lengths), lengths
+
+    def _spell(self, ids):
+        """Base-letter rows and lengths of node letters: the suffixes they name."""
+        table, sizes = self._table
+        return table[ids], sizes[ids]
 
     def __contains__(self, word):
         word = Word(word)

@@ -8,6 +8,7 @@ from gwfract.symbolic import (CapabilityError, FiniteTree, InvalidInputError,
                               ResourceLimitError, StarTree, WeightedAlphabet,
                               Word, compress_along_pi_rho)
 from gwfract.branching import Binomial, LazyGW, sample_gw
+from gwfract import geometry
 from gwfract.cli import measured_to_csv
 from gwfract.fixpoint import GFunction, _member_thresholds, ary_collection, generator_collection
 from gwfract.geometry import (SimilarityIFS, SimilarityMap, cloud_to_csv, percolation_ifs,
@@ -698,3 +699,20 @@ def test_extraction_artifacts_are_pinned(name):
              es.measure_csv(), "\n".join(w.text for w in es.leaf_words()))
     got = tuple(hashlib.sha256(b.encode()).hexdigest() for b in blobs)
     assert got == digests
+
+
+@pytest.mark.parametrize("name", sorted(_ARTIFACT_CASES))
+def test_subset_cells_match_whole_word_composition(monkeypatch, name):
+    # one top-down pass (root word once, block codes and star suffixes letter
+    # by letter) gives each leaf's point and cell radius bit for bit as
+    # composing its whole word does
+    es = _ARTIFACT_CASES[name][0]()
+    want = geometry._render_letters(es.ifs, *es._leaves(), None)
+    radii = np.array([es.ifs.weights.weight(w) for w in es.leaf_words()]) \
+        * (es.ifs.diameter_bound() / 2.0)
+    for rows in (13, 4096):  # 13 cuts sibling families between chunks
+        monkeypatch.setattr(geometry, "_RENDER_ROWS", rows)
+        cloud, mc = es.cloud(), es.measured_cloud()
+        assert np.array_equal(cloud.points, want.points) and cloud.eps == want.eps
+        assert np.array_equal(mc.points, want.points)
+        assert np.array_equal(mc.cell_radii, radii)

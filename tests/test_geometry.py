@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from gwfract.symbolic import (FiniteTree, InvalidInputError, Word, WeightedAlphabet,
+from gwfract.symbolic import (FiniteTree, InvalidInputError, StarTree, Word, WeightedAlphabet,
                               compress_along_pi_rho)
 from gwfract.branching import Binomial, sample_gw
 from gwfract import extraction, geometry
@@ -172,6 +172,22 @@ def test_width_single_point_and_pair():
         pytest.approx(0.0, abs=1e-12)
 
 
+def test_width_threshold_decides_as_the_full_width():
+    # in d = 3 the grid's Lipschitz lower bound settles thick clouds; every
+    # answer agrees with comparing the refined width, in every dimension
+    rng = np.random.default_rng(8)
+    clouds = [render(percolation_ifs(2, 3), depth=3).points, render(rotation_ifs_3d(), depth=5).points,
+              rng.random((4, 3)), rng.random((300, 4)), rng.random((50, 2))]
+    for flat in (1e-3, 1e-6, 1e-12):
+        clouds.append(rng.random((400, 3)) * [1.0, 1.0, flat])
+    for pts in clouds:
+        w = width(PointCloud(pts, 0.0)).w
+        for level in (0.0, 0.5 * w, 0.99 * w, w, 2.0 * w + 1e-9):
+            assert geometry._width_exceeds(PointCloud(pts, 0.0), level) == (w > level)
+    grid = geometry._direction_grid(3, 2000)
+    assert grid is geometry._direction_grid(3, 2000) and not grid.flags.writeable
+
+
 def test_diffuseness_grid_one_step():
     ifs = percolation_ifs(3, 2)
     # square corners carry the exact directional extremes of the attractor
@@ -301,6 +317,47 @@ def test_render_chunks_change_nothing(monkeypatch, ifs):
         for one, t in zip(whole, trees):
             chunked = render(ifs, tree=t)
             assert np.array_equal(one.points, chunked.points) and one.eps == chunked.eps
+
+
+def _sampled_render_cases():
+    """(ifs, tree, depth) triples: sampled trees on the grids in d = 1, 2, 3,
+    the gasket and a rotating 3-D system, some rendered above their depth,
+    and star trees of an unequal-ratio system with leaves of mixed lengths."""
+    cases = []
+    for ifs, p, depth in [(percolation_ifs(3, 1), 0.8, 4), (percolation_ifs(3, 2), 0.4, 3),
+                          (percolation_ifs(2, 3), 0.4, 3), (sierpinski_ifs(), 0.8, 4),
+                          (rotation_ifs_3d(), 0.9, 4)]:
+        for seed in range(20):
+            tree = sample_gw(Binomial(ifs.alphabet_size, p), depth, seed=seed).tree
+            cases.append((ifs, tree, depth - seed % 3 if seed % 4 == 0 else None))
+    unequal = _unequal_planar_ifs()
+    for seed in range(20):
+        tree = sample_gw(Binomial(3, 0.85), 6, seed=seed).tree
+        cases.append((unequal, compress_along_pi_rho(tree, unequal.weights, 0.2), None))
+    return cases
+
+
+@pytest.mark.parametrize("rows", [1, 7, 4096])
+def test_tree_render_matches_whole_word_composition(monkeypatch, rows):
+    # the top-down pass composes each node's map from its parent's; every
+    # point and eps is bit for bit that of composing each leaf word whole
+    monkeypatch.setattr(geometry, "_RENDER_ROWS", rows)
+    cases = _sampled_render_cases()
+    rendered = 0
+    for ifs, tree, depth in cases:
+        level = tree.depth if depth is None else min(depth, tree.depth)
+        got = render(ifs, tree=tree, depth=depth)
+        want = render_words(ifs, tree.level(level))
+        assert np.array_equal(got.points, want.points) and got.eps == want.eps
+        rendered += len(got) > 0
+    assert rendered >= 100
+    stars = [t for _, t, _ in cases if isinstance(t, StarTree)]
+    assert any(len({len(w) for w in t.level(t.depth)}) >= 3 for t in stars)
+    for ifs, depth in [(percolation_ifs(3, 1), 5), (percolation_ifs(3, 2), 3),
+                       (percolation_ifs(2, 3), 2), (sierpinski_ifs(), 6), (rotation_ifs_3d(), 4)]:
+        got = render(ifs, depth=depth)
+        want = render_words(ifs, FiniteTree.full(ifs.alphabet_size, depth).level(depth))
+        assert np.array_equal(got.points, want.points) and got.eps == want.eps
 
 
 def test_render_depth_zero_and_negative():
@@ -575,13 +632,16 @@ def uniform_measured(depth=4):
 
 
 class _EveryPoint:
-    """KD-tree stand-in whose every query returns the whole cloud."""
+    """KD-tree stand-in whose every query returns the whole cloud, for one
+    centre or for each of a batch of centres."""
 
     def __init__(self, pts):
         self.n = len(pts)
 
-    def query_ball_point(self, x, r):
-        return list(range(self.n))
+    def query_ball_point(self, x, r, return_sorted=None, return_length=False):
+        if np.ndim(x) == 1:
+            return self.n if return_length else list(range(self.n))
+        return np.full(len(x), self.n) if return_length else [list(range(self.n)) for _ in x]
 
 
 def test_ahlfors_reach_filter_matches_full_scan(monkeypatch):
@@ -594,6 +654,46 @@ def test_ahlfors_reach_filter_matches_full_scan(monkeypatch):
     want = ahlfors_ratio_check(mc, 1.5, sample_count=300, seed=4)
     assert got == want
     assert any(0.0 < s["inner"] < s["outer"] for s in got.samples)
+
+
+def _per_ball_samples(mc, res, seed):
+    """The samples of `res` recomputed one ball at a time: each ball's
+    KD-tree candidates sorted, measured and masked on their own."""
+    pts, masses, radii = mc.points, mc.masses, mc.cell_radii
+    if abs(masses.sum() - 1.0) > 1e-6:
+        masses = masses / masses.sum()
+    cell = float(radii.max())
+    rs = list(dict.fromkeys(s["r"] for s in res.samples))
+    per = len(res.samples) // len(rs)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    tree = cKDTree(pts)
+    samples = []
+    for rad in rs:
+        for i in rng.choice(len(pts), size=per, p=masses):
+            near = np.sort(np.array(tree.query_ball_point(pts[i], (rad + cell) * (1.0 + 1e-9)),
+                                    dtype=np.intp))
+            dist = np.linalg.norm(pts[near] - pts[i], axis=1)
+            m, r = masses[near], radii[near]
+            samples.append({"r": rad, "inner": float(m[dist + r <= rad].sum()),
+                            "outer": float(m[dist <= rad + r].sum())})
+    return samples
+
+
+@pytest.mark.parametrize("cap", [5, 1000, geometry._BALL_CANDIDATES])
+def test_ahlfors_batches_match_the_per_ball_loop(monkeypatch, cap):
+    # these balls hold 75 to 793 candidates: a cap of 5 puts each in a batch
+    # of its own, 1000 takes a few at a time, the default a whole radius
+    monkeypatch.setattr(geometry, "_BALL_CANDIDATES", cap)
+    rng = np.random.default_rng(3)
+    clouds = [MeasuredCloud(rng.random((2000, 2)), rng.random(2000), rng.uniform(0.0, 0.02, 2000)),
+              MeasuredCloud(rng.random((1500, 3)), rng.random(1500), rng.uniform(0.0, 0.04, 1500)),
+              uniform_measured(depth=3)]
+    for mc in clouds:
+        res = ahlfors_ratio_check(mc, 1.7, sample_count=120, seed=9)
+        assert res.samples == _per_ball_samples(mc, res, 9)
+        inner = [s["inner"] / s["r"] ** 1.7 for s in res.samples]
+        outer = [s["outer"] / s["r"] ** 1.7 for s in res.samples]
+        assert (res.c1_hat, res.c2_hat) == (min(inner), max(outer))
 
 
 def test_ahlfors_uniform_grid_tight():
