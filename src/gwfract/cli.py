@@ -537,6 +537,8 @@ def cmd_extract(cfg):
         for key in ("c", "k"):
             if _p(cfg, key) is None:
                 raise InvalidInputError("block pipeline wants --c and --k")
+        if _p(cfg, "levels") is not None:
+            raise InvalidInputError("block pipeline takes --depth, not --levels")
         es = percolation_pipeline(perc["b"], perc["d"], perc["p"],
                                   c=_p(cfg, "c", cast=float), k=_p(cfg, "k", cast=int),
                                   seed=seed, **kwargs)

@@ -1,10 +1,11 @@
 """Certified-subtree search and the pipelines that build diffuse, regular subsets.
 
-A predicate declares which child sets are acceptable.  Child labels are
-integers: the letters of a `FiniteTree`, which on a `StarTree` index its
-table of word suffixes.  One bottom-up presence DP (`_presence`) runs on the
+A predicate declares which child sets are acceptable.  A child set is an
+ascending integer array of labels: the letters of a `FiniteTree`, which on a
+`StarTree` index its table of word suffixes.  A witness is a subset in the
+same form, or None.  One bottom-up presence DP (`_presence`) runs on the
 level arrays of either kind; `find_subtree` runs it and extracts a greedily
-trimmed witness; one builder (`_witness`) walks the chosen child sets breadth
+trimmed witness; one builder (`_witness`) joins the chosen arrays breadth
 first into per-level labels and parent indices, for it, for the star pipeline
 and for the lazy scan.  The two pipelines wrap this with
 sampling, a breadth-first vertex scan, measure construction and geometric
@@ -26,7 +27,7 @@ families are certified only for the leaves whose results are taken."""
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -80,15 +81,6 @@ class PredicateContext:
     suffixes: tuple = None
 
 
-def _as_int_array(labels):
-    """Integer labels as an ascending int64 array."""
-    if isinstance(labels, np.ndarray):
-        return np.sort(labels.astype(np.int64, copy=False))
-    arr = np.fromiter(labels, dtype=np.int64)
-    arr.sort()
-    return arr
-
-
 def _runs(keys):
     """Start and length of each run of equal values in `keys`."""
     cut = np.ones(len(keys), dtype=bool)
@@ -104,9 +96,11 @@ def _runs(keys):
 class SubtreePredicate:
     """A monotone collection of acceptable child sets.
 
-    A structural predicate (a full block, a certified family) finds the core
-    that makes a set a member with `witness_core`, and a set is a member
-    exactly when it has one; that core is also its minimal witness.
+    `member` and `witness_subset` take an ascending integer array of labels;
+    a witness is an ascending array of some of them, or None.  A structural
+    predicate (a full block, a certified family) finds the core that makes a
+    set a member with `witness_core`, and a set is a member exactly when it
+    has one; that core is also its minimal witness, a slice of the labels.
     `_running()` returns `push(label, check)`, which adds one label to a
     growing set and, when `check` is true, says whether that set is a member,
     doing the certification work `member` would do on it.
@@ -145,9 +139,7 @@ class Ary(SubtreePredicate):
         return push
 
     def witness_subset(self, labels, ctx=None):
-        if len(labels) < self.a:
-            return None
-        return frozenset(int(x) for x in sorted(labels)[: self.a])
+        return labels[:self.a] if len(labels) >= self.a else None
 
     def min_arity(self):
         return self.a
@@ -158,7 +150,7 @@ class DiffuseBlock(SubtreePredicate):
 
     Labels are packed base-b^d words of length k (leading letter most
     significant); the block below prefix a is all base_n^2 extensions of a.
-    In an ascending set a block is a run of `block` labels with one prefix.
+    In an ascending array a block is a run of `block` labels with one prefix.
     """
 
     def __init__(self, b, k, d=2):
@@ -186,12 +178,10 @@ class DiffuseBlock(SubtreePredicate):
         return push
 
     def witness_core(self, labels, ctx=None):
-        arr = _as_int_array(labels)
-        starts, lengths = _runs(arr // self.block)
+        # an int64 divisor: the block size need not fit narrow labels' dtype
+        starts, lengths = _runs(labels // np.int64(self.block))
         full = starts[lengths == self.block]
-        if len(full) == 0:
-            return None
-        return frozenset(arr[full[0]:full[0] + self.block].tolist())
+        return labels[full[0]:full[0] + self.block] if len(full) else None
 
     def min_arity(self):
         return self.block
@@ -280,30 +270,27 @@ class SectionDiffuse(SubtreePredicate):
                 return Word(w[:i]), Word(w[i:])
         return Word(w), Word()
 
-    def _star_families(self, labels, ctx):
-        """(remainder, label) pairs of each split prefix's family, by ascending prefix."""
-        a = self.ifs.weights.weight(ctx.node) / self.rho ** ctx.height
-        groups = {}
-        for lab in _as_int_array(labels).tolist():
-            i, v = self._split(ctx.suffixes[lab], a)
-            groups.setdefault(i, []).append((v, lab))
-        return [groups[i] for i in sorted(groups)]
-
     # -- predicate API ------------------------------------------------------
 
     def witness_core(self, labels, ctx=None):
         if self.k is None:
-            for pairs in self._star_families(labels, ctx):
-                if self._suffixes_certified([v for v, _ in pairs]):
-                    return frozenset(lab for _, lab in pairs)
+            # the suffixes below one split prefix are consecutive in the sorted
+            # table, and their runs come in ascending prefix order
+            a = self.ifs.weights.weight(ctx.node) / self.rho ** ctx.height
+            splits = (self._split(ctx.suffixes[lab], a) for lab in labels.tolist())
+            s = 0
+            for _, family in groupby(splits, key=lambda split: split[0]):
+                rests = [v for _, v in family]
+                if self._suffixes_certified(rests):
+                    return labels[s:s + len(rests)]
+                s += len(rests)
             return None
-        arr = _as_int_array(labels)
-        prefixes, letters = np.divmod(arr, self.base_n)
+        prefixes, letters = np.divmod(labels, self.base_n)
         starts, lengths = _runs(prefixes)
-        masks = np.bitwise_or.reduceat(self._bits[letters], starts) if len(arr) else starts
+        masks = np.bitwise_or.reduceat(self._bits[letters], starts) if len(labels) else starts
         for s, n, m in zip(starts.tolist(), lengths.tolist(), masks.tolist()):
             if self._mask_certified(m):
-                return frozenset(arr[s:s + n].tolist())
+                return labels[s:s + n]
         return None
 
 
@@ -335,25 +322,22 @@ class Intersection(SubtreePredicate):
     def witness_subset(self, labels, ctx=None):
         # the final check on the result, a subset of `labels`, also rejects a
         # non-member: membership is monotone
-        core = set()
+        keep = np.zeros(len(labels), dtype=bool)
         for p in self.parts:
             take = getattr(p, "witness_core", None)
             if take is not None:
                 got = take(labels, ctx)
                 if got is None:
                     return None
-                core |= got
-        need = max(self.min_arity(), len(core)) - len(core)
-        arr = _as_int_array(labels)
-        keep = np.isin(arr, list(core))
+                keep |= np.isin(labels, got, assume_unique=True)
+        need = max(0, self.min_arity() - int(keep.sum()))
         pad = np.flatnonzero(~keep)[:need]
         if len(pad) < need:
             return None
         keep[pad] = True
-        # the check reads the result as the ascending array it already is
-        if not self.member(arr[keep], ctx):
-            return None
-        return frozenset(core.union(arr[pad].tolist()))
+        # a copy sized to the witness, which pins no larger array
+        witness = labels[keep]
+        return witness if self.member(witness, ctx) else None
 
 
 def diffuse_block_collection(b, k, d=2):
@@ -428,11 +412,12 @@ def _presence(tree, pred, n):
                                            PredicateContext(words[i], h, tree.suffixes)))
         return got
 
-    def step(v, label):
+    def step(v, labels):
         h, i = v
         _, kids, codes, bounds = below[h]
         b = bounds[i]
-        return h + 1, int(kids[b + np.searchsorted(codes[b:bounds[i + 1]], label)])
+        return [(h + 1, j) for j in
+                kids[b + np.searchsorted(codes[b:bounds[i + 1]], labels)].tolist()]
 
     return good, lambda h, i: _witness((h, i), n - h, chosen, step)
 
@@ -440,29 +425,25 @@ def _presence(tree, pred, n):
 def _witness(root, n, chosen, step):
     """Walk the chosen child sets breadth first, n levels down from `root`.
 
-    `chosen(vs, m)` lists the label sets kept at the nodes vs of one level,
-    with m levels to go, and `step(v, label)` is the node of that child: an
-    absolute word on the lazy scan, a (height, index) pair in the presence
-    DP.  Returns the per-level labels and parent indices (into the level
-    above) of the witness; level 0, the root, holds None.  Each node's labels
-    are taken in ascending order, so every level is in lexicographic order
-    with ascending parents, as `FiniteTree` stores it.  Leaves get no node.
+    `chosen(vs, m)` lists the ascending label arrays kept at the nodes vs of
+    one level, with m levels to go, and `step(v, labels)` lists the nodes of
+    v's children with those labels: absolute words on the lazy scan,
+    (height, index) pairs in the presence DP.  Returns the per-level label
+    arrays and parent indices (into the level above) of the witness, each
+    level one concatenation of its nodes' arrays; level 0, the root, holds
+    None.  Every level is thus in lexicographic order with ascending parents,
+    as `FiniteTree` stores it.  Leaves get no node.
     """
     labels, parents = [None], [None]
     nodes = [root]
     for m in range(n, 0, -1):
-        labs, pars, kids = [], [], []
-        for i, (v, got) in enumerate(zip(nodes, chosen(nodes, m))):
-            if got is None:
-                raise RuntimeError("witness extraction failed on a member set")
-            for lab in sorted(got):
-                labs.append(lab)
-                pars.append(i)
-                if m > 1:
-                    kids.append(step(v, lab))
-        labels.append(labs)
-        parents.append(pars)
-        nodes = kids
+        got = chosen(nodes, m)
+        if any(g is None for g in got):
+            raise RuntimeError("witness extraction failed on a member set")
+        labels.append(np.concatenate(got))
+        parents.append(np.repeat(np.arange(len(got)), [len(g) for g in got]))
+        if m > 1:
+            nodes = [kid for v, g in zip(nodes, got) for kid in step(v, g)]
     return labels, parents
 
 
@@ -923,7 +904,7 @@ class _LayeredScan:
                 found.append(lab)
                 if push(lab, len(found) >= self.arity):
                     self.witness[(w, m)] = self.pred.witness_subset(
-                        np.array(found, dtype=np.int64))
+                        np.array(found, dtype=codes.dtype))
                     return True
         return False
 
@@ -951,8 +932,8 @@ class _LayeredScan:
                         wits[i] = self.pred.witness_subset(labels)
             return wits
 
-        labels, parents = _witness(v, n, chosen, lambda w, lab: w.cat(
-            block_letters(lab, self.base_n, self.k).tolist()))
+        labels, parents = _witness(v, n, chosen, lambda w, labs: [
+            w.cat(row) for row in block_letters(labs, self.base_n, self.k).tolist()])
         return FiniteTree._of(self.base_n ** self.k, n, labels, parents)
 
     def scan_stats(self):
@@ -1079,6 +1060,8 @@ def percolation_pipeline(b, d, p, c, k, depth=None, seed=0, scan_budget=256,
     depth = int(depth)
     if depth < k or depth % k != 0:
         raise InvalidInputError("depth must be a positive multiple of k")
+    if scan_budget < 1 or node_budget < 1:
+        raise InvalidInputError("scan_budget and node_budget must be >= 1")
     n_total = depth // k
 
     offspring = Binomial(N, p)
@@ -1210,6 +1193,8 @@ def general_pipeline(ifs, offspring, rho, alpha, c, depth=None, seed=0,
         raise InvalidInputError("subcritical process: mean offspring <= 1")
     if n_levels is not None and int(n_levels) < 1:
         raise InvalidInputError("n_levels must be >= 1")
+    if scan_budget < 1 or node_budget < 1:
+        raise InvalidInputError("scan_budget and node_budget must be >= 1")
     delta = moran_exponent(offspring, weights)
     if not (0.0 < alpha < delta):
         raise InvalidInputError(

@@ -351,6 +351,37 @@ def test_extract_block_non_integer_c_exits_2():
     assert "not an integer" in doc["message"]
 
 
+_STAR_IFS = {"d": 2, "maps": [{"r": 0.45, "t": [0.0, 0.0], "angle": 0.0},
+                              {"r": 0.4, "t": [0.6, 0.0], "angle": 0.0},
+                              {"r": 0.4, "t": [0.0, 0.6], "angle": 0.0},
+                              {"r": 0.45, "t": [0.55, 0.55], "angle": 0.0}]}
+
+
+@pytest.mark.parametrize("path, flags", [
+    ("block", ["--scan-budget", "-1"]), ("block", ["--node-budget", "-1"]),
+    ("section", ["--scan-budget", "-1"]), ("section", ["--node-budget", "0"]),
+    ("star", ["--scan-budget", "-1"]), ("star", ["--node-budget", "-1"]),
+    ("block", ["--levels", "2"]),
+])
+def test_extract_bad_budget_or_block_levels_exits_2(tmp_path, path, flags):
+    # a budget below 1 is bad input, not a miss or a hit limit; block runs
+    # are sized by --depth, so --levels is not silently dropped
+    if path == "block":
+        argv = ["--percolation", "b=2,d=2,p=0.9", "--pipeline", "block", "--c", "2",
+                "--k", "4"]
+    elif path == "section":
+        argv = ["--percolation", "b=3,d=2,p=0.7", "--pipeline", "section",
+                "--rho", repr(3.0 ** -4), "--alpha", "1", "--c", "0.05"]
+    else:  # unequal ratios take the star pipeline
+        (tmp_path / "ifs.json").write_text(json.dumps(_STAR_IFS))
+        argv = ["--ifs", str(tmp_path / "ifs.json"), "--offspring", "bin:4:0.95",
+                "--pipeline", "section", "--rho", "0.0625", "--alpha", "1.5", "--c", "0.02"]
+    code, doc, _ = run_json(["extract"] + argv + flags)
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+    assert ("--depth" in doc["message"]) == ("--levels" in flags)
+
+
 def test_extinction_zero_trials_skips_monte_carlo():
     code, doc, _ = run_json(["extinction", "--offspring", "bin:3:0.9", "--trials", "0"])
     assert code == 0 and "mc" not in doc

@@ -34,13 +34,13 @@ from gwfract.extraction import (
 
 def test_ary_member_and_witness():
     pred = Ary(3)
-    assert not pred.member(frozenset({0, 5}))
-    assert pred.member(frozenset({0, 5, 7}))
-    w = pred.witness_subset(frozenset({9, 2, 7, 4}))
-    assert w == frozenset({2, 4, 7})  # smallest labels win
-    assert pred.witness_subset(frozenset({1})) is None
+    assert not pred.member(np.array([0, 5]))
+    assert pred.member(np.array([0, 5, 7]))
+    w = pred.witness_subset(np.array([2, 4, 7, 9]))
+    assert w.tolist() == [2, 4, 7]  # smallest labels win
+    assert pred.witness_subset(np.array([1])) is None
     assert pred.min_arity() == 3
-    assert Ary(2).member({3, 4})
+    assert Ary(2).member(np.array([3, 4]))
 
 
 def test_ary_rejects_bad_arity():
@@ -51,12 +51,15 @@ def test_ary_rejects_bad_arity():
 def test_diffuse_block_member():
     pred = DiffuseBlock(2, 3, 2)
     assert pred.block == 16
-    full = frozenset(range(32, 48))  # all extensions of prefix 2
+    full = np.arange(32, 48)  # all extensions of prefix 2
     assert pred.member(full)
-    assert pred.witness_core(full | {3, 99}) == full
-    assert not pred.member(full - {40})
-    assert pred.witness_subset(full - {40}) is None
+    assert np.array_equal(pred.witness_core(np.concatenate([[3], full, [99]])), full)
+    assert not pred.member(full[full != 40])
+    assert pred.witness_subset(full[full != 40]) is None
     assert pred.min_arity() == 16
+    # a block of 256 letters on a tree's uint8 letter arrays
+    sub = find_subtree(FiniteTree.full(256, 1), DiffuseBlock(2, 2, 4), 1)
+    assert sub.level_sizes() == [1, 256]
 
 
 def test_diffuse_block_needs_two_levels():
@@ -66,13 +69,13 @@ def test_diffuse_block_needs_two_levels():
 
 def test_intersection_pads_witness():
     pred = Intersection([DiffuseBlock(2, 2, 2), Ary(20)])
-    labels = frozenset(range(30))
+    labels = np.arange(30)
     assert pred.member(labels)
     w = pred.witness_subset(labels)
     assert len(w) >= 20
     assert all(p.member(w) for p in pred.parts)
     assert pred.min_arity() == 20
-    assert not pred.member(frozenset(range(15)))
+    assert not pred.member(np.arange(15))
 
 
 def test_diffuse_block_collection_matches_predicate():
@@ -82,16 +85,16 @@ def test_diffuse_block_collection_matches_predicate():
         pred = DiffuseBlock(b, k, d)
         N = pred.alphabet
         assert len(coll.generators) == N // pred.block
-        for S in (frozenset(range(N)), frozenset(range(N - 1)), frozenset({1, 2}),
-                  frozenset(range(N - pred.block, N))):
-            assert coll.closure_member(S) == pred.member(S)
+        for S in (np.arange(N), np.arange(N - 1), np.array([1, 2]),
+                  np.arange(N - pred.block, N)):
+            assert coll.closure_member(S.tolist()) == pred.member(S)
         rng = np.random.default_rng(b * 100 + k * 10 + d)
         # keep rates near 1 so that full blocks turn up
         W = rng.random((300, N)) < rng.uniform(0.6, 1.0, (300, 1))
         U = np.round(rng.random((300, N)), 2)
         for row in W:
-            S = np.flatnonzero(row).tolist()
-            assert coll.closure_member(S) == pred.member(S)
+            S = np.flatnonzero(row)
+            assert coll.closure_member(S.tolist()) == pred.member(S)
         for s in (0.0, 0.3, 0.5, *U[W][:5].tolist()):
             want = [not pred.member(np.flatnonzero(row)) for row in W & (U >= s)]
             assert (_member_thresholds(coll, W, U) < s).tolist() == want, (b, k, d, s)
@@ -276,7 +279,8 @@ def test_block_leaf_walk_matches_full_walk():
                     assert ([ok for _, ok in got], nodes.tolist()) == (want_ok, want_nodes), where
                     for (labels, ok), codes in zip(got, leaves):
                         if ok:
-                            assert pred.witness_subset(labels) == pred.witness_subset(codes), where
+                            assert np.array_equal(pred.witness_subset(labels),
+                                                  pred.witness_subset(codes)), where
                             stopped += len(labels) < len(codes)
                             # its first certified family lies past the lex-first A codes
                             late += max(sd.witness_core(codes)) > codes[A - 1]
@@ -403,13 +407,17 @@ def test_witness_exists_exactly_for_members(kind):
         pred = Intersection([SectionDiffuse(3.0 ** -2, 0.05, ifs, k=2), Ary(9)])
         alphabet, group = 81, 9
     outcomes = set()
-    for labels in _random_label_sets(rng, alphabet, group, 150):
+    for i, labels in enumerate(_random_label_sets(rng, alphabet, group, 150)):
+        labels = labels.astype((np.int64, np.uint8, np.uint16)[i % 3])
         member = pred.member(labels)
         wit = pred.witness_subset(labels)
         assert (wit is not None) == member
-        assert pred.witness_subset(frozenset(labels.tolist())) == wit
         if wit is not None:
-            assert wit <= set(labels.tolist())
+            # a fresh ascending array of input labels, which pins no larger one
+            assert isinstance(wit, np.ndarray) and wit.dtype == labels.dtype
+            assert wit.base is None
+            assert (wit[1:] > wit[:-1]).all()
+            assert np.isin(wit, labels).all()
             assert len(wit) >= pred.min_arity()
             assert pred.member(wit)
         outcomes.add(member)
@@ -531,7 +539,7 @@ def test_percolation_pipeline_frozen():
     pred = DiffuseBlock(2, 3, 2)
     root_children = es.subtree.children[Word()]
     assert len(root_children) == 27
-    assert pred.member(root_children)
+    assert pred.member(np.array(sorted(root_children)))
 
 
 def test_percolation_pipeline_determinism():
