@@ -2,17 +2,18 @@
 
 A predicate declares which child sets are acceptable.  A child set is an
 ascending integer array of labels: the letters of a `FiniteTree`, which on a
-`StarTree` index its table of word suffixes.  A witness is a subset in the
-same form, or None.  One bottom-up presence DP (`_presence`) runs on the
-level arrays of either kind; `find_subtree` runs it and extracts a greedily
-trimmed witness; one builder (`_witness`) joins the chosen arrays breadth
-first into per-level labels and parent indices, for it, for the star pipeline
-and for the lazy scan.  The two pipelines wrap this with
-sampling, a breadth-first vertex scan, measure construction and geometric
-certificates.  Deep instances never materialize the whole sample: the scan
-expands one compressed block at a time and stops testing children of a node as
-soon as the predicate is satisfied, which agrees with the eager DP because
-membership is monotone and children are visited in lex order
+`StarTree` index its table of (suffix, family-prefix length) entries.  A
+witness is a subset in the same form, or None.  One bottom-up presence DP
+(`_presence`) runs on the level arrays of either kind; `find_subtree` runs it
+and extracts a greedily trimmed witness; one builder (`_witness`) joins the
+chosen arrays breadth first into per-level labels and parent indices, for
+it, for the star pipeline and for the lazy scan.  The two pipelines wrap
+this with sampling, a breadth-first vertex scan, measure construction and
+geometric certificates.  Deep instances never materialize the whole
+sample: the scan expands one compressed block at a time and stops testing
+children of a node as soon as the predicate is satisfied, which agrees
+with the eager DP because membership is monotone and children are visited
+in lex order
 (`tests/test_extraction.py::test_layered_scan_matches_eager_dp` checks this).
 
 Children with one level to go (leaves) are walked in chunks: levels 0..k-2
@@ -27,7 +28,7 @@ families are certified only for the leaves whose results are taken."""
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import islice
 
 import numpy as np
 
@@ -68,19 +69,6 @@ class NotFoundError(RuntimeError):
         self.stats = dict(stats or {})
 
 
-@dataclass
-class PredicateContext:
-    """Node position handed to predicates that need it (star splitting).
-
-    `suffixes` is the tree's suffix table (`StarTree.suffixes`): a star's
-    integer labels index it.  It is None on a `FiniteTree`.
-    """
-
-    node: Word = Word()
-    height: int = 0
-    suffixes: tuple = None
-
-
 def _runs(keys):
     """Start and length of each run of equal values in `keys`."""
     cut = np.ones(len(keys), dtype=bool)
@@ -106,12 +94,12 @@ class SubtreePredicate:
     doing the certification work `member` would do on it.
     """
 
-    def member(self, labels, ctx=None):
-        return self.witness_core(labels, ctx) is not None
+    def member(self, labels):
+        return self.witness_core(labels) is not None
 
-    def witness_subset(self, labels, ctx=None):
+    def witness_subset(self, labels):
         """Minimal certifying child set (None when labels are not a member)."""
-        return self.witness_core(labels, ctx)
+        return self.witness_core(labels)
 
     def min_arity(self):
         """Cardinality floor a trimmed witness must keep."""
@@ -126,7 +114,7 @@ class Ary(SubtreePredicate):
         if self.a < 1:
             raise InvalidInputError("a must be >= 1")
 
-    def member(self, labels, ctx=None):
+    def member(self, labels):
         return len(labels) >= self.a
 
     def _running(self):
@@ -138,7 +126,7 @@ class Ary(SubtreePredicate):
             return check and size >= self.a
         return push
 
-    def witness_subset(self, labels, ctx=None):
+    def witness_subset(self, labels):
         return labels[:self.a] if len(labels) >= self.a else None
 
     def min_arity(self):
@@ -177,7 +165,7 @@ class DiffuseBlock(SubtreePredicate):
             return check and full
         return push
 
-    def witness_core(self, labels, ctx=None):
+    def witness_core(self, labels):
         # an int64 divisor: the block size need not fit narrow labels' dtype
         starts, lengths = _runs(labels // np.int64(self.block))
         full = starts[lengths == self.block]
@@ -193,19 +181,19 @@ class SectionDiffuse(SubtreePredicate):
     With the block length k (packed labels of a uniform-ratio compression by
     k base levels) the split prefix is the first k-1 base letters, and a
     family is the letter mask of one prefix.  Without k the labels index the
-    star's suffix table (`PredicateContext.suffixes`), and the prefix of a
-    suffix is the one realized in the section one r_min-step above the child
-    section, as the existence argument prescribes.  Either way a set's
-    families are certified in ascending prefix order, only up to the first
-    that passes, which is the witness's core.  Certification is one-sided: a
+    table of `star`, read once here: an entry's family prefix is the one
+    realized in the section one r_min-step above the child section, as the
+    existence argument prescribes, and its family is the rest of its suffix.
+    Either way a family is a run of labels with one prefix, the runs come in
+    ascending prefix order, and they are certified only up to the first that
+    passes, which is the witness's core.  Certification is one-sided: a
     family whose certified constant falls below c counts as a non-member.
     """
 
     # families certified per predicate before the scan gives up
     CERT_BUDGET = 4096
 
-    def __init__(self, rho, c, ifs, F_cloud=None, k=None, directions=200):
-        self.rho = float(rho)
+    def __init__(self, c, ifs, F_cloud=None, k=None, directions=200, star=None):
         self.c = float(c)
         if self.c <= 0:
             raise InvalidInputError("c must be positive")
@@ -216,6 +204,11 @@ class SectionDiffuse(SubtreePredicate):
         self.base_n = ifs.alphabet_size
         self.F = F_cloud if F_cloud is not None else _attractor_cloud(ifs)
         self._ok = {}
+        if star is not None:  # an entry's family key: the first entry with its prefix
+            first, table = {}, list(zip(star.suffixes, star.splits))
+            self._families = np.array([first.setdefault(v[:n], i)
+                                       for i, (v, n) in enumerate(table)])
+            self._rests = [v[n:] for v, n in table]
 
     # -- certification ------------------------------------------------------
 
@@ -239,9 +232,10 @@ class SectionDiffuse(SubtreePredicate):
         return self._certified(mask, lambda: [self.ifs.maps[j] for j in range(self.base_n)
                                               if mask >> j & 1])
 
-    def _suffixes_certified(self, suffixes):
-        key = frozenset(suffixes)
-        return self._certified(key, lambda: [word_map(self.ifs, v) for v in sorted(key)])
+    def _rests_certified(self, labels):
+        # one family's rests, in word order since the table is sorted
+        key = tuple(self._rests[i] for i in labels.tolist())
+        return self._certified(key, lambda: [word_map(self.ifs, v) for v in key])
 
     @property
     def _bits(self):
@@ -259,37 +253,19 @@ class SectionDiffuse(SubtreePredicate):
             return check and any(self._mask_certified(masks[p]) for p in sorted(masks))
         return push
 
-    # -- star labels --------------------------------------------------------
-
-    def _split(self, w, a):
-        """Prefix in the section one r_min-step up, and the remaining suffix."""
-        weights = self.ifs.weights
-        theta = self.rho / (a * weights.r_min)
-        for i in range(len(w) + 1):
-            if weights.weight(Word(w[:i])) <= theta:
-                return Word(w[:i]), Word(w[i:])
-        return Word(w), Word()
-
     # -- predicate API ------------------------------------------------------
 
-    def witness_core(self, labels, ctx=None):
+    def witness_core(self, labels):
         if self.k is None:
-            # the suffixes below one split prefix are consecutive in the sorted
-            # table, and their runs come in ascending prefix order
-            a = self.ifs.weights.weight(ctx.node) / self.rho ** ctx.height
-            splits = (self._split(ctx.suffixes[lab], a) for lab in labels.tolist())
-            s = 0
-            for _, family in groupby(splits, key=lambda split: split[0]):
-                rests = [v for _, v in family]
-                if self._suffixes_certified(rests):
-                    return labels[s:s + len(rests)]
-                s += len(rests)
-            return None
-        prefixes, letters = np.divmod(labels, self.base_n)
-        starts, lengths = _runs(prefixes)
-        masks = np.bitwise_or.reduceat(self._bits[letters], starts) if len(labels) else starts
-        for s, n, m in zip(starts.tolist(), lengths.tolist(), masks.tolist()):
-            if self._mask_certified(m):
+            starts, lengths = _runs(self._families[labels])
+            ok = map(self._rests_certified, np.split(labels, starts[1:]))
+        else:
+            prefixes, letters = np.divmod(labels, self.base_n)
+            starts, lengths = _runs(prefixes)
+            masks = np.bitwise_or.reduceat(self._bits[letters], starts) if len(labels) else starts
+            ok = map(self._mask_certified, masks.tolist())
+        for s, n, good in zip(starts.tolist(), lengths.tolist(), ok):
+            if good:
                 return labels[s:s + n]
         return None
 
@@ -303,8 +279,8 @@ class Intersection(SubtreePredicate):
         if not self.parts:
             raise InvalidInputError("intersection needs at least one part")
 
-    def member(self, labels, ctx=None):
-        return all(p.member(labels, ctx) for p in self.parts)
+    def member(self, labels):
+        return all(p.member(labels) for p in self.parts)
 
     def _running(self):
         pushes = [p._running() for p in self.parts]
@@ -319,14 +295,14 @@ class Intersection(SubtreePredicate):
     def min_arity(self):
         return max(p.min_arity() for p in self.parts)
 
-    def witness_subset(self, labels, ctx=None):
+    def witness_subset(self, labels):
         # the final check on the result, a subset of `labels`, also rejects a
         # non-member: membership is monotone
         keep = np.zeros(len(labels), dtype=bool)
         for p in self.parts:
             take = getattr(p, "witness_core", None)
             if take is not None:
-                got = take(labels, ctx)
+                got = take(labels)
                 if got is None:
                     return None
                 keep |= np.isin(labels, got, assume_unique=True)
@@ -337,7 +313,7 @@ class Intersection(SubtreePredicate):
         keep[pad] = True
         # a copy sized to the witness, which pins no larger array
         witness = labels[keep]
-        return witness if self.member(witness, ctx) else None
+        return witness if self.member(witness) else None
 
 
 def diffuse_block_collection(b, k, d=2):
@@ -389,35 +365,24 @@ def _presence(tree, pred, n):
     a node's good child labels are one segment of the good height-(h+1)
     letters, cut by the ascending parent indices.  `witness(h, i)` gives the
     level arrays (`_witness`) of the trimmed witness below node i of height h.
-    Each level's words are spelled once, for the predicate context.
     """
     sizes = tree.level_sizes()
     good = [None] * n + [np.ones(sizes[n], dtype=bool)]
     below = [None] * n
     for h in range(n - 1, -1, -1):
-        words = tree.level(h)
         kids = np.flatnonzero(good[h + 1])
         codes = tree._letters[h + 1][kids]
-        bounds = np.searchsorted(tree._parents[h + 1][kids], np.arange(sizes[h] + 1))
-        good[h] = np.array([pred.member(codes[b:e], PredicateContext(w, h, tree.suffixes))
-                            for w, b, e in zip(words, bounds[:-1].tolist(),
-                                               bounds[1:].tolist())], dtype=bool)
-        below[h] = words, kids, codes, bounds
+        ends = np.searchsorted(tree._parents[h + 1][kids], np.arange(sizes[h] + 1)).tolist()
+        # each node's good children: their indices and their labels
+        below[h] = [(kids[b:e], codes[b:e]) for b, e in zip(ends, ends[1:])]
+        good[h] = np.array([pred.member(labels) for _, labels in below[h]], dtype=bool)
 
     def chosen(vs, m):
-        got = []
-        for h, i in vs:
-            words, _, codes, bounds = below[h]
-            got.append(pred.witness_subset(codes[bounds[i]:bounds[i + 1]],
-                                           PredicateContext(words[i], h, tree.suffixes)))
-        return got
+        return [pred.witness_subset(below[h][i][1]) for h, i in vs]
 
     def step(v, labels):
-        h, i = v
-        _, kids, codes, bounds = below[h]
-        b = bounds[i]
-        return [(h + 1, j) for j in
-                kids[b + np.searchsorted(codes[b:bounds[i + 1]], labels)].tolist()]
+        kids, codes = below[v[0]][v[1]]
+        return [(v[0] + 1, j) for j in kids[np.searchsorted(codes, labels)].tolist()]
 
     return good, lambda h, i: _witness((h, i), n - h, chosen, step)
 
@@ -1291,7 +1256,7 @@ def _general_uniform(ifs, offspring, rho, alpha, c, A, k, depth, seed,
     if A > ifs.alphabet_size ** k:
         raise InvalidInputError("arity %d exceeds the section size" % A)
 
-    sd = SectionDiffuse(rho, c, ifs, F_cloud=F, k=k, directions=directions)
+    sd = SectionDiffuse(c, ifs, F_cloud=F, k=k, directions=directions)
     pred = Intersection([sd, Ary(A)])
     predicted = None
     try:
@@ -1335,18 +1300,14 @@ def _general_star(ifs, offspring, rho, alpha, c, A, depth, seed, n_levels,
 
     sample = sample_gw(offspring, depth, seed, node_budget=node_budget)
     star = compress_along_pi_rho(sample.tree, weights, rho, n_levels=n_total)
-    sd = SectionDiffuse(rho, c, ifs, F_cloud=F, k=None, directions=directions)
+    sd = SectionDiffuse(c, ifs, F_cloud=F, directions=directions, star=star)
     pred = Intersection([sd, Ary(A)])
     good, witness = _presence(star, pred, n_total)
 
-    candidates = ((h, i) for h in range(n_total) for i in range(len(good[h])))
-    hit = None
-    tested = 0
-    for h, i in islice(candidates, scan_budget):
-        tested += 1
-        if good[h][i]:
-            hit = (h, i)
-            break
+    candidates = list(islice(((h, i) for h in range(n_total) for i in range(len(good[h]))),
+                             scan_budget))
+    hit = next((v for v in candidates if good[v[0]][v[1]]), None)
+    tested = candidates.index(hit) + 1 if hit else len(candidates)
 
     stats = {"candidates_tested": tested, "certs": int(sd.cert_count),
              "star_nodes": len(star)}

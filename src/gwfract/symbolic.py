@@ -7,7 +7,6 @@ construction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import cached_property
 
 import numpy as np
@@ -283,9 +282,6 @@ class FiniteTree:
     that looks up many nodes binds the dict once.
     """
 
-    # a StarTree's letters index this table of word suffixes
-    suffixes = None
-
     def __init__(self, alphabet_size, depth, children):
         self.alphabet_size = int(alphabet_size)
         self.depth = int(depth)
@@ -295,7 +291,7 @@ class FiniteTree:
     def _set(self, letters, parents):
         # each level in the narrowest of uint8, uint16, int32 and int64 that
         # holds it, letters below the alphabet and parents below the size of
-        # the level above; readers widen before arithmetic, as `_has` does
+        # the level above; readers widen before arithmetic, as `__contains__` does
         def narrow(a, bound):
             return np.asarray(a, dtype=next(t for t in (np.uint8, np.uint16, np.int32, np.int64)
                                             if bound <= np.iinfo(t).max + 1))
@@ -397,28 +393,19 @@ class FiniteTree:
         out.update(dict.fromkeys(self.level(self.depth), leaf))
         return out
 
-    def _has(self, rows, lengths):
-        """Whether each padded letter row, of the given length, spells a node.
-
-        Walks down the levels as the builder does: a level's keys
-        parent * alphabet + letter ascend, so one search per level finds
-        each row's node there.
-        """
-        a = self.alphabet_size
-        found = (lengths <= self.depth) & ((rows >= 0) & (rows < a)).all(axis=1)
-        idx = np.zeros(len(rows), dtype=np.int64)
-        for j in range(1, min(int(lengths.max(initial=0)), self.depth) + 1):
-            live = np.flatnonzero(found & (lengths >= j))
-            keys = self._parents[j].astype(np.int64) * a + self._letters[j]
-            want = idx[live] * a + rows[live, j - 1]
-            pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-            hit = keys[pos] == want if len(keys) else np.zeros(len(live), dtype=bool)
-            found[live] = hit
-            idx[live] = pos
-        return found
-
     def __contains__(self, word):
-        return bool(self._has(*_word_rows([word]))[0])
+        # down the levels as the builder goes: a level's keys
+        # parent * alphabet + letter ascend, so one search per level
+        a, i, word = self.alphabet_size, 0, Word(word)
+        if len(word) > self.depth or not all(0 <= x < a for x in word):
+            return False
+        for j, x in enumerate(word, 1):
+            keys = self._parents[j].astype(np.int64) * a + self._letters[j]
+            want = i * a + x
+            i = int(np.searchsorted(keys, want))
+            if i == len(keys) or keys[i] != want:
+                return False
+        return True
 
     def __len__(self):
         return sum(self.level_sizes())
@@ -501,21 +488,24 @@ def block_letters(codes, base, k):
 class StarTree(FiniteTree):
     """Tree of variable-length words graded by a height function up to `depth`.
 
-    A `FiniteTree` whose letters index `suffixes`, a sorted table of nonempty
-    words: a node's word is its parent's word followed by the suffix its
+    A `FiniteTree` whose letters index a table sorted by suffix: entry i is
+    the nonempty word `suffixes[i]` and the length `splits[i]` of its family
+    prefix (`compress_along_pi_rho`).  A word may repeat with different
+    splits.  A node's word is its parent's word followed by the suffix its
     letter names.  Sibling suffixes are never prefixes of one another, so
     suffix order is word order and the lexicographic layout holds as it is.
-    `level(h)` spells root-relative words; `children` maps them to suffix ids.
+    `level(h)` spells root-relative words; `children` maps them to entry ids.
     """
 
-    def __init__(self, suffixes, depth, letters, parents):
+    def __init__(self, suffixes, depth, letters, parents, splits):
         self.suffixes = tuple(Word(v) for v in suffixes)
+        self.splits = tuple(int(n) for n in splits)
         self.alphabet_size = len(self.suffixes)
         self.depth = int(depth)
         self._set(letters, parents)
 
     def _sub(self, depth, letters, parents):
-        return StarTree(self.suffixes, depth, letters, parents)
+        return StarTree(self.suffixes, depth, letters, parents, self.splits)
 
     @cached_property
     def _table(self):
@@ -541,14 +531,18 @@ class StarTree(FiniteTree):
 
     def __eq__(self, other):
         return (isinstance(other, StarTree) and self.suffixes == other.suffixes
-                and super().__eq__(other))
+                and self.splits == other.splits and super().__eq__(other))
 
     def _label_texts(self):
         return [v.text for v in self.suffixes]
 
 
 def compress_along_pi_rho(tree, weights, rho, n_levels=None):
-    """Intersect the tree with the graded sections and grade nodes by section index."""
+    """Intersect the tree with the graded sections and grade nodes by section index.
+
+    One top-down pass over the level arrays; the README's "Star compression"
+    note gives its rules for sections, star parents and family prefixes.
+    """
     if weights.alphabet_size != tree.alphabet_size:
         raise InvalidInputError("weights/tree alphabet mismatch")
     rho = float(rho)
@@ -565,19 +559,59 @@ def compress_along_pi_rho(tree, weights, rho, n_levels=None):
             "requested %r section levels but at most %d fit within depth %d"
             % (n_levels, max_usable, tree.depth)
         )
-    levels = [[Word()]]
-    for n in range(1, n_levels + 1):
-        words = section_pi_rho(weights, rho ** n).sorted_words()
-        kept = tree._has(*_word_rows(words))
-        levels.append([w for w, k in zip(words, kept.tolist()) if k])
-    # a word's parent is its prefix in the previous section (the tree is
-    # prefix-closed): the last kept word there not after it, as that section
-    # is an antichain
-    parents = [None] + [[bisect_right(up, w) - 1 for w in ws]
-                        for up, ws in zip(levels, levels[1:])]
-    tails = [[Word(w[len(up[p]):]) for w, p in zip(ws, ps)]
-             for up, ws, ps in zip(levels, levels[1:], parents[1:])]
-    suffixes = sorted(set().union(*tails))
-    ids = {v: i for i, v in enumerate(suffixes)}
-    letters = [None] + [[ids[v] for v in vs] for vs in tails]
-    return StarTree(suffixes, n_levels, letters, parents)
+    ratios = np.append(weights.ratios, 1.0)  # the -1 padding letter weighs 1
+    powers = np.array([rho ** n for n in range(n_levels + 1)])
+    # per walked node of a level: its index there, weight, sections reached,
+    # and its nearest star node (itself included): id, tree depth and
+    # a = weight / rho**height.  The root is star node 0, found nodes are
+    # numbered from 1 as found, and no node in the last section is walked below
+    node, w, a = np.zeros(1, dtype=np.intp), np.ones(1), np.ones(1)
+    count, up, top = np.zeros((3, 1), dtype=np.int64)
+    found, size, sizes = [], 1, tree.level_sizes()
+    for j in range(1, tree.depth + 1):
+        slot = np.full(sizes[j - 1], -1)
+        slot[node[count < n_levels]] = np.flatnonzero(count < n_levels)
+        par = slot[tree._parents[j]]
+        node = np.flatnonzero(par >= 0)
+        par = par[node]
+        w = w[par] * ratios[tree._letters[j][node]]
+        above, count = count[par], (w[:, None] <= powers[1:] * (1.0 + REL_TOL)).sum(axis=1)
+        up, top, a = up[par], top[par], a[par]
+        new = np.flatnonzero(count > above)
+        # suffix letters, read back up the tree, padded with -1 past the end
+        lengths, idx = j - top[new], node[new]
+        rows = np.full((len(new), tree.depth), -1, dtype=np.min_scalar_type(-tree.alphabet_size))
+        for i in range(int(lengths.max(initial=0))):
+            live = lengths > i
+            rows[live, lengths[live] - 1 - i] = tree._letters[j - i][idx[live]]
+            idx = tree._parents[j - i][idx]
+        found.append((up[new], count[new], lengths, rho / (a[new] * weights.r_min), rows))
+        up[new], top[new], a[new] = size + np.arange(len(new)), j, w[new] / powers[count[new]]
+        size += len(new)
+
+    ups, heights, lengths, theta, rows = map(np.concatenate, zip(*found))
+    rows = rows[:, :int(lengths.max(initial=0))]
+    # fits[:, i]: whether the suffix's first i letters weigh at most theta
+    fits = np.column_stack([theta >= 1.0, np.cumprod(ratios[rows], axis=1) <= theta[:, None]])
+    splits = np.where(fits.any(axis=1), fits.argmax(axis=1), lengths)
+    # the table: distinct (suffix, split) rows in word order.  Each row folds
+    # into one int64 key, a digit per letter + 1 (so the padding sorts first),
+    # and the key is ranked densely wherever the next digit would overflow it
+    key = np.zeros(len(rows), dtype=np.int64)
+    base = max(weights.alphabet_size, rows.shape[1] + 1) + 1  # above every digit
+    for digits in [*rows.T, splits]:
+        if key.max(initial=0) >= np.iinfo(np.int64).max // base:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * base + digits + 1
+    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    suffixes = [Word(r[:n]) for r, n in zip(rows[first].tolist(), lengths[first].tolist())]
+    # each height in word order: by parent position, then by suffix
+    pos = np.zeros(size, dtype=np.int64)
+    letters, parents = [None], [None]
+    for h in range(1, n_levels + 1):
+        sel = np.flatnonzero(heights == h)
+        sel = sel[np.lexsort((ids[sel], pos[ups[sel]]))]
+        pos[sel + 1] = np.arange(len(sel))
+        letters.append(ids[sel])
+        parents.append(pos[ups[sel]])
+    return StarTree(suffixes, n_levels, letters, parents, splits[first])

@@ -382,6 +382,19 @@ def test_extract_bad_budget_or_block_levels_exits_2(tmp_path, path, flags):
     assert ("--depth" in doc["message"]) == ("--levels" in flags)
 
 
+@pytest.mark.parametrize("rho, alpha, digest", [
+    ("0.0625", "1.5", "0b593a3a07e101a3"), ("0.03125", "1.2", "76279edb00c8b7c6")])
+def test_extract_star_json_is_pinned(tmp_path, rho, alpha, digest):
+    # unequal ratios: one and two star levels
+    (tmp_path / "ifs.json").write_text(json.dumps(_STAR_IFS))
+    code, out, _ = run(["extract", "--ifs", str(tmp_path / "ifs.json"), "--offspring",
+                        "bin:4:0.95", "--pipeline", "section", "--c", "0.02", "--rho", rho,
+                        "--alpha", alpha, "--json"])
+    assert code == 0
+    assert json.loads(out)["pipeline"] == "general-star"
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
+
 def test_extinction_zero_trials_skips_monte_carlo():
     code, doc, _ = run_json(["extinction", "--offspring", "bin:3:0.9", "--trials", "0"])
     assert code == 0 and "mc" not in doc

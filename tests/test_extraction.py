@@ -172,7 +172,7 @@ def test_layered_scan_matches_eager_dp():
     tested = witnesses = 0
     for b, d, p, c, k, A in ((3, 2, 0.6, 0.05, 2, 30), (4, 1, 0.7, 0.05, 3, 12),
                              (3, 1, 0.9, 0.05, 3, 9)):
-        pred = Intersection([SectionDiffuse(float(b) ** -k, c, percolation_ifs(b, d), k=k),
+        pred = Intersection([SectionDiffuse(c, percolation_ifs(b, d), k=k),
                              Ary(A)])
         for seed in range(6):
             t, w = _scan_matches_eager(LazyGW(Binomial(b ** d, p), seed), k, pred, A)
@@ -182,13 +182,13 @@ def test_layered_scan_matches_eager_dp():
 
 def test_layered_scan_takes_one_block_or_packed_section_predicate():
     lazy = LazyGW(Binomial(4, 0.9), 0)
-    star = SectionDiffuse(0.25, 0.05, percolation_ifs(2, 2))
+    star = SectionDiffuse(0.05, percolation_ifs(2, 2))
     for pred in (Ary(4), star, DiffuseBlock(2, 2, d=2),
                  Intersection([DiffuseBlock(2, 3, d=2), DiffuseBlock(2, 3, d=2)])):
         with pytest.raises(CapabilityError):
             _LayeredScan(lazy, 3, pred, 4, per_node_cap=10)
     # letter masks are int64 bit sets
-    wide = SectionDiffuse(8.0 ** -2, 0.05, percolation_ifs(8, 2), k=2)
+    wide = SectionDiffuse(0.05, percolation_ifs(8, 2), k=2)
     with pytest.raises(CapabilityError):
         wide.member([0, 1])
 
@@ -225,7 +225,7 @@ def _section_preds():
         F = render(ifs, depth=3)
         for k in (2, 3, 4):
             for c in (0.05, 0.2):
-                yield b, d, k, SectionDiffuse(float(b) ** -k, c, ifs, F_cloud=F, k=k)
+                yield b, d, k, SectionDiffuse(c, ifs, F_cloud=F, k=k)
 
 
 def test_block_leaf_walk_matches_full_walk():
@@ -296,7 +296,7 @@ def test_block_leaf_walk_matches_full_walk():
 def test_block_leaf_walk_trips_the_budget_as_the_full_walk_does():
     for b, d, k, p in ((2, 2, 3, 0.9), (3, 2, 4, 0.99), (2, 1, 2, 0.6)):
         N = b ** d
-        section = SectionDiffuse(float(b) ** -k, 0.05, percolation_ifs(b, d), k=k)
+        section = SectionDiffuse(0.05, percolation_ifs(b, d), k=k)
         keys = np.random.default_rng(5).integers(0, 2 ** 63, size=7, dtype=np.uint64)
         # nodes of the whole chunk at each level 0..k-1, and 100 counted before
         sizes = [len(LazyGW(Binomial(N, p), 0)._level(keys, j)[0]) for j in range(k)]
@@ -404,7 +404,7 @@ def test_witness_exists_exactly_for_members(kind):
         alphabet, group = 64, 16
     else:
         ifs = percolation_ifs(3, 2)
-        pred = Intersection([SectionDiffuse(3.0 ** -2, 0.05, ifs, k=2), Ary(9)])
+        pred = Intersection([SectionDiffuse(0.05, ifs, k=2), Ary(9)])
         alphabet, group = 81, 9
     outcomes = set()
     for i, labels in enumerate(_random_label_sets(rng, alphabet, group, 150)):
@@ -659,6 +659,18 @@ def test_general_pipeline_star_frozen():
     assert es.stats == {"candidates_tested": 50, "certs": 10, "star_nodes": 7297}
     digest = hashlib.sha256(es.tree_text().encode()).hexdigest()
     assert digest.startswith("8b5079593b75defe")
+    # two star levels: the families below the root's children are split one
+    # graded section down
+    es = general_pipeline(_unequal_ratio_ifs(), Binomial(4, 0.95), rho=1 / 32,
+                          alpha=1.2, c=0.02, seed=0)
+    assert es.pipeline == "general-star"
+    assert es.root_word.text == ""
+    assert es.levels() == 2
+    assert len(es.leaf_words()) == es.to_json()["leaf_count"] == 4096
+    assert es.params["depth"] == 9
+    assert es.stats == {"candidates_tested": 1, "certs": 16, "star_nodes": 75303}
+    digest = hashlib.sha256(es.tree_text().encode()).hexdigest()
+    assert digest.startswith("84ccbff06dc76d1d")
 
 
 def test_general_pipeline_star_budget_counts_tested_vertices():
@@ -696,6 +708,13 @@ _ARTIFACT_CASES = {
          "831feecd72c1aaad400c9e7aed12846378bae9d3d733ce8ca38b81b63e4dc395",
          "f3eb6eeab0507bfe3718db16c6a4ae2d661eed12a18de46750b09e50a70f7811",
          "328d27442d877a8bd4b40c5cb86baa00d4fef8228e1097bf81dc8d7fbad041d4")),
+    "star-2": (
+        lambda: general_pipeline(_unequal_ratio_ifs(), Binomial(4, 0.95), rho=1 / 32,
+                                 alpha=1.2, c=0.02, seed=0),
+        ("f25aee1002fb833f4fe4978e237e1e98f9afe4f48d40ff56e92366691b21eb57",
+         "978e6a00a6694cf96ad56b77aafd2a9f1255931edb9a5cd4450696e76f66704c",
+         "d391b3f9172392e99ef04762d67c52581b06c821abc0a3edea9ac7592a84a098",
+         "0c43bfc49f9231525c47ca3290d67c33a5fd3c786b1d5f132183086919651c92")),
 }
 
 

@@ -7,7 +7,7 @@ import functools
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gwfract.symbolic import (FiniteTree, Word, WeightedAlphabet, _section_depth,
                               compress_along_pi_rho, rho_index, section_pi_rho,
@@ -258,10 +258,35 @@ def test_star_parents_text_and_witness_arity(ratios, frac, levels, p, seed, a):
             assert len(u) < len(w) and w[:len(u)] == u
             assert rho_index(weights, rho, w)[0] == rho_index(weights, rho, u)[0] + 1 == h
     assert star.to_text() == "".join(w.text + "\n" for w in sorted(sum(words, [])))
+    # height h holds every realized word of the graded section rho^h
+    for h in range(1, levels + 1):
+        assert set(words[h]) == {w for w in section_pi_rho(weights, rho ** h) if w in tree}
     for m in range(levels + 1):
         sub = find_subtree(star, Ary(a), m)
         if sub is not None:
             assert all(len(sub.children[w]) == a for h in range(m) for w in sub.level(h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratio_lists, st.floats(0.4, 0.95), st.integers(1, 2), st.floats(0.6, 1.0),
+       st.integers(0, 2 ** 16))
+def test_star_family_split_follows_the_weight_rule(ratios, frac, levels, p, seed):
+    # a child's family prefix is the shortest prefix u of its suffix with
+    # weight(u) <= rho / (a * r_min), where a = weight(parent) / rho^h
+    assume(min(ratios) < max(ratios))
+    weights = WeightedAlphabet(ratios)
+    rho = weights.r_min * frac
+    depth = _section_depth(weights, rho ** levels)
+    tree = sample_gw(Binomial(len(ratios), p), depth, seed=seed).tree
+    star = compress_along_pi_rho(tree, weights, rho, n_levels=levels)
+    for h in range(levels):
+        ups = star.level(h)
+        for i, lab in zip(star._parents[h + 1].tolist(), star._letters[h + 1].tolist()):
+            v = star.suffixes[lab]
+            theta = rho / (weights.weight(ups[i]) / rho ** h * weights.r_min)
+            want = next((n for n in range(len(v) + 1) if weights.weight(v[:n]) <= theta),
+                        len(v))
+            assert star.splits[lab] == want
 
 
 # ---------------------------------------------------------------------------
