@@ -192,14 +192,15 @@ class SectionDiffuse(SubtreePredicate):
 
     # families certified per predicate before the scan gives up
     CERT_BUDGET = 4096
+    # directions of each family's certificate
+    DIRECTIONS = 200
 
-    def __init__(self, c, ifs, F_cloud=None, k=None, directions=200, star=None):
+    def __init__(self, c, ifs, F_cloud=None, k=None, star=None):
         self.c = float(c)
         if self.c <= 0:
             raise InvalidInputError("c must be positive")
         self.ifs = ifs
         self.k = None if k is None else int(k)
-        self.directions = int(directions)
         self.cert_count = 0
         self.base_n = ifs.alphabet_size
         self.F = F_cloud if F_cloud is not None else _attractor_cloud(ifs)
@@ -223,7 +224,7 @@ class SectionDiffuse(SubtreePredicate):
                     "diffuseness certification budget exhausted after %d families"
                     % self.CERT_BUDGET
                 )
-            res = diffuseness_constant(family(), self.F, directions=self.directions,
+            res = diffuseness_constant(family(), self.F, directions=self.DIRECTIONS,
                                        need=self.c)
             ok = self._ok[key] = res.c_low >= self.c
         return ok
@@ -416,16 +417,20 @@ def _witness(root, n, chosen, step):
 # natural measure
 
 
+def _integer(value, name):
+    """`value` as an int; InvalidInputError unless it is a positive integer."""
+    A = int(round(value))
+    if A < 1 or abs(value - A) > 1e-9 * max(1.0, value):
+        raise InvalidInputError("%s = %r is not an integer" % (name, value))
+    return A
+
+
 def natural_measure(subtree, rho, alpha):
     """Mass rho^(h*alpha) per height-h node of an exactly rho^(-alpha)-ary tree."""
     rho = float(rho)
-    alpha = float(alpha)
     if not (0.0 < rho < 1.0):
         raise InvalidInputError("rho must lie in (0,1)")
-    A_f = rho ** (-alpha)
-    A = int(round(A_f))
-    if A < 1 or abs(A_f - A) > 1e-9 * max(1.0, A_f):
-        raise InvalidInputError("rho^-alpha = %r is not an integer" % A_f)
+    A = _integer(rho ** -float(alpha), "rho^-alpha")
 
     sizes = subtree.level_sizes()
     for h in range(subtree.depth):
@@ -543,24 +548,14 @@ class ExtractedSubset:
 # predicted presence (reported next to scan outcomes)
 
 
-def _no_block_g(offspring, k, s, p_full):
-    """P(no fully surviving two-level block among the level-k descendants)."""
+def _no_full_g(offspring, k, s, p_full, j):
+    """P(no fully surviving j-level structure below a level-(k-j) vertex): a
+    two-level block for j = 2, a one-step family for j = 1."""
     N = offspring.alphabet_size
-    if k < 2:
-        raise InvalidInputError("two-level block needs k >= 2")
-    beta = p_full ** (1 + N) * (1.0 - s) ** (N * N)
-    t = 1.0 - beta
-    for _ in range(k - 2):
-        t = pgf(offspring, t)
-    return min(1.0, max(0.0, t))
-
-
-def _no_family_g(offspring, k, s, p_full):
-    """P(no fully surviving one-step family below a level-(k-1) vertex)."""
-    N = offspring.alphabet_size
-    beta = p_full * (1.0 - s) ** N
-    t = 1.0 - beta
-    for _ in range(k - 1):
+    if k < j:
+        raise InvalidInputError("a %d-level structure needs k >= %d" % (j, j))
+    t = 1.0 - p_full ** sum(N ** i for i in range(j)) * (1.0 - s) ** N ** j
+    for _ in range(k - j):
         t = pgf(offspring, t)
     return min(1.0, max(0.0, t))
 
@@ -572,13 +567,13 @@ def predicted_presence(offspring, k, arity, n_levels, mode="block"):
     closed form (the cardinality term is exact for binomial offspring), so the
     resulting tau is a conservative prediction of the scan's hit rate.
     """
-    stage = _no_block_g if mode == "block" else _no_family_g
+    j = 2 if mode == "block" else 1
     p_full = float(offspring.size_pmf()[-1])
     flagged = False
     t = 0.0
     for _ in range(int(n_levels)):
         s = min(t, 1.0 - 1e-12)
-        gs = stage(offspring, k, s, p_full)
+        gs = _no_full_g(offspring, k, s, p_full, j)
         gc = g_k_a_curve(offspring, k, arity, s)
         flagged = flagged or bool(gc.get("flagged"))
         t = min(1.0, gs + gc["value"])
@@ -626,10 +621,11 @@ class _LayeredScan:
     for the prefix without judging the whole prefix again.
 
     The predicate is one `DiffuseBlock` or one packed `SectionDiffuse` of
-    length k, with `Ary` floors.  Children with one level to go (leaves) are
-    walked a chunk at a time: as many leaves as fill `_CHUNK_NODES` expected
-    prefix nodes, and at least k - 1, so that a chunk's k - 1 level steps
-    cost at most about one step's numpy calls per leaf.  Levels 0..k-2 are
+    length k, with `Ary` floors; a witness keeps `pred.min_arity()` children.
+    Children with one level to go (leaves) are walked a chunk at a time: as
+    many leaves as fill `_CHUNK_NODES` expected prefix nodes, and at least
+    k - 1, so that a chunk's k - 1 level steps cost at most about one step's
+    numpy calls per leaf.  Levels 0..k-2 are
     walked once (`_prefix_walk`); the level-(k-1) child rows are then read in
     lex order, a doubling batch per round, until each leaf is decided
     (`_lex_batches`), their stream keys mixed for the rows read only; a
@@ -651,11 +647,11 @@ class _LayeredScan:
     `certs`, so it is built when the leaf passes.
     """
 
-    def __init__(self, lazy, k, pred, arity, per_node_cap):
+    def __init__(self, lazy, k, pred, per_node_cap):
         self.lazy = lazy
         self.k = int(k)
         self.pred = pred
-        self.arity = int(arity)
+        self.arity = pred.min_arity()
         self.per_node_cap = int(per_node_cap)
         self.base_n = lazy.offspring.alphabet_size
         parts = pred.parts if isinstance(pred, Intersection) else [pred]
@@ -666,7 +662,6 @@ class _LayeredScan:
                                   "predicate of length %d, with cardinality floors" % self.k)
         self.block = core[0] if isinstance(core[0], DiffuseBlock) else None
         self.section = None if self.block else core[0]
-        self.floor = max([self.arity] + [p.a for p in parts if isinstance(p, Ary)])
         mean = lazy.offspring.mean()
         self.chunk = max(self.k - 1,
                          int(_CHUNK_NODES / sum(mean ** j for j in range(self.k - 1))))
@@ -761,10 +756,10 @@ class _LayeredScan:
                 if len(sel) == 0:
                     break
             ok[cand_roots[sel]] = True
-        if self.floor > self.block.block:
+        if self.arity > self.block.block:
             held = np.flatnonzero(ok[owner])
             sizes = lazy.offspring.sample_matrix(self._row_keys(levels, held)).sum(axis=1)
-            ok &= np.bincount(owner[held], weights=sizes, minlength=len(keys)) >= self.floor
+            ok &= np.bincount(owner[held], weights=sizes, minlength=len(keys)) >= self.arity
         return ok, nodes
 
     def _section_walk(self, keys):
@@ -789,7 +784,7 @@ class _LayeredScan:
         # the first round reads about 256 rows, so that one sample call serves many
         for sel in _lex_batches(owner, full, max(1, 256 // len(keys))):
             held += np.bincount(owner[sel], weights=read(sel), minlength=len(keys))
-            full |= held >= self.floor
+            full |= held >= self.arity
 
         def certified(fams):
             return any(sd._mask_certified(m) for m in fams.tolist() if m)
@@ -902,9 +897,12 @@ class _LayeredScan:
         return FiniteTree._of(self.base_n ** self.k, n, labels, parents)
 
     def scan_stats(self):
-        return {"child_tests": int(self.child_tests),
-                "capped_nodes": int(self.capped_nodes),
-                "nodes_sampled": int(self.lazy.nodes_sampled)}
+        stats = {"child_tests": int(self.child_tests),
+                 "capped_nodes": int(self.capped_nodes),
+                 "nodes_sampled": int(self.lazy.nodes_sampled)}
+        if self.section is not None:
+            stats["certs"] = int(self.section.cert_count)
+        return stats
 
 
 def _scan_candidates(layered, n_total, scan_budget):
@@ -939,27 +937,39 @@ def _scan_candidates(layered, n_total, scan_budget):
     )
 
 
-def _layered_witness(offspring, seed, node_budget, k, pred, arity, per_node_cap,
-                     n_total, scan_budget, predicted, miss_stats):
-    """Scan one lazy realization breadth first and build the first witness.
+def _levels(depth, n_levels, k, step):
+    """Witness levels of k base steps each: depth // k for a depth that is a
+    positive multiple of k (`step` names k), else n_levels, 2 by default."""
+    if depth is None:
+        return 2 if n_levels is None else int(n_levels)
+    depth = int(depth)
+    if depth < k or depth % k != 0:
+        raise InvalidInputError("depth must be a positive multiple of " + step)
+    if n_levels is not None and int(n_levels) != depth // k:
+        raise InvalidInputError("depth and n_levels disagree")
+    return depth // k
+
+
+def _scan_extract(offspring, core, A, k, n_total, seed, scan_budget, node_budget,
+                  predicted, params, per_node_cap=None):
+    """Scan one lazy realization breadth first for an A-ary witness of n_total
+    levels of k base steps, its child sets holding the predicate `core`, and
+    build the first one found.
 
     Returns the witness root word, its tree and the scan stats with
     `predicted`.  On a miss the NotFoundError's stats get `predicted` and
-    then `miss_stats()`, read after the scan.
+    `params` with the seed.
     """
-    if per_node_cap is None:
-        per_node_cap = max(4 * arity, 256)
     lazy = LazyGW(offspring, seed, node_budget=node_budget)
-    layered = _LayeredScan(lazy, k, pred, arity, per_node_cap)
+    layered = _LayeredScan(lazy, k, Intersection([core, Ary(A)]),
+                           max(4 * A, 256) if per_node_cap is None else per_node_cap)
     try:
         v, n, scan = _scan_candidates(layered, n_total, scan_budget)
     except NotFoundError as err:
-        err.stats["predicted"] = predicted
-        err.stats.update(miss_stats())
+        err.stats.update(predicted=predicted, params=dict(params, seed=int(seed)))
         raise
     subtree = layered.witness_tree(v, n)
-    scan.update(layered.scan_stats())
-    scan["predicted"] = predicted
+    scan.update(layered.scan_stats(), predicted=predicted)
     return v, subtree, scan
 
 
@@ -1010,34 +1020,23 @@ def percolation_pipeline(b, d, p, c, k, depth=None, seed=0, scan_budget=256,
         raise InvalidInputError("k must be >= 2")
     if not (1.0 < c < mean):
         raise InvalidInputError("c must lie in (1, p*b^d)")
-    A_f = c ** k
-    A = int(round(A_f))
-    if abs(A_f - A) > 1e-9 * max(1.0, A_f):
-        raise InvalidInputError("c^k = %r is not an integer" % A_f)
+    A = _integer(c ** k, "c^k")
     if A < N * N:
         raise InvalidInputError(
             "c^k = %d is below the block size b^(2d) = %d; increase k" % (A, N * N)
         )
     if A > N ** k:
         raise InvalidInputError("arity %d exceeds the compressed alphabet" % A)
-    if depth is None:
-        depth = 2 * k
-    depth = int(depth)
-    if depth < k or depth % k != 0:
-        raise InvalidInputError("depth must be a positive multiple of k")
+    n_total = _levels(depth, None, k, "k")
     if scan_budget < 1 or node_budget < 1:
         raise InvalidInputError("scan_budget and node_budget must be >= 1")
-    n_total = depth // k
 
     offspring = Binomial(N, p)
+    params = {"b": b, "d": d, "p": p, "c": c, "k": k, "depth": n_total * k}
+    v, subtree, scan = _scan_extract(
+        offspring, DiffuseBlock(b, k, d=d), A, k, n_total, seed, scan_budget, node_budget,
+        predicted_presence(offspring, k, A, n_total, mode="block"), params, per_node_cap)
     ifs = percolation_ifs(b, d=d)
-    pred = Intersection([DiffuseBlock(b, k, d=d), Ary(A)])
-    predicted = predicted_presence(offspring, k, A, n_total, mode="block")
-    v, subtree, scan = _layered_witness(
-        offspring, seed, node_budget, k, pred, A, per_node_cap, n_total,
-        scan_budget, predicted,
-        lambda: {"params": {"b": b, "d": d, "p": p, "c": c, "k": k,
-                            "depth": depth, "seed": int(seed)}})
     c_blk = _block_family_constant(b, d)
     beta = c_blk * b ** (-k) / ifs.diameter_bound()
     scan["block_constant"] = float(c_blk)
@@ -1053,7 +1052,7 @@ def percolation_pipeline(b, d, p, c, k, depth=None, seed=0, scan_budget=256,
         ifs=ifs,
         c=None,
         k=k,
-        params={"b": b, "d": d, "p": p, "c": c, "k": k, "depth": depth},
+        params=params,
         stats=scan,
     )
 
@@ -1139,18 +1138,23 @@ def section_reduction(ifs, offspring, level):
 
 
 def general_pipeline(ifs, offspring, rho, alpha, c, depth=None, seed=0,
-                     n_levels=None, scan_budget=256, node_budget=200_000_000,
-                     directions=200, per_node_cap=None, F_cloud=None,
-                     _reduced=False):
+                     n_levels=None, scan_budget=256, node_budget=200_000_000):
     """Extract a rho^(-alpha)-ary section-diffuse subtree from a sampled fractal.
 
     Uniform-ratio systems with rho an exact ratio power run the lazy layered
     scan; otherwise the sample is compressed along the graded sections and the
-    DP runs eagerly on the star tree.
+    DP runs eagerly on the star tree.  A system whose one-step family cannot
+    be certified at c is replaced by a certified section system
+    (`section_reduction`), whose witness is sized by n_levels alone.
     """
-    rho = float(rho)
-    alpha = float(alpha)
-    c = float(c)
+    return _general(ifs, offspring, float(rho), float(alpha), float(c), depth, seed,
+                    n_levels, scan_budget, node_budget)
+
+
+def _general(ifs, offspring, rho, alpha, c, depth, seed, n_levels, scan_budget,
+             node_budget, base_F=None):
+    """`general_pipeline`; base_F, when given, is the rendered attractor of
+    the system that `ifs` reduces, and no further reduction is tried."""
     if offspring.alphabet_size != ifs.alphabet_size:
         raise InvalidInputError("offspring alphabet and IFS disagree")
     weights = ifs.weights
@@ -1167,10 +1171,7 @@ def general_pipeline(ifs, offspring, rho, alpha, c, depth=None, seed=0,
         )
     if not (0.0 < rho < weights.r_min):
         raise InvalidInputError("rho must lie in (0, r_min)")
-    A_f = rho ** (-alpha)
-    A = int(round(A_f))
-    if abs(A_f - A) > 1e-9 * max(1.0, A_f):
-        raise InvalidInputError("rho^-alpha = %r is not an integer" % A_f)
+    A = _integer(rho ** (-alpha), "rho^-alpha")
     n0 = math.ceil(2.0 * math.log(weights.r_min) / math.log(weights.r_max) - 1e-9)
     floor = ifs.alphabet_size ** n0
     if A < floor:
@@ -1179,38 +1180,36 @@ def general_pipeline(ifs, offspring, rho, alpha, c, depth=None, seed=0,
             % (A, n0, floor)
         )
 
-    F = F_cloud if F_cloud is not None else _attractor_cloud(ifs)
+    F = base_F if base_F is not None else _attractor_cloud(ifs)
     if not _width_exceeds(F, 1e-8 * max(1.0, F.diameter())):
         raise InvalidInputError(
             "attractor render is planar (width %.3g); no diffuse subset exists"
             % F.width.w
         )
 
-    base_cert = diffuseness_constant(ifs.maps, F, directions=max(directions, 400))
+    base_cert = diffuseness_constant(ifs.maps, F, directions=400)
     if base_cert.c_low < c:
-        if _reduced:
+        if base_F is not None:
             raise InvalidInputError(
                 "cannot certify c=%g even after section reduction (got %.3g)"
                 % (c, base_cert.c_low)
             )
+        sub = PointCloud(F.points[:: max(1, len(F.points) // 1200)], F.eps)
         for level in (2, 3):
-            sec = section_pi_rho(weights, weights.r_min ** level)
-            sub = F.points[:: max(1, len(F.points) // 1200)]
-            fam = [word_map(ifs, w) for w in sec.sorted_words()]
-            res = diffuseness_constant(fam, PointCloud(sub, F.eps),
-                                       directions=directions, need=c)
+            reduced_ifs, law = section_reduction(ifs, offspring, level)
+            res = diffuseness_constant(reduced_ifs.maps, sub,
+                                       directions=SectionDiffuse.DIRECTIONS, need=c)
             if res.c_low >= c:
-                reduced_ifs, law = section_reduction(ifs, offspring, level)
                 if rho >= reduced_ifs.weights.r_min:
                     raise InvalidInputError(
                         "rho too large for the level-%d section system" % level
                     )
-                es = general_pipeline(
-                    reduced_ifs, law, rho, alpha, c, depth=None, seed=seed,
-                    n_levels=n_levels, scan_budget=scan_budget,
-                    node_budget=node_budget, directions=directions,
-                    per_node_cap=per_node_cap, F_cloud=F, _reduced=True,
-                )
+                if depth is not None:
+                    raise InvalidInputError(
+                        "a section-reduced system is sized by n_levels (--levels), "
+                        "not by depth")
+                es = _general(reduced_ifs, law, rho, alpha, c, None, seed, n_levels,
+                              scan_budget, node_budget, base_F=F)
                 es.params["reduced_level"] = level
                 return es
         raise InvalidInputError(
@@ -1219,59 +1218,29 @@ def general_pipeline(ifs, offspring, rho, alpha, c, depth=None, seed=0,
         )
 
     ratios = np.asarray(weights.ratios, dtype=float)
-    uniform = float(ratios.max() - ratios.min()) <= 1e-12
     params = {"rho": rho, "alpha": alpha, "c": c, "seed": int(seed),
               "delta": float(delta)}
+    # the lazy scan needs equal ratios r and rho = r^k
+    r = float(ratios[0])
+    k = int(round(math.log(rho) / math.log(r)))
+    if float(ratios.max() - ratios.min()) > 1e-12 or abs(r ** k - rho) > 1e-9 * rho:
+        return _general_star(ifs, offspring, rho, alpha, c, A, depth, seed,
+                             n_levels, scan_budget, node_budget, F, params)
 
-    if uniform:
-        r = float(ratios[0])
-        k_f = math.log(rho) / math.log(r)
-        k = int(round(k_f))
-        if abs(r ** k - rho) <= 1e-9 * rho:
-            return _general_uniform(ifs, offspring, rho, alpha, c, A, k, depth,
-                                    seed, n_levels, scan_budget, node_budget,
-                                    directions, per_node_cap, F, base_cert,
-                                    params)
-
-    return _general_star(ifs, offspring, rho, alpha, c, A, depth, seed,
-                         n_levels, scan_budget, node_budget, directions, F,
-                         params)
-
-
-def _general_uniform(ifs, offspring, rho, alpha, c, A, k, depth, seed,
-                     n_levels, scan_budget, node_budget, directions,
-                     per_node_cap, F, base_cert, params):
-    if depth is None:
-        n_total = 2 if n_levels is None else int(n_levels)
-        depth = n_total * k
-    else:
-        depth = int(depth)
-        if depth < k or depth % k != 0:
-            raise InvalidInputError(
-                "depth must be a positive multiple of the section step %d" % k
-            )
-        n_total = depth // k
-        if n_levels is not None and int(n_levels) != n_total:
-            raise InvalidInputError("depth and n_levels disagree")
+    n_total = _levels(depth, n_levels, k, "the section step %d" % k)
     if A > ifs.alphabet_size ** k:
         raise InvalidInputError("arity %d exceeds the section size" % A)
-
-    sd = SectionDiffuse(c, ifs, F_cloud=F, k=k, directions=directions)
-    pred = Intersection([sd, Ary(A)])
+    sd = SectionDiffuse(c, ifs, F_cloud=F, k=k)
     predicted = None
     try:
-        full_mask = (1 << ifs.alphabet_size) - 1
-        if sd._mask_certified(full_mask):
+        if sd._mask_certified((1 << ifs.alphabet_size) - 1):
             predicted = predicted_presence(offspring, k, A, n_total, mode="family")
     except CapabilityError:
-        predicted = None
-
-    v, subtree, scan = _layered_witness(
-        offspring, seed, node_budget, k, pred, A, per_node_cap, n_total,
-        scan_budget, predicted,
-        lambda: {"params": dict(params, k=k, depth=depth), "certs": int(sd.cert_count)})
-    beta = rho * c * ifs.weights.r_min / ifs.diameter_bound()
-    scan["certs"] = int(sd.cert_count)
+        pass
+    params.update(k=k, depth=n_total * k)
+    v, subtree, scan = _scan_extract(offspring, sd, A, k, n_total, seed, scan_budget,
+                                     node_budget, predicted, params)
+    beta = rho * c * weights.r_min / ifs.diameter_bound()
     scan["base_family_constant"] = float(base_cert.c_low)
     return ExtractedSubset(
         root_word=v,
@@ -1285,13 +1254,13 @@ def _general_uniform(ifs, offspring, rho, alpha, c, A, k, depth, seed,
         ifs=ifs,
         c=c,
         k=k,
-        params=dict(params, k=k, depth=depth),
+        params=params,
         stats=scan,
     )
 
 
 def _general_star(ifs, offspring, rho, alpha, c, A, depth, seed, n_levels,
-                  scan_budget, node_budget, directions, F, params):
+                  scan_budget, node_budget, F, params):
     weights = ifs.weights
     n_total = 2 if n_levels is None else int(n_levels)
     if depth is None:
@@ -1300,7 +1269,7 @@ def _general_star(ifs, offspring, rho, alpha, c, A, depth, seed, n_levels,
 
     sample = sample_gw(offspring, depth, seed, node_budget=node_budget)
     star = compress_along_pi_rho(sample.tree, weights, rho, n_levels=n_total)
-    sd = SectionDiffuse(c, ifs, F_cloud=F, directions=directions, star=star)
+    sd = SectionDiffuse(c, ifs, F_cloud=F, star=star)
     pred = Intersection([sd, Ary(A)])
     good, witness = _presence(star, pred, n_total)
 

@@ -121,16 +121,15 @@ class GFunction:
 
     ENUM_MAX = 20
     MC_BLOCK = 1 << 15  # rows drawn and reduced at a time
+    CI_LEVEL = 0.99  # two-sided level of the Monte-Carlo confidence interval
 
-    def __init__(self, offspring, collection, strategy="auto", sample_size=100_000,
-                 ci_level=0.99, seed=0):
+    def __init__(self, offspring, collection, strategy="auto", sample_size=100_000, seed=0):
         self.offspring = offspring
         self.collection = collection
         self.N = offspring.alphabet_size
         self.sample_size = int(sample_size)
         if self.sample_size < 1:
             raise InvalidInputError("sample_size must be at least 1")
-        self.ci_level = float(ci_level)
         self.seed = int(seed)
         self._thresholds = None
         self._member_arr = None
@@ -278,7 +277,7 @@ class GFunction:
             self._thresholds = self._draw_thresholds()
         R = len(self._thresholds)
         v = int(np.searchsorted(self._thresholds, s)) / R
-        z = norm_ppf(0.5 + self.ci_level / 2.0)
+        z = norm_ppf(0.5 + self.CI_LEVEL / 2.0)
         half = z * math.sqrt(max(v * (1.0 - v), 1e-300) / R)
         return v, (max(0.0, v - half), min(1.0, v + half))
 

@@ -537,10 +537,6 @@ class WidthResult:
     witness: Hyperplane
     tol: float
 
-    def __iter__(self):
-        yield self.w
-        yield self.witness
-
 
 def _hull_vertices(pts):
     """Points on the convex hull; every linear functional attains its extremes there.
@@ -741,10 +737,6 @@ class DiffuseResult:
     raw_min: float
     tol: float
     note: str = ""
-
-    def __iter__(self):
-        yield self.c_low
-        yield self.witness
 
 
 def _coverage_halfangle(d, directions):
@@ -1179,10 +1171,6 @@ class AhlforsResult:
     c2_hat: float
     spread: float
     samples: list
-
-    def __iter__(self):
-        yield self.c1_hat
-        yield self.c2_hat
 
 
 # most candidate points `ahlfors_ratio_check` measures in one batch of balls

@@ -590,6 +590,8 @@ def compress_along_pi_rho(tree, weights, rho, n_levels=None):
         size += len(new)
 
     ups, heights, lengths, theta, rows = map(np.concatenate, zip(*found))
+    # the walk's arrays are not held through the table's sort
+    del found, slot, par, node, w, a, count, up, top, above, new, idx
     rows = rows[:, :int(lengths.max(initial=0))]
     # fits[:, i]: whether the suffix's first i letters weigh at most theta
     fits = np.column_stack([theta >= 1.0, np.cumprod(ratios[rows], axis=1) <= theta[:, None]])

@@ -255,3 +255,27 @@ def test_explicit_table_validates():
         ExplicitTable(2, [((0,), 0.6), ((1,), 0.6)])  # probs exceed 1
     with pytest.raises(InvalidInputError):
         ExplicitTable(2, [((5,), 1.0)])  # letter out of range
+
+
+_TABLE = ExplicitTable(4, [([0, 1, 2, 3], 0.4), ([0, 2], 0.2), ([1], 0.1), ([], 0.05),
+                           ([1, 2, 3], 0.25)])
+
+
+def test_explicit_table_laws_and_sampling():
+    assert _TABLE.letter_probs().tolist() == pytest.approx([0.6, 0.75, 0.85, 0.65], abs=1e-15)
+    assert _TABLE.size_pmf().tolist() == pytest.approx([0.05, 0.1, 0.2, 0.25, 0.4], abs=1e-15)
+    assert _TABLE.mean() == pytest.approx(_TABLE.letter_probs().sum())
+    keys = np.random.default_rng(0).integers(0, 2 ** 63, size=200_000, dtype=np.uint64)
+    rows = _TABLE.sample_matrix(keys)
+    assert rows.shape == (200_000, 4)
+    # every row is one of the table's subsets, drawn at the letters' rates
+    assert {tuple(np.flatnonzero(r)) for r in np.unique(rows, axis=0)} \
+        == {tuple(sorted(sub)) for sub, _ in _TABLE.rows}
+    assert np.abs(rows.mean(axis=0) - _TABLE.letter_probs()).max() < 0.002
+
+
+def test_mc_extinction_of_a_table_law_matches_exact():
+    q = extinction_prob(_TABLE)
+    assert q == pytest.approx(0.0563, abs=1e-4)
+    mc = mc_extinction_frequency(_TABLE, depth=40, trials=40_000, seed=3)
+    assert abs(mc["frequency"] - q) <= 3 * mc["se"]

@@ -395,6 +395,48 @@ def test_extract_star_json_is_pinned(tmp_path, rho, alpha, digest):
     assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
+_SECTION_GRID = ["--percolation", "b=3,d=2,p=0.7", "--pipeline", "section",
+                 "--rho", repr(3.0 ** -4), "--c", "0.05"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # a block miss puts the seed in params; a section miss adds certs
+    (["--percolation", "b=2,d=2,p=0.6", "--pipeline", "block", "--c", "2", "--k", "4",
+      "--scan-budget", "4"], "64049214d9bef4e9"),
+    (_SECTION_GRID + ["--alpha", "1.6309297535714573", "--levels", "2", "--seed", "0",
+                      "--scan-budget", "1"], "2fe06af38107f29e"),
+])
+def test_extract_miss_json_is_pinned(argv, digest):
+    code, out, _ = run(["extract"] + argv + ["--json"])
+    assert code == 3
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
+
+def test_extract_section_depth_is_levels_times_step():
+    # rho = 3^-4 on the 3x3 grid: a section step is k = 4 base levels
+    argv = ["extract"] + _SECTION_GRID + ["--alpha", "1", "--seed", "20", "--json"]
+    for flags in (["--depth", "8"], ["--levels", "2"], ["--depth", "8", "--levels", "2"]):
+        code, out, _ = run(argv + flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest().startswith("eebc2f0435e995e5")
+    for flags in (["--depth", "7"], ["--depth", "8", "--levels", "3"]):
+        assert run(argv + flags)[0] == 2
+
+
+def test_extract_reduced_section_rejects_depth(tmp_path):
+    # the gasket is reduced to its level-2 section system, whose steps are
+    # not base levels: a depth there used to be dropped without a word
+    (tmp_path / "gasket.json").write_text(json.dumps(ifs_to_json(sierpinski_ifs())))
+    argv = ["extract", "--ifs", str(tmp_path / "gasket.json"), "--offspring", "bin:3:0.95",
+            "--pipeline", "section", "--rho", "0.015625", "--alpha", repr(7.0 / 6),
+            "--c", "0.05", "--seed", "3"]
+    for depth in ("6", "7", "60"):
+        code, doc, _ = run_json(argv + ["--depth", depth])
+        assert code == 2
+        assert doc["error"] == "invalid-config"
+        assert "--levels" in doc["message"]
+
+
 def test_extinction_zero_trials_skips_monte_carlo():
     code, doc, _ = run_json(["extinction", "--offspring", "bin:3:0.9", "--trials", "0"])
     assert code == 0 and "mc" not in doc

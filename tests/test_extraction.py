@@ -142,10 +142,10 @@ def _block_tree(lazy, v, m, k):
     return FiniteTree(block, m, children)
 
 
-def _scan_matches_eager(lazy, k, pred, A):
+def _scan_matches_eager(lazy, k, pred):
     """(tested, witnesses) of the root with two levels to go and its first 20
     block children, each checked against the eager DP on the sampled tree."""
-    scan = _LayeredScan(lazy, k, pred, A, per_node_cap=10 ** 9)
+    scan = _LayeredScan(lazy, k, pred, per_node_cap=10 ** 9)
     codes = scan._alive(Word())[0][:20]
     vertices = [(Word(), 2)] + [(v, 1) for v in scan._block_words(Word(), codes)]
     witnesses = 0
@@ -165,7 +165,7 @@ def test_layered_scan_matches_eager_dp():
         A = c ** k
         pred = Intersection([DiffuseBlock(b, k, d=d), Ary(A)])
         for seed in range(6):
-            t, w = _scan_matches_eager(LazyGW(Binomial(b ** d, p), seed), k, pred, A)
+            t, w = _scan_matches_eager(LazyGW(Binomial(b ** d, p), seed), k, pred)
             tested, witnesses = tested + t, witnesses + w
     assert tested == 378 and 0 < witnesses < tested
     # section predicates: c is the certified constant, A the count floor
@@ -175,7 +175,7 @@ def test_layered_scan_matches_eager_dp():
         pred = Intersection([SectionDiffuse(c, percolation_ifs(b, d), k=k),
                              Ary(A)])
         for seed in range(6):
-            t, w = _scan_matches_eager(LazyGW(Binomial(b ** d, p), seed), k, pred, A)
+            t, w = _scan_matches_eager(LazyGW(Binomial(b ** d, p), seed), k, pred)
             tested, witnesses = tested + t, witnesses + w
     assert tested == 337 and 0 < witnesses < tested
 
@@ -186,7 +186,7 @@ def test_layered_scan_takes_one_block_or_packed_section_predicate():
     for pred in (Ary(4), star, DiffuseBlock(2, 2, d=2),
                  Intersection([DiffuseBlock(2, 3, d=2), DiffuseBlock(2, 3, d=2)])):
         with pytest.raises(CapabilityError):
-            _LayeredScan(lazy, 3, pred, 4, per_node_cap=10)
+            _LayeredScan(lazy, 3, pred, per_node_cap=10)
     # letter masks are int64 bit sets
     wide = SectionDiffuse(0.05, percolation_ifs(8, 2), k=2)
     with pytest.raises(CapabilityError):
@@ -236,7 +236,7 @@ def test_block_leaf_walk_matches_full_walk():
         N = b ** d
         pred = Intersection([DiffuseBlock(b, k, d=d), Ary(A)])
         lazy = LazyGW(Binomial(N, p), 0)
-        scan = _LayeredScan(lazy, k, pred, A, per_node_cap=10 ** 9)
+        scan = _LayeredScan(lazy, k, pred, per_node_cap=10 ** 9)
         assert scan.block is not None
         for size in {1, max(1, min(40, 20_000 // N ** k))}:
             keys = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
@@ -268,7 +268,7 @@ def test_block_leaf_walk_matches_full_walk():
             for A in sorted({N, (N + N ** k) // 2, N ** k}):
                 pred = Intersection([sd, Ary(A)])
                 lazy = LazyGW(Binomial(N, p), 0)
-                scan = _LayeredScan(lazy, k, pred, A, per_node_cap=10 ** 9)
+                scan = _LayeredScan(lazy, k, pred, per_node_cap=10 ** 9)
                 assert scan.block is None and scan.section is sd
                 for size in {1, max(1, min(256, 4000 // N ** k))}:
                     keys = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
@@ -311,7 +311,7 @@ def test_block_leaf_walk_trips_the_budget_as_the_full_walk_does():
                 for full in (True, False):
                     lazy = LazyGW(Binomial(N, p), 0, node_budget=budget)
                     lazy.nodes_sampled = spent
-                    scan = _LayeredScan(lazy, k, pred, N * N, per_node_cap=10 ** 9)
+                    scan = _LayeredScan(lazy, k, pred, per_node_cap=10 ** 9)
                     walk = scan._block_walk if core is not section else scan._section_walk
                     try:
                         lazy._level(keys, k) if full else walk(keys)
@@ -341,7 +341,7 @@ def test_batched_leaf_rewalks_match_per_leaf_walks():
                                        (2, 2, 0.97, 3, 3, 6, 4)):
         N, A = b ** d, round(c ** k)
         lazy = LazyGW(Binomial(N, p), seed, node_budget=10 ** 9)
-        scan = _LayeredScan(lazy, k, Intersection([DiffuseBlock(b, k, d=d), Ary(A)]), A,
+        scan = _LayeredScan(lazy, k, Intersection([DiffuseBlock(b, k, d=d), Ary(A)]),
                             per_node_cap=max(4 * A, 256))
         v, m, _ = _scan_candidates(scan, depth // k, 256)
         batch, spent = scan.rewalk, lazy.nodes_sampled

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -192,6 +193,32 @@ def test_closed_form_tails_outside_the_binomial_support():
     got = [gf.eval(s)[0] for s in (0.0, 0.3, 0.7)]
     assert got == [0.5, 0.8285, 0.9864999999999999]
     assert GFunction(Binomial(2, 0.7), ary_collection(4)).eval(0.3)[0] == 1.0
+
+
+def _brute_g(table, closure_member, s):
+    """g(s) of a table law by summing over every kept subset of every row."""
+    total = 0.0
+    for sub, pr in table.rows:
+        for r in range(len(sub) + 1):
+            for kept in itertools.combinations(sorted(sub), r):
+                if not closure_member(frozenset(kept)):
+                    total += pr * (1.0 - s) ** r * s ** (len(sub) - r)
+    return total
+
+
+def test_enum_g_of_a_table_law_matches_brute_force():
+    table = ExplicitTable(4, [([0, 1, 2, 3], 0.4), ([0, 2], 0.2), ([1], 0.1), ([], 0.05),
+                              ([1, 2, 3], 0.25)])
+    assert GFunction(table, ary_collection(2)).eval(0.3)[0] == pytest.approx(0.33948, abs=1e-12)
+    # a cardinality collection takes the binomial tail per row, generators
+    # the per-row tables of non-member kept subsets
+    for coll in (ary_collection(2), generator_collection([(0, 1), (2,)]),
+                 generator_collection([(0, 2, 3), (1, 3), (9,)])):
+        gf = GFunction(table, coll)
+        assert gf.strategy == "enum"
+        for s in (0.0, 0.3, 0.55, 1.0):
+            assert gf.eval(s)[0] == pytest.approx(_brute_g(table, coll.closure_member, s),
+                                                  abs=1e-12)
 
 
 def test_mc_covers_exact():

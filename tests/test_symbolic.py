@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gwfract.branching import Binomial, sample_gw
+from gwfract.branching import Binomial, PerLetterBernoulli, sample_gw
 
 from gwfract.symbolic import (
     FiniteTree,
@@ -233,3 +233,16 @@ def test_section_sorted_words_are_sorted():
     words = section_pi_rho(wa, 0.25).sorted_words()
     assert words == sorted(words)
     assert words == sorted(set(words))
+
+
+def test_star_table_keys_are_reranked_before_they_overflow():
+    # 63 base levels of suffix letters fold into one int64 key only when the
+    # key is ranked densely on the way, here 6 times
+    weights = WeightedAlphabet((0.95, 0.05))
+    tree = sample_gw(PerLetterBernoulli((1.0, 0.05)), 63, 0).tree
+    star = compress_along_pi_rho(tree, weights, 0.04, n_levels=1)
+    zeros = lambda n: "-".join(["0"] * n)
+    assert [(v.text, n) for v, n in zip(star.suffixes, star.splits)] == [
+        (zeros(63), 5), (zeros(56) + "-1", 5), (zeros(46) + "-1", 5),
+        (zeros(26) + "-1", 5), (zeros(16) + "-1", 5)]
+    assert star.level(1) == sorted(w for w in section_pi_rho(weights, 0.04) if w in tree)
