@@ -112,15 +112,15 @@ class GFunction:
     strategy: "auto" | "closed_form" | "enum" | "mc"; a collection holding the
     empty set resolves to "trivial" (g = 0) whatever is asked.  Closed form
     needs binomial offspring and a cardinality collection; enumeration needs
-    alphabet size <= 20 and tabulates membership of all 2^N subsets from the
-    collection's bound or generators; Monte Carlo always applies and reports a
-    confidence interval.  Its block of `sample_size` samples is drawn on first
-    use and kept as one sorted membership threshold per sample
-    (`_member_thresholds`), so each g(s) is a binary search.
+    alphabet size <= 20 and tabulates the subsets outside the closure; Monte
+    Carlo always applies and reports a confidence interval.  Its block of
+    `sample_size` samples is drawn on first use and kept as one sorted
+    membership threshold per sample (`_member_thresholds`), so each g(s) is a
+    binary search.
     """
 
     ENUM_MAX = 20
-    MC_BLOCK = 1 << 15  # rows drawn and reduced at a time
+    MC_BLOCK = 1 << 12  # rows drawn and reduced at a time
     CI_LEVEL = 0.99  # two-sided level of the Monte-Carlo confidence interval
 
     def __init__(self, offspring, collection, strategy="auto", sample_size=100_000, seed=0):
@@ -132,9 +132,7 @@ class GFunction:
             raise InvalidInputError("sample_size must be at least 1")
         self.seed = int(seed)
         self._thresholds = None
-        self._member_arr = None
-        self._na = None
-        self._enum_bufs = None
+        self._nonmember = None  # with `_na`, set by _nonmembers
         self._table_poly = None
         self.strategy = self._resolve(strategy)
 
@@ -166,37 +164,38 @@ class GFunction:
 
     # -- enumeration tables -------------------------------------------------
 
-    def _member_array(self):
-        """Closure membership over all 2^N subsets, encoded as bitmask ids; also
-        caches `_na`, the nonmember counts by set size."""
-        if self._member_arr is not None:
-            return self._member_arr
-        ids = np.arange(1 << self.N, dtype=np.uint32)
-        if self.collection.card_a is not None:
-            member = np.bitwise_count(ids) >= self.collection.card_a
-        else:
-            member = np.zeros(len(ids), dtype=bool)
+    def _nonmembers(self):
+        """Ascending ids of the nonmembers (bitmask sets), each one's index less
+        its top letter, and the counts below 2^0..2^N; caches `_na`, the counts
+        by size.  Those below 2^(i+1) are those below 2^i, then those plus letter
+        i holding no generator whose top letter is i: no 2^N-long table."""
+        if self._nonmember is not None:
+            return self._nonmember
+        ids, parent, ends = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp), [1]
+        for i in range(self.N):
+            up = ids + (1 << i)
+            keep = np.ones(len(up), dtype=bool)
             for g in self.collection.generators:
-                if max(g) < self.N:  # else it mentions labels outside this alphabet
-                    gm = np.uint32(sum(1 << x for x in g))
-                    member |= (ids & gm) == gm
-        self._member_arr = member
-        self._na = np.bincount(np.bitwise_count(ids)[~member].astype(int), minlength=self.N + 1)
-        return member
+                if max(g) == i:
+                    gm = sum(1 << x for x in g)
+                    keep &= (up & gm) != gm
+            rows = np.flatnonzero(keep)
+            ids, parent = np.concatenate([ids, up[rows]]), np.concatenate([parent, rows])
+            ends.append(len(ids))
+        self._nonmember = ids, parent, ends
+        self._na = np.bincount(np.bitwise_count(ids), minlength=self.N + 1)
+        return self._nonmember
 
     def _table_polys(self):
         """Per-row counts of non-member kept-subsets, grouped by size."""
         if self._table_poly is not None:
             return self._table_poly
-        member = self._member_array()
-        ids = np.arange(1 << self.N, dtype=np.uint32)
+        ids = self._nonmembers()[0]
         pops = np.bitwise_count(ids)
         polys = []
         for sub, pr in self.offspring.rows:
-            rowmask = np.uint32(sum(1 << x for x in sub))
-            inside = (ids & ~rowmask) == 0
-            sel = inside & ~member
-            counts = np.bincount(pops[sel].astype(int), minlength=len(sub) + 1)
+            inside = (ids & ~sum(1 << x for x in sub)) == 0
+            counts = np.bincount(pops[inside], minlength=len(sub) + 1)
             polys.append((len(sub), pr, counts[: len(sub) + 1].astype(float)))
         self._table_poly = polys
         return polys
@@ -206,13 +205,19 @@ class GFunction:
     def _draw_thresholds(self):
         """The sorted thresholds of `sample_size` samples.  Child sets W and
         thinning uniforms U are drawn in row blocks of MC_BLOCK (the same
-        stream as one draw) and reduced block by block, so only the
-        thresholds are kept."""
+        stream as one draw) and reduced block by block into one array, sorted
+        in place: only the keys and the thresholds are ever held whole."""
         rng = np.random.Generator(np.random.Philox(key=labeled_seed(self.seed, "gfn-mc")))
-        keys = rng.integers(0, 1 << 63, size=self.sample_size, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-        return np.sort(np.concatenate([_member_thresholds(
-            self.collection, self.offspring.sample_matrix(kb), rng.random((len(kb), self.N)))
-            for kb in np.split(keys, range(self.MC_BLOCK, len(keys), self.MC_BLOCK))]))
+        keys = rng.integers(0, 1 << 63, size=self.sample_size, dtype=np.uint64)
+        keys *= np.uint64(2)
+        keys += np.uint64(1)
+        t = np.empty(self.sample_size)
+        for lo in range(0, self.sample_size, self.MC_BLOCK):
+            kb = keys[lo:lo + self.MC_BLOCK]
+            t[lo:lo + len(kb)] = _member_thresholds(
+                self.collection, self.offspring.sample_matrix(kb), rng.random((len(kb), self.N)))
+        t.sort()
+        return t
 
     # -- evaluation ---------------------------------------------------------
 
@@ -244,25 +249,22 @@ class GFunction:
                 for sub, pr in off.rows:
                     tot += pr * binom_cdf(a - 1, len(sub), 1.0 - s)
                 return tot
-        member = self._member_array()
         if isinstance(off, Binomial):
+            self._nonmembers()  # caches _na
             q = off.p * (1.0 - s)
             per_set = np.array(
                 [q ** j * (1.0 - q) ** (self.N - j) for j in range(self.N + 1)]
             )
             return float((self._na * per_set).sum())
         if isinstance(off, PerLetterBernoulli):
-            if self._enum_bufs is None:  # subset weights, nonmember ids, their gather
-                idx = np.flatnonzero(~member)
-                self._enum_bufs = np.empty(1 << self.N), idx, np.empty(len(idx))
-            w, idx, buf = self._enum_bufs
-            w[0], h = 1.0, 1
-            for p in off.probs:  # subset m's weight lands at w[m], as by doubling
+            _, parent, ends = self._nonmembers()
+            w = np.empty(len(parent))
+            w[0] = 1.0
+            for p, lo, hi in zip(off.probs, ends, ends[1:]):  # doubling, over nonmembers only
                 q = p * (1.0 - s)
-                np.multiply(w[:h], q, out=w[h:2 * h])
-                w[:h] *= 1.0 - q
-                h *= 2
-            return float(np.take(w, idx, out=buf).sum())
+                np.multiply(w[parent[lo:hi]], q, out=w[lo:hi])
+                w[:lo] *= 1.0 - q
+            return float(w.sum())
         if isinstance(off, ExplicitTable):
             tot = 0.0
             for n_r, pr, counts in self._table_polys():
