@@ -321,8 +321,8 @@ class GWSample:
 class LazyGW:
     """On-demand Galton-Watson realization; a pure function of (params, seed).
 
-    Child sets are memoized, so exploring the same node twice (in any order)
-    yields identical results.
+    A node's child set is a function of its stream key (seed and word), so
+    exploring the same node twice, in any order, yields identical results.
     """
 
     def __init__(self, offspring, seed, node_budget=DEFAULT_NODE_BUDGET):

@@ -16,14 +16,15 @@ with the eager DP because membership is monotone and children are visited
 in lex order
 (`tests/test_extraction.py::test_layered_scan_matches_eager_dp` checks this).
 
-Children with one level to go (leaves) are walked in chunks: levels 0..k-2
-once per chunk, then the level-(k-1) child rows in lex order until each leaf
-is decided, for block and section leaves alike (`_LayeredScan`).  The greedy
-stop is found online from the predicate's running state (`_running`), which
-updates per good child instead of judging the whole prefix again.  Results
-are still taken child by child in lex order, so `child_tests`,
-`capped_nodes` and `nodes_sampled` read as the sequential scan's, and
-families are certified only for the leaves whose results are taken."""
+Children with one level to go (leaves) are walked once, in chunks: levels
+0..k-2 once per chunk, then the level-(k-1) child rows in lex order until
+each leaf is decided; a good leaf keeps what its walk found for its witness
+(`_LayeredScan`).  The greedy stop is found online from the predicate's
+running state (`_running`), which updates per good child instead of judging
+the whole prefix again.  Results are still taken child by child in lex
+order, so `child_tests`, `capped_nodes` and `nodes_sampled` read as the
+sequential scan's, and families are certified only for the leaves whose
+results are taken."""
 
 import math
 from collections import deque
@@ -41,7 +42,6 @@ from .symbolic import (
     block_letters,
     InvalidInputError,
     CapabilityError,
-    ResourceLimitError,
 )
 from .branching import Binomial, LazyGW, sample_gw, pgf, _child_salts, _mix64_inplace
 from .fixpoint import g_k_a_curve, generator_collection
@@ -590,9 +590,6 @@ def predicted_presence(offspring, k, arity, n_levels, mode="block"):
 # leaf walks levels 0..k-2 in full, and the chunk holds as many leaves as
 # fill this many nodes at the law's mean, and at least k - 1
 _CHUNK_NODES = 4096
-# expected level-k nodes of the leaves walked again at once for their
-# witnesses (`_LayeredScan.witness_tree`)
-_REWALK_NODES = 1 << 15
 
 
 def _lex_batches(owner, done, width):
@@ -642,9 +639,9 @@ class _LayeredScan:
     family, and rows are read until the leaf holds its count floor; its
     families are certified in prefix order when its result is taken, and
     its other rows are read only if none passes (`_section_walk`).  A good
-    leaf's witness is built by `witness_tree`, for the leaves of the final
-    tree only, unless building it computes certificates: those count in
-    `certs`, so it is built when the leaf passes.
+    leaf's witness is built when its result is taken (a section witness's
+    certificates count in `certs`), or kept as a block's first label where
+    that block is the witness, so `witness_tree` samples nothing.
     """
 
     def __init__(self, lazy, k, pred, per_node_cap):
@@ -662,10 +659,12 @@ class _LayeredScan:
                                   "predicate of length %d, with cardinality floors" % self.k)
         self.block = core[0] if isinstance(core[0], DiffuseBlock) else None
         self.section = None if self.block else core[0]
+        # a function, not a bound method: one kept on self would be a reference
+        # cycle, holding the scan's caches past its last use
+        self._leaf_walk = _LayeredScan._block_walk if self.block else _LayeredScan._section_walk
         mean = lazy.offspring.mean()
         self.chunk = max(self.k - 1,
                          int(_CHUNK_NODES / sum(mean ** j for j in range(self.k - 1))))
-        self.rewalk = max(1, int(_REWALK_NODES / mean ** self.k))
         if self.block:
             # a node has all base_n children with probability p_full: read
             # as many block columns per sample call as a candidate passes
@@ -726,41 +725,63 @@ class _LayeredScan:
         _, rows, letters, level_keys = levels[-1]
         return self.lazy._child_keys(level_keys, rows[sel], letters[sel])
 
+    def _codes(self, levels, sel):
+        """Codes, relative to their leaf, of the nodes `sel` on the level that
+        the walk steps `levels` reach (level k-1 for a whole prefix walk)."""
+        codes, scale = np.zeros(len(sel), dtype=np.int64), 1
+        for _, rows, letters, _ in reversed(levels):
+            codes += letters[sel] * scale
+            sel, scale = rows[sel], scale * self.base_n
+        return codes
+
     def _block_walk(self, keys):
-        """(ok, nodes) of the leaves with stream keys `keys` on the block
-        predicate, nodes as `_prefix_walk` counts them.
+        """(judge, nodes) of the leaves with stream keys `keys` on the block
+        predicate: judge(i) is leaf i's (labels, ok), the labels giving its
+        witness; nodes as `_prefix_walk` counts them.
 
         A leaf holds a full block exactly when some level-(k-2) node has all
         base_n children and each of those has all base_n children, so only
         such candidates' rows are read, `cols` columns per sample call, and a
         candidate is dropped at its first group with an incomplete row.  The
         candidates' children have every letter, so their keys come straight
-        from the candidates' keys.  The count floor needs the level-k count
-        only when it exceeds the block size, and then only for the leaves
-        that hold a full block.
+        from the candidates' keys.  A leaf is done after its first batch with
+        a pass, its candidates in lex order, so that pass is its lex-first
+        full block: the witness at a floor of the block size, kept as its
+        first label.  A larger floor needs the level-k rows, read only for
+        the leaves with a full block, and a good leaf's labels are its codes.
         """
-        lazy, n = self.lazy, self.base_n
+        lazy, n, size = self.lazy, self.base_n, self.block.block
         nodes, levels, owner = self._prefix_walk(keys)
         ok = np.zeros(len(keys), dtype=bool)
-        if len(owner) == 0:
-            return ok, nodes
-        roots, rows, _, level_keys = levels[-1]
-        cands = np.flatnonzero(np.bincount(rows, minlength=len(roots)) == n)
-        cand_keys, cand_roots = level_keys[cands], roots[cands]
-        for sel in _lex_batches(cand_roots, ok, min(self.first, len(cands))):
-            for j in range(0, n, self.cols):
-                salts = lazy._salts[j:j + self.cols]
-                full = lazy.offspring.sample_matrix(
-                    _mix64_inplace(cand_keys[sel, None] ^ salts).reshape(-1))
-                sel = sel[full.reshape(len(sel), -1).all(axis=1)]
-                if len(sel) == 0:
-                    break
-            ok[cand_roots[sel]] = True
-        if self.arity > self.block.block:
+        first = np.zeros(len(keys), dtype=np.int64)
+        if len(owner):
+            roots, rows, _, level_keys = levels[-1]
+            cands = np.flatnonzero(np.bincount(rows, minlength=len(roots)) == n)
+            cand_keys, cand_roots = level_keys[cands], roots[cands]
+            for sel in _lex_batches(cand_roots, ok, min(self.first, len(cands))):
+                for j in range(0, n, self.cols):
+                    salts = lazy._salts[j:j + self.cols]
+                    full = lazy.offspring.sample_matrix(
+                        _mix64_inplace(cand_keys[sel, None] ^ salts).reshape(-1))
+                    sel = sel[full.reshape(len(sel), -1).all(axis=1)]
+                    if len(sel) == 0:
+                        break
+                leaves, at = np.unique(cand_roots[sel], return_index=True)
+                ok[leaves] = True
+                first[leaves] = self._codes(levels[:-1], cands[sel[at]]) * size
+        labels = first.tolist().__getitem__
+        if self.arity > size and ok.any():
             held = np.flatnonzero(ok[owner])
-            sizes = lazy.offspring.sample_matrix(self._row_keys(levels, held)).sum(axis=1)
-            ok &= np.bincount(owner[held], weights=sizes, minlength=len(keys)) >= self.arity
-        return ok, nodes
+            full = lazy.offspring.sample_matrix(self._row_keys(levels, held))
+            ok &= np.bincount(owner[held], weights=full.sum(axis=1),
+                              minlength=len(keys)) >= self.arity
+            ends = np.searchsorted(owner[held], np.arange(len(keys) + 1))
+
+            def labels(i):  # spelled for a leaf whose result is taken
+                rows = slice(ends[i], ends[i + 1])
+                return (self._codes(levels, held[rows])[:, None] * n + np.arange(n))[full[rows]]
+        good = ok.tolist()
+        return (lambda i: (labels(i), True) if good[i] else (None, False)), nodes
 
     def _section_walk(self, keys):
         """(judge, nodes) of the leaves with stream keys `keys` on the section
@@ -768,9 +789,7 @@ class _LayeredScan:
         codes below the rows it read; nodes as `_prefix_walk` counts them."""
         lazy, n, sd = self.lazy, self.base_n, self.section
         nodes, levels, owner = self._prefix_walk(keys)
-        codes = np.zeros(len(keys), dtype=np.int64)
-        for _, rows, letters, _ in levels:
-            codes = codes[rows] * n + letters
+        codes = self._codes(levels, np.arange(len(owner)))
         ends = np.searchsorted(owner, np.arange(len(keys) + 1))
         masks = np.full(len(owner), -1)  # a row's letter mask once it is read
         held = np.zeros(len(keys))
@@ -801,25 +820,21 @@ class _LayeredScan:
         return judge, nodes
 
     def _leaves(self, keys):
-        """(labels, good) of each leaf with a stream key in `keys`, in order;
-        labels is None on the block walk, which does not need them."""
+        """(labels, ok) of each leaf with a stream key in `keys`, in order, a
+        chunk per walk; a leaf's nodes count when its result is taken."""
         for lo in range(0, len(keys), self.chunk):
-            chunk = keys[lo:lo + self.chunk]
-            if self.block is not None:
-                ok, nodes = self._block_walk(chunk)
-                judge = [(None, good) for good in ok.tolist()].__getitem__
-            else:
-                judge, nodes = self._section_walk(chunk)
+            judge, nodes = self._leaf_walk(self, keys[lo:lo + self.chunk])
             for i, count in enumerate(nodes.tolist()):
                 self.lazy.nodes_sampled += count
                 yield judge(i)
 
     def _record_leaf(self, v, labels, ok):
-        """Cache leaf v's result; build its witness now if that certifies
-        families (a section witness), as certificates count in `certs`."""
-        self.good[(v, 1)] = ok
-        if ok and self.section is not None:
-            self.witness[(v, 1)] = self.pred.witness_subset(labels)
+        """Cache leaf v's result and, if good, its witness: a copy sized to
+        it, or a block's first label where the block is the witness."""
+        key = (v, 1)
+        self.good[key] = ok
+        if ok:
+            self.witness[key] = labels if isinstance(labels, int) else self.pred.witness_subset(labels)
         return ok
 
     def _children(self, w, m, codes, keys):
@@ -868,28 +883,12 @@ class _LayeredScan:
                     return True
         return False
 
-    def _leaf_codes(self, words):
-        """Level-k codes below each of the leaves `words`, walked again as one
-        group and not counted.  If the group's nodes pass `node_budget`, its
-        leaves are walked one by one, so that the guard trips exactly where
-        one walk per leaf would."""
-        lazy = self.lazy
-        keys = [lazy.key(w) for w in words]
-        try:
-            codes, _, bounds, _ = lazy._level(keys, self.k)
-        except ResourceLimitError:
-            return [lazy._level([key], self.k)[0] for key in keys]
-        return np.split(codes, bounds[1:-1])
-
     def witness_tree(self, v, n):
         def chosen(ws, m):
             wits = [self.witness.get((w, m)) for w in ws]
-            if m == 1:  # deferred leaves: walked again, `rewalk` at a time
-                todo = [i for i, wit in enumerate(wits) if wit is None]
-                for lo in range(0, len(todo), self.rewalk):
-                    group = todo[lo:lo + self.rewalk]
-                    for i, labels in zip(group, self._leaf_codes([ws[i] for i in group])):
-                        wits[i] = self.pred.witness_subset(labels)
+            if m == 1 and self.block:  # a block's first label stands for the block
+                wits = [np.arange(x, x + self.block.block) if isinstance(x, int) else x
+                        for x in wits]
             return wits
 
         labels, parents = _witness(v, n, chosen, lambda w, labs: [
@@ -1071,17 +1070,18 @@ class SectionLaw:
 
     kind = "section_law"
 
-    def __init__(self, offspring, weights, section):
+    def __init__(self, offspring, words):
         self.base = offspring
-        self.weights = weights
-        self.section = section
-        self.words = section.sorted_words()
+        self.words = tuple(words)
         if not self.words:
             raise InvalidInputError("empty section")
         probs = np.asarray(offspring.letter_probs(), dtype=float)
         self._letter_probs = np.array(
             [float(np.prod([probs[a] for a in w])) for w in self.words]
         )
+        # the words' nonempty prefixes, each after its parent, as sampled
+        self._order = sorted({Word(w[:i]) for w in self.words for i in range(1, len(w) + 1)},
+                             key=lambda w: (len(w), w))
 
     @property
     def alphabet_size(self):
@@ -1097,13 +1097,11 @@ class SectionLaw:
         """Bool matrix (len(keys) x section size): which section words survive
         below roots with these stream keys."""
         trials = len(keys)
-        order = sorted({Word(w[:i]) for w in self.words for i in range(1, len(w) + 1)},
-                       key=lambda w: (len(w), w))
         alive = {Word(): np.ones(trials, dtype=bool)}
         node_keys = {Word(): np.asarray(keys, dtype=np.uint64)}
         salts = _child_salts(self.base.alphabet_size)
         keep = {}
-        for w in order:
+        for w in self._order:
             par = w.parent
             if par not in keep:
                 keep[par] = self.base.sample_matrix(node_keys[par])
@@ -1127,10 +1125,10 @@ def section_reduction(ifs, offspring, level):
     level = int(level)
     if level < 2:
         raise InvalidInputError("reduction level must be >= 2")
-    section = section_pi_rho(ifs.weights, ifs.weights.r_min ** level)
-    maps = [word_map(ifs, w) for w in section.sorted_words()]
+    words = section_pi_rho(ifs.weights, ifs.weights.r_min ** level)
+    maps = [word_map(ifs, w) for w in words]
     reduced = SimilarityIFS(ifs.d, maps, osc=ifs.osc, validate=False)
-    return reduced, SectionLaw(offspring, ifs.weights, section)
+    return reduced, SectionLaw(offspring, words)
 
 
 # ---------------------------------------------------------------------------

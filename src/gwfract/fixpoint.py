@@ -416,9 +416,9 @@ def smallest_fixed_point(gf, tol=1e-10, max_iter=100_000):
     return _solve(gf, tol, max_iter, 1024)
 
 
-def smallest_fixed_point_bisect(gf, tol=1e-12, scan_steps=1024):
-    """s0 alone, from the same solve with scan cells of (1 - x) / scan_steps."""
-    return _solve(gf, tol, 100_000, scan_steps)["s0"]
+def smallest_fixed_point_bisect(gf, scan_steps=1024):
+    """s0 alone, from the same solve to 1e-12, scan cells (1 - x) / scan_steps."""
+    return _solve(gf, 1e-12, 100_000, scan_steps)["s0"]
 
 
 # ---------------------------------------------------------------------------

@@ -98,41 +98,6 @@ class WeightedAlphabet:
         return "WeightedAlphabet(%r)" % (self.ratios,)
 
 
-class Section:
-    """Finite antichain of words whose cylinders exactly cover the infinite words."""
-
-    def __init__(self, alphabet_size, words, validate=True):
-        self.alphabet_size = int(alphabet_size)
-        self.words = frozenset(Word(w) for w in words)
-        if validate and not validate_section(self.alphabet_size, self.words):
-            raise InvalidInputError("word set is not a section (antichain + exact cover required)")
-
-    def sorted_words(self):
-        return sorted(self.words)
-
-    def max_depth(self):
-        return max(len(w) for w in self.words)
-
-    def __len__(self):
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(sorted(self.words))
-
-    def __contains__(self, word):
-        return Word(word) in self.words
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Section)
-            and self.alphabet_size == other.alphabet_size
-            and self.words == other.words
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet_size, self.words))
-
-
 def validate_section(alphabet_size, candidate):
     """True iff the word set is an antichain whose cylinders cover everything."""
     words = set(Word(w) for w in candidate)
@@ -163,7 +128,7 @@ def validate_section(alphabet_size, candidate):
 
 
 def section_pi_rho(weights, rho, extended=False, node_budget=DEFAULT_NODE_BUDGET):
-    """Words whose weight first drops to <= rho; ties go into the section.
+    """Sorted tuple of the words whose weight first drops to <= rho, ties included.
 
     With extended=True the threshold may lie anywhere in (0,1); the default
     insists on rho < r_min, which makes the graded family {rho^n} disjoint.
@@ -190,7 +155,7 @@ def section_pi_rho(weights, rho, extended=False, node_budget=DEFAULT_NODE_BUDGET
             continue
         for a in range(weights.alphabet_size):
             stack.append((word.child(a), w * weights.ratios[a]))
-    return Section(weights.alphabet_size, out, validate=False)
+    return tuple(sorted(out))
 
 
 def _section_depth(weights, t):
@@ -593,9 +558,14 @@ def compress_along_pi_rho(tree, weights, rho, n_levels=None):
     # the walk's arrays are not held through the table's sort
     del found, slot, par, node, w, a, count, up, top, above, new, idx
     rows = rows[:, :int(lengths.max(initial=0))]
-    # fits[:, i]: whether the suffix's first i letters weigh at most theta
-    fits = np.column_stack([theta >= 1.0, np.cumprod(ratios[rows], axis=1) <= theta[:, None]])
-    splits = np.where(fits.any(axis=1), fits.argmax(axis=1), lengths)
+    # the split: the least i whose first i letters weigh at most theta, their
+    # product taken left to right one column at a time (padding included)
+    splits = np.where(theta >= 1.0, 0, lengths)
+    open_, weight = theta < 1.0, np.ones(len(rows))
+    for i, letters in enumerate(rows.T, 1):
+        weight *= ratios[letters]
+        fits = open_ & (weight <= theta)
+        splits[fits], open_ = i, open_ & ~fits
     # the table: distinct (suffix, split) rows in word order.  Each row folds
     # into one int64 key, a digit per letter + 1 (so the padding sorts first),
     # and the key is ranked densely wherever the next digit would overflow it

@@ -71,6 +71,7 @@ def test_extinction_near_criticality():
 def test_extinction_trivial_regimes():
     assert extinction_prob(Binomial(3, 0.2)) == 1.0  # subcritical
     assert extinction_prob(Binomial(5, 1.0)) == 0.0  # deterministic full
+    assert extinction_prob(Binomial(1, 1.0)) == 0.0  # one child always
 
 
 def test_sample_gw_frozen_shape():

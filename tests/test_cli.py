@@ -14,7 +14,8 @@ import pytest
 import gwfract
 from gwfract.branching import Binomial, sample_gw
 from gwfract.cli import config_schema, main
-from gwfract.geometry import cloud_to_csv, ifs_to_json, percolation_ifs, render, sierpinski_ifs
+from gwfract.geometry import (box_dimension, cloud_to_csv, ifs_to_json, percolation_ifs, render,
+                              sierpinski_ifs)
 
 
 def run(argv):
@@ -94,6 +95,39 @@ def test_gk_curve_single_point():
     row = doc["curve"][0]
     assert row["value"] == pytest.approx(0.000544166038225461, rel=1e-9)
     assert row["method"] == "exact"
+
+
+def test_gk_curve_point_from_c_and_csv_in_outdir(tmp_path):
+    # with --k, --c stands for a_k = ceil(c^k); --outdir writes the curve as CSV
+    model = ["gk-curve", "--percolation", "b=3,d=2,p=0.6"]
+    code, doc, _ = run_json(model + ["--k", "3", "--c", "2.5"])
+    assert code == 0
+    (row,) = doc["curve"]
+    assert row["a_k"] == math.ceil(2.5 ** 3) == 16
+    assert row == run_json(model + ["--k", "3", "--a", "16"])[1]["curve"][0]
+    code, doc, _ = run_json(model + ["--c", "2", "--k-max", "3", "--outdir", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "gk_curve.csv").read_text().splitlines()
+    assert lines[0] == "k,a_k,value,se,method"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        [str(r["k"]), str(r["a_k"]), repr(r["value"])] for r in doc["curve"]]
+    assert [r["a_k"] for r in doc["curve"]] == [2, 4, 8]
+
+
+def test_fixpoint_block_shorthand_and_json_files(tmp_path):
+    # diffuse-block:b:k:d names the block collection; both specs may be files
+    (tmp_path / "law.json").write_text(json.dumps({"kind": "binomial", "n": 8, "p": 0.99}))
+    (tmp_path / "coll.json").write_text(json.dumps({"kind": "diffuse_block", "b": 2, "k": 3,
+                                                    "d": 1}))
+    code, doc, _ = run_json(["fixpoint", "--offspring", "bin:8:0.99",
+                             "--collection", "diffuse-block:2:3:1"])
+    assert code == 0 and doc["strategy"] == "enum" and doc["converged"] is True
+    # a full block of 4 among 8 letters: below the 4-ary tau, above 0
+    assert 0.0 < doc["tau"] < run_json(["fixpoint", "--offspring", "bin:8:0.99",
+                                        "--collection", "ary:4"])[1]["tau"]
+    code, doc2, _ = run_json(["fixpoint", "--offspring", str(tmp_path / "law.json"),
+                              "--collection", str(tmp_path / "coll.json")])
+    assert code == 0 and doc2 == doc
 
 
 def test_bad_shorthand_exits_2():
@@ -223,6 +257,19 @@ def test_render_from_tree_file(tmp_path):
     assert out.read_bytes().startswith(b"P5")
 
 
+def test_render_full_grid_and_sampled_tree(tmp_path):
+    # without --tree, --depth renders the full grid, and --sample a sampled tree
+    out = tmp_path / "r.pgm"
+    model = ["render", "--percolation", "b=3,d=2,p=0.7", "--out", str(out)]
+    code, doc, _ = run_json(model + ["--depth", "3"])
+    assert code == 0 and doc["points"] == 9 ** 3
+    assert out.read_bytes().startswith(b"P5")
+    code, doc, _ = run_json(model + ["--sample", "--depth", "4", "--seed", "2"])
+    tree = sample_gw(Binomial(9, 0.7), 4, 2).tree
+    assert code == 0
+    assert doc["points"] == len(render(percolation_ifs(3, 2), tree=tree).points) > 0
+
+
 def test_render_tree_with_unknown_letter_exits_2(tmp_path):
     tree = tmp_path / "t.txt"
     tree.write_text("\n0\n0-12\n")  # letter 12 has no map among the 9
@@ -259,6 +306,16 @@ def test_boxdim_full_grid_is_pinned():
     assert code == 0
     assert [c for _, c in doc["table"]] == [9, 81, 729, 6561]
     assert doc["dim"] == 1.9999999999999993
+
+
+def test_boxdim_of_sampled_tree():
+    code, doc, _ = run_json(["boxdim", "--percolation", "b=3,d=2,p=0.7", "--sample",
+                             "--depth", "4", "--seed", "2"])
+    assert code == 0
+    dim, table = box_dimension(render(percolation_ifs(3, 2),
+                                      tree=sample_gw(Binomial(9, 0.7), 4, 2).tree))
+    assert doc["dim"] == dim
+    assert doc["table"] == [[s, c] for s, c in table]
 
 
 @pytest.mark.parametrize("line", ["0-x", "0--1"])
@@ -497,6 +554,24 @@ def test_check_ahlfors_roundtrip(tmp_path):
                             "--alpha", repr(alpha), "--balls", "60",
                             "--max-spread", "1.0"])
     assert code3 == 3
+
+
+def test_extract_measure_and_render_outputs(tmp_path):
+    # the measure CSV holds every tree node with mass A^-h; the render is a PGM
+    meas, pgm = tmp_path / "m.csv", tmp_path / "e.pgm"
+    code, doc, _ = run_json(["extract", "--percolation", "b=2,d=2,p=0.95",
+                             "--pipeline", "block", "--c", "3", "--k", "3", "--seed", "0",
+                             "--measure-out", str(meas), "--render", str(pgm),
+                             "--pixels", "64"])
+    assert code == 0 and doc["arity"] == 27 and doc["leaf_count"] == 27 ** doc["levels"]
+    lines = meas.read_text().splitlines()
+    assert lines[0] == "word,mass"
+    assert len(lines) == 1 + sum(27 ** h for h in range(doc["levels"] + 1))
+    for line in lines[1:]:
+        word, mass = line.rsplit(",", 1)
+        assert float(mass) == 27.0 ** -(word.count("-") + 1 if word else 0)
+    blob = pgm.read_bytes()
+    assert blob.startswith(b"P5") and b"64 64" in blob[:20]
 
 
 def test_diffuse_cert_command():

@@ -95,6 +95,16 @@ def test_ladder_validates_c_sequence():
         exp_dimension_ladder(3, 2, 0.7, c_sequence=(2.5,))
 
 
+def test_ladder_block_scan_point():
+    # pipeline "percolation" takes the block scan alone
+    rep = exp_dimension_ladder(2, 2, 0.9, c_sequence=(2,), seeds=(0, 1),
+                               pipeline="percolation")
+    est = next(e for e in rep.estimates if e["name"] == "boxdim_c2")
+    assert (est["pipeline"], est["seed"], est["leaf_count"]) == ("percolation", 0, 256)
+    assert est["value"] == pytest.approx(1.0, abs=1e-9) and est["within_tol"]
+    assert rep.verdict == "pass" and rep.notes == []
+
+
 def _stub_witness(monkeypatch, root, levels):
     """Make the section pipeline return the full 3x3-grid witness with blocks
     of two letters (rho = 1/9), rooted at `root`, with `levels` levels."""

@@ -229,8 +229,11 @@ def _section_preds():
 
 
 def test_block_leaf_walk_matches_full_walk():
+    # membership, the nodes counted and the witness built from the walk's
+    # labels must be the full walk's, with the floor at the block size and above
     rng = np.random.default_rng(11)
     cases = died = passed = failed = 0
+    witnesses = {False: 0, True: 0}  # by whether the floor exceeds the block size
     counted_floor = set()  # cases where the floor above the block size decides
     for b, d, k, p, A in _block_walk_cases():
         N = b ** d
@@ -240,10 +243,19 @@ def test_block_leaf_walk_matches_full_walk():
         assert scan.block is not None
         for size in {1, max(1, min(40, 20_000 // N ** k))}:
             keys = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
-            ok, nodes = scan._block_walk(keys)
-            want_ok, want_nodes, _ = _full_leaf_walk(lazy, keys, k, pred, A)
+            judge, nodes = scan._block_walk(keys)
+            got = [judge(i) for i in range(size)]
+            ok = np.array([good for _, good in got], dtype=bool)
+            want_ok, want_nodes, leaves = _full_leaf_walk(lazy, keys, k, pred, A)
             assert (ok.tolist(), nodes.tolist()) == (want_ok, want_nodes), \
                 (b, d, k, p, A, size)
+            for i, ((labels, good), codes) in enumerate(zip(got, leaves)):
+                if good:  # the leaf's witness, from the labels the walk found
+                    v = Word((i,))
+                    scan._record_leaf(v, labels, good)
+                    assert np.array_equal(scan.witness_tree(v, 1)._letters[1],
+                                          pred.witness_subset(codes)), (b, d, k, p, A, size)
+                    witnesses[A > N * N] += 1
             if A > N * N:
                 block_only = _full_leaf_walk(lazy, keys, k, pred.parts[0], 0)[0]
                 if block_only != want_ok:
@@ -257,6 +269,7 @@ def test_block_leaf_walk_matches_full_walk():
     assert cases == 225 and died > 0 and passed > 0 and failed > 0, \
         (cases, died, passed, failed)
     assert len(counted_floor) >= 5, counted_floor
+    assert min(witnesses.values()) > 0, witnesses
     # section leaves: rows are read until a leaf holds its floor and the
     # families below them until one is certified; membership, the nodes
     # counted and the witness built from the codes read must be the full walk's
@@ -324,55 +337,25 @@ def test_block_leaf_walk_trips_the_budget_as_the_full_walk_does():
             assert partials == set(range(k)) | {None}, partials
 
 
-def _witness_outcome(scan, v, m):
-    """The witness tree below v, or the budget error's (message, partial)."""
-    try:
-        return scan.witness_tree(v, m)
-    except ResourceLimitError as err:
-        return str(err), err.partial
+@pytest.mark.parametrize("b, d, p, c, k, depth, seed, digest", [
+    (2, 2, 0.9, 2, 4, 12, 0, "6fda43cad724476f"),
+    (3, 2, 0.99, 3, 4, 8, 1, "7ffe168443208b12"),
+    (2, 2, 0.97, 3, 3, 6, 4, "1a6cf3c1db5b63af"),  # a floor above the block size
+])
+def test_block_witness_tree_samples_nothing(monkeypatch, b, d, p, c, k, depth, seed, digest):
+    # a good block leaf keeps its witness from its one leaf walk (a full
+    # block's first label, or a copy), so the final tree samples no node
+    A = round(c ** k)
+    lazy = LazyGW(Binomial(b ** d, p), seed)
+    scan = _LayeredScan(lazy, k, Intersection([DiffuseBlock(b, k, d=d), Ary(A)]),
+                        per_node_cap=max(4 * A, 256))
+    v, m, _ = _scan_candidates(scan, depth // k, 256)
 
-
-def test_batched_leaf_rewalks_match_per_leaf_walks():
-    # block leaves are walked again for the final tree's witnesses, `rewalk`
-    # leaves at a time; one leaf at a time is the reference, for the trees
-    # and for where the budget trips (each leaf is charged on its own)
-    partials, fallbacks, split = set(), 0, 0
-    for b, d, p, c, k, depth, seed in ((2, 2, 0.9, 2, 4, 12, 0), (3, 2, 0.99, 3, 4, 8, 1),
-                                       (2, 2, 0.97, 3, 3, 6, 4)):
-        N, A = b ** d, round(c ** k)
-        lazy = LazyGW(Binomial(N, p), seed, node_budget=10 ** 9)
-        scan = _LayeredScan(lazy, k, Intersection([DiffuseBlock(b, k, d=d), Ary(A)]),
-                            per_node_cap=max(4 * A, 256))
-        v, m, _ = _scan_candidates(scan, depth // k, 256)
-        batch, spent = scan.rewalk, lazy.nodes_sampled
-        groups = []
-        leaf_codes = scan._leaf_codes
-        scan._leaf_codes = lambda words: groups.append(list(words)) or leaf_codes(words)
-        tree = scan.witness_tree(v, m)
-        scan._leaf_codes = leaf_codes
-        assert max(map(len, groups)) > 1 and lazy.nodes_sampled == spent
-        split += len(groups) > 1
-        # each leaf's nodes through each level, and each group's in all
-        cum = np.array([[lazy._level([lazy.key(w)], j)[3][0] for j in range(1, k + 1)]
-                        for g in groups for w in g])
-        totals = [sum(lazy._level([lazy.key(w)], k)[3][0] for w in g) for g in groups]
-        budgets = {spent + x + step for x in cum.max(axis=0).tolist() for step in (-1, 0)}
-        budgets |= {spent + t - 1 for t in totals[:3]}
-        for budget in sorted(budgets) + [10 ** 9]:
-            lazy.node_budget = budget
-            scan.rewalk = 1
-            want = _witness_outcome(scan, v, m)
-            scan.rewalk = batch
-            got = _witness_outcome(scan, v, m)
-            assert got == want, (b, d, k, seed, budget)
-            if isinstance(want, tuple):
-                partials.add(want[1])
-            else:
-                assert want == tree
-                fallbacks += budget - spent < max(totals)
-    # the guard tripped at every level, and some groups passed the budget in
-    # all while none of their leaves did alone
-    assert partials == set(range(4)) and fallbacks > 0 and split, (partials, fallbacks, split)
+    def walk(*args):
+        raise AssertionError("witness_tree sampled a node")
+    monkeypatch.setattr(LazyGW, "_walk", walk)
+    tree = scan.witness_tree(v, m)
+    assert hashlib.sha256(tree.to_text().encode()).hexdigest().startswith(digest)
 
 
 def test_gallery_block_scan_walks_no_more_leaves(monkeypatch):

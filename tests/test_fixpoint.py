@@ -404,3 +404,22 @@ def test_per_letter_enumeration_matches_doubling_reference():
             q = p * (1.0 - s)
             w = np.concatenate([w * (1.0 - q), w * q])
         assert gf.eval(s)[0] == float(w[~member].sum())
+
+
+def test_per_letter_size_pmf_and_cardinality_g_match_subset_sums():
+    probs = (0.3, 0.9, 0.55, 0.7, 0.15)
+    off = PerLetterBernoulli(probs)
+    subsets = [[i for i in range(5) if m >> i & 1] for m in range(1 << 5)]
+
+    def mass(S, q):
+        return math.prod(q[i] if i in S else 1.0 - q[i] for i in range(5))
+    pmf = np.zeros(6)
+    for S in subsets:
+        pmf[len(S)] += mass(S, probs)
+    assert off.size_pmf() == pytest.approx(pmf, abs=1e-15)
+    for a in (1, 3, 5):
+        gf = GFunction(off, ary_collection(a), strategy="enum")
+        for s in (0.0, 0.25, 0.6, 1.0):
+            q = [p * (1.0 - s) for p in probs]
+            want = sum(mass(S, q) for S in subsets if len(S) < a)
+            assert gf.eval(s)[0] == pytest.approx(want, abs=1e-15), (a, s)

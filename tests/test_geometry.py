@@ -758,13 +758,20 @@ def test_cloud_pgm_header():
 
 
 def test_ifs_json_roundtrip():
-    for ifs in (percolation_ifs(3, 2), sierpinski_ifs()):
+    # box and ball open sets, planar angles and 3-d rotation matrices
+    ball = SimilarityIFS(2, [SimilarityMap(0.3, np.eye(2), t)
+                             for t in ([0.5, 0.0], [0.0, 0.5], [-0.5, 0.0])],
+                         osc=OSCBall([0.0, 0.0], 1.0))
+    for ifs in (percolation_ifs(3, 2), sierpinski_ifs(), rotation_ifs_3d(), ball):
         back = ifs_from_json(ifs_to_json(ifs))
         assert back.alphabet_size == ifs.alphabet_size
         assert back.d == ifs.d
-        x = np.array([[0.3, 0.7]])
+        assert type(back.osc) is type(ifs.osc)
+        x = np.array([[0.3, 0.7, 0.2][:ifs.d]])
         for m1, m2 in zip(ifs.maps, back.maps):
             assert np.allclose(m1.apply(x), m2.apply(x))
+    assert ifs_to_json(ifs_from_json(ifs_to_json(ball)))["osc"] == {
+        "kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
 
 
 def test_render_words_base_point():

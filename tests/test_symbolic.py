@@ -10,7 +10,6 @@ from gwfract.symbolic import (
     FiniteTree,
     InvalidInputError,
     ResourceLimitError,
-    Section,
     StarTree,
     Word,
     WeightedAlphabet,
@@ -47,8 +46,7 @@ def test_weighted_alphabet_products():
 
 def test_section_equal_ratios_is_a_full_level():
     wa = WeightedAlphabet((1 / 3.0,) * 9)
-    sec = section_pi_rho(wa, 0.1)
-    words = sec.sorted_words()
+    words = section_pi_rho(wa, 0.1)
     # (1/3)^3 <= 0.1 < (1/3)^2, so the section is the whole third level
     assert len(words) == 9 ** 3
     assert all(len(w) == 3 for w in words)
@@ -57,8 +55,7 @@ def test_section_equal_ratios_is_a_full_level():
 
 def test_section_unequal_ratios_explicit():
     wa = WeightedAlphabet((0.5, 0.25))
-    sec = section_pi_rho(wa, 0.2)
-    got = set(sec.sorted_words())
+    got = set(section_pi_rho(wa, 0.2))
     assert got == {Word((0, 0, 0)), Word((0, 0, 1)), Word((0, 1)),
                    Word((1, 0)), Word((1, 1))}
     assert validate_section(2, got)
@@ -73,7 +70,7 @@ def test_section_rejects_rho_at_or_above_r_min():
         section_pi_rho(wa, 0.5)
     # the extended switch lifts the restriction for derived thresholds
     sec = section_pi_rho(wa, 0.5, extended=True)
-    assert validate_section(2, sec.sorted_words())
+    assert validate_section(2, sec)
 
 
 def test_section_budget():
@@ -100,7 +97,7 @@ def test_rho_index_equal_ratios():
 def test_rho_index_leftover_range():
     wa = WeightedAlphabet((0.5, 0.25))
     rho = 0.2
-    for w in section_pi_rho(wa, rho).sorted_words():
+    for w in section_pi_rho(wa, rho):
         n, a = rho_index(wa, rho, w)
         assert n == 1
         assert wa.r_min < a <= 1.0 + 1e-12
@@ -228,11 +225,25 @@ def test_compress_along_pi_rho_needs_depth():
         compress_along_pi_rho(t, wa, 0.2, n_levels=5)
 
 
+def test_star_tree_membership_and_equality():
+    t = FiniteTree.full(2, 4)
+    wa = WeightedAlphabet((0.5, 0.5))
+    star = compress_along_pi_rho(t, wa, 0.25)
+    assert all(w in star for w in (Word(), Word((0, 1)), Word((1, 0, 1, 1))))
+    assert not any(w in star for w in (Word((0,)), Word((0, 1, 0)), Word((0, 1, 1, 0, 0))))
+    assert star == compress_along_pi_rho(t, wa, 0.25)
+    assert star != compress_along_pi_rho(t, wa, 0.25, n_levels=1)
+    # the same layout is another tree with other family splits or as a FiniteTree
+    resplit = StarTree(star.suffixes, star.depth, star._letters, star._parents,
+                       [n + 1 for n in star.splits])
+    assert star != resplit and star != FiniteTree.full(4, 2)
+
+
 def test_section_sorted_words_are_sorted():
     wa = WeightedAlphabet((0.6, 0.3, 0.45))
-    words = section_pi_rho(wa, 0.25).sorted_words()
-    assert words == sorted(words)
-    assert words == sorted(set(words))
+    words = section_pi_rho(wa, 0.25)
+    assert isinstance(words, tuple)
+    assert list(words) == sorted(set(words))
 
 
 def test_star_table_keys_are_reranked_before_they_overflow():
