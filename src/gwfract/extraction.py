@@ -82,55 +82,48 @@ def _runs(keys):
 
 
 class SubtreePredicate:
-    """A monotone collection of acceptable child sets.
+    """A monotone collection of acceptable child sets: those holding a core,
+    with at least `floor` labels.
 
     `member` and `witness_subset` take an ascending integer array of labels;
     a witness is an ascending array of some of them, or None.  A structural
-    predicate (a full block, a certified family) finds the core that makes a
-    set a member with `witness_core`, and a set is a member exactly when it
-    has one; that core is also its minimal witness, a slice of the labels.
-    `_running()` returns `push(label, check)`, which adds one label to a
-    growing set and, when `check` is true, says whether that set is a member,
-    doing the certification work `member` would do on it.
+    predicate (a full block, a certified family) finds its core with
+    `witness_core`, a slice of the labels, or None when there is none; this
+    class has an empty core, so `SubtreePredicate(a)` accepts the child sets
+    of at least a labels.  A core predicate's `_running()` returns
+    `push(label, check)`, which adds one label to a growing set and, when
+    `check` is true, says whether that set holds a core, doing the
+    certification work `witness_core` would do on it.
     """
 
+    def __init__(self, floor=0):
+        self.floor = int(floor)
+        if self.floor < 0:
+            raise InvalidInputError("floor must be >= 0")
+
+    def witness_core(self, labels):
+        return labels[:0]
+
     def member(self, labels):
-        return self.witness_core(labels) is not None
+        # the core first: a section core certifies families, which count in `certs`
+        return self.witness_core(labels) is not None and len(labels) >= self.floor
 
     def witness_subset(self, labels):
-        """Minimal certifying child set (None when labels are not a member)."""
-        return self.witness_core(labels)
+        """Minimal certifying child set (None when labels are not a member):
+        the core, padded with the lex-smallest other labels up to `min_arity()`."""
+        core, need = self.witness_core(labels), self.min_arity()
+        if core is None or len(labels) < need:
+            return None
+        keep = np.isin(labels, core, assume_unique=True)
+        keep[np.flatnonzero(~keep)[:max(0, need - len(core))]] = True
+        # a copy sized to the witness, which pins no larger array; the check
+        # certifies the families the padding adds, as `member` would
+        witness = labels[keep]
+        return witness if self.member(witness) else None
 
     def min_arity(self):
         """Cardinality floor a trimmed witness must keep."""
-        return 0
-
-
-class Ary(SubtreePredicate):
-    """Upward closure of the child sets of size exactly a."""
-
-    def __init__(self, a):
-        self.a = int(a)
-        if self.a < 1:
-            raise InvalidInputError("a must be >= 1")
-
-    def member(self, labels):
-        return len(labels) >= self.a
-
-    def _running(self):
-        size = 0
-
-        def push(label, check):
-            nonlocal size
-            size += 1
-            return check and size >= self.a
-        return push
-
-    def witness_subset(self, labels):
-        return labels[:self.a] if len(labels) >= self.a else None
-
-    def min_arity(self):
-        return self.a
+        return self.floor
 
 
 class DiffuseBlock(SubtreePredicate):
@@ -141,7 +134,8 @@ class DiffuseBlock(SubtreePredicate):
     In an ascending array a block is a run of `block` labels with one prefix.
     """
 
-    def __init__(self, b, k, d=2):
+    def __init__(self, b, k, d=2, floor=0):
+        super().__init__(floor)
         self.b = int(b)
         self.k = int(k)
         self.d = int(d)
@@ -172,7 +166,7 @@ class DiffuseBlock(SubtreePredicate):
         return labels[full[0]:full[0] + self.block] if len(full) else None
 
     def min_arity(self):
-        return self.block
+        return max(self.block, self.floor)
 
 
 class SectionDiffuse(SubtreePredicate):
@@ -195,7 +189,8 @@ class SectionDiffuse(SubtreePredicate):
     # directions of each family's certificate
     DIRECTIONS = 200
 
-    def __init__(self, c, ifs, F_cloud=None, k=None, star=None):
+    def __init__(self, c, ifs, F_cloud=None, k=None, star=None, floor=0):
+        super().__init__(floor)
         self.c = float(c)
         if self.c <= 0:
             raise InvalidInputError("c must be positive")
@@ -269,52 +264,6 @@ class SectionDiffuse(SubtreePredicate):
             if good:
                 return labels[s:s + n]
         return None
-
-
-class Intersection(SubtreePredicate):
-    """All parts must accept; the witness keeps the structural cores first and
-    pads with the lex-smallest remaining children up to the cardinality floor."""
-
-    def __init__(self, parts):
-        self.parts = list(parts)
-        if not self.parts:
-            raise InvalidInputError("intersection needs at least one part")
-
-    def member(self, labels):
-        return all(p.member(labels) for p in self.parts)
-
-    def _running(self):
-        pushes = [p._running() for p in self.parts]
-
-        def push(label, check):
-            # every part takes the label; after a failing part none is checked
-            for part in pushes:
-                check = part(label, check)
-            return check
-        return push
-
-    def min_arity(self):
-        return max(p.min_arity() for p in self.parts)
-
-    def witness_subset(self, labels):
-        # the final check on the result, a subset of `labels`, also rejects a
-        # non-member: membership is monotone
-        keep = np.zeros(len(labels), dtype=bool)
-        for p in self.parts:
-            take = getattr(p, "witness_core", None)
-            if take is not None:
-                got = take(labels)
-                if got is None:
-                    return None
-                keep |= np.isin(labels, got, assume_unique=True)
-        need = max(0, self.min_arity() - int(keep.sum()))
-        pad = np.flatnonzero(~keep)[:need]
-        if len(pad) < need:
-            return None
-        keep[pad] = True
-        # a copy sized to the witness, which pins no larger array
-        witness = labels[keep]
-        return witness if self.member(witness) else None
 
 
 def diffuse_block_collection(b, k, d=2):
@@ -617,12 +566,13 @@ class _LayeredScan:
     good child is pushed into the predicate's running state, which answers
     for the prefix without judging the whole prefix again.
 
-    The predicate is one `DiffuseBlock` or one packed `SectionDiffuse` of
-    length k, with `Ary` floors; a witness keeps `pred.min_arity()` children.
-    Children with one level to go (leaves) are walked a chunk at a time: as
-    many leaves as fill `_CHUNK_NODES` expected prefix nodes, and at least
-    k - 1, so that a chunk's k - 1 level steps cost at most about one step's
-    numpy calls per leaf.  Levels 0..k-2 are
+    The predicate is one `DiffuseBlock` or one packed `SectionDiffuse` over
+    the law's alphabet: its block length k is the base levels of one scan
+    level, and a witness keeps `pred.min_arity()` children, its count floor
+    or a block's size.  Children with one level to go (leaves) are walked a
+    chunk at a time: as many leaves as fill `_CHUNK_NODES` expected prefix
+    nodes, and at least k - 1, so that a chunk's k - 1 level steps cost at
+    most about one step's numpy calls per leaf.  Levels 0..k-2 are
     walked once (`_prefix_walk`); the level-(k-1) child rows are then read in
     lex order, a doubling batch per round, until each leaf is decided
     (`_lex_batches`), their stream keys mixed for the rows read only; a
@@ -644,21 +594,19 @@ class _LayeredScan:
     that block is the witness, so `witness_tree` samples nothing.
     """
 
-    def __init__(self, lazy, k, pred, per_node_cap):
+    def __init__(self, lazy, pred, per_node_cap):
         self.lazy = lazy
-        self.k = int(k)
         self.pred = pred
         self.arity = pred.min_arity()
         self.per_node_cap = int(per_node_cap)
         self.base_n = lazy.offspring.alphabet_size
-        parts = pred.parts if isinstance(pred, Intersection) else [pred]
-        core = [p for p in parts if not isinstance(p, Ary)]
-        if not (len(core) == 1 and isinstance(core[0], (DiffuseBlock, SectionDiffuse))
-                and core[0].k == self.k and core[0].base_n == self.base_n):
+        if not (isinstance(pred, (DiffuseBlock, SectionDiffuse)) and pred.k is not None
+                and pred.base_n == self.base_n):
             raise CapabilityError("the layered scan takes one block or packed section "
-                                  "predicate of length %d, with cardinality floors" % self.k)
-        self.block = core[0] if isinstance(core[0], DiffuseBlock) else None
-        self.section = None if self.block else core[0]
+                                  "predicate over the law's %d letters" % self.base_n)
+        self.k = pred.k
+        self.block = pred if isinstance(pred, DiffuseBlock) else None
+        self.section = None if self.block else pred
         # a function, not a bound method: one kept on self would be a reference
         # cycle, holding the scan's caches past its last use
         self._leaf_walk = _LayeredScan._block_walk if self.block else _LayeredScan._section_walk
@@ -949,19 +897,18 @@ def _levels(depth, n_levels, k, step):
     return depth // k
 
 
-def _scan_extract(offspring, core, A, k, n_total, seed, scan_budget, node_budget,
-                  predicted, params, per_node_cap=None):
-    """Scan one lazy realization breadth first for an A-ary witness of n_total
-    levels of k base steps, its child sets holding the predicate `core`, and
-    build the first one found.
+def _scan_extract(offspring, pred, n_total, seed, scan_budget, node_budget, predicted,
+                  params):
+    """Scan one lazy realization breadth first for a witness of n_total levels
+    of `pred.k` base steps, its child sets members of `pred`, and build the
+    first one found.
 
     Returns the witness root word, its tree and the scan stats with
     `predicted`.  On a miss the NotFoundError's stats get `predicted` and
     `params` with the seed.
     """
     lazy = LazyGW(offspring, seed, node_budget=node_budget)
-    layered = _LayeredScan(lazy, k, Intersection([core, Ary(A)]),
-                           max(4 * A, 256) if per_node_cap is None else per_node_cap)
+    layered = _LayeredScan(lazy, pred, max(4 * pred.floor, 256))
     try:
         v, n, scan = _scan_candidates(layered, n_total, scan_budget)
     except NotFoundError as err:
@@ -995,7 +942,7 @@ def _block_family_constant(b, d):
 
 
 def percolation_pipeline(b, d, p, c, k, depth=None, seed=0, scan_budget=256,
-                         node_budget=200_000_000, per_node_cap=None):
+                         node_budget=200_000_000):
     """Extract a c^k-ary block-certified subtree from grid percolation.
 
     Scans compressed vertices breadth-first for a witness of the available
@@ -1033,8 +980,8 @@ def percolation_pipeline(b, d, p, c, k, depth=None, seed=0, scan_budget=256,
     offspring = Binomial(N, p)
     params = {"b": b, "d": d, "p": p, "c": c, "k": k, "depth": n_total * k}
     v, subtree, scan = _scan_extract(
-        offspring, DiffuseBlock(b, k, d=d), A, k, n_total, seed, scan_budget, node_budget,
-        predicted_presence(offspring, k, A, n_total, mode="block"), params, per_node_cap)
+        offspring, DiffuseBlock(b, k, d=d, floor=A), n_total, seed, scan_budget, node_budget,
+        predicted_presence(offspring, k, A, n_total, mode="block"), params)
     ifs = percolation_ifs(b, d=d)
     c_blk = _block_family_constant(b, d)
     beta = c_blk * b ** (-k) / ifs.diameter_bound()
@@ -1228,7 +1175,7 @@ def _general(ifs, offspring, rho, alpha, c, depth, seed, n_levels, scan_budget,
     n_total = _levels(depth, n_levels, k, "the section step %d" % k)
     if A > ifs.alphabet_size ** k:
         raise InvalidInputError("arity %d exceeds the section size" % A)
-    sd = SectionDiffuse(c, ifs, F_cloud=F, k=k)
+    sd = SectionDiffuse(c, ifs, F_cloud=F, k=k, floor=A)
     predicted = None
     try:
         if sd._mask_certified((1 << ifs.alphabet_size) - 1):
@@ -1236,8 +1183,8 @@ def _general(ifs, offspring, rho, alpha, c, depth, seed, n_levels, scan_budget,
     except CapabilityError:
         pass
     params.update(k=k, depth=n_total * k)
-    v, subtree, scan = _scan_extract(offspring, sd, A, k, n_total, seed, scan_budget,
-                                     node_budget, predicted, params)
+    v, subtree, scan = _scan_extract(offspring, sd, n_total, seed, scan_budget, node_budget,
+                                     predicted, params)
     beta = rho * c * weights.r_min / ifs.diameter_bound()
     scan["base_family_constant"] = float(base_cert.c_low)
     return ExtractedSubset(
@@ -1267,9 +1214,8 @@ def _general_star(ifs, offspring, rho, alpha, c, A, depth, seed, n_levels,
 
     sample = sample_gw(offspring, depth, seed, node_budget=node_budget)
     star = compress_along_pi_rho(sample.tree, weights, rho, n_levels=n_total)
-    sd = SectionDiffuse(c, ifs, F_cloud=F, star=star)
-    pred = Intersection([sd, Ary(A)])
-    good, witness = _presence(star, pred, n_total)
+    sd = SectionDiffuse(c, ifs, F_cloud=F, star=star, floor=A)
+    good, witness = _presence(star, sd, n_total)
 
     candidates = list(islice(((h, i) for h in range(n_total) for i in range(len(good[h]))),
                              scan_budget))

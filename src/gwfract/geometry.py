@@ -634,11 +634,14 @@ def _edge_normal_width(hv):
     """Unit normal of the thinnest slab around a convex polygon given by its
     vertices in order: the normal of one of its edges (Houle and Toussaint,
     "Computing the width of a set", IEEE PAMI 1988).  Edges are projected in
-    chunks of 512, so memory stays linear in the vertex count."""
+    chunks of 512, so memory stays linear in the vertex count.  None when
+    every edge is shorter than 1e-15, which leaves no normal to trust."""
     chunk = 512
     e = np.concatenate((hv[1:], hv[:1])) - hv
     nrm = np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1])
     keep = nrm >= 1e-15
+    if not keep.any():
+        return None
     u = e[keep][:, ::-1] / nrm[keep, None]
     u[:, 0] = -u[:, 0]
     if len(u) <= chunk:
@@ -669,14 +672,16 @@ def width(cloud):
     # on the full cloud
     if d == 2 and n > d:
         hv = cloud.hull if isinstance(cloud, PointCloud) else _hull_vertices(pts)
-        if hv is not pts:  # Qhull built the hull: its vertices run counter-clockwise
-            u = _edge_normal_width(hv)
+        # Qhull built the hull: its vertices run counter-clockwise
+        u = _edge_normal_width(hv) if hv is not pts else None
+        if u is not None:
             w, b = _slab(pts, u)
             return WidthResult(w, Hyperplane(u, b), 1e-12 * max(1.0, w))
     u0, _ = _flat_direction(pts)
     w0, b0 = _slab(pts, u0)
     # the SVD plane is exact for at most d points and for the collinear
-    # planar clouds that Qhull rejects
+    # planar clouds that Qhull rejects; on a hull with no edge of 1e-15 it is
+    # off by less than the hull's size
     if n <= d or d == 2 or w0 <= 1e-14 * max(1.0, np.abs(pts).max()):
         return WidthResult(0.0 if n <= d else w0, Hyperplane(u0, b0), 0.0)
 
@@ -879,11 +884,12 @@ def _support_floor(pts):
     The support points lie on the hull in counter-clockwise order, so once
     consecutive repeats are dropped the least span over their edge normals is
     the polygon's width (Houle and Toussaint), at most that of all the points.
-    Fewer than 3 support points give 0.
+    Fewer than 3 support points, or no edge of 1e-15 between them, give 0.
     """
     i = (_SUPPORT_DIRS @ pts.T).argmax(axis=1)
     hv = pts[i[i != i[_SUPPORT_PREV]]]
-    return _slab(hv, _edge_normal_width(hv))[0] if len(hv) >= 3 else 0.0
+    u = _edge_normal_width(hv) if len(hv) >= 3 else None
+    return 0.0 if u is None else _slab(hv, u)[0]
 
 
 class _BallIndex:

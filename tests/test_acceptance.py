@@ -19,7 +19,7 @@ from gwfract.branching import (Binomial, extinction_prob, labeled_seed,
 from gwfract.fixpoint import GFunction, appendix_b_gap, ary_collection, g_k_a_curve
 from gwfract.geometry import (ahlfors_ratio_check, empirical_diffuse_check,
                               moran_exponent, percolation_ifs, sierpinski_ifs)
-from gwfract.extraction import (Ary, NotFoundError, find_subtree,
+from gwfract.extraction import (NotFoundError, SubtreePredicate, find_subtree,
                                 general_pipeline, percolation_pipeline)
 from gwfract.experiments import exp_dimension_ladder, exp_non_diffuseness
 
@@ -93,7 +93,7 @@ def test_criterion_03_fixed_point_identity():
     n_trees = 10_000
 
     def subtree_height(tree):
-        # h(v) >= m+1 iff at least two children reach m, the Ary(2) DP
+        # h(v) >= m+1 iff at least two children reach m, the 2-ary DP
         h = {}
         children = tree.children
         for depth in range(tree.depth, -1, -1):
@@ -110,7 +110,7 @@ def test_criterion_03_fixed_point_identity():
         counts[1: hh + 1] += 1
         if t < 25:  # the height recursion must agree with the witness DP
             for n in range(1, 6):
-                assert (find_subtree(tree, Ary(2), n) is not None) == (hh >= n)
+                assert (find_subtree(tree, SubtreePredicate(2), n) is not None) == (hh >= n)
 
     devs = []
     v = 0.0

@@ -539,6 +539,15 @@ def test_check_diffuse_zero_diameter_cloud_exits_2(tmp_path):
     assert doc["error"] == "invalid-config"
 
 
+def test_check_diffuse_tiny_hull_exits_3(tmp_path):
+    # every hull edge of the first three points is shorter than 1e-15
+    path = tmp_path / "tiny.csv"
+    path.write_text("0,0\n0,1e-16\n1e-16,0\n1,1\n")
+    code, doc, _ = run_json(["check-diffuse", "--cloud", str(path), "--beta", "0.1"])
+    assert code == 3
+    assert doc["pass"] is False
+
+
 def test_check_ahlfors_roundtrip(tmp_path):
     meas = tmp_path / "m.csv"
     code, doc, _ = run_json(["extract", "--percolation", "b=2,d=2,p=0.95",

@@ -16,12 +16,11 @@ from gwfract.geometry import (SimilarityIFS, SimilarityMap, cloud_to_csv, percol
 from gwfract.extraction import (
     _LayeredScan,
     _scan_candidates,
-    Ary,
     DiffuseBlock,
-    Intersection,
     NotFoundError,
     SectionDiffuse,
     SectionLaw,
+    SubtreePredicate,
     diffuse_block_collection,
     find_subtree,
     general_pipeline,
@@ -33,19 +32,21 @@ from gwfract.extraction import (
 
 
 def test_ary_member_and_witness():
-    pred = Ary(3)
+    # the base predicate's core is empty: a floor of a is the a-ary predicate
+    pred = SubtreePredicate(3)
     assert not pred.member(np.array([0, 5]))
     assert pred.member(np.array([0, 5, 7]))
     w = pred.witness_subset(np.array([2, 4, 7, 9]))
     assert w.tolist() == [2, 4, 7]  # smallest labels win
     assert pred.witness_subset(np.array([1])) is None
     assert pred.min_arity() == 3
-    assert Ary(2).member(np.array([3, 4]))
+    assert SubtreePredicate(2).member(np.array([3, 4]))
+    assert SubtreePredicate().member(np.array([], dtype=np.int64))
 
 
 def test_ary_rejects_bad_arity():
     with pytest.raises(InvalidInputError):
-        Ary(0)
+        SubtreePredicate(-1)
 
 
 def test_diffuse_block_member():
@@ -67,15 +68,31 @@ def test_diffuse_block_needs_two_levels():
         DiffuseBlock(2, 1, 2)
 
 
-def test_intersection_pads_witness():
-    pred = Intersection([DiffuseBlock(2, 2, 2), Ary(20)])
-    labels = np.arange(30)
+def test_floored_core_pads_witness():
+    # the core first, then the lex-smallest other labels up to the floor
+    pred = DiffuseBlock(2, 2, 2, floor=20)
+    labels = np.arange(3, 40)
     assert pred.member(labels)
     w = pred.witness_subset(labels)
-    assert len(w) >= 20
-    assert all(p.member(w) for p in pred.parts)
+    assert w.tolist() == list(range(3, 7)) + list(range(16, 32))
+    assert pred.member(w) and DiffuseBlock(2, 2, 2).member(w)
     assert pred.min_arity() == 20
-    assert not pred.member(np.arange(15))
+    assert DiffuseBlock(2, 2, 2, floor=3).min_arity() == 16
+    assert not pred.member(np.arange(16, 35))  # a block, but below the floor
+    assert pred.witness_subset(np.arange(16, 35)) is None
+    assert not pred.member(np.arange(17, 40))  # enough labels, but no block
+
+
+def test_floored_section_certifies_below_its_floor():
+    # the core is tested before the floor, so a set below the floor still
+    # certifies its families: the star pipeline's `certs` counts them
+    sd = SectionDiffuse(0.05, percolation_ifs(3, 2), k=2, floor=20)
+    labels = np.arange(9, 18)  # one full family, below the floor
+    assert not sd.member(labels)
+    assert sd.cert_count == 1
+    assert not sd.member(labels) and sd.cert_count == 1  # cached per family
+    assert not sd.member(np.arange(27, 30))
+    assert sd.cert_count == 2
 
 
 def test_diffuse_block_collection_matches_predicate():
@@ -102,7 +119,7 @@ def test_diffuse_block_collection_matches_predicate():
 
 def test_find_subtree_full_tree():
     tree = FiniteTree.full(3, 2)
-    sub = find_subtree(tree, Ary(2), 2)
+    sub = find_subtree(tree, SubtreePredicate(2), 2)
     assert [len(sub.level(m)) for m in range(3)] == [1, 2, 4]
     for v, cs in sub.children.items():
         if len(v) < 2:
@@ -111,21 +128,21 @@ def test_find_subtree_full_tree():
 
 def test_find_subtree_absent():
     tree = FiniteTree(3, 1, {Word(): frozenset({1}), Word((1,)): frozenset()})
-    assert find_subtree(tree, Ary(2), 1) is None
+    assert find_subtree(tree, SubtreePredicate(2), 1) is None
 
 
 def test_find_subtree_depth_guard_and_trivial():
     tree = FiniteTree.full(2, 1)
     with pytest.raises(InvalidInputError):
-        find_subtree(tree, Ary(1), 3)
-    sub = find_subtree(tree, Ary(2), 0)
+        find_subtree(tree, SubtreePredicate(1), 3)
+    sub = find_subtree(tree, SubtreePredicate(2), 0)
     assert sub.depth == 0
 
 
 def test_find_subtree_star_dp():
     star = compress_along_pi_rho(FiniteTree.full(2, 4),
                                  WeightedAlphabet((0.5, 0.5)), 0.25)
-    sub = find_subtree(star, Ary(3), 2)
+    sub = find_subtree(star, SubtreePredicate(3), 2)
     assert isinstance(sub, StarTree)
     assert [len(sub.level(m)) for m in range(3)] == [1, 3, 9]
 
@@ -145,7 +162,7 @@ def _block_tree(lazy, v, m, k):
 def _scan_matches_eager(lazy, k, pred):
     """(tested, witnesses) of the root with two levels to go and its first 20
     block children, each checked against the eager DP on the sampled tree."""
-    scan = _LayeredScan(lazy, k, pred, per_node_cap=10 ** 9)
+    scan = _LayeredScan(lazy, pred, per_node_cap=10 ** 9)
     codes = scan._alive(Word())[0][:20]
     vertices = [(Word(), 2)] + [(v, 1) for v in scan._block_words(Word(), codes)]
     witnesses = 0
@@ -163,7 +180,7 @@ def test_layered_scan_matches_eager_dp():
     for b, d, p, c, k in ((2, 2, 0.95, 3, 3), (2, 2, 0.9, 3, 3),
                           (2, 2, 0.97, 2, 4)):
         A = c ** k
-        pred = Intersection([DiffuseBlock(b, k, d=d), Ary(A)])
+        pred = DiffuseBlock(b, k, d=d, floor=A)
         for seed in range(6):
             t, w = _scan_matches_eager(LazyGW(Binomial(b ** d, p), seed), k, pred)
             tested, witnesses = tested + t, witnesses + w
@@ -172,8 +189,7 @@ def test_layered_scan_matches_eager_dp():
     tested = witnesses = 0
     for b, d, p, c, k, A in ((3, 2, 0.6, 0.05, 2, 30), (4, 1, 0.7, 0.05, 3, 12),
                              (3, 1, 0.9, 0.05, 3, 9)):
-        pred = Intersection([SectionDiffuse(c, percolation_ifs(b, d), k=k),
-                             Ary(A)])
+        pred = SectionDiffuse(c, percolation_ifs(b, d), k=k, floor=A)
         for seed in range(6):
             t, w = _scan_matches_eager(LazyGW(Binomial(b ** d, p), seed), k, pred)
             tested, witnesses = tested + t, witnesses + w
@@ -183,10 +199,10 @@ def test_layered_scan_matches_eager_dp():
 def test_layered_scan_takes_one_block_or_packed_section_predicate():
     lazy = LazyGW(Binomial(4, 0.9), 0)
     star = SectionDiffuse(0.05, percolation_ifs(2, 2))
-    for pred in (Ary(4), star, DiffuseBlock(2, 2, d=2),
-                 Intersection([DiffuseBlock(2, 3, d=2), DiffuseBlock(2, 3, d=2)])):
+    # no core, a star section, and a block over a 9-letter grid on a 4-letter law
+    for pred in (SubtreePredicate(4), star, DiffuseBlock(3, 2, d=2)):
         with pytest.raises(CapabilityError):
-            _LayeredScan(lazy, 3, pred, per_node_cap=10)
+            _LayeredScan(lazy, pred, per_node_cap=10)
     # letter masks are int64 bit sets
     wide = SectionDiffuse(0.05, percolation_ifs(8, 2), k=2)
     with pytest.raises(CapabilityError):
@@ -237,9 +253,9 @@ def test_block_leaf_walk_matches_full_walk():
     counted_floor = set()  # cases where the floor above the block size decides
     for b, d, k, p, A in _block_walk_cases():
         N = b ** d
-        pred = Intersection([DiffuseBlock(b, k, d=d), Ary(A)])
+        pred = DiffuseBlock(b, k, d=d, floor=A)
         lazy = LazyGW(Binomial(N, p), 0)
-        scan = _LayeredScan(lazy, k, pred, per_node_cap=10 ** 9)
+        scan = _LayeredScan(lazy, pred, per_node_cap=10 ** 9)
         assert scan.block is not None
         for size in {1, max(1, min(40, 20_000 // N ** k))}:
             keys = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
@@ -257,7 +273,7 @@ def test_block_leaf_walk_matches_full_walk():
                                           pred.witness_subset(codes)), (b, d, k, p, A, size)
                     witnesses[A > N * N] += 1
             if A > N * N:
-                block_only = _full_leaf_walk(lazy, keys, k, pred.parts[0], 0)[0]
+                block_only = _full_leaf_walk(lazy, keys, k, DiffuseBlock(b, k, d=d), 0)[0]
                 if block_only != want_ok:
                     counted_floor.add((b, d, k, p))
             bounds = lazy._level(keys, k - 1)[2]
@@ -279,9 +295,10 @@ def test_block_leaf_walk_matches_full_walk():
         N = b ** d
         for p in (0.5, 0.8, 1.0):
             for A in sorted({N, (N + N ** k) // 2, N ** k}):
-                pred = Intersection([sd, Ary(A)])
+                sd.floor = A  # one predicate, so its certificates stay cached
+                pred = sd
                 lazy = LazyGW(Binomial(N, p), 0)
-                scan = _LayeredScan(lazy, k, pred, per_node_cap=10 ** 9)
+                scan = _LayeredScan(lazy, pred, per_node_cap=10 ** 9)
                 assert scan.block is None and scan.section is sd
                 for size in {1, max(1, min(256, 4000 // N ** k))}:
                     keys = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
@@ -309,29 +326,28 @@ def test_block_leaf_walk_matches_full_walk():
 def test_block_leaf_walk_trips_the_budget_as_the_full_walk_does():
     for b, d, k, p in ((2, 2, 3, 0.9), (3, 2, 4, 0.99), (2, 1, 2, 0.6)):
         N = b ** d
-        section = SectionDiffuse(0.05, percolation_ifs(b, d), k=k)
+        section = SectionDiffuse(0.05, percolation_ifs(b, d), k=k, floor=N * N)
         keys = np.random.default_rng(5).integers(0, 2 ** 63, size=7, dtype=np.uint64)
         # nodes of the whole chunk at each level 0..k-1, and 100 counted before
         sizes = [len(LazyGW(Binomial(N, p), 0)._level(keys, j)[0]) for j in range(k)]
         spent = 100
         budgets = sorted({spent + total + step for total in np.cumsum(sizes).tolist()
                           for step in (-1, 0, 1)})
-        for core in (DiffuseBlock(b, k, d=d), section):
-            pred = Intersection([core, Ary(N * N)])
+        for pred in (DiffuseBlock(b, k, d=d, floor=N * N), section):
             partials = set()
             for budget in budgets:
                 outcome = []
                 for full in (True, False):
                     lazy = LazyGW(Binomial(N, p), 0, node_budget=budget)
                     lazy.nodes_sampled = spent
-                    scan = _LayeredScan(lazy, k, pred, per_node_cap=10 ** 9)
-                    walk = scan._block_walk if core is not section else scan._section_walk
+                    scan = _LayeredScan(lazy, pred, per_node_cap=10 ** 9)
+                    walk = scan._block_walk if pred is not section else scan._section_walk
                     try:
                         lazy._level(keys, k) if full else walk(keys)
                         outcome.append(None)
                     except ResourceLimitError as err:
                         outcome.append((str(err), err.partial))
-                assert outcome[0] == outcome[1], (b, d, k, p, budget, type(core))
+                assert outcome[0] == outcome[1], (b, d, k, p, budget, type(pred))
                 partials.add(None if outcome[0] is None else outcome[0][1])
             # every level trips the guard at some budget, and the largest passes
             assert partials == set(range(k)) | {None}, partials
@@ -347,8 +363,7 @@ def test_block_witness_tree_samples_nothing(monkeypatch, b, d, p, c, k, depth, s
     # block's first label, or a copy), so the final tree samples no node
     A = round(c ** k)
     lazy = LazyGW(Binomial(b ** d, p), seed)
-    scan = _LayeredScan(lazy, k, Intersection([DiffuseBlock(b, k, d=d), Ary(A)]),
-                        per_node_cap=max(4 * A, 256))
+    scan = _LayeredScan(lazy, DiffuseBlock(b, k, d=d, floor=A), per_node_cap=max(4 * A, 256))
     v, m, _ = _scan_candidates(scan, depth // k, 256)
 
     def walk(*args):
@@ -383,11 +398,11 @@ def test_witness_exists_exactly_for_members(kind):
     # sound because a member always has one
     rng = np.random.default_rng(3)
     if kind == "block":
-        pred = Intersection([DiffuseBlock(2, 3, d=2), Ary(27)])
+        pred = DiffuseBlock(2, 3, d=2, floor=27)
         alphabet, group = 64, 16
     else:
         ifs = percolation_ifs(3, 2)
-        pred = Intersection([SectionDiffuse(0.05, ifs, k=2), Ary(9)])
+        pred = SectionDiffuse(0.05, ifs, k=2, floor=9)
         alphabet, group = 81, 9
     outcomes = set()
     for i, labels in enumerate(_random_label_sets(rng, alphabet, group, 150)):
@@ -422,13 +437,14 @@ def test_block_scan_pinned_outputs():
     assert (stats["child_tests"], stats["capped_nodes"], stats["nodes_sampled"]) \
         == (12817, 0, 822124)
 
-    root, sha, stats = _pinned(percolation_pipeline(2, 2, 0.9, 2, 4, depth=12, seed=0,
-                                                    per_node_cap=40))
-    assert root == "1-0-0-1"
+    # a per-node cap of 40 children, on the scan itself
+    scan = _LayeredScan(LazyGW(Binomial(4, 0.9), 0), DiffuseBlock(2, 4, d=2, floor=16), 40)
+    v, m, stats = _scan_candidates(scan, 3, 256)
+    assert v.text == "1-0-0-1"
+    sha = hashlib.sha256(scan.witness_tree(v, m).to_text().encode()).hexdigest()
     assert sha == "66c033f26116c74ecc2751a0ec70b4ece32feea3039dceb218d4ce76db22d4be"
     assert stats["candidates_tested"] == 62
-    assert (stats["child_tests"], stats["capped_nodes"], stats["nodes_sampled"]) \
-        == (2070, 51, 133649)
+    assert tuple(scan.scan_stats().values()) == (2070, 51, 133649)
 
     root, sha, stats = _pinned(percolation_pipeline(3, 2, 0.99, 3, 4, depth=8, seed=1))
     assert root == ""
@@ -481,7 +497,7 @@ def test_section_scan_pinned_outputs():
 
 def test_natural_measure_mass_law():
     tree = FiniteTree.full(3, 2)
-    sub = find_subtree(tree, Ary(2), 2)
+    sub = find_subtree(tree, SubtreePredicate(2), 2)
     masses = natural_measure(sub, 0.5, 1.0)
     assert masses[Word()] == 1.0
     level1 = [masses[w] for w in sub.level(1)]

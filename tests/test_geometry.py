@@ -552,6 +552,13 @@ def test_support_floor_of_at_most_two_distinct_support_points_is_zero():
     assert geometry._support_floor(tri) == pytest.approx(6.0 / math.sqrt(18.0), rel=1e-15)
 
 
+def test_tiny_hull_takes_the_svd_width_and_a_zero_support_floor():
+    # every hull edge is shorter than 1e-15, so no edge normal is trusted
+    tiny = np.array([[0.0, 0.0], [0.0, 1e-16], [1e-16, 0.0]])
+    assert geometry._support_floor(tiny) == 0.0
+    assert 0.0 <= width(tiny).w <= 1e-16
+
+
 def _no_floor(self, *args):
     return -math.inf
 

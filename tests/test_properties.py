@@ -7,7 +7,7 @@ import functools
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gwfract.symbolic import (FiniteTree, Word, WeightedAlphabet, _section_depth,
                               compress_along_pi_rho, rho_index, section_pi_rho,
@@ -16,7 +16,7 @@ from gwfract.branching import Binomial, sample_gw
 from gwfract.fixpoint import ary_collection, generator_collection
 from gwfract.geometry import (PointCloud, SimilarityIFS, SimilarityMap, diffuseness_constant,
                               percolation_ifs, sierpinski_ifs, width, word_map)
-from gwfract.extraction import Ary, _attractor_cloud, find_subtree
+from gwfract.extraction import SubtreePredicate, _attractor_cloud, find_subtree
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,8 @@ def test_width_isometry_invariance(pts, angle, tx, ty):
 
 @settings(max_examples=60, deadline=None)
 @given(point_lists, st.floats(0.1, 3.0))
+# a hull whose edges are all shorter than 1e-15 leaves no edge normal
+@example(pts=[(0.0, 0.0), (0.0, 2.225073858507203e-309), (2.225073858507e-311, 0.0)], lam=1.0)
 def test_width_scaling(pts, lam):
     arr = np.array(pts, dtype=float)
     w0 = width(PointCloud(arr, 0.0)).w
@@ -233,7 +235,7 @@ def test_witness_is_a_lex_ordered_subtree(case):
     lines = set(tree.to_text().splitlines())
     for a in (1, 2, 3):
         for m in range(depth + 1):
-            sub = find_subtree(tree, Ary(a), m)
+            sub = find_subtree(tree, SubtreePredicate(a), m)
             if sub is None:
                 continue
             assert FiniteTree(sub.alphabet_size, m, sub.children) == sub
@@ -262,7 +264,7 @@ def test_star_parents_text_and_witness_arity(ratios, frac, levels, p, seed, a):
     for h in range(1, levels + 1):
         assert set(words[h]) == {w for w in section_pi_rho(weights, rho ** h) if w in tree}
     for m in range(levels + 1):
-        sub = find_subtree(star, Ary(a), m)
+        sub = find_subtree(star, SubtreePredicate(a), m)
         if sub is not None:
             assert all(len(sub.children[w]) == a for h in range(m) for w in sub.level(h))
 
