@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -311,11 +311,7 @@ def offspring_from_json(doc):
 @dataclass
 class GWSample:
     tree: FiniteTree
-    seed: int
-    extinct_at: int | None = None
-
-    def level_sizes(self):
-        return self.tree.level_sizes()
+    extinct_at: int | None
 
 
 class LazyGW:
@@ -330,16 +326,14 @@ class LazyGW:
         self.seed = int(seed)
         self.node_budget = node_budget
         self._salts = _child_salts(offspring.alphabet_size)
-        self._keys = {Word(): root_key(self.seed)}
         self._children = {}
         self.nodes_sampled = 0
 
     def key(self, word):
-        word = Word(word)
-        k = self._keys.get(word)
-        if k is None:
-            k = child_key(self.key(word.parent), word[-1])
-            self._keys[word] = k
+        """Stream key of the node `word`: the root's, then one `child_key` per letter."""
+        k = root_key(self.seed)
+        for a in word:
+            k = child_key(k, a)
         return k
 
     def _walk(self, keys, rel_depth):
@@ -451,9 +445,7 @@ def sample_gw(offspring, depth, seed, node_budget=DEFAULT_NODE_BUDGET):
         raise InvalidInputError("depth must be >= 1")
     lazy = LazyGW(offspring, seed, node_budget=node_budget)
     tree = lazy.expand(Word(), depth)
-    sample = GWSample(tree=tree, seed=int(seed))
-    sample.extinct_at = tree.extinct_level()
-    return sample
+    return GWSample(tree, tree.extinct_level())
 
 
 # ---------------------------------------------------------------------------

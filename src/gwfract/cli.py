@@ -429,11 +429,11 @@ def cmd_simulate(cfg):
     if _p(cfg, "cloud_out"):
         _write_text(_p(cfg, "cloud_out"), cloud_to_csv(cloud))
     payload = {"command": "simulate", "depth": depth, "seed": seed,
-               "level_sizes": sample.level_sizes(),
+               "level_sizes": sample.tree.level_sizes(),
                "extinct_at": sample.extinct_at,
                "points": int(len(cloud.points)), "eps": float(cloud.eps)}
     human = ("level sizes: %s\nleaf points: %d (eps %.3g)%s\n"
-             % (sample.level_sizes(), len(cloud.points), cloud.eps,
+             % (sample.tree.level_sizes(), len(cloud.points), cloud.eps,
                 "\nextinct at level %d" % sample.extinct_at
                 if sample.extinct_at is not None else ""))
     return payload, human, 0

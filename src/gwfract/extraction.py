@@ -278,6 +278,8 @@ def diffuse_block_collection(b, k, d=2):
 def _attractor_cloud(ifs, target=2000):
     """The attractor rendered at the least depth with `target` points, capped
     at 50,000 points."""
+    if target < 1:
+        raise InvalidInputError("the attractor cloud needs target >= 1 points")
     n = ifs.alphabet_size
     depth = max(1, math.ceil(math.log(target) / math.log(n)))
     while depth > 1 and n ** depth > 50_000:
@@ -342,7 +344,7 @@ def _witness(root, n, chosen, step):
 
     `chosen(vs, m)` lists the ascending label arrays kept at the nodes vs of
     one level, with m levels to go, and `step(v, labels)` lists the nodes of
-    v's children with those labels: absolute words on the lazy scan,
+    v's children with those labels: integer node ids on the lazy scan,
     (height, index) pairs in the presence DP.  Returns the per-level label
     arrays and parent indices (into the level above) of the witness, each
     level one concatenation of its nodes' arrays; level 0, the root, holds
@@ -584,6 +586,10 @@ class _LayeredScan:
     dropped.  Only the `node_budget` guard sees the whole chunk, so it can
     trip at most one chunk earlier.
 
+    A node is an integer id: the root is 1 and child code c of node v is
+    v * N**k + c, so the id's base-N digits after its leading 1 spell its
+    word (`word`).  Its stream key comes with it from its parent's `_alive`.
+
     A block leaf's rows are read only below candidate prefixes, a few
     columns per sample call (`_block_walk`).  A section leaf's row is one
     family, and rows are read until the leaf holds its count floor; its
@@ -594,17 +600,19 @@ class _LayeredScan:
     that block is the witness, so `witness_tree` samples nothing.
     """
 
-    def __init__(self, lazy, pred, per_node_cap):
+    def __init__(self, lazy, pred):
         self.lazy = lazy
         self.pred = pred
         self.arity = pred.min_arity()
-        self.per_node_cap = int(per_node_cap)
+        # children tested per node before the scan gives the node up
+        self.cap = max(4 * pred.floor, 256)
         self.base_n = lazy.offspring.alphabet_size
         if not (isinstance(pred, (DiffuseBlock, SectionDiffuse)) and pred.k is not None
                 and pred.base_n == self.base_n):
             raise CapabilityError("the layered scan takes one block or packed section "
                                   "predicate over the law's %d letters" % self.base_n)
         self.k = pred.k
+        self.step = self.base_n ** self.k
         self.block = pred if isinstance(pred, DiffuseBlock) else None
         self.section = None if self.block else pred
         # a function, not a bound method: one kept on self would be a reference
@@ -628,21 +636,28 @@ class _LayeredScan:
         self.child_tests = 0
         self.capped_nodes = 0
 
-    def _block_words(self, w, codes):
-        """Words of w's children with level-k codes `codes`, built as taken;
-        the codes are decoded 256 at a time (a node can have 10^5 codes, and
-        the scan often stops early)."""
+    def _kids(self, v, codes, keys):
+        """(id, stream key) of v's children with level-k codes `codes`, made as
+        taken, 256 at a time (a node can have 10^5 codes; the scan often stops early)."""
         for lo in range(0, len(codes), 256):
-            for row in block_letters(codes[lo:lo + 256], self.base_n, self.k).tolist():
-                yield w.cat(row)
+            yield from zip((v * self.step + c for c in codes[lo:lo + 256].tolist()),
+                           keys[lo:lo + 256].tolist())
 
-    def _alive(self, w):
-        """Level-k codes of w with their stream keys; walked once, counted."""
-        got = self.alive.get(w)
+    def word(self, v):
+        """The base-alphabet word of node v: its base-N digits after the leading 1."""
+        letters = []
+        while v > 1:
+            v, a = divmod(v, self.base_n)
+            letters.append(a)
+        return Word(letters[::-1])
+
+    def _alive(self, v, key):
+        """Level-k codes of v (stream key `key`) with their keys; walked once, counted."""
+        got = self.alive.get(v)
         if got is None:
-            codes, keys, _, nodes = self.lazy._level([self.lazy.key(w)], self.k)
+            codes, keys, _, nodes = self.lazy._level([key], self.k)
             self.lazy.nodes_sampled += int(nodes[0])
-            got = self.alive[w] = (codes, keys)
+            got = self.alive[v] = (codes, keys)
         return got
 
     def _prefix_walk(self, keys):
@@ -779,46 +794,43 @@ class _LayeredScan:
     def _record_leaf(self, v, labels, ok):
         """Cache leaf v's result and, if good, its witness: a copy sized to
         it, or a block's first label where the block is the witness."""
-        key = (v, 1)
-        self.good[key] = ok
+        self.good[v] = ok
         if ok:
-            self.witness[key] = labels if isinstance(labels, int) else self.pred.witness_subset(labels)
+            self.witness[v] = labels if isinstance(labels, int) else self.pred.witness_subset(labels)
         return ok
 
-    def _children(self, w, m, codes, keys):
-        """Test results of w's children in lex order, each computed when taken."""
-        words = self._block_words(w, codes)
+    def _children(self, v, m, codes, keys):
+        """Test results of v's children in lex order, each computed when taken."""
+        kids = self._kids(v, codes, keys)
         if m > 2:
-            return (self.test(v, m - 1) for v in words)
-        # w's children are queued only after w is tested, so none is cached yet
-        return (self._record_leaf(v, labels, ok)
-                for v, (labels, ok) in zip(words, self._leaves(keys)))
+            return (self.test(u, key, m - 1) for u, key in kids)
+        # v's children are queued only after v is tested, so none is cached yet
+        return (self._record_leaf(u, labels, ok)
+                for (u, _), (labels, ok) in zip(kids, self._leaves(keys)))
 
-    def test(self, w, m):
-        key = (w, m)
-        cached = self.good.get(key)
+    def test(self, v, key, m):
+        """Whether node v, with stream key `key`, has a witness m levels deep."""
+        cached = self.good.get(v)
         if cached is not None:
             return cached
         if m == 1:
-            ok = self._record_leaf(w, *next(self._leaves([self.lazy.key(w)])))
-        else:
-            ok = self._greedy(w, m)
-        self.good[key] = ok
+            return self._record_leaf(v, *next(self._leaves([key])))
+        ok = self.good[v] = self._greedy(v, key, m)
         return ok
 
-    def _greedy(self, w, m):
-        """Whether w has a witness m levels deep; stores w's chosen children."""
-        codes, keys = self._alive(w)
+    def _greedy(self, v, key, m):
+        """Whether v has a witness m levels deep; stores v's chosen children."""
+        codes, keys = self._alive(v, key)
         n = len(codes)
         if n < self.arity or not self.pred.member(codes):
             return False
-        results = self._children(w, m, codes, keys)
+        results = self._children(v, m, codes, keys)
         push = self.pred._running()
         found = []
         for idx in range(n):
             if len(found) + (n - idx) < self.arity:
                 break
-            if idx >= self.per_node_cap:
+            if idx >= self.cap:
                 self.capped_nodes += 1
                 break
             self.child_tests += 1
@@ -826,22 +838,22 @@ class _LayeredScan:
                 lab = int(codes[idx])
                 found.append(lab)
                 if push(lab, len(found) >= self.arity):
-                    self.witness[(w, m)] = self.pred.witness_subset(
+                    self.witness[v] = self.pred.witness_subset(
                         np.array(found, dtype=codes.dtype))
                     return True
         return False
 
     def witness_tree(self, v, n):
-        def chosen(ws, m):
-            wits = [self.witness.get((w, m)) for w in ws]
+        def chosen(vs, m):
+            wits = [self.witness.get(u) for u in vs]
             if m == 1 and self.block:  # a block's first label stands for the block
                 wits = [np.arange(x, x + self.block.block) if isinstance(x, int) else x
                         for x in wits]
             return wits
 
-        labels, parents = _witness(v, n, chosen, lambda w, labs: [
-            w.cat(row) for row in block_letters(labs, self.base_n, self.k).tolist()])
-        return FiniteTree._of(self.base_n ** self.k, n, labels, parents)
+        labels, parents = _witness(v, n, chosen, lambda u, labs: [
+            u * self.step + c for c in labs.tolist()])
+        return FiniteTree._of(self.step, n, labels, parents)
 
     def scan_stats(self):
         stats = {"child_tests": int(self.child_tests),
@@ -857,24 +869,24 @@ def _scan_candidates(layered, n_total, scan_budget):
 
     Only as many vertices are queued as the budget can still pop.
     """
-    q = deque([(Word(), 0)])
+    q = deque([(1, layered.lazy.key(Word()), 0)])
     tested = 0
     dropped = False
     by_level = {}
     while q and tested < scan_budget:
-        w, lvl = q.popleft()
+        v, key, lvl = q.popleft()
         m = n_total - lvl
         tested += 1
         by_level[lvl] = by_level.get(lvl, 0) + 1
-        if layered.test(w, m):
+        if layered.test(v, key, m):
             stats = {"candidates_tested": tested,
                      "by_level": {str(a): b for a, b in sorted(by_level.items())}}
-            return w, m, stats
-        if lvl + 1 <= n_total - 1 and w in layered.alive:
-            codes = layered.alive[w][0]
+            return v, m, stats
+        if lvl + 1 <= n_total - 1 and v in layered.alive:
+            codes, keys = layered.alive[v]
             room = scan_budget - tested - len(q)
             dropped = dropped or len(codes) > room
-            q.extend((v, lvl + 1) for v in layered._block_words(w, codes[:room]))
+            q.extend((u, k, lvl + 1) for u, k in layered._kids(v, codes[:room], keys[:room]))
     stats = {"candidates_tested": tested,
              "by_level": {str(a): b for a, b in sorted(by_level.items())},
              "scan_budget": int(scan_budget), "exhausted": not q and not dropped}
@@ -903,12 +915,12 @@ def _scan_extract(offspring, pred, n_total, seed, scan_budget, node_budget, pred
     of `pred.k` base steps, its child sets members of `pred`, and build the
     first one found.
 
-    Returns the witness root word, its tree and the scan stats with
+    Returns the witness root's word, its tree and the scan stats with
     `predicted`.  On a miss the NotFoundError's stats get `predicted` and
     `params` with the seed.
     """
     lazy = LazyGW(offspring, seed, node_budget=node_budget)
-    layered = _LayeredScan(lazy, pred, max(4 * pred.floor, 256))
+    layered = _LayeredScan(lazy, pred)
     try:
         v, n, scan = _scan_candidates(layered, n_total, scan_budget)
     except NotFoundError as err:
@@ -916,7 +928,7 @@ def _scan_extract(offspring, pred, n_total, seed, scan_budget, node_budget, pred
         raise
     subtree = layered.witness_tree(v, n)
     scan.update(layered.scan_stats(), predicted=predicted)
-    return v, subtree, scan
+    return layered.word(v), subtree, scan
 
 
 # ---------------------------------------------------------------------------

@@ -780,9 +780,9 @@ def diffuseness_constant(maps, F_cloud, directions=2000, *, need=None):
     `need` by a rounding margin, the pass is final.  Either way the c_low
     returned is certified and lies on the same side of `need` as the full one.
     """
-    pts = F_cloud.points
-    if len(pts) == 0:
-        raise InvalidInputError("empty base cloud")
+    pts, directions = F_cloud.points, int(directions)
+    if len(pts) == 0 or directions < 1:
+        raise InvalidInputError("need a nonempty base cloud and directions >= 1")
     d = pts.shape[1]
     if len(maps) == 1:
         u = np.zeros(d)
@@ -808,7 +808,7 @@ def diffuseness_constant(maps, F_cloud, directions=2000, *, need=None):
     center = (F_cloud._mean @ mats + shifts).reshape(m, d).mean(axis=0)
     lip = float(np.linalg.norm(stack - center, axis=1).max())
 
-    grid = _direction_grid(d, int(directions))
+    grid = _direction_grid(d, directions)
 
     L = np.full(len(grid), -np.inf)
     H = np.full(len(grid), np.inf)
@@ -827,7 +827,7 @@ def diffuseness_constant(maps, F_cloud, directions=2000, *, need=None):
     k = int(np.argmin(cvals))
     raw_min = float(cvals[k])
     u_best = grid[k]
-    tol = lip * _coverage_halfangle(d, int(directions))
+    tol = lip * _coverage_halfangle(d, directions)
 
     def c_of(u):
         pr = stack @ u
@@ -1208,9 +1208,9 @@ def ahlfors_ratio_check(measured, alpha, sample_count=1000, seed=0, r_count=6,
     queried, measured and masked in batches of at most `_BALL_CANDIDATES`
     candidates (a larger ball alone); each ball's two sums stay separate.
     """
-    sample_count = int(sample_count)
-    if sample_count < 1:
-        raise InvalidInputError("need at least one ball (sample_count >= 1)")
+    sample_count, r_count = int(sample_count), int(r_count)
+    if sample_count < 1 or r_count < 1:
+        raise InvalidInputError("sample_count and r_count must be >= 1")
     if not (math.isfinite(alpha) and alpha > 0):
         raise InvalidInputError("alpha must be positive and finite")
     pts, masses, radii = measured.points, measured.masses, measured.cell_radii
@@ -1227,7 +1227,7 @@ def ahlfors_ratio_check(measured, alpha, sample_count=1000, seed=0, r_count=6,
             r_lo = r_hi  # shallow cloud: only the top scale clears the cells
     else:
         r_lo, r_hi = r_range
-    rs = np.geomspace(r_hi, r_lo, int(r_count))
+    rs = np.geomspace(r_hi, r_lo, r_count)
     rng = np.random.Generator(np.random.Philox(key=seed))
     per = -(-sample_count // len(rs))
     tree = _cKDTree(pts)
@@ -1375,6 +1375,8 @@ def cloud_to_pgm(cloud, pixels=512):
     is white iff some point falls inside it."""
     pts = cloud.points
     w = h = int(pixels)
+    if w < 1:
+        raise InvalidInputError("pixels must be >= 1")
     raster = np.zeros((h, w), dtype=np.uint8)
     if len(pts):
         xy = pts[:, :2]

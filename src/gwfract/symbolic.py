@@ -47,9 +47,6 @@ class Word(tuple):
 
     __slots__ = ()
 
-    def cat(self, other):
-        return Word(tuple.__add__(self, tuple(other)))
-
     def child(self, letter):
         return Word(tuple.__add__(self, (letter,)))
 
@@ -237,26 +234,27 @@ def _tree_levels(alphabet_size, depth, rows, lengths):
 
 
 class FiniteTree:
-    """Prefix-closed set of words sampled to a depth, stored level by level.
+    """Prefix-closed set of words to a declared depth, stored level by level.
 
-    Level n = 1..depth holds the last letter of each of its words and the index
-    of each word's parent in level n-1, in lexicographic order, so the parent
-    indices ascend.  The root is level 0.  `level` spells a level's words and
-    `children` builds its dict from the arrays on each use, and neither is
-    kept (a 6,561-leaf tree's dict takes 1.4 MB, its arrays 20 KB); a caller
-    that looks up many nodes binds the dict once.
+    `FiniteTree(alphabet_size, depth, words)` closes any word set under
+    prefixes.  Level n = 1..depth holds the last letter of each of its words
+    and the index of each word's parent in level n-1, in lexicographic order,
+    so the parent indices ascend.  The root, always present, is level 0.
+    `level` spells a level's words and `children` builds its dict from the
+    arrays on each use, and neither is kept (a 6,561-leaf tree's dict takes
+    1.4 MB, its arrays 20 KB); a caller that looks up many nodes binds the
+    dict once.
     """
 
-    def __init__(self, alphabet_size, depth, children):
+    def __init__(self, alphabet_size, depth, words):
         self.alphabet_size = int(alphabet_size)
         self.depth = int(depth)
-        self._validate({Word(w): frozenset(cs) for w, cs in children.items()})
-        self._set(*_tree_levels(self.alphabet_size, self.depth, *_word_rows(children)))
+        self._set(*_tree_levels(self.alphabet_size, self.depth, *_word_rows(words)))
 
     def _set(self, letters, parents):
         # each level in the narrowest of uint8, uint16, int32 and int64 that
         # holds it, letters below the alphabet and parents below the size of
-        # the level above; readers widen before arithmetic, as `__contains__` does
+        # the level above; readers widen before arithmetic
         def narrow(a, bound):
             return np.asarray(a, dtype=next(t for t in (np.uint8, np.uint16, np.int32, np.int64)
                                             if bound <= np.iinfo(t).max + 1))
@@ -279,33 +277,6 @@ class FiniteTree:
     def _sub(self, depth, letters, parents):
         """Tree of the same kind and alphabet over the given level arrays."""
         return FiniteTree._of(self.alphabet_size, depth, letters, parents)
-
-    def _validate(self, children):
-        if self.depth < 0:
-            raise InvalidInputError("depth must be >= 0")
-        if Word() not in children:
-            raise InvalidInputError("root must be present")
-        for w, cs in children.items():
-            if len(w) > self.depth:
-                raise InvalidInputError("node %r deeper than declared depth" % (w,))
-            for a in tuple(w) + tuple(cs):
-                if not (0 <= a < self.alphabet_size):
-                    raise InvalidInputError("letter out of range at node %r" % (w,))
-            if len(w) == self.depth and cs:
-                raise InvalidInputError("nodes at the final depth cannot have children")
-            for a in cs:
-                if w.child(a) not in children:
-                    raise InvalidInputError("child %r missing from node map" % (w.child(a),))
-            if w:
-                par = w.parent
-                if par not in children or w[-1] not in children[par]:
-                    raise InvalidInputError("node %r not linked from its parent" % (w,))
-
-    @classmethod
-    def from_words(cls, alphabet_size, depth, words):
-        """Build a tree from any word set by closing under prefixes."""
-        return cls._of(alphabet_size, depth,
-                       *_tree_levels(int(alphabet_size), int(depth), *_word_rows(words)))
 
     @classmethod
     def full(cls, alphabet_size, depth):
@@ -357,20 +328,6 @@ class FiniteTree:
                 b = e
         out.update(dict.fromkeys(self.level(self.depth), leaf))
         return out
-
-    def __contains__(self, word):
-        # down the levels as the builder goes: a level's keys
-        # parent * alphabet + letter ascend, so one search per level
-        a, i, word = self.alphabet_size, 0, Word(word)
-        if len(word) > self.depth or not all(0 <= x < a for x in word):
-            return False
-        for j, x in enumerate(word, 1):
-            keys = self._parents[j].astype(np.int64) * a + self._letters[j]
-            want = i * a + x
-            i = int(np.searchsorted(keys, want))
-            if i == len(keys) or keys[i] != want:
-                return False
-        return True
 
     def __len__(self):
         return sum(self.level_sizes())
@@ -489,10 +446,6 @@ class StarTree(FiniteTree):
         """Base-letter rows and lengths of node letters: the suffixes they name."""
         table, sizes = self._table
         return table[ids], sizes[ids]
-
-    def __contains__(self, word):
-        word = Word(word)
-        return any(word in self.level(h) for h in range(self.depth + 1))
 
     def __eq__(self, other):
         return (isinstance(other, StarTree) and self.suffixes == other.suffixes

@@ -76,7 +76,7 @@ def test_extinction_trivial_regimes():
 
 def test_sample_gw_frozen_shape():
     s = sample_gw(Binomial(3, 0.7), 6, seed=42)
-    assert s.level_sizes() == [1, 3, 5, 10, 21, 42, 86]
+    assert s.tree.level_sizes() == [1, 3, 5, 10, 21, 42, 86]
     assert s.extinct_at is None
 
 
@@ -212,7 +212,7 @@ def test_multi_root_walk_matches_single_roots():
         assert nodes[i] == alone.nodes_sampled
         for code, key in zip(got.tolist(), leaf_keys[bounds[i]:bounds[i + 1]].tolist()):
             tail = [code // 4 ** (2 - j) % 4 for j in range(3)]
-            assert key == alone.key(w.cat(Word(tail)))
+            assert key == alone.key(w + tuple(tail))
     assert np.all(np.diff(codes[bounds[0]:bounds[1]]) > 0)  # ascending, no sort
 
 

@@ -508,6 +508,31 @@ def test_check_ahlfors_zero_balls_exits_2(tmp_path):
     assert doc["error"] == "invalid-config"
 
 
+_MEASURED = "0.1,0.2,0.5,0.1\n0.3,0.4,0.5,0.1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *(["render", "--percolation", "b=3,d=2,p=0.6", "--depth", "2", "--out", "{out}",
+       "--pixels", n] for n in ("0", "-3")),
+    *(["simulate", "--percolation", "b=3,d=2,p=0.6", "--depth", "2", "--render", "{out}",
+       "--pixels", n] for n in ("0", "-3")),
+    *(["extract", "--pipeline", "block", "--percolation", "b=2,d=2,p=0.95", "--c", "3",
+       "--k", "3", "--render", "{out}", "--pixels", n] for n in ("0", "-3")),
+    *(["check-ahlfors", "--measured", "{measured}", "--alpha", "1", "--balls", "12",
+       "--r-count", n] for n in ("0", "-2")),
+    *(["diffuse-cert", "--percolation", "b=3,d=2,p=0.6", flag, n]
+      for flag, n in (("--directions", "0"), ("--directions", "-5"), ("--points", "0"))),
+])
+def test_bad_counts_exit_2(tmp_path, argv):
+    # a pixel, radius, direction or point count below 1 is bad input, not a crash
+    (tmp_path / "m.csv").write_text(_MEASURED)
+    paths = {"out": str(tmp_path / "out.pgm"), "measured": str(tmp_path / "m.csv")}
+    code, doc, _ = run_json([a.format(**paths) for a in argv])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+    assert not (tmp_path / "out.pgm").exists()
+
+
 @pytest.mark.parametrize("flags", [["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"],
                                    ["--beta", "nan"], ["--beta", "inf"]])
 def test_check_diffuse_bad_eps_or_beta_exits_2(tmp_path, flags):

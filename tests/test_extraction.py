@@ -127,7 +127,7 @@ def test_find_subtree_full_tree():
 
 
 def test_find_subtree_absent():
-    tree = FiniteTree(3, 1, {Word(): frozenset({1}), Word((1,)): frozenset()})
+    tree = FiniteTree(3, 1, [Word((1,))])
     assert find_subtree(tree, SubtreePredicate(2), 1) is None
 
 
@@ -148,27 +148,24 @@ def test_find_subtree_star_dp():
 
 
 def _block_tree(lazy, v, m, k):
-    """The k-block-compressed tree of depth m below v, from packed codes."""
+    """The k-block-compressed tree of depth m below the word v, from packed codes."""
     block = lazy.offspring.alphabet_size ** k
-    children = {(): set()}
-    for code in lazy.level_codes(v, m * k).tolist():
-        labs = tuple(code // block ** (m - 1 - j) % block for j in range(m))
-        for j in range(m):
-            children.setdefault(labs[:j], set()).add(labs[j])
-        children[labs] = set()
-    return FiniteTree(block, m, children)
+    return FiniteTree(block, m, [
+        tuple(code // block ** (m - 1 - j) % block for j in range(m))
+        for code in lazy.level_codes(v, m * k).tolist()])
 
 
 def _scan_matches_eager(lazy, k, pred):
     """(tested, witnesses) of the root with two levels to go and its first 20
     block children, each checked against the eager DP on the sampled tree."""
-    scan = _LayeredScan(lazy, pred, per_node_cap=10 ** 9)
-    codes = scan._alive(Word())[0][:20]
-    vertices = [(Word(), 2)] + [(v, 1) for v in scan._block_words(Word(), codes)]
+    scan = _LayeredScan(lazy, pred)
+    root = lazy.key(Word())
+    codes, keys = scan._alive(1, root)
+    vertices = [(1, root, 2)] + [(v, key, 1) for v, key in scan._kids(1, codes[:20], keys)]
     witnesses = 0
-    for v, m in vertices:
-        eager = find_subtree(_block_tree(lazy, v, m, k), pred, m)
-        assert scan.test(v, m) == (eager is not None), (lazy.seed, v)
+    for v, key, m in vertices:
+        eager = find_subtree(_block_tree(lazy, scan.word(v), m, k), pred, m)
+        assert scan.test(v, key, m) == (eager is not None), (lazy.seed, v)
         if eager is not None:
             assert scan.witness_tree(v, m) == eager
             witnesses += 1
@@ -202,7 +199,7 @@ def test_layered_scan_takes_one_block_or_packed_section_predicate():
     # no core, a star section, and a block over a 9-letter grid on a 4-letter law
     for pred in (SubtreePredicate(4), star, DiffuseBlock(3, 2, d=2)):
         with pytest.raises(CapabilityError):
-            _LayeredScan(lazy, pred, per_node_cap=10)
+            _LayeredScan(lazy, pred)
     # letter masks are int64 bit sets
     wide = SectionDiffuse(0.05, percolation_ifs(8, 2), k=2)
     with pytest.raises(CapabilityError):
@@ -255,7 +252,7 @@ def test_block_leaf_walk_matches_full_walk():
         N = b ** d
         pred = DiffuseBlock(b, k, d=d, floor=A)
         lazy = LazyGW(Binomial(N, p), 0)
-        scan = _LayeredScan(lazy, pred, per_node_cap=10 ** 9)
+        scan = _LayeredScan(lazy, pred)
         assert scan.block is not None
         for size in {1, max(1, min(40, 20_000 // N ** k))}:
             keys = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
@@ -267,7 +264,7 @@ def test_block_leaf_walk_matches_full_walk():
                 (b, d, k, p, A, size)
             for i, ((labels, good), codes) in enumerate(zip(got, leaves)):
                 if good:  # the leaf's witness, from the labels the walk found
-                    v = Word((i,))
+                    v = scan.step + i  # a node id
                     scan._record_leaf(v, labels, good)
                     assert np.array_equal(scan.witness_tree(v, 1)._letters[1],
                                           pred.witness_subset(codes)), (b, d, k, p, A, size)
@@ -298,7 +295,7 @@ def test_block_leaf_walk_matches_full_walk():
                 sd.floor = A  # one predicate, so its certificates stay cached
                 pred = sd
                 lazy = LazyGW(Binomial(N, p), 0)
-                scan = _LayeredScan(lazy, pred, per_node_cap=10 ** 9)
+                scan = _LayeredScan(lazy, pred)
                 assert scan.block is None and scan.section is sd
                 for size in {1, max(1, min(256, 4000 // N ** k))}:
                     keys = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
@@ -340,7 +337,7 @@ def test_block_leaf_walk_trips_the_budget_as_the_full_walk_does():
                 for full in (True, False):
                     lazy = LazyGW(Binomial(N, p), 0, node_budget=budget)
                     lazy.nodes_sampled = spent
-                    scan = _LayeredScan(lazy, pred, per_node_cap=10 ** 9)
+                    scan = _LayeredScan(lazy, pred)
                     walk = scan._block_walk if pred is not section else scan._section_walk
                     try:
                         lazy._level(keys, k) if full else walk(keys)
@@ -363,7 +360,7 @@ def test_block_witness_tree_samples_nothing(monkeypatch, b, d, p, c, k, depth, s
     # block's first label, or a copy), so the final tree samples no node
     A = round(c ** k)
     lazy = LazyGW(Binomial(b ** d, p), seed)
-    scan = _LayeredScan(lazy, DiffuseBlock(b, k, d=d, floor=A), per_node_cap=max(4 * A, 256))
+    scan = _LayeredScan(lazy, DiffuseBlock(b, k, d=d, floor=A))
     v, m, _ = _scan_candidates(scan, depth // k, 256)
 
     def walk(*args):
@@ -371,6 +368,17 @@ def test_block_witness_tree_samples_nothing(monkeypatch, b, d, p, c, k, depth, s
     monkeypatch.setattr(LazyGW, "_walk", walk)
     tree = scan.witness_tree(v, m)
     assert hashlib.sha256(tree.to_text().encode()).hexdigest().startswith(digest)
+
+
+def test_scan_keys_only_the_root(monkeypatch):
+    # a node's stream key comes with it from its parent's walk, so the scan
+    # derives a key from a word at most once, for the root
+    calls = []
+    key = LazyGW.key
+    monkeypatch.setattr(LazyGW, "key", lambda self, word: calls.append(word) or key(self, word))
+    es = percolation_pipeline(2, 2, 0.9, 2, 4, depth=12, seed=0)
+    assert es.stats["candidates_tested"] == 50
+    assert len(calls) <= 1 and all(w == () for w in calls), calls
 
 
 def test_gallery_block_scan_walks_no_more_leaves(monkeypatch):
@@ -437,15 +445,6 @@ def test_block_scan_pinned_outputs():
     assert (stats["child_tests"], stats["capped_nodes"], stats["nodes_sampled"]) \
         == (12817, 0, 822124)
 
-    # a per-node cap of 40 children, on the scan itself
-    scan = _LayeredScan(LazyGW(Binomial(4, 0.9), 0), DiffuseBlock(2, 4, d=2, floor=16), 40)
-    v, m, stats = _scan_candidates(scan, 3, 256)
-    assert v.text == "1-0-0-1"
-    sha = hashlib.sha256(scan.witness_tree(v, m).to_text().encode()).hexdigest()
-    assert sha == "66c033f26116c74ecc2751a0ec70b4ece32feea3039dceb218d4ce76db22d4be"
-    assert stats["candidates_tested"] == 62
-    assert tuple(scan.scan_stats().values()) == (2070, 51, 133649)
-
     root, sha, stats = _pinned(percolation_pipeline(3, 2, 0.99, 3, 4, depth=8, seed=1))
     assert root == ""
     assert sha == "7ffe168443208b121e6c03a16784797aabe27a77ef94533426dbd16e4c43a751"
@@ -506,7 +505,7 @@ def test_natural_measure_mass_law():
 
 
 def test_natural_measure_rejects_ragged_tree():
-    tree = FiniteTree(3, 1, {Word(): frozenset({0}), Word((0,)): frozenset()})
+    tree = FiniteTree(3, 1, [Word((0,))])
     with pytest.raises(InvalidInputError):
         natural_measure(tree, 0.5, 1.0)  # A=2 but root has one child
     with pytest.raises(InvalidInputError):

@@ -364,7 +364,7 @@ def test_render_depth_zero_and_negative():
     cloud = render(sierpinski_ifs(), depth=0)
     assert np.array_equal(cloud.points, sierpinski_ifs().centroid()[None, :])
     assert np.array_equal(render_words(sierpinski_ifs(), [Word()]).points, cloud.points)
-    root = FiniteTree(3, 0, {Word(): ()})
+    root = FiniteTree(3, 0, [])
     assert np.array_equal(render(sierpinski_ifs(), tree=root).points, cloud.points)
     with pytest.raises(InvalidInputError):
         render(sierpinski_ifs(), depth=-1)
@@ -398,7 +398,7 @@ def test_render_sampled_tree_and_extinct():
     via_words = render_words(ifs, tree.level(3))
     assert np.array_equal(cloud.points, via_words.points)
     assert cloud.eps == via_words.eps
-    dead = FiniteTree(9, 1, {Word(): ()})
+    dead = FiniteTree(9, 1, [])
     assert len(render(ifs, tree=dead, depth=1).points) == 0
 
 

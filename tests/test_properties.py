@@ -209,36 +209,37 @@ def test_tree_views_match_set_of_tuples(case):
     n, depth, words, probes = case
     nodes = {w[:i] for w in words for i in range(len(w) + 1)} | {()}
     kids = {v: frozenset(w[-1] for w in nodes if w and w[:-1] == v) for v in nodes}
-    tree = FiniteTree.from_words(n, depth, words)
+    tree = FiniteTree(n, depth, words)
     assert len(tree) == len(nodes)
     assert tree.level_sizes() == [sum(len(w) == h for w in nodes) for h in range(depth + 1)]
     for h in range(depth + 1):
         assert tree.level(h) == sorted(w for w in nodes if len(w) == h)
     assert tree.children == kids
-    assert all(w in tree for w in nodes)
-    assert [w in tree for w in probes] == [w in nodes for w in probes]
+    assert all(w in tree.level(len(w)) for w in nodes)
+    assert [w in tree.level(len(w)) for w in probes] == [w in nodes for w in probes]
     text = "".join("-".join(map(str, w)) + "\n" for w in sorted(nodes))
     assert tree.to_text() == text
     back = FiniteTree.from_text(text, n, depth)
     assert back == tree
     assert back.to_text() == text
-    assert FiniteTree(n, depth, kids) == tree
+    assert FiniteTree(n, depth, nodes) == tree
 
 
 @settings(max_examples=150, deadline=None)
 @given(word_sets())
 def test_witness_is_a_lex_ordered_subtree(case):
     # the witness's level arrays reach the tree without a sort or a check, so
-    # rebuilding them through the validating constructor must change nothing
+    # rebuilding it from its leaves, which sorts and checks each level, must
+    # change nothing
     n, depth, words, _ = case
-    tree = FiniteTree.from_words(n, depth, words)
+    tree = FiniteTree(n, depth, words)
     lines = set(tree.to_text().splitlines())
     for a in (1, 2, 3):
         for m in range(depth + 1):
             sub = find_subtree(tree, SubtreePredicate(a), m)
             if sub is None:
                 continue
-            assert FiniteTree(sub.alphabet_size, m, sub.children) == sub
+            assert FiniteTree(sub.alphabet_size, m, sub.level(m)) == sub
             assert set(sub.to_text().splitlines()) <= lines
             assert all(len(cs) == a for w, cs in sub.children.items() if len(w) < m)
 
@@ -262,7 +263,8 @@ def test_star_parents_text_and_witness_arity(ratios, frac, levels, p, seed, a):
     assert star.to_text() == "".join(w.text + "\n" for w in sorted(sum(words, [])))
     # height h holds every realized word of the graded section rho^h
     for h in range(1, levels + 1):
-        assert set(words[h]) == {w for w in section_pi_rho(weights, rho ** h) if w in tree}
+        assert set(words[h]) == {w for w in section_pi_rho(weights, rho ** h)
+                                 if w in tree.level(len(w))}
     for m in range(levels + 1):
         sub = find_subtree(star, SubtreePredicate(a), m)
         if sub is not None:

@@ -111,7 +111,7 @@ def test_full_tree_levels():
 
 
 def test_tree_text_roundtrip():
-    t = FiniteTree.from_words(
+    t = FiniteTree(
         2, 3, [Word((0, 0, 0)), Word((0, 1, 1)), Word((1, 0, 0))])
     back = FiniteTree.from_text(t.to_text())
     assert back == t
@@ -146,7 +146,7 @@ def test_extinct_sample_keeps_its_depth():
 
 
 def test_tree_text_orders_letters_numerically():
-    t = FiniteTree.from_words(12, 2, [(10,), (9, 11), (9, 2), (1, 10)])
+    t = FiniteTree(12, 2, [(10,), (9, 11), (9, 2), (1, 10)])
     assert t.to_text() == "\n".join(["", "1", "1-10", "9", "9-2", "9-11", "10"]) + "\n"
     assert t.level(2) == [Word((1, 10)), Word((9, 2)), Word((9, 11))]
     assert t.children[Word((9,))] == frozenset({2, 11})
@@ -160,30 +160,38 @@ def test_tree_text_rejects_bad_letters(text):
 
 
 def test_level_arrays_are_narrow_and_wide_letters_round_trip():
-    # parent index 2999 times the alphabet 2^20 is above 2^31: the keys of
-    # `__contains__` must not be formed in int32
+    # parent index 2999 times the alphabet 2^20 is above 2^31: the builder's
+    # keys must not be formed in int32
     a = 2 ** 20
     words = [Word((i, 5)) for i in range(3000)]
-    tree = FiniteTree.from_words(a, 2, words)
+    tree = FiniteTree(a, 2, words)
     assert tree._letters[2].dtype == np.int32 and tree._parents[2].dtype == np.uint16
     assert 2999 * a > 2 ** 31
-    assert all(w in tree for w in words[::37] + words[-1:])
-    assert Word((2999, 4)) not in tree and Word((2998, 6)) not in tree
+    level = tree.level(2)
+    assert level == words
+    assert Word((2999, 4)) not in level and Word((2998, 6)) not in level
     # letters at and above 2^31 keep int64 and round-trip exactly
     big = 2 ** 33
     top = (2 ** 31, 2 ** 31 + 1, big - 1)
-    tree = FiniteTree.from_words(big, 2, [Word((x, y)) for x in top for y in top[1:]])
+    tree = FiniteTree(big, 2, [Word((x, y)) for x in top for y in top[1:]])
     assert tree._letters[1].dtype == np.int64 and tree._parents[1].dtype == np.uint8
     assert FiniteTree.from_text(tree.to_text(), big, 2) == tree
     assert "%d-%d" % (2 ** 31, big - 1) in tree.to_text().splitlines()
     assert tree.children[Word((big - 1,))] == frozenset(top[1:])
     assert tree.children[Word()] == frozenset(top)
-    assert Word((2 ** 31 + 1, big - 1)) in tree and Word((big - 1, 2 ** 31)) not in tree
+    level = tree.level(2)
+    assert Word((2 ** 31 + 1, big - 1)) in level and Word((big - 1, 2 ** 31)) not in level
 
 
-def test_tree_validation_rejects_orphans():
-    with pytest.raises(InvalidInputError):
-        FiniteTree(2, 1, {Word(): (3,)})
+def test_tree_closes_words_under_prefixes_and_checks_them():
+    tree = FiniteTree(3, 3, [(2, 1), (0,), (2, 1, 0)])
+    assert [tree.level(h) for h in range(4)] == [
+        [Word()], [Word((0,)), Word((2,))], [Word((2, 1))], [Word((2, 1, 0))]]
+    assert FiniteTree(3, 2, []).level_sizes() == [1, 0, 0]
+    # a letter past the alphabet, a word past the depth, a negative depth
+    for alphabet_size, depth, words in ((2, 1, [(3,)]), (3, 1, [(0, 1)]), (3, -1, [])):
+        with pytest.raises(InvalidInputError):
+            FiniteTree(alphabet_size, depth, words)
 
 
 def test_block_encode_decode_roundtrip():
@@ -229,8 +237,9 @@ def test_star_tree_membership_and_equality():
     t = FiniteTree.full(2, 4)
     wa = WeightedAlphabet((0.5, 0.5))
     star = compress_along_pi_rho(t, wa, 0.25)
-    assert all(w in star for w in (Word(), Word((0, 1)), Word((1, 0, 1, 1))))
-    assert not any(w in star for w in (Word((0,)), Word((0, 1, 0)), Word((0, 1, 1, 0, 0))))
+    nodes = [w for h in range(star.depth + 1) for w in star.level(h)]
+    assert all(w in nodes for w in (Word(), Word((0, 1)), Word((1, 0, 1, 1))))
+    assert not any(w in nodes for w in (Word((0,)), Word((0, 1, 0)), Word((0, 1, 1, 0, 0))))
     assert star == compress_along_pi_rho(t, wa, 0.25)
     assert star != compress_along_pi_rho(t, wa, 0.25, n_levels=1)
     # the same layout is another tree with other family splits or as a FiniteTree
@@ -256,4 +265,5 @@ def test_star_table_keys_are_reranked_before_they_overflow():
     assert [(v.text, n) for v, n in zip(star.suffixes, star.splits)] == [
         (zeros(63), 5), (zeros(56) + "-1", 5), (zeros(46) + "-1", 5),
         (zeros(26) + "-1", 5), (zeros(16) + "-1", 5)]
-    assert star.level(1) == sorted(w for w in section_pi_rho(weights, 0.04) if w in tree)
+    assert star.level(1) == sorted(w for w in section_pi_rho(weights, 0.04)
+                                   if w in tree.level(len(w)))
