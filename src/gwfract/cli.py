@@ -504,7 +504,10 @@ def cmd_gk_curve(cfg):
         c = _p(cfg, "c", cast=float)
         if c is None:
             raise InvalidInputError("need --c (or --k with --a)")
-        for k in range(1, _p(cfg, "k_max", 6, int) + 1):
+        k_max = _p(cfg, "k_max", 6, int)
+        if k_max < 1:
+            raise InvalidInputError("--k-max must be >= 1")
+        for k in range(1, k_max + 1):
             rows.append(g_k_a_curve(offspring, k, math.ceil(c ** k), s,
                                     trials=trials,
                                     seed=labeled_seed(seed, "gk%d" % k)))
@@ -694,7 +697,7 @@ def cmd_experiment(cfg):
     if exp_id == "convergence-g-k":
         if "c" not in kwargs:
             raise InvalidInputError("convergence-g-k wants --c")
-        if _p(cfg, "k_max"):
+        if _p(cfg, "k_max") is not None:
             kwargs["k_range"] = tuple(range(1, _p(cfg, "k_max", cast=int) + 1))
         kwargs["seed"] = int(cfg.get("seed", 0))
     elif exp_id == "dimension-ladder":

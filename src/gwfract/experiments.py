@@ -381,6 +381,8 @@ def exp_non_diffuseness(b, d, p, beta_ladder=(0.1, 0.03, 0.01),
         raise InvalidInputError("supercritical offspring required")
     if p >= 1.0:
         raise InvalidInputError("p=1 leaves no mass on small families")
+    if search_budget < 1:
+        raise InvalidInputError("search_budget must be >= 1")
     betas = sorted(set(float(x) for x in beta_ladder), reverse=True)
     if not betas or betas[-1] <= 0:
         raise InvalidInputError("beta_ladder must list positive values")

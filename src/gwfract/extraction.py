@@ -110,16 +110,17 @@ class SubtreePredicate:
 
     def witness_subset(self, labels):
         """Minimal certifying child set (None when labels are not a member):
-        the core, padded with the lex-smallest other labels up to `min_arity()`."""
+        the core, padded with the lex-smallest other labels up to `min_arity()`
+        (a member by construction; README, "Witness trimming")."""
         core, need = self.witness_core(labels), self.min_arity()
         if core is None or len(labels) < need:
             return None
-        keep = np.isin(labels, core, assume_unique=True)
-        keep[np.flatnonzero(~keep)[:max(0, need - len(core))]] = True
-        # a copy sized to the witness, which pins no larger array; the check
-        # certifies the families the padding adds, as `member` would
-        witness = labels[keep]
-        return witness if self.member(witness) else None
+        s = int(np.searchsorted(labels, core[0])) if len(core) else 0
+        pad = max(0, need - len(core))
+        if pad >= s:  # every label ahead of the core: a prefix, copied to its size
+            return labels[:len(core) + pad].copy()
+        self.witness_core(labels[:pad])  # certifies a family the padding cuts, as `member` would
+        return np.concatenate((labels[:pad], core))
 
     def min_arity(self):
         """Cardinality floor a trimmed witness must keep."""
@@ -774,10 +775,10 @@ class _LayeredScan:
         def judge(i):
             b, e = ends[i], ends[i + 1]
             m = b + np.count_nonzero(masks[b:e] >= 0)
-            if full[i] and m < e and not certified(masks[b:m]):
-                read(np.arange(m, e))
-                m = e
             ok = bool(full[i]) and certified(masks[b:m])
+            if full[i] and not ok and m < e:
+                read(np.arange(m, e))
+                ok, m = certified(masks[m:e]), e
             below = (masks[b:m, None] >> np.arange(n)) & 1 == 1
             return (codes[b:m, None] * n + np.arange(n))[below], ok
         return judge, nodes
@@ -941,16 +942,12 @@ _BLOCK_CONSTANT = {}
 def _block_family_constant(b, d):
     """Certified diffuseness of the full two-level cell family, cached per grid."""
     key = (int(b), int(d))
-    got = _BLOCK_CONSTANT.get(key)
-    if got is None:
+    if key not in _BLOCK_CONSTANT:
         ifs = percolation_ifs(b, d=d)
-        F = _attractor_cloud(ifs)
         n = ifs.alphabet_size
         fam = [word_map(ifs, (u, v)) for u in range(n) for v in range(n)]
-        res = diffuseness_constant(fam, F, directions=400)
-        got = res.c_low
-        _BLOCK_CONSTANT[key] = got
-    return got
+        _BLOCK_CONSTANT[key] = diffuseness_constant(fam, _attractor_cloud(ifs), directions=400).c_low
+    return _BLOCK_CONSTANT[key]
 
 
 def percolation_pipeline(b, d, p, c, k, depth=None, seed=0, scan_budget=256,
@@ -961,11 +958,7 @@ def percolation_pipeline(b, d, p, c, k, depth=None, seed=0, scan_budget=256,
     length under each vertex; reports predicted presence probabilities next to
     the scan outcome on failure.
     """
-    b = int(b)
-    d = int(d)
-    k = int(k)
-    p = float(p)
-    c = float(c)
+    b, d, k, p, c = int(b), int(d), int(k), float(p), float(c)
     if b < 2 or d < 1:
         raise InvalidInputError("need b >= 2 and d >= 1")
     if not (0.0 < p <= 1.0):

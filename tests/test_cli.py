@@ -533,6 +533,22 @@ def test_bad_counts_exit_2(tmp_path, argv):
     assert not (tmp_path / "out.pgm").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    *(["experiment", "non-diffuseness", "--percolation", "b=3,d=2,p=0.6", "--depth", "6",
+       "--budget", n] for n in ("0", "-3")),
+    *(["gk-curve", "--percolation", "b=2,d=2,p=0.9", "--c", "2", "--k-max", n]
+      for n in ("0", "-1")),
+    *(["experiment", "convergence-g-k", "--percolation", "b=2,d=2,p=0.9", "--c", "2",
+       "--k-max", n] for n in ("0", "-1")),
+])
+def test_search_budget_and_k_max_below_one_exit_2(argv):
+    # a search budget or a curve length below 1 is bad input: no traceback,
+    # no empty curve, and no flag silently dropped
+    code, doc, _ = run_json(argv)
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
 @pytest.mark.parametrize("flags", [["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"],
                                    ["--beta", "nan"], ["--beta", "inf"]])
 def test_check_diffuse_bad_eps_or_beta_exits_2(tmp_path, flags):

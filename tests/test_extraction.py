@@ -15,6 +15,7 @@ from gwfract.geometry import (SimilarityIFS, SimilarityMap, cloud_to_csv, percol
                               render, render_words, sierpinski_ifs, word_map)
 from gwfract.extraction import (
     _LayeredScan,
+    _attractor_cloud,
     _scan_candidates,
     DiffuseBlock,
     NotFoundError,
@@ -428,6 +429,57 @@ def test_witness_exists_exactly_for_members(kind):
             assert pred.member(wit)
         outcomes.add(member)
     assert outcomes == {True, False}
+
+
+def _witness_oracle(pred, labels):
+    """The padded witness as first written: mask the core in with `np.isin`,
+    add the smallest other labels, then judge the result with `member`."""
+    core, need = pred.witness_core(labels), pred.min_arity()
+    if core is None or len(labels) < need:
+        return None
+    keep = np.isin(labels, core, assume_unique=True)
+    keep[np.flatnonzero(~keep)[:max(0, need - len(core))]] = True
+    witness = labels[keep]
+    return witness if pred.member(witness) else None
+
+
+@pytest.mark.parametrize("kind, floor", [
+    ("ary", 3), ("ary", 10), ("block", 20), ("block", 40), ("section", 12), ("section", 27)])
+def test_witness_subset_matches_the_reference(kind, floor):
+    # the one-pass trim keeps the reference's witness and certifies the same
+    # families in the same order, so `certs` and the budget trip read the same
+    rng = np.random.default_rng(floor)
+    F = _attractor_cloud(percolation_ifs(3, 2))
+    make, alphabet, group = {
+        "ary": (lambda: SubtreePredicate(floor), 40, 8),
+        "block": (lambda: DiffuseBlock(2, 3, d=2, floor=floor), 64, 16),
+        "section": (lambda: SectionDiffuse(0.05, percolation_ifs(3, 2), F_cloud=F, k=2,
+                                           floor=floor), 81, 9)}[kind]
+    pred, ref = make(), make()
+    sides = set()
+    for labels in _random_label_sets(rng, alphabet, group, 200):
+        count, ref_count = getattr(pred, "cert_count", 0), getattr(ref, "cert_count", 0)
+        wit, want = pred.witness_subset(labels), _witness_oracle(ref, labels)
+        assert (wit is None) == (want is None)
+        assert wit is None or np.array_equal(wit, want)
+        assert getattr(pred, "cert_count", 0) - count == getattr(ref, "cert_count", 0) - ref_count
+        core = pred.witness_core(labels)  # certified above: cached
+        if wit is not None and len(core):
+            sides.add((wit[0] < core[0], wit[-1] > core[-1]))
+    # padding ahead of the core only, and on both sides
+    assert kind == "ary" or {(True, False), (True, True)} <= sides, sides
+
+
+def test_witness_padding_cut_inside_a_family_certifies_it():
+    # family 0 holds letters 0-2, a row, and fails; family 1 is the whole grid.
+    # A floor of 10 pads the core with label 0 alone, cutting family 0 to
+    # letter 0, and that one-map family is certified, as `member` would
+    sd = SectionDiffuse(0.05, percolation_ifs(3, 2), k=2, floor=10)
+    labels = np.concatenate([[0, 1, 2], np.arange(9, 18)])
+    assert sd.witness_core(labels).tolist() == list(range(9, 18))
+    assert sd.cert_count == 2
+    assert sd.witness_subset(labels).tolist() == [0] + list(range(9, 18))
+    assert sd.cert_count == 3 and sd._ok == {0b111: False, 0b111111111: True, 0b1: False}
 
 
 def _pinned(es):
