@@ -45,6 +45,8 @@ _MIX_BLOCK = 1 << 15
 def _mix64_inplace(x):
     """SplitMix64 finalizer applied to the C-contiguous uint64 array `x` in
     place, one cache-sized block at a time; returns x."""
+    if x.dtype != np.uint64 or not x.flags.c_contiguous:  # a reshape would mix a copy
+        raise ValueError("mixing needs a C-contiguous uint64 array")
     flat = x.reshape(-1)
     tmp = np.empty(min(len(flat), _MIX_BLOCK), dtype=np.uint64)
     for lo in range(0, len(flat), _MIX_BLOCK):

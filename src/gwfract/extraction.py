@@ -14,17 +14,8 @@ sample: the scan expands one compressed block at a time and stops testing
 children of a node as soon as the predicate is satisfied, which agrees
 with the eager DP because membership is monotone and children are visited
 in lex order
-(`tests/test_extraction.py::test_layered_scan_matches_eager_dp` checks this).
-
-Children with one level to go (leaves) are walked once, in chunks: levels
-0..k-2 once per chunk, then the level-(k-1) child rows in lex order until
-each leaf is decided; a good leaf keeps what its walk found for its witness
-(`_LayeredScan`).  The greedy stop is found online from the predicate's
-running state (`_running`), which updates per good child instead of judging
-the whole prefix again.  Results are still taken child by child in lex
-order, so `child_tests`, `capped_nodes` and `nodes_sampled` read as the
-sequential scan's, and families are certified only for the leaves whose
-results are taken."""
+(`tests/test_extraction.py::test_layered_scan_matches_eager_dp` checks this;
+`_LayeredScan` tells how the leaves are walked)."""
 
 import math
 from collections import deque
@@ -108,11 +99,12 @@ class SubtreePredicate:
         # the core first: a section core certifies families, which count in `certs`
         return self.witness_core(labels) is not None and len(labels) >= self.floor
 
-    def witness_subset(self, labels):
+    def witness_subset(self, labels, at=None):
         """Minimal certifying child set (None when labels are not a member):
         the core, padded with the lex-smallest other labels up to `min_arity()`
-        (a member by construction; README, "Witness trimming")."""
-        core, need = self.witness_core(labels), self.min_arity()
+        (a member by construction; README, "Witness trimming"); `at`, if given,
+        is the slice of labels that a caller has found the core in."""
+        core, need = self.witness_core(labels) if at is None else labels[at], self.min_arity()
         if core is None or len(labels) < need:
             return None
         s = int(np.searchsorted(labels, core[0])) if len(core) else 0
@@ -591,14 +583,9 @@ class _LayeredScan:
     v * N**k + c, so the id's base-N digits after its leading 1 spell its
     word (`word`).  Its stream key comes with it from its parent's `_alive`.
 
-    A block leaf's rows are read only below candidate prefixes, a few
-    columns per sample call (`_block_walk`).  A section leaf's row is one
-    family, and rows are read until the leaf holds its count floor; its
-    families are certified in prefix order when its result is taken, and
-    its other rows are read only if none passes (`_section_walk`).  A good
-    leaf's witness is built when its result is taken (a section witness's
-    certificates count in `certs`), or kept as a block's first label where
-    that block is the witness, so `witness_tree` samples nothing.
+    `_block_walk` and `_section_walk` read a leaf's rows and trim a good
+    leaf's witness when its result is taken (a section witness's
+    certificates count in `certs`), so `witness_tree` samples nothing.
     """
 
     def __init__(self, lazy, pred):
@@ -700,8 +687,8 @@ class _LayeredScan:
 
     def _block_walk(self, keys):
         """(judge, nodes) of the leaves with stream keys `keys` on the block
-        predicate: judge(i) is leaf i's (labels, ok), the labels giving its
-        witness; nodes as `_prefix_walk` counts them.
+        predicate: judge(i) is leaf i's (witness, ok), the witness None for a
+        bad leaf; nodes as `_prefix_walk` counts them.
 
         A leaf holds a full block exactly when some level-(k-2) node has all
         base_n children and each of those has all base_n children, so only
@@ -712,7 +699,7 @@ class _LayeredScan:
         a pass, its candidates in lex order, so that pass is its lex-first
         full block: the witness at a floor of the block size, kept as its
         first label.  A larger floor needs the level-k rows, read only for
-        the leaves with a full block, and a good leaf's labels are its codes.
+        the leaves with a full block, and a good leaf's codes are trimmed.
         """
         lazy, n, size = self.lazy, self.base_n, self.block.block
         nodes, levels, owner = self._prefix_walk(keys)
@@ -733,7 +720,7 @@ class _LayeredScan:
                 leaves, at = np.unique(cand_roots[sel], return_index=True)
                 ok[leaves] = True
                 first[leaves] = self._codes(levels[:-1], cands[sel[at]]) * size
-        labels = first.tolist().__getitem__
+        witness = first.tolist().__getitem__
         if self.arity > size and ok.any():
             held = np.flatnonzero(ok[owner])
             full = lazy.offspring.sample_matrix(self._row_keys(levels, held))
@@ -741,16 +728,20 @@ class _LayeredScan:
                               minlength=len(keys)) >= self.arity
             ends = np.searchsorted(owner[held], np.arange(len(keys) + 1))
 
-            def labels(i):  # spelled for a leaf whose result is taken
+            def witness(i):  # trimmed for a leaf whose result is taken
                 rows = slice(ends[i], ends[i + 1])
-                return (self._codes(levels, held[rows])[:, None] * n + np.arange(n))[full[rows]]
+                labels = (self._codes(levels, held[rows])[:, None] * n + np.arange(n))[full[rows]]
+                return self.block.witness_subset(labels)
         good = ok.tolist()
-        return (lambda i: (labels(i), True) if good[i] else (None, False)), nodes
+        return (lambda i: (witness(i), True) if good[i] else (None, False)), nodes
 
     def _section_walk(self, keys):
         """(judge, nodes) of the leaves with stream keys `keys` on the section
-        predicate: judge(i) is leaf i's (labels, ok), labels being the level-k
-        codes below the rows it read; nodes as `_prefix_walk` counts them."""
+        predicate: judge(i) is leaf i's (witness, ok); nodes as `_prefix_walk`.
+        A row is one family.  Rows are read until a leaf holds its floor; its
+        families are certified in prefix order when its result is taken, its
+        other rows read only if none passes, and its witness trimmed from the
+        codes read, around the first that passes."""
         lazy, n, sd = self.lazy, self.base_n, self.section
         nodes, levels, owner = self._prefix_walk(keys)
         codes = self._codes(levels, np.arange(len(owner)))
@@ -769,22 +760,26 @@ class _LayeredScan:
             held += np.bincount(owner[sel], weights=read(sel), minlength=len(keys))
             full |= held >= self.arity
 
-        def certified(fams):
-            return any(sd._mask_certified(m) for m in fams.tolist() if m)
+        def certified(lo, hi):  # the first of rows lo:hi with a certified family
+            return next((lo + j for j, m in enumerate(masks[lo:hi].tolist())
+                         if m and sd._mask_certified(m)), None)
 
         def judge(i):
             b, e = ends[i], ends[i + 1]
             m = b + np.count_nonzero(masks[b:e] >= 0)
-            ok = bool(full[i]) and certified(masks[b:m])
-            if full[i] and not ok and m < e:
+            r = certified(b, m) if full[i] else None
+            if full[i] and r is None and m < e:
                 read(np.arange(m, e))
-                ok, m = certified(masks[m:e]), e
+                r, m = certified(m, e), e
+            if r is None:
+                return None, False
             below = (masks[b:m, None] >> np.arange(n)) & 1 == 1
-            return (codes[b:m, None] * n + np.arange(n))[below], ok
+            at = slice(np.count_nonzero(below[:r - b]), np.count_nonzero(below[:r - b + 1]))
+            return sd.witness_subset((codes[b:m, None] * n + np.arange(n))[below], at), True
         return judge, nodes
 
     def _leaves(self, keys):
-        """(labels, ok) of each leaf with a stream key in `keys`, in order, a
+        """(witness, ok) of each leaf with a stream key in `keys`, in order, a
         chunk per walk; a leaf's nodes count when its result is taken."""
         for lo in range(0, len(keys), self.chunk):
             judge, nodes = self._leaf_walk(self, keys[lo:lo + self.chunk])
@@ -792,12 +787,11 @@ class _LayeredScan:
                 self.lazy.nodes_sampled += count
                 yield judge(i)
 
-    def _record_leaf(self, v, labels, ok):
-        """Cache leaf v's result and, if good, its witness: a copy sized to
-        it, or a block's first label where the block is the witness."""
+    def _record_leaf(self, v, witness, ok):
+        """Cache leaf v's result and, if good, its witness as its judge gave it."""
         self.good[v] = ok
         if ok:
-            self.witness[v] = labels if isinstance(labels, int) else self.pred.witness_subset(labels)
+            self.witness[v] = witness
         return ok
 
     def _children(self, v, m, codes, keys):
@@ -806,8 +800,8 @@ class _LayeredScan:
         if m > 2:
             return (self.test(u, key, m - 1) for u, key in kids)
         # v's children are queued only after v is tested, so none is cached yet
-        return (self._record_leaf(u, labels, ok)
-                for (u, _), (labels, ok) in zip(kids, self._leaves(keys)))
+        return (self._record_leaf(u, witness, ok)
+                for (u, _), (witness, ok) in zip(kids, self._leaves(keys)))
 
     def test(self, v, key, m):
         """Whether node v, with stream key `key`, has a witness m levels deep."""
@@ -1025,15 +1019,20 @@ class SectionLaw:
     def __init__(self, offspring, words):
         self.base = offspring
         self.words = tuple(words)
-        if not self.words:
-            raise InvalidInputError("empty section")
+        if not self.words or not all(self.words):
+            raise InvalidInputError("a section needs one or more nonempty words")
         probs = np.asarray(offspring.letter_probs(), dtype=float)
-        self._letter_probs = np.array(
-            [float(np.prod([probs[a] for a in w])) for w in self.words]
-        )
-        # the words' nonempty prefixes, each after its parent, as sampled
-        self._order = sorted({Word(w[:i]) for w in self.words for i in range(1, len(w) + 1)},
-                             key=lambda w: (len(w), w))
+        self._letter_probs = np.array([probs[list(w)].prod() for w in self.words])
+        # the draw's plan: level by level, a base row per prefix with children;
+        # with the draws side by side, prefix p's child p + (a,) is column
+        # col[p] + a, and _steps[j] places level j + 1's parents in draw j
+        n, self._salts = offspring.alphabet_size, _child_salts(offspring.alphabet_size)
+        inner = [sorted({w[:j] for w in self.words if len(w) > j})
+                 for j in range(max(map(len, self.words)))]
+        col = {p: n * i for i, p in enumerate(p for ps in inner for p in ps)}
+        self._steps = [np.array([col[q[:-1]] + q[-1] - col[inner[j - 1][0]] for q in inner[j]])
+                       for j in range(1, len(inner))]
+        self._cols = np.array([col[w[:-1]] + w[-1] for w in self.words])
 
     @property
     def alphabet_size(self):
@@ -1047,19 +1046,17 @@ class SectionLaw:
 
     def sample_matrix(self, keys):
         """Bool matrix (len(keys) x section size): which section words survive
-        below roots with these stream keys."""
-        trials = len(keys)
-        alive = {Word(): np.ones(trials, dtype=bool)}
-        node_keys = {Word(): np.asarray(keys, dtype=np.uint64)}
-        salts = _child_salts(self.base.alphabet_size)
-        keep = {}
-        for w in self._order:
-            par = w.parent
-            if par not in keep:
-                keep[par] = self.base.sample_matrix(node_keys[par])
-            alive[w] = alive[par] & keep[par][:, w[-1]]
-            node_keys[w] = _mix64_inplace(node_keys[par] ^ salts[w[-1]])
-        return np.column_stack([alive[w] for w in self.words])
+        below roots with these stream keys: one base draw per prefix level, a
+        prefix alive where its parent is and the parent's row keeps its letter.
+        `np.take` keeps the key matrices C-ordered, as the mixing kernel needs."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        n, drawn = self.base.alphabet_size, [self.base.sample_matrix(keys)]
+        keys = keys[:, None]
+        for cols in self._steps:
+            keys = _mix64_inplace(np.take(keys, cols // n, axis=1) ^ self._salts[cols % n])
+            kept = self.base.sample_matrix(keys.reshape(-1)).reshape(len(keys), n * len(cols))
+            drawn.append(kept & np.repeat(np.take(drawn[-1], cols, axis=1), n, axis=1))
+        return np.take(np.concatenate(drawn, axis=1), self._cols, axis=1)
 
     def pgf(self, s):
         raise CapabilityError("section law has no closed-form pgf; sample instead")

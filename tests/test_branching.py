@@ -131,6 +131,21 @@ def test_sampler_matches_float_formula():
     assert law.sample_matrix(keys)[:, 4].all()  # p = 1 keeps every letter
 
 
+def test_mix64_inplace_mixes_c_ordered_arrays_and_rejects_the_rest():
+    # a reshape of any other array copies, and the copy would be the one mixed
+    k = np.random.default_rng(1).integers(0, 2 ** 63, size=72, dtype=np.uint64)
+    salts = np.arange(1, 4, dtype=np.uint64) * np.uint64(0xD1B54A32D192ED03)
+    strided = np.stack([k, k, k], axis=1)[:, [0, 1, 2]] ^ salts[[0, 1, 2]]
+    assert not strided.flags.c_contiguous
+    for bad in (strided, k[::2].copy()[::2], k.astype(np.int64), k.reshape(8, 9).T):
+        with pytest.raises(ValueError):
+            _mix64_inplace(bad)
+    x = np.ascontiguousarray(strided)
+    want = [[mix64(int(v)) for v in row] for row in x.tolist()]
+    assert _mix64_inplace(x).tolist() == want
+    assert _mix64_inplace(k[:0].reshape(0, 3)).shape == (0, 3)
+
+
 def test_sampler_matches_python_int_reference():
     # letter i of the row of key x is kept when (mix64(x + (i+1) * gamma) >> 11)
     # < ceil(p * 2^53), in Python ints

@@ -6,8 +6,8 @@ import pytest
 
 from gwfract.symbolic import (CapabilityError, FiniteTree, InvalidInputError,
                               ResourceLimitError, StarTree, WeightedAlphabet,
-                              Word, compress_along_pi_rho)
-from gwfract.branching import Binomial, LazyGW, sample_gw
+                              Word, compress_along_pi_rho, section_pi_rho)
+from gwfract.branching import Binomial, LazyGW, _child_salts, _mix64_inplace, sample_gw
 from gwfract import geometry
 from gwfract.cli import measured_to_csv
 from gwfract.fixpoint import GFunction, _member_thresholds, ary_collection, generator_collection
@@ -482,6 +482,42 @@ def test_witness_padding_cut_inside_a_family_certifies_it():
     assert sd.cert_count == 3 and sd._ok == {0b111: False, 0b111111111: True, 0b1: False}
 
 
+def test_section_leaf_hands_its_certified_row_to_the_witness():
+    # a good section leaf's judge trims its witness around the first row it
+    # certified; the scan must store the witness `witness_subset` finds in all
+    # the leaf's codes, with the same certificates, leaf by leaf.  The rows
+    # read are a lex prefix holding the floor and the core, which is all the
+    # witness reads, and a leaf below its floor certifies nothing
+    ifs = percolation_ifs(3, 2)
+    F = _attractor_cloud(ifs)
+    sd, ref = (SectionDiffuse(0.1, ifs, F_cloud=F, k=2, floor=12) for _ in range(2))
+    lazy = LazyGW(Binomial(9, 0.6), 0)
+    scan = _LayeredScan(lazy, sd)
+    keys = np.random.default_rng(4).integers(0, 2 ** 63, size=40, dtype=np.uint64)
+    judge, _ = scan._section_walk(keys)
+    codes, _, bounds, _ = lazy._level(keys, 2)
+    good = cut = 0
+    for i in range(len(keys)):
+        labels = codes[bounds[i]:bounds[i + 1]]
+        count, ref_count, seen = sd.cert_count, ref.cert_count, set(ref._ok)
+        assert scan._record_leaf(i, *judge(i)) == (len(labels) >= ref.floor
+                                                    and ref.member(labels))
+        want = ref.witness_subset(labels) if len(labels) >= ref.floor else None
+        assert (scan.witness.get(i) is None) == (want is None), i
+        assert want is None or np.array_equal(scan.witness[i], want), i
+        assert sd.cert_count - count == ref.cert_count - ref_count, i
+        if want is not None:
+            good += 1
+            core = ref.witness_core(labels)
+            pad, s = ref.floor - len(core), int(np.searchsorted(labels, core[0]))
+            if 0 < pad < s and labels[pad - 1] // 9 == labels[pad] // 9:
+                # the padding cuts the failing family ahead of the core short,
+                # and that part of it is certified here for the first time
+                part = sum(1 << int(x) % 9 for x in labels[:pad] if x // 9 == labels[pad] // 9)
+                cut += ref._ok.get(part) is False and part not in seen
+    assert good > 0 and cut > 0, (good, cut)
+
+
 def _pinned(es):
     stats = {k: v for k, v in es.stats.items() if k != "predicted"}
     return (es.root_word.text,
@@ -633,6 +669,12 @@ def test_general_pipeline_sierpinski_reduced():
     assert len(es.leaf_words()) == 16_384
     assert es.params["reduced_level"] == 2
     assert es.beta == pytest.approx(9.765625e-05, rel=1e-9)
+    # the scan over the section law's draws, pinned before the draw went level-wise
+    assert {k: es.stats[k] for k in ("child_tests", "nodes_sampled", "certs")} \
+        == {"child_tests": 128, "nodes_sampled": 9683, "certs": 20}
+    assert es.stats["base_family_constant"] == 0.17063968993356887
+    assert hashlib.sha256(es.tree_text().encode()).hexdigest() \
+        == "38b95ab3fccf2badfc37ef52df2bdeeeded32603146de76c246f8802e01b139b"
 
 
 def test_general_pipeline_rejects_non_integral_arity():
@@ -663,6 +705,48 @@ def test_section_reduction_composes_maps():
         assert np.allclose(m.apply(x), word_map(base, w).apply(x))
     assert law.mean() == pytest.approx(2.7 ** 2)
     assert law.alphabet_size == 9
+
+
+def _per_word_draw(law, keys):
+    """The section draw as first written: walk every prefix of the words in
+    (length, lex) order, one base draw per parent and one mixed key per prefix."""
+    order = sorted({Word(w[:i]) for w in law.words for i in range(1, len(w) + 1)},
+                   key=lambda w: (len(w), w))
+    alive = {Word(): np.ones(len(keys), dtype=bool)}
+    node_keys = {Word(): np.asarray(keys, dtype=np.uint64)}
+    salts = _child_salts(law.base.alphabet_size)
+    keep = {}
+    for w in order:
+        par = w.parent
+        if par not in keep:
+            keep[par] = law.base.sample_matrix(node_keys[par])
+        alive[w] = alive[par] & keep[par][:, w[-1]]
+        node_keys[w] = _mix64_inplace(node_keys[par] ^ salts[w[-1]])
+    return np.column_stack([alive[w] for w in law.words])
+
+
+def test_section_law_draw_matches_the_per_word_draw():
+    # one base draw per prefix level gives every row bit for bit, as a row is
+    # a pure function of its stream key; words of unequal length included
+    ifs = _unequal_ratio_ifs()
+    words = section_pi_rho(ifs.weights, ifs.weights.r_min ** 2)
+    assert sorted({len(w) for w in words}) == [2, 3]
+    laws = [section_reduction(sierpinski_ifs(), Binomial(3, 0.95), 2)[1],
+            section_reduction(sierpinski_ifs(), Binomial(3, 0.6), 3)[1],
+            SectionLaw(Binomial(4, 0.8), words)]
+    rng = np.random.default_rng(8)
+    for law in laws:
+        for count in (0, 1, 72, 4000):
+            keys = rng.integers(0, 2 ** 64 - 1, size=count, dtype=np.uint64)
+            got, want = law.sample_matrix(keys), _per_word_draw(law, keys)
+            assert got.shape == want.shape == (count, len(law.words))
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want), (len(law.words), count)
+        assert 0 < want.mean() < 1
+    # the plan places each word below a parent: the empty word has none
+    for bad in ([], [Word(), Word((0,))]):
+        with pytest.raises(InvalidInputError):
+            SectionLaw(Binomial(3, 0.9), bad)
 
 
 def test_section_law_declines_closed_forms():
