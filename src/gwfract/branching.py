@@ -353,17 +353,16 @@ class LazyGW:
         """
         keys = np.asarray(keys, dtype=np.uint64)
         n = self.offspring.alphabet_size
-        walked = self.nodes_sampled
+        walked, count = self.nodes_sampled, len(keys)
         for lvl in range(rel_depth):
+            if count == 0:
+                return
+            walked += count
+            self._charge(walked, lvl)  # before the level's keys and draw are allocated
             if lvl:
                 keys = self._child_keys(keys, rows, letters)
-            if len(keys) == 0:
-                return
-            kept = np.flatnonzero(self.offspring.sample_matrix(keys))
-            rows = kept // n
-            letters = kept - rows * n
-            walked += len(keys)
-            self._charge(walked, lvl)
+            rows, letters = np.divmod(np.flatnonzero(self.offspring.sample_matrix(keys)), n)
+            count = len(rows)
             yield rows, letters, keys
 
     def _child_keys(self, keys, rows, letters):
@@ -372,8 +371,8 @@ class LazyGW:
         return _mix64_inplace(keys[rows] ^ self._salts[letters])
 
     def _charge(self, walked, lvl):
-        """The `node_budget` guard, after a walk's level `lvl`: `walked` is
-        `nodes_sampled` plus the nodes the walk has sampled so far."""
+        """The `node_budget` guard, before a walk's level `lvl` is drawn: `walked`
+        is `nodes_sampled` plus the walk's nodes through level `lvl`."""
         if walked > self.node_budget:
             raise ResourceLimitError(
                 "lazy sampling exceeded node budget at relative depth %d" % lvl,

@@ -45,6 +45,7 @@ from .geometry import (
     percolation_ifs,
     render,
     word_map,
+    _MapTable,
     _compose,
     _render_levels,
     _tree_level,
@@ -198,12 +199,14 @@ class SectionDiffuse(SubtreePredicate):
             self._families = np.array([first.setdefault(v[:n], i)
                                        for i, (v, n) in enumerate(table)])
             self._rests = [v[n:] for v, n in table]
+        else:  # a letter mask's family: rows of the base maps' table
+            self._table = _MapTable(ifs.maps, self.F, self.DIRECTIONS)
 
     # -- certification ------------------------------------------------------
 
-    def _certified(self, key, family):
+    def _certified(self, key, family, table=None):
         """Whether the family keyed `key` is certified; `family()` gives its
-        maps, built and certified once per key."""
+        maps, or their rows of `table`, built and certified once per key."""
         ok = self._ok.get(key)
         if ok is None:
             self.cert_count += 1
@@ -213,13 +216,13 @@ class SectionDiffuse(SubtreePredicate):
                     % self.CERT_BUDGET
                 )
             res = diffuseness_constant(family(), self.F, directions=self.DIRECTIONS,
-                                       need=self.c)
+                                       need=self.c, table=table)
             ok = self._ok[key] = res.c_low >= self.c
         return ok
 
     def _mask_certified(self, mask):
-        return self._certified(mask, lambda: [self.ifs.maps[j] for j in range(self.base_n)
-                                              if mask >> j & 1])
+        return self._certified(mask, lambda: [j for j in range(self.base_n) if mask >> j & 1],
+                               self._table)
 
     def _rests_certified(self, labels):
         # one family's rests, in word order since the table is sorted

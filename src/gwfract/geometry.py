@@ -751,82 +751,79 @@ def _coverage_halfangle(d, directions):
     return 2.8 / math.sqrt(directions)
 
 
-# most elements one projection of `diffuseness_constant`'s direction grid holds
+# most elements one projection of a `_MapTable`'s direction grid holds
 _PROJ_BUDGET = 1 << 18
 
 
-def diffuseness_constant(maps, F_cloud, directions=2000, *, need=None):
+class _MapTable:
+    """`diffuseness_constant`'s rows, one per map, on one base cloud and grid:
+    the map's images of the cloud's hull vertices (`images`, maps x hull x d;
+    a linear functional attains its extremes on them) and of the cloud mean
+    (`means`), its eps-inflation (`infl`), and the least and greatest
+    projection of its inflated image on each direction (`lo`, `hi`, maps x
+    directions), projected at most `_PROJ_BUDGET` elements at a time."""
+
+    def __init__(self, maps, F_cloud, directions):
+        hull = F_cloud.hull
+        (h, d), m = hull.shape, len(maps)
+        self.maps, self.grid = maps, _direction_grid(d, directions)
+        # columns j*d..(j+1)*d-1 hold map j's linear part and shift
+        mats = np.hstack([mp.matrix.T for mp in maps])
+        shifts = np.concatenate([mp.trans for mp in maps])
+        stack = (hull @ mats + shifts).reshape(h, m, d).swapaxes(0, 1).reshape(m * h, d)
+        self.images = stack.reshape(m, h, d)
+        self.means = (F_cloud._mean @ mats + shifts).reshape(m, d)
+        self.infl = F_cloud.eps * np.array([mp.ratio for mp in maps])
+        self.lo, self.hi = np.empty((2, m, len(self.grid)))
+        run = max(1, _PROJ_BUDGET // h)
+        for j in range(0, m, run):
+            block, e = stack[j * h:(j + run) * h], self.infl[j:j + run, None]
+            seg, cols = np.arange(0, len(block), h), max(1, _PROJ_BUDGET // len(block))
+            for i in range(0, len(self.grid), cols):
+                proj = block @ self.grid[i:i + cols].T
+                self.lo[j:j + run, i:i + cols] = np.minimum.reduceat(proj, seg) - e
+                self.hi[j:j + run, i:i + cols] = np.maximum.reduceat(proj, seg) + e
+
+
+def diffuseness_constant(maps, F_cloud, directions=2000, *, need=None, table=None):
     """Certified lower bound on min over hyperplanes of the farthest-image distance.
 
-    For each direction the optimal offset has closed form (the images project
-    to intervals; the objective is the half-gap between the largest lower and
-    smallest upper endpoint after eps-inflation).  The certificate subtracts a
-    Lipschitz correction covering directions between grid points.  A linear
-    functional attains its extremes on hull vertices, so only the images of
-    the base cloud's hull vertices are projected, all maps' images as one
-    stacked array: on the direction grid a run of maps on a run of
-    directions at a time, at most `_PROJ_BUDGET` elements, in the
-    refinement one direction at a time.
-
-    With `need` the call settles only on which side of `need` the full
-    c_low lies, and returns once it is settled, by the Lipschitz bound of
-    Piyavskii (1972) and Shubert ("A sequential method seeking the global
-    maximum of a function", SIAM J. Numer. Anal., 1972).  The
-    objective is lip-Lipschitz in the angle, lip the largest distance of an
-    image point from their centre.  The refinement only lowers raw_min, so a
-    grid bound below `need` is final.  Every later probe of the refinement
-    lies in its bracket [a, b], so a probe value f bounds them all from below
-    by f - lip * (b - a); once that bound, less the correction, exceeds
-    `need` by a rounding margin, the pass is final.  Either way the c_low
-    returned is certified and lies on the same side of `need` as the full one.
+    For each direction the optimal offset has closed form: the images project
+    to intervals, and the objective is the half-gap between the largest lower
+    and smallest upper endpoint after eps-inflation.  A Lipschitz correction
+    covers the directions between grid points.  The grid values are read off
+    a `_MapTable`: `table`, built on `F_cloud` and `directions` for some base
+    maps whose row indices `maps` then lists, or else one built for `maps`.
+    With `need` the call stops once the side of `need` that the full c_low
+    lies on is settled (README, "Certificates").
     """
     pts, directions = F_cloud.points, int(directions)
-    if len(pts) == 0 or directions < 1:
-        raise InvalidInputError("need a nonempty base cloud and directions >= 1")
+    if len(maps) == 0 or len(pts) == 0 or directions < 1:
+        raise InvalidInputError("need a nonempty family, a nonempty base cloud and directions >= 1")
     d = pts.shape[1]
     if len(maps) == 1:
-        u = np.zeros(d)
-        u[0] = 1.0
-        p0 = maps[0].apply(pts[:1])[0]
-        return DiffuseResult(0.0, Hyperplane(u, float(p0[0])), 0.0, 0.0,
+        p0 = (maps[0] if table is None else table.maps[maps[0]]).apply(pts[:1])[0]
+        return DiffuseResult(0.0, Hyperplane(np.eye(d)[0], float(p0[0])), 0.0, 0.0,
                              note="single map: every hyperplane through its image defeats it")
     if not _width_exceeds(F_cloud, max(F_cloud.eps, 1e-12)):
         base_w = F_cloud.width
         return DiffuseResult(0.0, base_w.witness, 0.0, 0.0,
                              note="degenerate base cloud: width %.3g is below resolution" % base_w.w)
 
-    hull = F_cloud.hull
-    h, m = len(hull), len(maps)
-    # columns j*d..(j+1)*d-1 hold map j's linear part and shift
-    mats = np.hstack([mp.matrix.T for mp in maps])
-    shifts = np.concatenate([mp.trans for mp in maps])
-    # map j's image is stack[starts[j]:starts[j] + h]
-    stack = (hull @ mats + shifts).reshape(h, m, d).swapaxes(0, 1).reshape(m * h, d)
-    starts = np.arange(0, m * h, h)
-    infl = F_cloud.eps * np.array([mp.ratio for mp in maps])
+    rows = maps
+    if table is None:
+        table, rows = _MapTable(maps, F_cloud, directions), slice(None)
+    # the image of the family's j-th map starts at stack[starts[j]]
+    stack = table.images[rows].reshape(-1, d)
+    starts = np.arange(0, len(stack), table.images.shape[1])
+    infl = table.infl[rows]
     # mean of all image points = mean over maps of the image of the cloud mean
-    center = (F_cloud._mean @ mats + shifts).reshape(m, d).mean(axis=0)
+    center = table.means[rows].mean(axis=0)
     lip = float(np.linalg.norm(stack - center, axis=1).max())
 
-    grid = _direction_grid(d, directions)
-
-    L = np.full(len(grid), -np.inf)
-    H = np.full(len(grid), np.inf)
-    run = max(1, _PROJ_BUDGET // h)
-    for j in range(0, m, run):
-        block, e = stack[j * h:(j + run) * h], infl[j:j + run, None]
-        seg = starts[:len(e)]
-        cols = max(1, _PROJ_BUDGET // len(block))
-        for i in range(0, len(grid), cols):
-            proj = block @ grid[i:i + cols].T
-            np.maximum(L[i:i + cols], (np.minimum.reduceat(proj, seg) - e).max(axis=0),
-                       out=L[i:i + cols])
-            np.minimum(H[i:i + cols], (np.maximum.reduceat(proj, seg) + e).min(axis=0),
-                       out=H[i:i + cols])
-    cvals = np.maximum(0.0, 0.5 * (L - H))
+    cvals = np.maximum(0.0, 0.5 * (table.lo[rows].max(axis=0) - table.hi[rows].min(axis=0)))
     k = int(np.argmin(cvals))
-    raw_min = float(cvals[k])
-    u_best = grid[k]
+    raw_min, u_best = float(cvals[k]), table.grid[k]
     tol = lip * _coverage_halfangle(d, directions)
 
     def c_of(u):

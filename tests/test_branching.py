@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,21 @@ def test_sample_gw_deterministic():
 def test_sample_gw_budget():
     with pytest.raises(ResourceLimitError):
         sample_gw(Binomial(9, 0.9), 8, seed=0, node_budget=100)
+
+
+def test_walk_charges_each_level_before_allocating_it():
+    # the budget trips at relative depth 11, as it always has, but before that
+    # level's keys and draw exist: about 218-229 MB traced when they were
+    # allocated first, about 60 MB now
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as ei:
+            sample_gw(Binomial(4, 0.95), 14, 0, node_budget=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.partial == 11 and "relative depth 11" in str(ei.value)
+    assert peak <= 109e6
 
 
 def test_lazy_matches_eager():

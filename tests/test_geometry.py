@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from gwfract.symbolic import (FiniteTree, InvalidInputError, StarTree, Word, WeightedAlphabet,
-                              compress_along_pi_rho)
+from gwfract.symbolic import (CapabilityError, FiniteTree, InvalidInputError, StarTree, Word,
+                              WeightedAlphabet, compress_along_pi_rho)
 from gwfract.branching import Binomial, sample_gw
 from gwfract import extraction, geometry
 from gwfract.geometry import (
@@ -199,18 +199,23 @@ def test_diffuseness_grid_one_step():
         abs(abs(res.witness.normal[1]) - 1.0) < 1e-3
 
 
-def _per_map_certificate(maps, F, directions):
-    """Reference d = 2 certificate whose refinement evaluates one map at a
-    time: (c_low, raw_min, tol, normal, offset), or None for a base cloud
-    below resolution."""
+def _per_map_certificate(maps, F, directions, need=None):
+    """Reference certificate in d = 2 or 3 whose every step evaluates one map
+    at a time: (c_low, raw_min, tol, normal, offset), or None for a base cloud
+    below resolution.  With `need` the planar refinement stops where the
+    certificate's does (README, "Certificates")."""
     if F.width.w <= max(F.eps, 1e-12):
         return None
+    d = F.points.shape[1]
     imgs = [m.apply(F.hull) for m in maps]
     infl = [F.eps * m.ratio for m in maps]
     center = np.mean([m.apply(F.points.mean(axis=0)) for m in maps], axis=0)
     lip = max(float(np.linalg.norm(img - center, axis=1).max()) for img in imgs)
-    angles = np.linspace(0.0, math.pi, directions, endpoint=False)
-    grid = np.column_stack([np.cos(angles), np.sin(angles)])
+    if d == 2:
+        angles = np.linspace(0.0, math.pi, directions, endpoint=False)
+        grid = np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        grid = geometry._fibonacci_sphere(directions)
     L, H = np.full(directions, -np.inf), np.full(directions, np.inf)
     for img, e in zip(imgs, infl):
         proj = img @ grid.T
@@ -219,6 +224,7 @@ def _per_map_certificate(maps, F, directions):
     cvals = np.maximum(0.0, 0.5 * (L - H))
     k = int(np.argmin(cvals))
     raw_min, u_best = float(cvals[k]), grid[k]
+    tol = lip * geometry._coverage_halfangle(d, directions)
 
     def c_of(u):
         L, H = -np.inf, np.inf
@@ -228,16 +234,30 @@ def _per_map_certificate(maps, F, directions):
             H = min(H, float(pr.max()) + e)
         return max(0.0, 0.5 * (L - H)), 0.5 * (L + H)
 
-    def on_arc(th):
-        return np.array([math.cos(th), math.sin(th)])
+    def f(th):
+        return c_of(np.array([math.cos(th), math.sin(th)]))[0]
 
-    th0, span = math.atan2(u_best[1], u_best[0]), math.pi / directions
-    th, v, _ = geometry._golden_min(lambda t: c_of(on_arc(t))[0], th0 - span, th0 + span,
-                                    iters=50)
-    if v < raw_min:
-        raw_min, u_best = v, on_arc(th)
-    tol = lip * geometry._coverage_halfangle(2, directions)
+    if d == 2 and (need is None or max(0.0, raw_min - tol) >= need):
+        th0, span = math.atan2(u_best[1], u_best[0]), math.pi / directions
+        margin = 1e-9 * max(1.0, lip, max(float(np.abs(img).max()) for img in imgs))
+        for a, b, x1, f1, x2, f2 in geometry._golden_steps(f, th0 - span, th0 + span, 50):
+            if need is not None and \
+                    min(raw_min, max(f1, f2) - lip * (b - a)) - tol > need + margin:
+                th, v = (x1, f1) if f1 <= f2 else (x2, f2)
+                break
+        else:
+            th = 0.5 * (a + b)
+            v = f(th)
+        if v < raw_min:
+            raw_min, u_best = v, np.array([math.cos(th), math.sin(th)])
     return max(0.0, raw_min - tol), raw_min, tol, u_best, c_of(u_best)[1]
+
+
+def _assert_is_reference(res, want):
+    c_low, raw_min, tol, normal, offset = want
+    assert (res.c_low, res.raw_min, res.tol, res.witness.offset) == \
+        (c_low, raw_min, tol, offset)
+    assert np.array_equal(res.witness.normal, normal)
 
 
 def test_certificate_matches_per_map_reference():
@@ -261,12 +281,55 @@ def test_certificate_matches_per_map_reference():
             assert trial == 0 and len(F.hull) == 1
             assert (res.c_low, res.raw_min, res.tol) == (0.0, 0.0, 0.0)
             continue
-        c_low, raw_min, tol, normal, offset = want
-        assert (res.c_low, res.raw_min, res.tol, res.witness.offset) == \
-            (c_low, raw_min, tol, offset)
-        assert np.array_equal(res.witness.normal, normal)
-        positive += raw_min > 0.0
+        _assert_is_reference(res, want)
+        positive += want[1] > 0.0
     assert positive >= 5
+
+
+@pytest.mark.parametrize("ifs", [percolation_ifs(3, 2), sierpinski_ifs(), percolation_ifs(2, 2),
+                                 percolation_ifs(2, 3)], ids=["grid3", "gasket", "grid2", "grid222"])
+def test_section_table_certificates_match_the_per_map_reference(monkeypatch, ifs):
+    # every family of a letter-mask predicate reads the rows of one table of
+    # its base maps; each certificate, with and without `need`, is the
+    # per-map reference's bit for bit, and the count and budget do not move
+    seen = []
+    real = extraction.diffuseness_constant
+    monkeypatch.setattr(extraction, "diffuseness_constant",
+                        lambda *a, **kw: seen.append(real(*a, **kw)) or seen[-1])
+    n, c = ifs.alphabet_size, 0.05
+    sd = extraction.SectionDiffuse(c, ifs, k=2)
+    table = sd._table
+    rng = np.random.default_rng(34)
+    masks = [m for m in rng.permutation(np.arange(3, 1 << n)).tolist() if m & (m - 1)][:10]
+    passed = 0
+    for i, mask in enumerate(masks, 1):
+        rows = [j for j in range(n) if mask >> j & 1]
+        maps = [ifs.maps[j] for j in rows]
+        full = diffuseness_constant(rows, sd.F, directions=sd.DIRECTIONS, table=table)
+        _assert_is_reference(full, _per_map_certificate(maps, sd.F, sd.DIRECTIONS))
+        passed += sd._mask_certified(mask)
+        _assert_is_reference(seen[-1], _per_map_certificate(maps, sd.F, sd.DIRECTIONS, need=c))
+        assert (seen[-1].c_low >= c) == (full.c_low >= c)
+        sd._mask_certified(mask)  # settled once: no second call
+        assert sd.cert_count == len(seen) == i
+    # the 3x3 grid's families straddle c; the others' cells touch, so all read 0
+    assert passed == (6 if n == 9 else 0)
+    sd = extraction.SectionDiffuse(c, ifs, F_cloud=sd.F, k=2)
+    sd.CERT_BUDGET = 3
+    for mask in masks[:3] + masks[:1]:
+        sd._mask_certified(mask)
+    with pytest.raises(CapabilityError):
+        sd._mask_certified(masks[3])
+    assert sd.cert_count == 4
+
+
+def test_certificate_rejects_an_empty_family():
+    F = square_cloud()
+    with pytest.raises(InvalidInputError):
+        diffuseness_constant([], F, directions=100)
+    table = geometry._MapTable(percolation_ifs(3, 2).maps, F, 100)
+    with pytest.raises(InvalidInputError):
+        diffuseness_constant(np.arange(0), F, directions=100, table=table)
 
 
 def test_render_full_grid():

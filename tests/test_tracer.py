@@ -55,3 +55,21 @@ def test_tracer_installs_records_and_uninstalls(monkeypatch):
     assert gwfract.render_words is originals["render_words"]
     assert fixpoint.smallest_fixed_point_bisect is originals["bisect"]
     assert np.array_equal(np.sort(codes), np.sort(lazy.level_codes(Word(), 3)))
+
+
+def test_tracer_counts_every_family_certificate(monkeypatch):
+    # the section-extract grid run: each family certificate the predicate
+    # counts in `certs`, plus the base family's, is one span of the public
+    # name, so a certificate path that bypasses it would fail here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        es = gwfract.general_pipeline(gwfract.percolation_ifs(3, 2), gwfract.Binomial(9, 0.7),
+                                      rho=3.0 ** -4, alpha=1.0, c=0.05, seed=20, n_levels=2)
+    finally:
+        t.uninstall()
+    certs = [s for s in t.spans if s.name == "geometry.diffuseness_constant"]
+    assert es.stats["certs"] == 88 and len(certs) == es.stats["certs"] + 1
