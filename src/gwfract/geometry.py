@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -225,6 +226,18 @@ class PointCloud:
     def width(self):
         """`width(self)`, computed on first use."""
         return width(self)
+
+    @cached_property
+    def _width_floor(self):
+        """A lower bound on the width in d = 3, taken once per cloud (README,
+        "Certificates"); -inf elsewhere."""
+        if self.d != 3 or len(self) <= 3:
+            return -math.inf
+        hv = self.hull
+        proj = hv @ _direction_grid(3, 2000).T
+        lip = float(np.linalg.norm(hv - hv.mean(axis=0), axis=1).max())
+        return 0.5 * float((proj.max(axis=0) - proj.min(axis=0)).min()) \
+            - lip * _coverage_halfangle(3, 2000)
 
     @cached_property
     def _mean(self):
@@ -515,16 +528,27 @@ def box_dimension(cloud, scale_count=12, scales=None, anchor="min"):
         scales = np.asarray(sorted((float(s) for s in scales), reverse=True))
         if len(scales) == 0 or scales[-1] <= 0:
             raise InvalidInputError("scales must be positive")
-    counts = []
-    for delta in scales:
-        # distinct cells: sort the rows, count the rows that differ from their predecessor
-        cells = np.floor((pts - lo) / delta).astype(np.int64)
-        cells = cells[np.lexsort(cells.T)]
-        counts.append(1 + int(np.count_nonzero((cells[1:] != cells[:-1]).any(axis=1))))
+    counts = [_box_count(pts, lo, delta) for delta in scales]
     if len(scales) < 3:
         raise InvalidInputError("fewer than 3 usable scales")
     slope = np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0]
     return float(slope), list(zip(scales.tolist(), counts))
+
+
+def _box_count(pts, lo, delta):
+    """Number of the grid's delta-boxes, anchored at lo, that hold points:
+    the distinct values of one int64 key per point (README, "Box counts")."""
+    key, span = 0, 1
+    for x, x0 in zip(pts.T, lo):
+        col = np.floor((x - x0) / delta).astype(np.int64)
+        col -= col.min()
+        width = int(col.max()) + 1
+        if span * width >= 1 << 63:
+            key, col = (np.unique(a, return_inverse=True)[1] for a in (key, col))
+            span, width = int(key.max()) + 1, int(col.max()) + 1
+        key, span = key * width + col, span * width
+    key = np.sort(key)
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -714,25 +738,9 @@ def width(cloud):
 
 
 def _width_exceeds(cloud, level):
-    """Whether `cloud.width.w > level`.
-
-    In d = 3 the slab half-width is R-Lipschitz in the direction, R the
-    largest distance of a hull vertex from their mean, and every direction
-    lies within `_coverage_halfangle(3, 2000)` of `width`'s grid.  So the
-    grid's least half-width less R times that angle is a lower bound on the
-    width (the padded angle also absorbs rounding); when it exceeds `level`
-    the answer is settled without the refined `width`.  Otherwise, in other
-    dimensions, and once the cloud's width is cached, `cloud.width` decides.
-    """
-    pts = cloud.points
-    if pts.shape[1] == 3 and len(pts) > 3 and "width" not in cloud.__dict__:
-        hv = cloud.hull
-        proj = hv @ _direction_grid(3, 2000).T
-        lip = float(np.linalg.norm(hv - hv.mean(axis=0), axis=1).max())
-        if 0.5 * float((proj.max(axis=0) - proj.min(axis=0)).min()) \
-                - lip * _coverage_halfangle(3, 2000) > level:
-            return True
-    return cloud.width.w > level
+    """Whether `cloud.width.w > level`: the cloud's `_width_floor` settles it
+    where it exceeds `level`, else `cloud.width` decides."""
+    return cloud._width_floor > level or cloud.width.w > level
 
 
 @dataclass
@@ -865,8 +873,8 @@ _SUPPORT_PREV = np.roll(np.arange(16), 1)
 
 def _packing_width_bound(n, spacing, xi):
     """Lower bound on the half-thickness of any slab holding n planar points
-    that lie in a ball of radius xi, pairwise at least `spacing` apart; see
-    `_BallWidths` for the derivation."""
+    that lie in a ball of radius xi, pairwise at least `spacing` apart
+    (README, "Ball-wise checks")."""
     if n < 2 or spacing <= 0:
         return 0.0
     area = n * math.pi * spacing * spacing / 4.0
@@ -876,13 +884,8 @@ def _packing_width_bound(n, spacing, xi):
 def _support_floor(pts):
     """Lower bound on the half-thickness of any slab holding the planar points:
     the exact half-width of the polygon on their support points in the 16
-    `_SUPPORT_DIRS` (Akl and Toussaint, "A fast convex hull algorithm", 1978).
-
-    The support points lie on the hull in counter-clockwise order, so once
-    consecutive repeats are dropped the least span over their edge normals is
-    the polygon's width (Houle and Toussaint), at most that of all the points.
-    Fewer than 3 support points, or no edge of 1e-15 between them, give 0.
-    """
+    `_SUPPORT_DIRS` (README, "Ball-wise checks"); fewer than 3 support
+    points, or no edge of 1e-15 between them, give 0."""
     i = (_SUPPORT_DIRS @ pts.T).argmax(axis=1)
     hv = pts[i[i != i[_SUPPORT_PREV]]]
     u = _edge_normal_width(hv) if len(hv) >= 3 else None
@@ -912,13 +915,8 @@ class _BallIndex:
     @cached_property
     def spacing(self):
         """The least distance between two points of a planar cloud, else 0:
-        read off `near` once that is built, else off a query of each point's
-        nearest other point alone.  That query prunes at just above the first
-        point's nearest-neighbour distance d0, which bounds the least one: a
-        point with no other point within the bound reads inf, and the least
-        distance, if under the bound, comes out as the unbounded query gives
-        it.  The bound is compared squared, so where rounding leaves every
-        point at inf (d0 = 0 squares to 0) the unbounded query runs."""
+        read off `near` once that is built, else off one bounded query
+        (README, "Ball-wise checks")."""
         if not self.planar:
             return 0.0
         if "near" in self.__dict__:
@@ -933,42 +931,12 @@ class _BallWidths:
     """Slab widths of one cloud inside balls B(x, xi), one ball per call.
 
     The cloud's `_ball_index`, built once per cloud, supplies the KD-tree,
-    the strided copies and the spacing s.  A call returns (points in the
-    ball, ratio, WidthResult) with ratio = (w - slack) / xi.
-
-    Three floors bound a planar ball's half-thickness w from below:
-
-    - Packing floor: discs of radius s/2 about the n points in the ball are
-      disjoint.  A slab of half-thickness w holding them meets the ball in a
-      strip of length at most 2*xi, so the discs fit in a (2*xi + s) x
-      (2*w + s) rectangle: n*pi*s^2/4 <= (2*xi + s) * (2*w + s), that is
-      w >= (n*pi*s^2/4 / (2*xi + s) - s) / 2 (`_packing_width_bound`).
-    - Subset floor: a slab holding the ball holds every subset of its
-      points.  A ball of more than `_SUBSET_FROM` points takes the support
-      floor (`_support_floor`) of the points of a strided copy of the cloud
-      (every 2^k-th point, k chosen so that about `_SUBSET_SIZE` to twice
-      that many fall in the ball) that lie in the ball shrunk by a factor
-      1 - 1e-9, so none of them can fall outside the ball the full query
-      returns.
-    - Ball floor: the support floor of the ball's own points, taken once
-      they are listed for `width` and before Qhull runs.  It is tried only
-      where some ball measured at the same radius has a ratio above the bar
-      (`most`): where none has, as with beta near 1, it would seldom clear
-      a ball and would only add its cost.
-
-    The support floor is exact up to rounding, which 1e-12 * max(1, f)
-    covers, so a floor f counts as f - 1e-12 * max(1, f): rounding can
-    never clear a ball that would have set a new least ratio.  Off the
-    plane no floor is taken (in d >= 3 `width` is a grid search, an upper
-    bound): the spacing is 0 and there are no strided copies or ball floors.
-
-    A ball's points are first only counted, and listed only when neither
-    the packing nor the subset floor clears it.  It is cleared, returning
-    ratio and WidthResult None, only when a floor ratio (floor - slack) / xi
-    exceeds beta and strictly exceeds the least ratio already measured at
-    the same radius (`least`).  Its true ratio then exceeds both, so no
-    cleared ball is at or under beta, none attains the least ratio at its
-    radius, and the first ball at every radius is always measured.
+    the strided copies and the spacing.  A call returns (points in the ball,
+    ratio, WidthResult) with ratio = (w - slack) / xi, or ratio and
+    WidthResult None for a ball that its packing, subset or ball floor
+    clears (`cleared` counts them).  A caller that has counted the ball's
+    points passes the count as `n`.  README, "Ball-wise checks", gives the
+    floors and why no cleared ball can change a result.
     """
 
     def __init__(self, cloud, beta, slack):
@@ -1002,10 +970,11 @@ class _BallWidths:
         `ball`: their support floor."""
         return self._ratio(_support_floor(ball), xi) if ball.shape[1] == 2 else -math.inf
 
-    def __call__(self, x, xi):
+    def __call__(self, x, xi, n=None):
         bar = max(self.beta, self.least.get(xi, math.inf))
         if bar < math.inf:
-            n = int(self.tree.query_ball_point(x, xi, return_length=True))
+            if n is None:
+                n = int(self.tree.query_ball_point(x, xi, return_length=True))
             if self._floor(x, xi, n, bar) > bar:
                 self.cleared += 1
                 return n, None, None
@@ -1026,12 +995,9 @@ def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0
     """Sampled local test: inside balls of the scale ladder the cloud must
     escape every slab of half-thickness beta * radius.
 
-    The ratio of a ball is (w - eps) / radius.  `_BallWidths` clears balls
-    whose disc-packing floor, or the support-polygon floor of a strided
-    subset of their points or of the points themselves, already puts them
-    above beta and above the least ratio measured at their radius, so the
-    worst ratio and its witness are those of measuring every ball; `cleared`
-    counts the balls skipped.
+    The ratio of a ball is (w - eps) / radius.  The worst ratio and its
+    witness are those of measuring every ball; `cleared` counts the balls
+    `_BallWidths` skips by its floors.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise InvalidInputError("beta must be positive and finite")
@@ -1057,8 +1023,10 @@ def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0
     balls = _BallWidths(cloud, beta, cloud.eps)
     worst = None
     for xi in xis:
-        for x in pts[rng.integers(0, len(pts), size=per_scale)]:
-            n_in, ratio, res = balls(x, xi)
+        centers = pts[rng.integers(0, len(pts), size=per_scale)]
+        sizes = balls.tree.query_ball_point(centers, xi, return_length=True).tolist()
+        for x, n in zip(centers, sizes):
+            n_in, ratio, res = balls(x, xi, n)
             if ratio is not None and (worst is None or ratio < worst["ratio"]):
                 worst = {"ratio": ratio, "center": x.tolist(), "xi": xi,
                          "width": res.w, "hyperplane": res.witness, "points_in_ball": n_in}
@@ -1076,10 +1044,7 @@ def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None):
     near-isolated local configurations are the natural witnesses; candidates
     are ranked by their second-neighbour distance so those configurations are
     reached within the budget (30% of it, at most one per point).  Every
-    examined ball counts against the budget; `_BallWidths` measures the ratio
-    w / xi exactly wherever it can decide `found`, `best` or a scale's least
-    ratio, and clears the other balls by its packing, subset and ball floors
-    (`cleared`).
+    examined ball counts against the budget, the `cleared` ones too.
     """
     pts = cloud.points
     n = len(pts)
@@ -1108,11 +1073,11 @@ def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None):
     examined = 0
     counts = dict.fromkeys(scales, 0)
 
-    def examine(x, xi):
+    def examine(x, xi, n_in=None):
         nonlocal best, found, examined
         examined += 1
         counts[xi] += 1
-        n_in, ratio, res = balls(x, xi)
+        n_in, ratio, res = balls(x, xi, n_in)
         if ratio is None:
             return
         rec = {"ratio": float(ratio), "width": float(res.w), "xi": float(xi),
@@ -1125,11 +1090,10 @@ def _flat_ball_search(cloud, beta, budget, seed, xi_floor=None):
     n_random = budget - min(n, max(1, int(budget * 0.3)))
     per_scale = max(1, n_random // len(scales))
     for xi in scales:
-        centers = pts[rng.integers(0, n, size=per_scale)]
-        for x in centers:
-            if examined >= budget:
-                break
-            examine(x, xi)
+        centers = pts[rng.integers(0, n, size=per_scale)][:max(0, budget - examined)]
+        sizes = balls.tree.query_ball_point(centers, xi, return_length=True).tolist()
+        for x, n_in in zip(centers, sizes):
+            examine(x, xi, n_in)
 
     # targeted pass: each isolated candidate at the largest ladder scale
     # below its second-neighbour distance
@@ -1347,16 +1311,28 @@ def _csv_text(rows):
 
 
 def _csv_rows(text, what):
-    """Float matrix of a headerless CSV; blank lines are skipped."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    widths = {ln.count(",") for ln in lines}
-    if len(widths) > 1:
+    """Float matrix of a headerless CSV (README, "File formats"): each row's
+    commas are counted on the text's bytes, and the cells outside blank rows
+    come from one split and one float conversion."""
+    raw = text.encode("ascii", "replace").rstrip()
+    b = np.frombuffer(raw, np.uint8)
+    ends = np.concatenate(([-1], np.flatnonzero(b == 10), [len(b)]))
+    commas = np.diff(np.flatnonzero(b == 44).searchsorted(ends))
+    space = ((b - np.uint8(11)) < 3) | (b == 9) | (b == 32)
+    filled = np.diff(np.flatnonzero(space).searchsorted(ends)) < np.diff(ends) - 1
+    widths = commas[filled]
+    if widths.size and (widths != widths[0]).any():
         raise InvalidInputError("%s CSV rows must all have the same number of columns" % what)
+    cells = raw.replace(b"\n", b",").split(b",")
+    if not filled.all():
+        cells = list(compress(cells, np.repeat(filled, commas + 1).tolist()))
     try:
-        flat = np.array(",".join(lines).split(",") if lines else [], dtype=float)
+        flat = np.array(cells, dtype=float)
     except ValueError:
         raise InvalidInputError("%s CSV holds a value that is not a number" % what)
-    return flat.reshape(len(lines), -1) if lines else flat.reshape(0, 2)
+    if not np.isfinite(flat).all():
+        raise InvalidInputError("%s CSV holds a value that is not finite" % what)
+    return flat.reshape(len(widths), -1) if widths.size else flat.reshape(0, 2)
 
 
 def cloud_to_csv(cloud):

@@ -375,23 +375,39 @@ class FiniteTree:
 
     @classmethod
     def from_text(cls, text, alphabet_size=None, depth=None):
-        """Parse `to_text` output (any line order; prefixes may be left out)."""
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        words = [ln for ln in lines if ln.strip()]
-        lengths = np.array([ln.count("-") + 1 if ln.strip() else 0 for ln in lines],
-                           dtype=np.int64)
-        try:
-            flat = np.array("-".join(words).split("-") if words else [], dtype=np.int64)
-        except ValueError:
-            raise InvalidInputError("tree text lines must be decimal letters joined by '-'")
+        """Parse tree text (README, "File formats"): any line order, prefixes may be left out."""
+        flat, lengths = _text_letters(text)
         if alphabet_size is None:
             alphabet_size = int(flat.max(initial=-1)) + 1 or 1
         if depth is None:
             depth = int(lengths.max(initial=0))
         return cls._of(alphabet_size, depth, *_tree_levels(
             int(alphabet_size), int(depth), _pad(flat, lengths), lengths))
+
+
+def _text_letters(text):
+    """Letters of tree text in line order, and the letter count of each word
+    line, tokenised on the text's bytes at once (README, "File formats")."""
+    b = np.frombuffer(("\n%s\n" % text).encode("ascii", "replace"), np.uint8)
+    space = ((b - np.uint8(11)) < 3) | (b == 9) | (b == 32)
+    inner = False
+    if space.any():
+        # after the drop, a space run lay between bytes i and i + 1 where the count rose
+        gap = np.diff(np.cumsum(space)[~space]) > 0
+        b = b[~space]
+        inner = (gap & (b[:-1] != 10) & (b[1:] != 10)).any()
+    digit, dash = (b - np.uint8(48)) < 10, b == 45
+    # the first and last bytes are newlines, so every digit run starts and stops
+    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
+    size = np.flatnonzero(digit[:-1] > digit[1:]) - starts + 1
+    if inner or size.max(initial=0) > 18 or not (digit | dash | (b == 10)).all() \
+            or (dash[1:-1] & ~(digit[:-2] & digit[2:])).any():
+        raise InvalidInputError("tree text lines must be decimal letters joined by '-'")
+    letters = b[starts] - np.int64(48)
+    for k in range(1, int(size.max(initial=0))):
+        more = np.flatnonzero(size > k)
+        letters[more] = letters[more] * 10 + b[starts[more] + k] - 48
+    return letters, np.diff(np.flatnonzero(b[starts - 1] == 10), append=len(starts))
 
 
 def block_letters(codes, base, k):

@@ -19,7 +19,7 @@ UNCALLED_OK = {
 # ROADMAP item 5: src/ shrinks toward 5,463 lines.  Only the items that add
 # code (11, 14, 16 and 18) may raise this, each by at most its cap, saying so
 # in CHANGES.md; every other change keeps src/ at or below it.
-SRC_LINE_CEILING = 5665
+SRC_LINE_CEILING = 5657
 
 
 def _exports():

@@ -318,7 +318,7 @@ def test_boxdim_of_sampled_tree():
     assert doc["table"] == [[s, c] for s, c in table]
 
 
-@pytest.mark.parametrize("line", ["0-x", "0--1"])
+@pytest.mark.parametrize("line", ["0-x", "0--1", "+1", "0 - 1", "1_0"])
 def test_render_malformed_tree_line_exits_2(tmp_path, line):
     tree = tmp_path / "t.txt"
     tree.write_text("\n0\n%s\n" % line)
@@ -345,6 +345,22 @@ def test_check_ahlfors_malformed_measured_csv_exits_2(tmp_path, rows):
     code, doc, _ = run_json(["check-ahlfors", "--measured", str(path), "--alpha", "1"])
     assert code == 2
     assert doc["error"] == "invalid-config"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, cols", [(["boxdim", "--cloud"], 2),
+                                        (["check-diffuse", "--beta", "0.01", "--cloud"], 2),
+                                        (["check-ahlfors", "--alpha", "1", "--measured"], 4)],
+                         ids=["boxdim", "check-diffuse", "check-ahlfors"])
+def test_non_finite_csv_value_exits_2(tmp_path, argv, cols, value):
+    # a 3 x 3 grid of points, each of mass 1/9 and radius 1/6, one value spoilt
+    rows = [[(i + 0.5) / 3, (j + 0.5) / 3, 1 / 9, 1 / 6][:cols] for i in range(3) for j in range(3)]
+    rows[4][1] = value
+    path = tmp_path / "c.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    code, doc, _ = run_json(argv + [str(path)])
+    assert code == 2
+    assert doc["error"] == "invalid-config" and "not finite" in doc["message"]
 
 
 def test_boxdim_on_cloud_csv(tmp_path):

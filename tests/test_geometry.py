@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 from gwfract.symbolic import (CapabilityError, FiniteTree, InvalidInputError, StarTree, Word,
                               WeightedAlphabet, compress_along_pi_rho)
-from gwfract.branching import Binomial, sample_gw
+from gwfract.branching import Binomial, labeled_seed, sample_gw
 from gwfract import extraction, geometry
 from gwfract.geometry import (
     Hyperplane,
@@ -186,6 +186,24 @@ def test_width_threshold_decides_as_the_full_width():
             assert geometry._width_exceeds(PointCloud(pts, 0.0), level) == (w > level)
     grid = geometry._direction_grid(3, 2000)
     assert grid is geometry._direction_grid(3, 2000) and not grid.flags.writeable
+
+
+def test_width_floor_is_projected_once_per_cloud(monkeypatch):
+    # two certificates on one 3-d base cloud: the degeneracy check projects
+    # the hull on the 2,000-direction grid for the first one only
+    ifs = percolation_ifs(2, 3)
+    F = render(ifs, depth=4)
+    table = geometry._MapTable(ifs.maps, F, 200)
+    grids = []
+    grid = geometry._direction_grid
+    monkeypatch.setattr(geometry, "_direction_grid",
+                        lambda d, n: grids.append((d, n)) or grid(d, n))
+    first = diffuseness_constant([0, 1, 2], F, 200, table=table)
+    assert grids == [(3, 2000)] and "_width_floor" in vars(F) and "width" not in vars(F)
+    second = diffuseness_constant([0, 1, 2], F, 200, table=table)
+    diffuseness_constant([3, 5, 6, 7], F, 200, table=table)
+    assert grids == [(3, 2000)]
+    assert (first.c_low, first.raw_min, first.tol) == (second.c_low, second.raw_min, second.tol)
 
 
 def test_diffuseness_grid_one_step():
@@ -496,6 +514,52 @@ def test_box_dimension_needs_scales():
         box_dimension(square_cloud(), scales=[1.0, 0.5])
 
 
+def _lexsort_counts(pts, lo, scales):
+    """The column-sort box counter the packed key replaced, kept as a reference."""
+    counts = []
+    for delta in scales:
+        cells = np.floor((pts - lo) / delta).astype(np.int64)
+        cells = cells[np.lexsort(cells.T)]
+        counts.append(1 + int(np.count_nonzero((cells[1:] != cells[:-1]).any(axis=1))))
+    return counts
+
+
+def test_packed_box_counts_match_the_column_sort():
+    rng = np.random.default_rng(35)
+    clouds = [render(percolation_ifs(3, 2), depth=4).points,
+              render(rotation_ifs_3d(), depth=4).points]
+    for d in (1, 2, 3):
+        pts = rng.normal(size=(2000, d)) * [1.0, 10.0, 0.01][:d]  # negative coordinates too
+        clouds.append(np.concatenate([pts, pts[:500], np.round(pts[500:900], 1)]))  # duplicates
+    scales = [3.0, 0.5, 0.1, 1 / 27.0, 1e-3, 1e-5]
+    for pts in clouds:
+        for anchor in ("min", "origin"):
+            lo = pts.min(axis=0) if anchor == "min" else np.zeros(pts.shape[1])
+            _, table = box_dimension(PointCloud(pts, 0.0), scales=scales, anchor=anchor)
+            assert [c for _, c in table] == _lexsort_counts(pts, lo, scales)
+
+
+@pytest.mark.parametrize("anchor", ["min", "origin"])
+def test_packed_box_counts_stay_exact_past_int64(anchor):
+    # cells of 1e-7 on a cube of side 2: the spans' product is about 8e21,
+    # so a key folded without ranks would wrap; the count is still exact
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, size=(3000, 3))
+    pts = np.concatenate([pts, pts[:700]])
+    lo = pts.min(axis=0) if anchor == "min" else np.zeros(3)
+    scales = [1.0, 1e-3, 1e-7]
+    spans = np.ptp(np.floor((pts - lo) / scales[-1]).astype(np.int64), axis=0) + 1
+    assert math.prod(int(s) for s in spans) >= 2 ** 63
+    _, table = box_dimension(PointCloud(pts, 0.0), scales=scales, anchor=anchor)
+    assert [c for _, c in table] == _lexsort_counts(pts, lo, scales)
+    assert table[-1][1] == 3000
+    # three unit cells whose keys, folded without ranks, would be 0, 2^64 and
+    # 2^40 - 1: the first two would wrap onto one key
+    pts = np.array([[0.0, 0.0], [2.0 ** 24, 0.0], [0.0, 2.0 ** 40 - 1]])
+    _, table = box_dimension(PointCloud(pts, 0.0), scales=[4.0, 2.0, 1.0], anchor=anchor)
+    assert [c for _, c in table] == [3, 3, 3]
+
+
 @pytest.fixture(scope="module")
 def grid6():
     return render(percolation_ifs(3, 2), depth=6)
@@ -643,6 +707,65 @@ def test_packing_floor_only_saves_work(grid6, monkeypatch):
     without = empirical_diffuse_check(grid6, beta=0.01, sample_count=90, seed=0)
     assert with_floor["cleared"] > 0 and without["cleared"] == 0
     assert _plain(with_floor) == _plain(without)
+
+
+def _batched_and_per_ball(monkeypatch, runs):
+    """`runs()` as it is, and again with every ball counted by its own query
+    whatever count the caller passes, as before the counts were batched; and,
+    for each call of the first that came with a count, whether the ball's own
+    query gives the same."""
+    call, given = geometry._BallWidths.__call__, []
+
+    def spy(self, x, xi, n=None):
+        if n is not None:
+            given.append(n == self.tree.query_ball_point(x, xi, return_length=True))
+        return call(self, x, xi, n)
+
+    monkeypatch.setattr(geometry._BallWidths, "__call__", spy)
+    batched = runs()
+    monkeypatch.setattr(geometry._BallWidths, "__call__", lambda self, x, xi, n=None:
+                        call(self, x, xi))
+    return batched, runs(), given
+
+
+def test_batched_ball_counts_change_nothing(grid6, monkeypatch):
+    def runs():
+        return [empirical_diffuse_check(grid6, beta=b, sample_count=90, seed=0)
+                for b in (0.01, 0.9)] + [geometry._flat_ball_search(grid6, 0.01, 800, seed=1)]
+
+    batched, per_ball, given = _batched_and_per_ball(monkeypatch, runs)
+    for a, b in zip(batched[:2], per_ball[:2]):
+        assert a["cleared"] == b["cleared"] and _plain(a) == _plain(b)
+        assert a["witness"]["hyperplane"].offset == b["witness"]["hyperplane"].offset
+    assert batched[2] == per_ball[2]
+    assert sum(r["cleared"] for r in batched) > 0
+    # every ball of the profiles and of the search's random phase came
+    # counted, and counted right
+    assert all(given) and len(given) >= sum(r["tested"] for r in batched[:2]) + 500
+
+
+def test_batched_ball_counts_change_nothing_on_the_pinned_run(monkeypatch):
+    # the raw sample and the control of the pinned non-diffuseness run, each
+    # searched as the experiment does it and profiled (the control, of depth
+    # 5, on the two scales its resolution allows)
+    ifs = percolation_ifs(3, 2)
+    tree = sample_gw(Binomial(9, 0.6), 6, seed=labeled_seed(42, "sample")).tree
+    runs = [(render(ifs, tree=tree), labeled_seed(42, "search"), 3),
+            (render(ifs, depth=5), labeled_seed(42, "control"), 2)]
+
+    def checks():
+        return [(geometry._flat_ball_search(cloud, 0.01, 1000, sd),
+                 empirical_diffuse_check(cloud, 0.01, scales, 900, seed=sd))
+                for cloud, sd, scales in runs]
+
+    batched, per_ball, given = _batched_and_per_ball(monkeypatch, checks)
+    for (search, profile), (ref_search, ref_profile) in zip(batched, per_ball):
+        assert search == ref_search
+        assert profile["cleared"] == ref_profile["cleared"] > 0
+        assert _plain(profile) == _plain(ref_profile)
+        assert profile["witness"]["hyperplane"].offset == \
+            ref_profile["witness"]["hyperplane"].offset
+    assert all(given) and len(given) >= 2 * 900
 
 
 def test_flat_ball_search_one_dimensional_pairs():
@@ -819,6 +942,75 @@ def test_csv_writers_keep_repr_digits():
                       (back.cell_radii, mc.cell_radii)):
         assert np.array_equal(got, want)
     assert measured_to_csv(back) == text
+
+
+def _reference_csv_rows(text, what):
+    """The line-by-line CSV parser the byte-level one replaced, kept as a
+    reference (it read nan and inf as numbers)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    widths = {ln.count(",") for ln in lines}
+    if len(widths) > 1:
+        raise InvalidInputError("%s CSV rows must all have the same number of columns" % what)
+    try:
+        flat = np.array(",".join(lines).split(",") if lines else [], dtype=float)
+    except ValueError:
+        raise InvalidInputError("%s CSV holds a value that is not a number" % what)
+    return flat.reshape(len(lines), -1) if lines else flat.reshape(0, 2)
+
+
+def _parsed_alike(text):
+    """Both parsers' outcome on `text`: the array, bit for bit, or the message."""
+    out = []
+    for parse in (geometry._csv_rows, _reference_csv_rows):
+        try:
+            rows = parse(text, "cloud")
+            out.append((rows.shape, rows.tobytes()))
+        except InvalidInputError as err:
+            out.append(str(err))
+    return out[0] == out[1], out[0]
+
+
+def test_csv_rows_match_the_line_parser():
+    rng = np.random.default_rng(11)
+    cells = ["0", "-0", "0.0", "-0.0", "5e-324", "-4.9e-324", "2.2250738585072014e-308",
+             "1e-310", "1E5", "-3.5e+10", "1.7976931348623157e308", ".5", "5.", " 2.5 ",
+             "\t-7", "12345678901234567890", "0.1", "1_0"]
+    bad = ["x", "", "0x1", "--1", "1e", "nan?", "1.5.2"]
+    seen = set()
+    for trial in range(400):
+        cols, n = int(rng.integers(1, 5)), int(rng.integers(0, 12))
+        rows = [[str(rng.choice(cells)) if rng.random() < 0.4 else repr(float(rng.normal()))
+                 for _ in range(cols)] for _ in range(n)]
+        kind = trial % 4
+        if kind == 1 and n:  # a ragged row
+            row = rows[int(rng.integers(n))]
+            if rng.random() < 0.5:
+                row.append("1.0")
+            else:
+                row.pop()
+        if kind == 2 and n:  # a cell that is not a number
+            rows[int(rng.integers(n))][int(rng.integers(cols))] = str(rng.choice(bad))
+        lines = [",".join(r) for r in rows]
+        for _ in range(int(rng.integers(0, 3))):
+            lines.insert(int(rng.integers(0, len(lines) + 1)), str(rng.choice(["", "  ", "\t"])))
+        end = "\n" if rng.random() < 0.7 else ""
+        text = ("\r\n" if trial % 3 == 0 else "\n").join(lines) + end
+        same, outcome = _parsed_alike(text)
+        assert same, text
+        seen.add(outcome if isinstance(outcome, str) else "array")
+    assert seen == {"array", "cloud CSV rows must all have the same number of columns",
+                    "cloud CSV holds a value that is not a number"}
+    # and on everything the writers produce
+    mc = uniform_measured(depth=2)
+    for m in (render(percolation_ifs(3, 2), depth=4).points,
+              np.column_stack((mc.points, mc.masses, mc.cell_radii)), np.zeros((0, 2))):
+        assert _parsed_alike(geometry._csv_text(m)) == (True, (m.shape, m.tobytes()))
+
+
+@pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-inf", "Infinity", "1e400"])
+def test_csv_rows_reject_non_finite_values(value):
+    with pytest.raises(InvalidInputError, match="not finite"):
+        geometry._csv_rows("0.5,0.25\n0.1,%s\n" % value, "cloud")
 
 
 def test_cloud_pgm_header():

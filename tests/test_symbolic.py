@@ -159,6 +159,70 @@ def test_tree_text_rejects_bad_letters(text):
         FiniteTree.from_text(text)
 
 
+def _reference_from_text(text):
+    """The line-by-line tree-text parser the byte-level one replaced, kept as
+    a reference: Python's int() reads each letter."""
+    from gwfract.symbolic import _pad, _tree_levels
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    words = [ln for ln in lines if ln.strip()]
+    lengths = np.array([ln.count("-") + 1 if ln.strip() else 0 for ln in lines], dtype=np.int64)
+    flat = np.array("-".join(words).split("-") if words else [], dtype=np.int64)
+    alphabet_size = int(flat.max(initial=-1)) + 1 or 1
+    depth = int(lengths.max(initial=0))
+    return FiniteTree._of(alphabet_size, depth, *_tree_levels(
+        alphabet_size, depth, _pad(flat, lengths), lengths))
+
+
+def _random_trees():
+    yield from (sample_gw(Binomial(n, p), depth, seed).tree
+                for n, p, depth, seed in [(9, 0.7, 4, 2), (12, 0.3, 4, 4), (2, 0.9, 7, 1),
+                                          (9, 0.15, 5, 25)])
+    rng = np.random.default_rng(35)
+    for alphabet in (3, 11, 1000, 10 ** 17):
+        words = [tuple(int(a) for a in rng.integers(0, alphabet, size=rng.integers(1, 5)))
+                 for _ in range(40)]
+        yield FiniteTree(alphabet, 4, words)
+    yield FiniteTree(1, 0, [])
+
+
+def test_tree_text_matches_the_line_parser():
+    rng = np.random.default_rng(7)
+    for tree in _random_trees():
+        lines = tree.to_text().split("\n")[:-1]
+        assert FiniteTree.from_text(tree.to_text()) == _reference_from_text(tree.to_text())
+        leaves = {w for w, kids in tree.children.items() if not kids}
+        for trial in range(6):
+            # omit prefixes (internal nodes, which the leaves imply), shuffle,
+            # then add blank lines, spaces at line ends, leading zeros and CRLF
+            keep = [ln for ln in lines if not ln or rng.random() < 0.5 or
+                    Word(int(a) for a in ln.split("-")) in leaves]
+            keep = [keep[i] for i in rng.permutation(len(keep))]
+            for _ in range(trial):
+                keep.insert(int(rng.integers(0, len(keep) + 1)), str(rng.choice(["", " ", "\t"])))
+            if trial >= 3:
+                keep = [" %s\t" % ln if rng.random() < 0.3 else ln for ln in keep]
+                keep = ["0" + ln if ln[:1].isdigit() and rng.random() < 0.3 else ln for ln in keep]
+            text = ("\r\n" if trial % 2 else "\n").join(keep) + ("\n" if trial % 3 else "")
+            assert FiniteTree.from_text(text) == _reference_from_text(text)
+            assert FiniteTree.from_text(text, tree.alphabet_size, tree.depth) == tree
+
+
+@pytest.mark.parametrize("line", ["+1", "0 - 1", "0- 1", "1_0", "\u0661", "0-\u00a02",
+                                  "1234567890123456789"])
+def test_tree_text_rejects_what_int_let_through(line):
+    # the grammar is ASCII digits joined by '-': signs, spaces inside a line,
+    # underscores, non-ASCII digits and spaces, and letters of over 18 digits
+    # are out, though the line parser's int() read them
+    text = "\n%s\n" % line
+    assert len(_reference_from_text(text)) >= 2
+    with pytest.raises(InvalidInputError):
+        FiniteTree.from_text(text)
+    with pytest.raises(InvalidInputError):
+        FiniteTree.from_text(text.replace("\n", "\r\n"))
+
+
 def test_level_arrays_are_narrow_and_wide_letters_round_trip():
     # parent index 2999 times the alphabet 2^20 is above 2^31: the builder's
     # keys must not be formed in int32
