@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -33,9 +34,79 @@ from .extraction import (NotFoundError, _attractor_cloud, general_pipeline,
 from .experiments import EXPERIMENTS
 
 
-COMMANDS = ("simulate", "extinction", "moran", "fixpoint", "gk-curve",
-            "extract", "diffuse-cert", "check-diffuse", "check-ahlfors",
-            "boxdim", "experiment", "render")
+class Opt(NamedTuple):
+    """One option of a command: the flag `--name` (underscores as dashes) and
+    the key `name` under the config's params."""
+    name: str
+    kind: object  # int, float, bool (a switch), a tuple of choices, [int] or
+    #               [float] (a comma list), or the metavar of a text value
+    default: object = None
+    bound: str = None  # "> x" or ">= x"
+    help: str = ""
+    key: str = None  # the library keyword, where it differs from `name`
+    flag: bool = True  # False: a params key with no flag
+
+
+_PIXELS = Opt("pixels", int, 512, ">= 1", "raster side")
+_SAMPLE = Opt("sample", bool, False, help="sample a tree at --depth, not the full grid")
+
+# Each command's help and options; `experiment` has one option list per id.
+COMMANDS = {
+    "simulate": ("sample a tree and optionally render it", (
+        Opt("depth", int, 4, ">= 1"), Opt("render", "OUT.pgm"),
+        Opt("tree_out", "OUT.txt"), Opt("cloud_out", "OUT.csv"), _PIXELS)),
+    "extinction": ("smallest fixed point of the offspring pgf", (
+        Opt("trials", int, 0, ">= 0", "also run this many Monte-Carlo trials"),
+        Opt("mc_depth", int, 30, ">= 0"))),
+    "moran": ("similarity exponent of the expected construction", ()),
+    "fixpoint": ("tau and s0 for a monotone collection", (
+        Opt("strategy", ("auto", "closed_form", "enum", "mc"), "auto"),
+        Opt("trials", int, 100_000, ">= 1"), Opt("tol", float, 1e-10, "> 0"))),
+    "gk-curve": ("undershoot curve g_{k,a_k}(s)", (
+        Opt("c", float), Opt("s", float, 0.5, ">= 0"), Opt("k_max", int, 6, ">= 1"),
+        Opt("k", int, None, ">= 1", "single k (with --a or --c)"), Opt("a", int),
+        Opt("trials", int, 100_000, ">= 1"))),
+    "extract": ("run a pipeline and trim a regular witness subtree", (
+        Opt("pipeline", ("block", "section")), Opt("c", float),
+        Opt("k", int, None, ">= 2"), Opt("rho", float, None, "> 0"), Opt("alpha", float),
+        Opt("levels", int, None, ">= 1"), Opt("depth", int, None, ">= 1"),
+        Opt("scan_budget", int, None, ">= 1"), Opt("node_budget", int, None, ">= 1"),
+        Opt("tree_out", "OUT.txt"), Opt("cloud_out", "OUT.csv"),
+        Opt("measured_out", "OUT.csv"), Opt("measure_out", "OUT.csv"),
+        Opt("render", "OUT.pgm"), _PIXELS)),
+    "diffuse-cert": ("diffuseness constant of the one-step family", (
+        Opt("directions", int, 2000, ">= 1"), Opt("points", int, 2000, ">= 1"))),
+    "check-diffuse": ("sampled ball test against a flatness bound", (
+        Opt("cloud", "IN.csv"), Opt("eps", float, 0.0, ">= 0"),
+        Opt("beta", float, None, "> 0"), Opt("balls", int, 200, ">= 1"),
+        Opt("scales", int, 3, ">= 1"), Opt("depth", int, None, ">= 0"))),
+    "check-ahlfors": ("two-sided regularity ratios of a measured cloud", (
+        Opt("measured", "IN.csv", help="x...,mass,radius rows, as extract --measured-out"),
+        Opt("alpha", float, None, "> 0"), Opt("balls", int, 1000, ">= 1"),
+        Opt("r_count", int, 6, ">= 1"), Opt("max_spread", float, None, "> 0"))),
+    "boxdim": ("box-counting slope of a cloud", (
+        Opt("cloud", "IN.csv"), Opt("eps", float, 0.0, ">= 0"), Opt("depth", int, None, ">= 0"),
+        _SAMPLE,
+        Opt("scales", [float], help="box sizes"), Opt("scale_count", int, 12, ">= 3"),
+        Opt("anchor", ("min", "origin"), "min"))),
+    "experiment": ("run a named validation suite", {
+        "convergence-g-k": (
+            Opt("c", float, None, "> 1"), Opt("s", float, None, ">= 0"),
+            Opt("k_max", int, None, ">= 1", key="k_range"),
+            Opt("trials", int, None, ">= 1"), Opt("conv_tol", float, flag=False)),
+        "dimension-ladder": (
+            Opt("c_seq", [int], key="c_sequence"), Opt("seeds", [int]), Opt("depth", int),
+            Opt("pipeline", ("auto", "percolation", "general")), Opt("c_diffuse", float),
+            Opt("dim_tol", float, flag=False)),
+        "non-diffuseness": (
+            Opt("budget", int, None, ">= 1", key="search_budget"), Opt("depth", int),
+            Opt("control_depth", int), Opt("c_diffuse", float),
+            Opt("beta_ladder", [float])),
+    }),
+    "render": ("raster or CSV of a cloud", (
+        Opt("depth", int, None, ">= 0"), _SAMPLE, Opt("tree", "IN.txt"),
+        Opt("out", "OUT.pgm", "render.pgm"), Opt("cloud_out", "OUT.csv"), _PIXELS)),
+}
 
 # Published contract for --config documents; flags override file values.
 CONFIG_SCHEMA = {
@@ -70,7 +141,6 @@ CONFIG_SCHEMA = {
                                              "diffuse_block"]}},
         },
         "seed": {"type": "integer"},
-        "threads": {"type": "integer", "minimum": 1},
         "outdir": {"type": "string"},
         "json": {"type": "boolean"},
         "params": {"type": "object"},
@@ -133,9 +203,9 @@ def _cast(cast, val, what):
         raise InvalidInputError("bad %s value %r" % (what, val)) from None
 
 
-def _split(cast, text, what):
-    """The comma list `text`, each item cast."""
-    return [_cast(cast, x, what) for x in str(text).split(",")]
+def _load_json_file(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def parse_percolation(text):
@@ -165,8 +235,7 @@ def parse_offspring_spec(text):
         probs = [_cast(float, x, "offspring") for x in text[5:].split(",") if x.strip()]
         return {"kind": "bernoulli", "p": probs}
     if os.path.exists(text):
-        with open(text) as fh:
-            return json.load(fh)
+        return _load_json_file(text)
     raise InvalidInputError("offspring spec %r is neither shorthand nor a file"
                             % text)
 
@@ -181,148 +250,66 @@ def parse_collection_spec(text):
         nums = [_cast(int, x, "collection") for x in parts]
         return dict(zip(("kind", "b", "k", "d"), ["diffuse_block"] + nums))
     if os.path.exists(text):
-        with open(text) as fh:
-            return json.load(fh)
+        return _load_json_file(text)
     raise InvalidInputError("collection spec %r is neither shorthand nor a "
                             "file" % text)
 
 
-def _load_json_file(path):
-    with open(path) as fh:
-        return json.load(fh)
+# Model flags fill the config's top level; --collection is fixpoint's alone.
+_MODEL_FLAGS = (
+    ("percolation", parse_percolation, "b=3,d=2,p=0.6", "grid IFS plus binomial offspring"),
+    ("ifs", _load_json_file, "PATH", "IFS JSON file"),
+    ("offspring", parse_offspring_spec, "SPEC", "bin:N:p, bern:p0,p1,..., or a JSON file"),
+    ("collection", parse_collection_spec, "SPEC", "ary:a, diffuse-block:b:k[:d], or a JSON file"))
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the option table read: parser, merged config and typed params
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="gwfract",
-        description="Galton-Watson fractal sampling, fixed-point solving and "
-                    "subset extraction.")
+def _declared(command):
+    """The options `command` declares, each name once (over every experiment)."""
+    opts = COMMANDS[command][1]
+    if isinstance(opts, dict):
+        return {o.name: o for group in opts.values() for o in group}.values()
+    return opts
+
+
+def _dashed(o):
+    return "--" + o.name.replace("_", "-")
+
+
+@functools.cache
+def _parser():
+    """The argparse parser the table describes, built once per process."""
+    ap = argparse.ArgumentParser(prog="gwfract", description="Galton-Watson fractal sampling, "
+                                 "fixed-point solving and subset extraction.")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
+    for command, (text, opts) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text, description=text)
         sp.add_argument("--config", help="JSON run config; flags override")
-        sp.add_argument("--json", action="store_true",
-                        help="machine JSON on stdout")
+        sp.add_argument("--json", action="store_true", help="machine JSON on stdout")
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
-        sp.add_argument("--threads", type=int,
-                        help="has no effect: gwfract runs on one thread")
-        sp.add_argument("--percolation", metavar="b=3,d=2,p=0.6",
-                        help="grid IFS plus binomial offspring shorthand")
-        sp.add_argument("--ifs", metavar="PATH", help="IFS JSON file")
-        sp.add_argument("--offspring", metavar="SPEC",
-                        help="bin:N:p, bern:p0,p1,..., or a JSON file")
         sp.add_argument("--outdir", help="directory for artifact files")
-        return sp
-
-    sp = add("simulate", "sample a tree and optionally render it")
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--render", metavar="OUT.pgm")
-    sp.add_argument("--tree-out", metavar="OUT.txt")
-    sp.add_argument("--cloud-out", metavar="OUT.csv")
-    sp.add_argument("--pixels", type=int)
-
-    sp = add("extinction", "smallest fixed point of the offspring pgf")
-    sp.add_argument("--trials", type=int,
-                    help="also run a Monte-Carlo frequency with this many trials")
-    sp.add_argument("--mc-depth", type=int)
-
-    add("moran", "similarity exponent of the expected construction")
-
-    sp = add("fixpoint", "tau and s0 for a monotone collection")
-    sp.add_argument("--collection", metavar="SPEC",
-                    help="ary:a, diffuse-block:b:k[:d], or a JSON file")
-    sp.add_argument("--strategy",
-                    choices=["auto", "closed_form", "enum", "mc"])
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--tol", type=float)
-
-    sp = add("gk-curve", "undershoot curve g_{k,a_k}(s)")
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--k-max", type=int)
-    sp.add_argument("--k", type=int, help="single k (with --a)")
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--trials", type=int)
-
-    sp = add("extract", "run a pipeline and trim a regular witness subtree")
-    sp.add_argument("--pipeline", choices=["block", "section"])
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--rho", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--levels", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--scan-budget", type=int)
-    sp.add_argument("--node-budget", type=int)
-    sp.add_argument("--tree-out", metavar="OUT.txt")
-    sp.add_argument("--cloud-out", metavar="OUT.csv")
-    sp.add_argument("--measured-out", metavar="OUT.csv")
-    sp.add_argument("--measure-out", metavar="OUT.csv")
-    sp.add_argument("--render", metavar="OUT.pgm")
-    sp.add_argument("--pixels", type=int)
-
-    sp = add("diffuse-cert", "diffuseness constant of the one-step family")
-    sp.add_argument("--directions", type=int)
-    sp.add_argument("--points", type=int)
-
-    sp = add("check-diffuse", "sampled ball test against a flatness bound")
-    sp.add_argument("--cloud", metavar="IN.csv")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--balls", type=int)
-    sp.add_argument("--scales", type=int)
-    sp.add_argument("--depth", type=int)
-
-    sp = add("check-ahlfors", "two-sided regularity ratios of a measured cloud")
-    sp.add_argument("--measured", metavar="IN.csv",
-                    help="columns x...,mass,radius (see extract --measured-out)")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--balls", type=int)
-    sp.add_argument("--r-count", type=int)
-    sp.add_argument("--max-spread", type=float)
-
-    sp = add("boxdim", "box-counting slope of a cloud")
-    sp.add_argument("--cloud", metavar="IN.csv")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--sample", action="store_true",
-                    help="sample a tree at --depth instead of the full grid")
-    sp.add_argument("--scales", help="comma list of box sizes")
-    sp.add_argument("--scale-count", type=int)
-    sp.add_argument("--anchor", choices=["min", "origin"])
-
-    sp = add("experiment", "run a named validation suite")
-    sp.add_argument("id", choices=sorted(EXPERIMENTS))
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--k-max", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--c-seq", metavar="2,3,4")
-    sp.add_argument("--seeds", metavar="0,1,2,3")
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--pipeline", choices=["auto", "percolation", "general"])
-    sp.add_argument("--c-diffuse", type=float)
-    sp.add_argument("--beta-ladder", metavar="0.1,0.03,0.01")
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--control-depth", type=int)
-
-    sp = add("render", "raster or CSV of a cloud")
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--sample", action="store_true")
-    sp.add_argument("--tree", metavar="IN.txt")
-    sp.add_argument("--out", metavar="OUT.pgm")
-    sp.add_argument("--cloud-out", metavar="OUT.csv")
-    sp.add_argument("--pixels", type=int)
-
+        for name, _, metavar, help_text in _MODEL_FLAGS:
+            if name != "collection" or command == "fixpoint":
+                sp.add_argument("--" + name, metavar=metavar, help=help_text)
+        if isinstance(opts, dict):
+            sp.add_argument("id", choices=sorted(opts))
+            sp.epilog = "; ".join("%s takes %s" % (i, ", ".join(_dashed(o) for o in g if o.flag))
+                                  for i, g in opts.items())
+        for o in filter(lambda o: o.flag, _declared(command)):
+            shown = o.default is not None and o.kind is not bool
+            notes = [x for x in (o.help, o.bound, shown and "default %s" % o.default) if x]
+            if o.kind is bool:
+                how = {"action": "store_true"}
+            elif isinstance(o.kind, tuple):
+                how = {"choices": o.kind}
+            else:
+                how = {"metavar": "A,B,..." if isinstance(o.kind, list) else
+                       {int: "N", float: "X"}.get(o.kind, o.kind)}
+            sp.add_argument(_dashed(o), help="; ".join(notes), **how)
     return ap
-
-
-_TOP_KEYS = ("seed", "threads", "outdir", "json")
 
 
 def merge_config(args):
@@ -334,35 +321,64 @@ def merge_config(args):
             raise InvalidInputError("config root must be a JSON object")
     cfg["command"] = args.command
     ns = vars(args)
-    if ns.get("percolation"):
-        cfg["percolation"] = parse_percolation(ns["percolation"])
-    if ns.get("ifs"):
-        cfg["ifs"] = _load_json_file(ns["ifs"])
-    if ns.get("offspring"):
-        cfg["offspring"] = parse_offspring_spec(ns["offspring"])
-    if ns.get("collection"):
-        cfg["collection"] = parse_collection_spec(ns["collection"])
-    for key in _TOP_KEYS:
+    for name, parse, _, _ in _MODEL_FLAGS:
+        if ns.get(name):
+            cfg[name] = parse(ns[name])
+    params = dict(cfg.get("params", {}))
+    flags = [(cfg, key) for key in ("seed", "outdir", "json")]
+    flags += [(params, o.name) for o in _declared(args.command)] + [(params, "id")]
+    for into, key in flags:
         # by identity: 0 == False, and an explicit --seed 0 must still win
         if ns.get(key) is not None and ns.get(key) is not False:
-            cfg[key] = ns[key]
-    params = dict(cfg.get("params", {}))
-    skip = set(_TOP_KEYS) | {"command", "config", "percolation", "ifs",
-                             "offspring", "collection"}
-    for key, val in ns.items():
-        if key in skip or val is None or val is False:
-            continue
-        params[key] = val
+            into[key] = ns[key]
     if params:
         cfg["params"] = params
     return cfg
 
 
+def _value(o, val):
+    """`val` as option `o` reads it, within its bound; None is its default."""
+    if val is None:
+        return o.default
+    if isinstance(o.kind, tuple):
+        if val not in o.kind:
+            raise InvalidInputError("bad %s value %r: want one of %s"
+                                    % (o.name, val, ", ".join(o.kind)))
+        return val
+    if isinstance(o.kind, list):
+        return [_cast(o.kind[0], x, o.name) for x in str(val).split(",")]
+    val = _cast(str if isinstance(o.kind, str) else o.kind, val, o.name)
+    if o.bound:
+        op, low = o.bound.split()
+        if not (val > float(low) if op == ">" else val >= float(low)):
+            raise InvalidInputError("%s must be %s, got %r" % (o.name, o.bound, val))
+    return val
+
+
+def _params(cfg):
+    """The command's params: every declared option read by `_value`, under its
+    library keyword, plus the seed; a key the command (or the experiment) does
+    not declare is bad input."""
+    given = dict(cfg.get("params", {}))
+    what = cfg["command"]
+    opts = COMMANDS[what][1]
+    out = {"seed": int(cfg.get("seed", 0))}
+    if isinstance(opts, dict):
+        out["id"] = given.pop("id")
+        opts = opts[out["id"]]
+        what = "experiment " + out["id"]
+    extra = sorted(set(given) - {o.name for o in opts})
+    if extra:
+        raise InvalidInputError("%s takes no %s" % (what, ", ".join(extra)))
+    for o in opts:
+        out[o.key or o.name] = _value(o, given.get(o.name))
+    return out
+
+
 def resolve_model(cfg, need_ifs=True, need_offspring=True):
     """The percolation shorthand expands to the grid IFS plus a binomial law;
     explicit --ifs / --offspring documents override either half."""
-    ifs = None
-    offspring = None
+    ifs = offspring = None
     perc = cfg.get("percolation")
     if perc:
         ifs = percolation_ifs(perc["b"], perc["d"])
@@ -378,22 +394,13 @@ def resolve_model(cfg, need_ifs=True, need_offspring=True):
     return ifs, offspring
 
 
-def _p(cfg, key, default=None, cast=None):
-    """params[key], or `default`; passed through `cast` when one is given."""
-    val = cfg.get("params", {}).get(key, default)
-    return val if cast is None or val is None else _cast(cast, val, key)
-
-
-def _write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
-    _say("wrote %s" % path)
-
-
-def _write_bytes(path, blob):
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    _say("wrote %s" % path)
+def _write(path, make):
+    """Write the text or bytes `make()` returns to `path`, if one is given."""
+    if path:
+        data = make()
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        _say("wrote %s" % path)
 
 
 def measured_to_csv(mc):
@@ -412,23 +419,18 @@ def measured_from_csv(text):
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (payload, human text, exit code)
+# handlers: each takes the config and its typed params, and returns
+# (payload, human text, exit code)
 
 
-def cmd_simulate(cfg):
+def cmd_simulate(cfg, p):
     ifs, offspring = resolve_model(cfg)
-    depth = _p(cfg, "depth", 4, int)
-    seed = int(cfg.get("seed", 0))
-    sample = sample_gw(offspring, depth, seed)
+    sample = sample_gw(offspring, p["depth"], p["seed"])
     cloud = render(ifs, tree=sample.tree)
-    if _p(cfg, "render"):
-        _write_bytes(_p(cfg, "render"),
-                     cloud_to_pgm(cloud, pixels=_p(cfg, "pixels", 512, int)))
-    if _p(cfg, "tree_out"):
-        _write_text(_p(cfg, "tree_out"), sample.tree.to_text())
-    if _p(cfg, "cloud_out"):
-        _write_text(_p(cfg, "cloud_out"), cloud_to_csv(cloud))
-    payload = {"command": "simulate", "depth": depth, "seed": seed,
+    _write(p["render"], lambda: cloud_to_pgm(cloud, pixels=p["pixels"]))
+    _write(p["tree_out"], sample.tree.to_text)
+    _write(p["cloud_out"], lambda: cloud_to_csv(cloud))
+    payload = {"command": "simulate", "depth": p["depth"], "seed": p["seed"],
                "level_sizes": sample.tree.level_sizes(),
                "extinct_at": sample.extinct_at,
                "points": int(len(cloud.points)), "eps": float(cloud.eps)}
@@ -439,39 +441,32 @@ def cmd_simulate(cfg):
     return payload, human, 0
 
 
-def cmd_extinction(cfg):
+def cmd_extinction(cfg, p):
     _, offspring = resolve_model(cfg, need_ifs=False)
     q = extinction_prob(offspring)
     payload = {"command": "extinction", "q": q}
     human = "extinction probability q = %.12g\n" % q
-    trials = _p(cfg, "trials", cast=int)
-    if trials:
-        mc = mc_extinction_frequency(offspring, _p(cfg, "mc_depth", 30, int),
-                                     trials, int(cfg.get("seed", 0)))
+    if p["trials"]:
+        mc = mc_extinction_frequency(offspring, p["mc_depth"], p["trials"], p["seed"])
         payload["mc"] = mc
         human += ("frequency by depth %d: %.6g +- %.2g (%d trials)\n"
                   % (mc["depth"], mc["frequency"], mc["se"], mc["trials"]))
     return payload, human, 0
 
 
-def cmd_moran(cfg):
+def cmd_moran(cfg, p):
     ifs, offspring = resolve_model(cfg)
     delta = moran_exponent(offspring, ifs.weights)
-    payload = {"command": "moran", "delta": delta}
-    return payload, "moran exponent = %.9f\n" % delta, 0
+    return {"command": "moran", "delta": delta}, "moran exponent = %.9f\n" % delta, 0
 
 
-def cmd_fixpoint(cfg):
+def cmd_fixpoint(cfg, p):
     _, offspring = resolve_model(cfg, need_ifs=False)
     if cfg.get("collection") is None:
         raise InvalidInputError("need --collection")
-    coll = collection_from_json(cfg["collection"])
-    gf = GFunction(offspring, coll,
-                   strategy=_p(cfg, "strategy", "auto"),
-                   sample_size=_p(cfg, "trials", 100_000, int),
-                   seed=int(cfg.get("seed", 0)))
-    tol = _p(cfg, "tol", cast=float)
-    res = smallest_fixed_point(gf, **({"tol": tol} if tol else {}))
+    gf = GFunction(offspring, collection_from_json(cfg["collection"]),
+                   strategy=p["strategy"], sample_size=p["trials"], seed=p["seed"])
+    res = smallest_fixed_point(gf, tol=p["tol"])
     payload = {"command": "fixpoint", "strategy": gf.strategy}
     payload.update({k: v for k, v in res.items() if k != "iterates"})
     payload["iterates_head"] = res["iterates"][:8]
@@ -484,91 +479,56 @@ def cmd_fixpoint(cfg):
     return payload, human, 0
 
 
-def cmd_gk_curve(cfg):
+def cmd_gk_curve(cfg, p):
     _, offspring = resolve_model(cfg, need_ifs=False)
-    s = _p(cfg, "s", 0.5, float)
-    trials = _p(cfg, "trials", 100_000, int)
-    seed = int(cfg.get("seed", 0))
-    rows = []
-    if _p(cfg, "k") is not None:
-        k = _p(cfg, "k", cast=int)
-        a = _p(cfg, "a", cast=int)
-        if a is None:
-            c = _p(cfg, "c", cast=float)
-            if c is None:
-                raise InvalidInputError("single-point mode wants --a or --c")
-            a = math.ceil(c ** k)
-        rows.append(g_k_a_curve(offspring, k, a, s, trials=trials,
-                                seed=labeled_seed(seed, "gk%d" % k)))
+    c, a = p["c"], p["a"]
+    if p["k"] is not None:
+        if a is None and c is None:
+            raise InvalidInputError("single-point mode wants --a or --c")
+        points = [(p["k"], math.ceil(c ** p["k"]) if a is None else a)]
     else:
-        c = _p(cfg, "c", cast=float)
         if c is None:
             raise InvalidInputError("need --c (or --k with --a)")
-        k_max = _p(cfg, "k_max", 6, int)
-        if k_max < 1:
-            raise InvalidInputError("--k-max must be >= 1")
-        for k in range(1, k_max + 1):
-            rows.append(g_k_a_curve(offspring, k, math.ceil(c ** k), s,
-                                    trials=trials,
-                                    seed=labeled_seed(seed, "gk%d" % k)))
-    payload = {"command": "gk-curve", "s": s, "curve": rows}
+        points = [(k, math.ceil(c ** k)) for k in range(1, p["k_max"] + 1)]
+    rows = [g_k_a_curve(offspring, k, a_k, p["s"], trials=p["trials"],
+                        seed=labeled_seed(p["seed"], "gk%d" % k)) for k, a_k in points]
+    payload = {"command": "gk-curve", "s": p["s"], "curve": rows}
     lines = ["k=%d a_k=%d  g=%.9g  (%s%s)"
              % (r["k"], r["a_k"], r["value"], r["method"],
                 ", flagged" if r.get("flagged") else "") for r in rows]
     if cfg.get("outdir"):
         os.makedirs(cfg["outdir"], exist_ok=True)
-        csv = ["k,a_k,value,se,method"]
-        csv += ["%d,%d,%r,%r,%s" % (r["k"], r["a_k"], r["value"],
-                                    r.get("se", 0.0), r["method"])
-                for r in rows]
-        _write_text(os.path.join(cfg["outdir"], "gk_curve.csv"),
-                    "\n".join(csv) + "\n")
+        csv = ["k,a_k,value,se,method"] + ["%d,%d,%r,%r,%s" % (
+            r["k"], r["a_k"], r["value"], r.get("se", 0.0), r["method"]) for r in rows]
+        _write(os.path.join(cfg["outdir"], "gk_curve.csv"), lambda: "\n".join(csv) + "\n")
     return payload, "\n".join(lines) + "\n", 0
 
 
-def cmd_extract(cfg):
-    seed = int(cfg.get("seed", 0))
-    pipeline = _p(cfg, "pipeline")
-    kwargs = {}
-    for key in ("depth", "scan_budget", "node_budget"):
-        if _p(cfg, key) is not None:
-            kwargs[key] = _p(cfg, key, cast=int)
-    if pipeline == "block":
+def cmd_extract(cfg, p):
+    kwargs = {k: p[k] for k in ("depth", "scan_budget", "node_budget") if p[k] is not None}
+    if p["pipeline"] == "block":
         perc = cfg.get("percolation")
         if not perc:
             raise InvalidInputError("block pipeline wants --percolation")
-        for key in ("c", "k"):
-            if _p(cfg, key) is None:
-                raise InvalidInputError("block pipeline wants --c and --k")
-        if _p(cfg, "levels") is not None:
+        if p["c"] is None or p["k"] is None:
+            raise InvalidInputError("block pipeline wants --c and --k")
+        if p["levels"] is not None:
             raise InvalidInputError("block pipeline takes --depth, not --levels")
-        es = percolation_pipeline(perc["b"], perc["d"], perc["p"],
-                                  c=_p(cfg, "c", cast=float), k=_p(cfg, "k", cast=int),
-                                  seed=seed, **kwargs)
-    elif pipeline == "section":
+        es = percolation_pipeline(perc["b"], perc["d"], perc["p"], c=p["c"], k=p["k"],
+                                  seed=p["seed"], **kwargs)
+    elif p["pipeline"] == "section":
         ifs, offspring = resolve_model(cfg)
-        for key in ("rho", "alpha", "c"):
-            if _p(cfg, key) is None:
-                raise InvalidInputError(
-                    "section pipeline wants --rho, --alpha and --c")
-        if _p(cfg, "levels") is not None:
-            kwargs["n_levels"] = _p(cfg, "levels", cast=int)
-        es = general_pipeline(ifs, offspring, rho=_p(cfg, "rho", cast=float),
-                              alpha=_p(cfg, "alpha", cast=float),
-                              c=_p(cfg, "c", cast=float), seed=seed, **kwargs)
+        if None in (p["rho"], p["alpha"], p["c"]):
+            raise InvalidInputError("section pipeline wants --rho, --alpha and --c")
+        es = general_pipeline(ifs, offspring, rho=p["rho"], alpha=p["alpha"], c=p["c"],
+                              seed=p["seed"], n_levels=p["levels"], **kwargs)
     else:
         raise InvalidInputError("need --pipeline block or section")
-    if _p(cfg, "tree_out"):
-        _write_text(_p(cfg, "tree_out"), es.tree_text())
-    if _p(cfg, "cloud_out"):
-        _write_text(_p(cfg, "cloud_out"), cloud_to_csv(es.cloud()))
-    if _p(cfg, "measured_out"):
-        _write_text(_p(cfg, "measured_out"), measured_to_csv(es.measured_cloud()))
-    if _p(cfg, "measure_out"):
-        _write_text(_p(cfg, "measure_out"), es.measure_csv())
-    if _p(cfg, "render"):
-        _write_bytes(_p(cfg, "render"),
-                     cloud_to_pgm(es.cloud(), pixels=_p(cfg, "pixels", 512, int)))
+    _write(p["tree_out"], es.tree_text)
+    _write(p["cloud_out"], lambda: cloud_to_csv(es.cloud()))
+    _write(p["measured_out"], lambda: measured_to_csv(es.measured_cloud()))
+    _write(p["measure_out"], es.measure_csv)
+    _write(p["render"], lambda: cloud_to_pgm(es.cloud(), pixels=p["pixels"]))
     payload = {"command": "extract"}
     payload.update(es.to_json())
     pred = es.stats.get("predicted")
@@ -582,11 +542,10 @@ def cmd_extract(cfg):
     return payload, human, 0
 
 
-def cmd_diffuse_cert(cfg):
+def cmd_diffuse_cert(cfg, p):
     ifs, _ = resolve_model(cfg, need_offspring=False)
-    F = _attractor_cloud(ifs, target=_p(cfg, "points", 2000, int))
-    res = diffuseness_constant(ifs.maps, F,
-                               directions=_p(cfg, "directions", 2000, int))
+    res = diffuseness_constant(ifs.maps, _attractor_cloud(ifs, target=p["points"]),
+                               directions=p["directions"])
     payload = {"command": "diffuse-cert", "c_low": res.c_low,
                "raw_min": res.raw_min, "tol": res.tol, "note": res.note,
                "witness": res.witness}
@@ -596,120 +555,84 @@ def cmd_diffuse_cert(cfg):
     return payload, human, 0
 
 
-def _cloud_from_cfg(cfg, allow_sample=False):
-    if _p(cfg, "cloud"):
-        with open(_p(cfg, "cloud")) as fh:
-            return cloud_from_csv(fh.read(), eps=_p(cfg, "eps", 0.0, float))
+def _cloud_from_cfg(cfg, p):
+    """The cloud a command reads: a CSV (--cloud), the render of a tree file
+    (--tree), or the render at --depth of a sampled tree (--sample) or of the
+    full grid."""
+    if p.get("cloud"):
+        with open(p["cloud"]) as fh:
+            return cloud_from_csv(fh.read(), eps=p["eps"])
     ifs, offspring = resolve_model(cfg, need_offspring=False)
-    depth = _p(cfg, "depth", cast=int)
-    if depth is None:
-        raise InvalidInputError("need --cloud or a model with --depth")
-    if allow_sample and _p(cfg, "sample"):
+    if p.get("tree"):
+        with open(p["tree"]) as fh:
+            return render(ifs, tree=FiniteTree.from_text(fh.read()))
+    if p["depth"] is None:
+        raise InvalidInputError("need %s or a model with --depth"
+                                % ("--tree" if "tree" in p else "--cloud"))
+    if p.get("sample"):
         if offspring is None:
             raise InvalidInputError("--sample wants an offspring law")
-        tree = sample_gw(offspring, depth, int(cfg.get("seed", 0))).tree
-        return render(ifs, tree=tree)
-    return render(ifs, depth=depth)
+        return render(ifs, tree=sample_gw(offspring, p["depth"], p["seed"]).tree)
+    return render(ifs, depth=p["depth"])
 
 
-def cmd_check_diffuse(cfg):
-    beta = _p(cfg, "beta", cast=float)
-    if beta is None:
+def cmd_check_diffuse(cfg, p):
+    if p["beta"] is None:
         raise InvalidInputError("need --beta")
-    cloud = _cloud_from_cfg(cfg)
-    res = empirical_diffuse_check(cloud, beta,
-                                  scale_count=_p(cfg, "scales", 3, int),
-                                  sample_count=_p(cfg, "balls", 200, int),
-                                  seed=int(cfg.get("seed", 0)))
+    cloud = _cloud_from_cfg(cfg, p)
+    res = empirical_diffuse_check(cloud, p["beta"], scale_count=p["scales"],
+                                  sample_count=p["balls"], seed=p["seed"])
     payload = {"command": "check-diffuse"}
     payload.update(res)
     human = ("%s: worst ratio %.6g over %d balls at beta %.3g\n"
              % ("pass" if res["pass"] else "FAIL", res["worst_ratio"], res["tested"],
-                beta))
+                p["beta"]))
     return payload, human, 0 if res["pass"] else 3
 
 
-def cmd_check_ahlfors(cfg):
-    if not _p(cfg, "measured"):
+def cmd_check_ahlfors(cfg, p):
+    if not p["measured"]:
         raise InvalidInputError("need --measured CSV (x...,mass,radius)")
-    alpha = _p(cfg, "alpha", cast=float)
-    if alpha is None:
+    if p["alpha"] is None:
         raise InvalidInputError("need --alpha")
-    cap = _p(cfg, "max_spread", cast=float)
-    if cap is not None and not cap > 0:
-        raise InvalidInputError("--max-spread must be positive")
-    with open(_p(cfg, "measured")) as fh:
+    with open(p["measured"]) as fh:
         mc = measured_from_csv(fh.read())
-    res = ahlfors_ratio_check(mc, alpha,
-                              sample_count=_p(cfg, "balls", 1000, int),
-                              seed=int(cfg.get("seed", 0)),
-                              r_count=_p(cfg, "r_count", 6, int))
-    payload = {"command": "check-ahlfors", "alpha": alpha,
+    res = ahlfors_ratio_check(mc, p["alpha"], sample_count=p["balls"], seed=p["seed"],
+                              r_count=p["r_count"])
+    payload = {"command": "check-ahlfors", "alpha": p["alpha"],
                "c1_hat": res.c1_hat, "c2_hat": res.c2_hat,
                "spread": res.spread, "samples": len(res.samples)}
     human = ("c1_hat %.6g, c2_hat %.6g, spread %.6g over %d sampled balls\n"
              % (res.c1_hat, res.c2_hat, res.spread, len(res.samples)))
-    code = 0
-    if cap is not None and res.spread > cap:
-        human += "spread exceeds %.3g\n" % cap
-        code = 3
-    return payload, human, code
+    exceeds = p["max_spread"] is not None and res.spread > p["max_spread"]
+    if exceeds:
+        human += "spread exceeds %.3g\n" % p["max_spread"]
+    return payload, human, 3 if exceeds else 0
 
 
-def cmd_boxdim(cfg):
-    cloud = _cloud_from_cfg(cfg, allow_sample=True)
-    kwargs = {}
-    if _p(cfg, "scales"):
-        kwargs["scales"] = _split(float, _p(cfg, "scales"), "scales")
-    elif _p(cfg, "scale_count"):
-        kwargs["scale_count"] = _p(cfg, "scale_count", cast=int)
-    if _p(cfg, "anchor"):
-        kwargs["anchor"] = _p(cfg, "anchor")
-    dim, table = box_dimension(cloud, **kwargs)
+def cmd_boxdim(cfg, p):
+    cloud = _cloud_from_cfg(cfg, p)
+    dim, table = box_dimension(cloud, scale_count=p["scale_count"], scales=p["scales"],
+                               anchor=p["anchor"])
     payload = {"command": "boxdim", "dim": dim,
                "table": [[float(s), int(c)] for s, c in table]}
     human = "box dimension slope = %.6g over %d scales\n" % (dim, len(table))
     return payload, human, 0
 
 
-_EXP_PARAM_KEYS = {
-    "convergence-g-k": {"c": float, "s": float, "trials": int,
-                        "conv_tol": float},
-    "dimension-ladder": {"depth": int, "pipeline": str, "c_diffuse": float,
-                         "dim_tol": float},
-    "non-diffuseness": {"budget": int, "depth": int, "control_depth": int,
-                        "c_diffuse": float},
-}
-
-
-def cmd_experiment(cfg):
-    exp_id = _p(cfg, "id")
-    fn = EXPERIMENTS[exp_id]
+def cmd_experiment(cfg, p):
     perc = cfg.get("percolation")
     if not perc:
         raise InvalidInputError("experiments want --percolation b=,d=,p=")
-    kwargs = {"b": perc["b"], "d": perc["d"], "p": perc["p"]}
-    for key, cast in _EXP_PARAM_KEYS[exp_id].items():
-        if _p(cfg, key) is not None:
-            kwargs[key] = _p(cfg, key, cast=cast)
-    if "budget" in kwargs:
-        kwargs["search_budget"] = kwargs.pop("budget")
-    if exp_id == "convergence-g-k":
-        if "c" not in kwargs:
-            raise InvalidInputError("convergence-g-k wants --c")
-        if _p(cfg, "k_max") is not None:
-            kwargs["k_range"] = tuple(range(1, _p(cfg, "k_max", cast=int) + 1))
-        kwargs["seed"] = int(cfg.get("seed", 0))
-    elif exp_id == "dimension-ladder":
-        if _p(cfg, "c_seq"):
-            kwargs["c_sequence"] = _split(int, _p(cfg, "c_seq"), "c_seq")
-        if _p(cfg, "seeds"):
-            kwargs["seeds"] = _split(int, _p(cfg, "seeds"), "seeds")
-    else:
-        if _p(cfg, "beta_ladder"):
-            kwargs["beta_ladder"] = _split(float, _p(cfg, "beta_ladder"), "beta_ladder")
-        kwargs["seed"] = int(cfg.get("seed", 0))
-    rep = fn(**kwargs)
+    exp_id = p.pop("id")
+    if exp_id == "convergence-g-k" and p["c"] is None:
+        raise InvalidInputError("convergence-g-k wants --c")
+    if exp_id == "dimension-ladder":
+        del p["seed"]
+    if p.get("k_range") is not None:
+        p["k_range"] = tuple(range(1, p["k_range"] + 1))
+    rep = EXPERIMENTS[exp_id](perc["b"], perc["d"], perc["p"],
+                              **{k: v for k, v in p.items() if v is not None})
     if cfg.get("outdir"):
         path = rep.save(cfg["outdir"])
         _say("report saved to %s" % path)
@@ -723,47 +646,16 @@ def cmd_experiment(cfg):
     return payload, "\n".join(lines) + "\n", 3 if rep.verdict == "inconclusive" else 0
 
 
-def cmd_render(cfg):
-    ifs, offspring = resolve_model(cfg, need_offspring=False)
-    if _p(cfg, "tree"):
-        with open(_p(cfg, "tree")) as fh:
-            tree = FiniteTree.from_text(fh.read())
-        cloud = render(ifs, tree=tree)
-    elif _p(cfg, "sample"):
-        if offspring is None:
-            raise InvalidInputError("--sample wants an offspring law")
-        if _p(cfg, "depth") is None:
-            raise InvalidInputError("--sample wants --depth")
-        tree = sample_gw(offspring, _p(cfg, "depth", cast=int),
-                         int(cfg.get("seed", 0))).tree
-        cloud = render(ifs, tree=tree)
-    else:
-        if _p(cfg, "depth") is None:
-            raise InvalidInputError("need --depth, --sample or --tree")
-        cloud = render(ifs, depth=_p(cfg, "depth", cast=int))
-    out = _p(cfg, "out", "render.pgm")
-    _write_bytes(out, cloud_to_pgm(cloud, pixels=_p(cfg, "pixels", 512, int)))
-    if _p(cfg, "cloud_out"):
-        _write_text(_p(cfg, "cloud_out"), cloud_to_csv(cloud))
+def cmd_render(cfg, p):
+    cloud = _cloud_from_cfg(cfg, p)
+    _write(p["out"], lambda: cloud_to_pgm(cloud, pixels=p["pixels"]))
+    _write(p["cloud_out"], lambda: cloud_to_csv(cloud))
     payload = {"command": "render", "points": int(len(cloud.points)),
-               "eps": float(cloud.eps), "out": out}
-    return payload, "%d points -> %s\n" % (len(cloud.points), out), 0
+               "eps": float(cloud.eps), "out": p["out"]}
+    return payload, "%d points -> %s\n" % (len(cloud.points), p["out"]), 0
 
 
-HANDLERS = {
-    "simulate": cmd_simulate,
-    "extinction": cmd_extinction,
-    "moran": cmd_moran,
-    "fixpoint": cmd_fixpoint,
-    "gk-curve": cmd_gk_curve,
-    "extract": cmd_extract,
-    "diffuse-cert": cmd_diffuse_cert,
-    "check-diffuse": cmd_check_diffuse,
-    "check-ahlfors": cmd_check_ahlfors,
-    "boxdim": cmd_boxdim,
-    "experiment": cmd_experiment,
-    "render": cmd_render,
-}
+HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")] for name in COMMANDS}
 
 
 def _emit_error(as_json, kind, exc, extra=None):
@@ -777,26 +669,20 @@ def _emit_error(as_json, kind, exc, extra=None):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    as_json = bool(getattr(args, "json", False))
+    args = _parser().parse_args(argv)
+    as_json = bool(args.json)
     try:
         cfg = merge_config(args)
         _validate_config(cfg)
         as_json = bool(cfg.get("json", False))
-        payload, human, code = HANDLERS[cfg["command"]](cfg)
-    except (InvalidInputError, jsonschema.ValidationError,
-            json.JSONDecodeError) as e:
-        msg = getattr(e, "message", None) or str(e)
-        _emit_error(as_json, "invalid-config", msg)
+        payload, human, code = HANDLERS[cfg["command"]](cfg, _params(cfg))
+    except (InvalidInputError, jsonschema.ValidationError, json.JSONDecodeError,
+            FileNotFoundError) as e:
+        _emit_error(as_json, "invalid-config", getattr(e, "message", None) or e)
         return 2
-    except FileNotFoundError as e:
-        _emit_error(as_json, "invalid-config", e)
-        return 2
-    except NotFoundError as e:
-        _emit_error(as_json, "not-found", e, {"stats": e.stats})
-        return 3
-    except DegenerateSampleError as e:
-        _emit_error(as_json, "not-found", e)
+    except (NotFoundError, DegenerateSampleError) as e:
+        _emit_error(as_json, "not-found", e,
+                    {"stats": e.stats} if isinstance(e, NotFoundError) else None)
         return 3
     except (ResourceLimitError, CapabilityError) as e:
         _emit_error(as_json, "resource-limit", e)

@@ -209,6 +209,8 @@ class PointCloud:
         if self.points.ndim == 1:
             self.points = self.points.reshape(-1, 1) if self.points.size else self.points.reshape(0, 2)
         self.eps = float(self.eps)
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise InvalidInputError("eps must be finite and non-negative")
 
     def __len__(self):
         return self.points.shape[0]
@@ -517,6 +519,8 @@ def box_dimension(cloud, scale_count=12, scales=None, anchor="min"):
     else:
         raise InvalidInputError("anchor must be 'min' or 'origin'")
     if scales is None:
+        if int(scale_count) < 3:
+            raise InvalidInputError("scale_count must be >= 3")
         diam = cloud.diameter()
         eps = max(cloud.eps, diam * 1e-9)
         top = diam / 4.0
@@ -528,9 +532,9 @@ def box_dimension(cloud, scale_count=12, scales=None, anchor="min"):
         scales = np.asarray(sorted((float(s) for s in scales), reverse=True))
         if len(scales) == 0 or scales[-1] <= 0:
             raise InvalidInputError("scales must be positive")
-    counts = [_box_count(pts, lo, delta) for delta in scales]
     if len(scales) < 3:
         raise InvalidInputError("fewer than 3 usable scales")
+    counts = [_box_count(pts, lo, delta) for delta in scales]
     slope = np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0]
     return float(slope), list(zip(scales.tolist(), counts))
 
@@ -540,7 +544,11 @@ def _box_count(pts, lo, delta):
     the distinct values of one int64 key per point (README, "Box counts")."""
     key, span = 0, 1
     for x, x0 in zip(pts.T, lo):
-        col = np.floor((x - x0) / delta).astype(np.int64)
+        cell = (x - x0) / delta
+        if not np.abs(cell).max() < 2.0 ** 62:  # a cell index must fit an int64
+            raise InvalidInputError("box size %.3g is too small: cell indices reach 2^62"
+                                    % delta)
+        col = np.floor(cell).astype(np.int64)
         col -= col.min()
         width = int(col.max()) + 1
         if span * width >= 1 << 63:
@@ -1001,8 +1009,6 @@ def empirical_diffuse_check(cloud, beta, scale_count=3, sample_count=200, seed=0
     """
     if not (math.isfinite(beta) and beta > 0):
         raise InvalidInputError("beta must be positive and finite")
-    if not (math.isfinite(cloud.eps) and cloud.eps >= 0):
-        raise InvalidInputError("eps must be finite and non-negative")
     pts = cloud.points
     if len(pts) == 0:
         raise InvalidInputError("empty cloud")

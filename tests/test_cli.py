@@ -13,7 +13,7 @@ import pytest
 
 import gwfract
 from gwfract.branching import Binomial, sample_gw
-from gwfract.cli import config_schema, main
+from gwfract.cli import COMMANDS, config_schema, main
 from gwfract.geometry import (box_dimension, cloud_to_csv, ifs_to_json, percolation_ifs, render,
                               sierpinski_ifs)
 
@@ -175,6 +175,17 @@ def test_unknown_config_key_exits_2(tmp_path):
     code, out, err = run(["moran", "--config", str(cfg), "--json"])
     assert code == 2
     assert json.loads(out)["message"] == "'x' is not of type 'integer'"
+    # a params key, or an experiment flag, that the run does not take is
+    # rejected too, not dropped
+    cfg.write_text(json.dumps({"command": "fixpoint", "params": {"trails": 10}}))
+    code, doc, _ = run_json(["fixpoint", "--offspring", "bin:3:0.9", "--collection", "ary:2",
+                             "--config", str(cfg)])
+    assert code == 2 and doc["error"] == "invalid-config"
+    assert doc["message"] == "fixpoint takes no trails"
+    code, doc, _ = run_json(["experiment", "convergence-g-k", "--percolation", "b=2,d=2,p=0.9",
+                             "--c", "2", "--budget", "5", "--seeds", "0,1"])
+    assert code == 2 and doc["error"] == "invalid-config"
+    assert doc["message"] == "experiment convergence-g-k takes no budget, seeds"
 
 
 def test_config_file_supplies_model(tmp_path):
@@ -187,7 +198,7 @@ def test_config_file_supplies_model(tmp_path):
 
 
 def test_zero_flags_override_config(tmp_path):
-    # 0 == False: an explicit --seed 0 or --threads 0 must still reach the config
+    # 0 == False: an explicit --seed 0 must still reach the config
     cfg = tmp_path / "cfg.json"
     argv = ["extinction", "--offspring", "bin:3:0.6", "--trials", "2000"]
     cfg.write_text(json.dumps({"command": "extinction", "seed": 5}))
@@ -195,9 +206,6 @@ def test_zero_flags_override_config(tmp_path):
     assert run_json(argv + ["--seed", "0", "--config", str(cfg)])[1] == seed0
     assert run_json(argv + ["--config", str(cfg)])[1] == run_json(argv + ["--seed", "5"])[1]
     assert run_json(argv + ["--config", str(cfg)])[1] != seed0
-    cfg.write_text(json.dumps({"command": "extinction", "threads": 0}))
-    assert run(argv + ["--json", "--config", str(cfg)])[0] == 2
-    assert run(argv + ["--json", "--threads", "0"])[0] == 2
 
 
 def test_missing_config_file_exits_2():
@@ -375,6 +383,15 @@ def test_boxdim_on_cloud_csv(tmp_path):
     assert doc["dim"] == pytest.approx(2.0, abs=1e-6)
 
 
+def test_boxdim_scale_past_int64_exits_2():
+    # at delta = 1e-300 the cell indices of a unit-square cloud pass 2^62:
+    # bad input, not a count of wrapped int64 keys
+    code, doc, _ = run_json(["boxdim", "--percolation", "b=3,d=2,p=0.6", "--depth", "3",
+                             "--scales", "1e-300,1e-301,1e-302"])
+    assert code == 2
+    assert doc["error"] == "invalid-config"
+
+
 def test_check_diffuse_pass_and_fail():
     base = ["check-diffuse", "--percolation", "b=3,d=2,p=1", "--depth", "6",
             "--scales", "2", "--balls", "80"]
@@ -538,9 +555,12 @@ _MEASURED = "0.1,0.2,0.5,0.1\n0.3,0.4,0.5,0.1\n"
        "--r-count", n] for n in ("0", "-2")),
     *(["diffuse-cert", "--percolation", "b=3,d=2,p=0.6", flag, n]
       for flag, n in (("--directions", "0"), ("--directions", "-5"), ("--points", "0"))),
+    *(["boxdim", "--percolation", "b=3,d=2,p=0.6", "--depth", "4", "--scale-count", n]
+      for n in ("0", "-1")),
 ])
 def test_bad_counts_exit_2(tmp_path, argv):
-    # a pixel, radius, direction or point count below 1 is bad input, not a crash
+    # a pixel, radius, direction, point or scale count below its least value
+    # is bad input: not a crash, and not a silent default
     (tmp_path / "m.csv").write_text(_MEASURED)
     paths = {"out": str(tmp_path / "out.pgm"), "measured": str(tmp_path / "m.csv")}
     code, doc, _ = run_json([a.format(**paths) for a in argv])
@@ -556,21 +576,27 @@ def test_bad_counts_exit_2(tmp_path, argv):
       for n in ("0", "-1")),
     *(["experiment", "convergence-g-k", "--percolation", "b=2,d=2,p=0.9", "--c", "2",
        "--k-max", n] for n in ("0", "-1")),
+    ["fixpoint", "--offspring", "bin:3:0.9", "--collection", "ary:2", "--tol", "0"],
 ])
 def test_search_budget_and_k_max_below_one_exit_2(argv):
-    # a search budget or a curve length below 1 is bad input: no traceback,
-    # no empty curve, and no flag silently dropped
+    # a search budget or a curve length below 1, or a tolerance of 0, is bad
+    # input: no traceback, no empty curve, and no flag silently dropped
     code, doc, _ = run_json(argv)
     assert code == 2
     assert doc["error"] == "invalid-config"
 
 
 @pytest.mark.parametrize("flags", [["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"],
-                                   ["--beta", "nan"], ["--beta", "inf"]])
+                                   ["--beta", "nan"], ["--beta", "inf"],
+                                   *(["boxdim", "--eps", e] for e in ("-1", "nan", "inf"))])
 def test_check_diffuse_bad_eps_or_beta_exits_2(tmp_path, flags):
+    # every cloud checks its eps, so boxdim --cloud rejects the same values
     path = tmp_path / "cloud.csv"
     path.write_text(cloud_to_csv(render(percolation_ifs(3, 2), depth=3)))
-    argv = ["check-diffuse", "--cloud", str(path), "--eps", "0.001", "--beta", "0.01"]
+    if flags[0] == "boxdim":
+        argv, flags = ["boxdim", "--cloud", str(path)], flags[1:]
+    else:
+        argv = ["check-diffuse", "--cloud", str(path), "--eps", "0.001", "--beta", "0.01"]
     code, doc, _ = run_json(argv + flags)
     assert code == 2
     assert doc["error"] == "invalid-config"
@@ -683,15 +709,80 @@ def test_experiment_convergence_json(tmp_path):
     ["experiment", "convergence-g-k", "--percolation", "b=3,d=2,p=0.9", "--c", "2",
      "--k-max", "2", "--trials", "400"],
 ])
-def test_threads_flag_config_key_and_variable_have_no_effect(tmp_path, monkeypatch, argv):
-    plain = run(argv + ["--json"])[:2]
-    flag = run(argv + ["--json", "--threads", "3"])[:2]
+def test_threads_flag_and_config_key_are_rejected(tmp_path, monkeypatch, argv):
+    # gwfract runs on one thread: there is no --threads, a config may not
+    # carry "threads", and GWFRACT_THREADS changes nothing
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--json", "--threads", "3"])
+    assert exc.value.code == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": argv[0], "threads": 3}))
+    code, doc, _ = run_json(argv + ["--config", str(cfg)])
+    assert code == 2 and doc["error"] == "invalid-config"
+    assert doc["message"] == "Additional properties are not allowed ('threads' was unexpected)"
+    plain = run(argv + ["--json"])[:2]
     monkeypatch.setenv("GWFRACT_THREADS", "5")
-    config_and_env = run(argv + ["--json", "--config", str(cfg)])[:2]
     assert plain[0] == 0
-    assert plain == flag == config_and_env
+    assert run(argv + ["--json"])[:2] == plain
+
+
+# one valid run of each command, or of each experiment, for the table walk
+_BOUND_BASES = {
+    "simulate": ["--percolation", "b=3,d=2,p=0.6"],
+    "extinction": ["--offspring", "bin:3:0.9"],
+    "fixpoint": ["--offspring", "bin:3:0.9", "--collection", "ary:2"],
+    "gk-curve": ["--percolation", "b=3,d=2,p=0.6", "--c", "2"],
+    "extract": ["--percolation", "b=2,d=2,p=0.9", "--pipeline", "block", "--c", "2", "--k", "4"],
+    "diffuse-cert": ["--percolation", "b=3,d=2,p=0.6"],
+    "check-diffuse": ["--percolation", "b=3,d=2,p=1", "--depth", "6", "--beta", "0.01"],
+    "check-ahlfors": ["--measured", "{measured}", "--alpha", "1"],
+    "boxdim": ["--percolation", "b=3,d=2,p=0.6", "--depth", "4"],
+    "render": ["--percolation", "b=3,d=2,p=0.6", "--depth", "2", "--out", "{out}"],
+    "experiment convergence-g-k": ["--percolation", "b=2,d=2,p=0.9", "--c", "2"],
+    "experiment dimension-ladder": ["--percolation", "b=3,d=2,p=0.7"],
+    "experiment non-diffuseness": ["--percolation", "b=3,d=2,p=0.6"],
+}
+
+
+def _bounded_options():
+    """(run, option) for every option the CLI's table gives a bound."""
+    for command, (_, opts) in COMMANDS.items():
+        groups = opts.items() if isinstance(opts, dict) else [(None, opts)]
+        for exp_id, group in groups:
+            run_name = command if exp_id is None else "experiment " + exp_id
+            yield from ((run_name, o) for o in group if o.bound)
+
+
+def _just_below(opt):
+    op, low = opt.bound.split()
+    if opt.kind is int:
+        return str(int(low) - (op == ">="))
+    return repr(float(low) if op == ">" else math.nextafter(float(low), -math.inf))
+
+
+@pytest.mark.parametrize("run_name, opt", list(_bounded_options()),
+                         ids=lambda x: getattr(x, "name", x))
+def test_every_bound_of_the_option_table_holds(tmp_path, run_name, opt):
+    # the value just below each declared bound exits 2 on an otherwise valid
+    # run, whether given as a flag or as a config params key
+    (tmp_path / "m.csv").write_text(_MEASURED)
+    paths = {"out": str(tmp_path / "out.pgm"), "measured": str(tmp_path / "m.csv")}
+    base = run_name.split() + [a.format(**paths) for a in _BOUND_BASES[run_name]]
+    flag, value = "--" + opt.name.replace("_", "-"), _just_below(opt)
+    if flag in base:  # a flag would override the config's value
+        at = base.index(flag)
+        base = base[:at] + base[at + 2:]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": base[0], "params": {opt.name: value}}))
+    runs = [base + ["--config", str(cfg)]]
+    if opt.flag:
+        runs.append(base + [flag + "=" + value])  # "-5e-324" alone reads as a flag
+    for argv in runs:
+        code, doc, _ = run_json(argv)
+        assert code == 2, argv
+        assert doc["error"] == "invalid-config"
+        assert doc["message"] == "%s must be %s, got %r" % (opt.name, opt.bound,
+                                                           opt.kind(value))
 
 
 def _readme_usage_lines():

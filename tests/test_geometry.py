@@ -512,6 +512,18 @@ def test_box_counts_match_unique_rows():
 def test_box_dimension_needs_scales():
     with pytest.raises(InvalidInputError):
         box_dimension(square_cloud(), scales=[1.0, 0.5])
+    for count in (2, 0, -1):
+        with pytest.raises(InvalidInputError, match="scale_count"):
+            box_dimension(square_cloud(), scale_count=count)
+    # cell indices past 2^62 would wrap in the int64 key
+    with pytest.raises(InvalidInputError, match="2\\^62"):
+        box_dimension(render(percolation_ifs(3, 2), depth=3), scales=[1e-300, 1e-301, 1e-302])
+
+
+@pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+def test_point_cloud_rejects_bad_eps(eps):
+    with pytest.raises(InvalidInputError, match="eps must be finite and non-negative"):
+        PointCloud(np.zeros((3, 2)), eps)
 
 
 def _lexsort_counts(pts, lo, scales):
